@@ -18,14 +18,28 @@ difference is deliberate:
   the budget. Winners are paid their critical bid, the supremum of bids at
   which they would still win with everyone else fixed, which makes truthful
   bidding a dominant strategy.
+
+Both run one lazy greedy loop (Minoux's accelerated greedy): a max-heap of
+unit gains keyed ``(-unit_gain, id)``. Marginal coverage only falls, so a
+stored key bounds the fresh one and the top is the argmax once its key is
+fresh; the id keeps the lowest-id tie-break. Gains are still updated exactly
+as vehicles are selected, so every float has the bits a full rescan gives.
+
+A critical bid comes from the greedy run over everyone but the winner. That
+run equals the main run up to the winner's pick: argmax never chose the
+winner before, and the lowest-id tie-break makes that strict. So ``tbsap``
+runs the allocation once, keeps the gains before each pick, reads every
+prefix position from those, and runs only the suffix from each winner's
+pick on a copy of the state. The payments equal those of one full re-run
+per winner, bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
+import heapq
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from trafficmarket.model import (
     AuctionInstance,
@@ -119,99 +133,82 @@ def marginal_gain(
 
 
 class _CoverageState:
-    """Per-vehicle marginal coverage, updated as vehicles are selected."""
+    """Greedy state: marginal coverage per vehicle, the lazy heap of
+    ``(-unit_gain, id)`` keys (see the module docstring), and spend so far."""
 
-    __slots__ = ("values", "subsets", "members", "bids", "gain", "covered")
+    __slots__ = ("values", "subsets", "members", "bids", "gain", "covered", "heap", "spent")
 
     def __init__(self, instance: AuctionInstance):
         validate_instance(instance)
-        n = len(instance.vehicles)
-        m = len(instance.tasks)
-        self.values = instance.task_values()
-        self.bids = np.array([v.bid for v in instance.vehicles], dtype=float)
-        if n and (self.bids <= 0).any():
-            bad = int(np.argmax(self.bids <= 0))
-            raise ValueError(f"vehicle {bad}: bids must be positive in auctions")
-        self.subsets = [
-            np.fromiter(sorted(v.task_subset), dtype=np.int64, count=len(v.task_subset))
-            for v in instance.vehicles
-        ]
-        members: list[list[int]] = [[] for _ in range(m)]
+        values = instance.task_values()
+        self.values = values.tolist()
+        self.bids = [float(v.bid) for v in instance.vehicles]
+        for v, bid in enumerate(self.bids):
+            if bid <= 0:
+                raise ValueError(f"vehicle {v}: bids must be positive in auctions")
+        self.subsets = [sorted(v.task_subset) for v in instance.vehicles]
+        self.members: list[list[int]] = [[] for _ in instance.tasks]
         for v in instance.vehicles:
             for t in v.task_subset:
-                members[t].append(v.id)
-        self.members = [np.array(ids, dtype=np.int64) for ids in members]
-        self.covered = np.zeros(m, dtype=bool)
-        # initial marginal coverage = full subset value
-        self.gain = np.array(
-            [float(self.values[s].sum()) for s in self.subsets], dtype=float
-        )
+                self.members[t].append(v.id)
+        self.covered = [False] * len(instance.tasks)
+        # initial marginal coverage = full subset value; numpy's summation
+        # order fixes the bits of every gain and payment derived from it
+        self.gain = [float(values[s].sum()) for s in self.subsets]
+        self.heap = [(-((g - b) / b), v) for v, (g, b) in enumerate(zip(self.gain, self.bids))]
+        heapq.heapify(self.heap)
+        self.spent = 0.0
+
+    def fork(self) -> _CoverageState:
+        twin = copy.copy(self)
+        twin.gain, twin.covered, twin.heap = self.gain[:], self.covered[:], self.heap[:]
+        return twin
+
+    def pop_best(self) -> tuple[float, int] | None:
+        """Remove and return (unit gain, id) of the argmax, or None if empty."""
+        heap, gain, bids = self.heap, self.gain, self.bids
+        while heap:
+            key, k = heap[0]
+            unit = (gain[k] - bids[k]) / bids[k]
+            if -unit == key:
+                heapq.heappop(heap)
+                return unit, k
+            heapq.heapreplace(heap, (-unit, k))
+        return None
 
     def select(self, vehicle_id: int) -> None:
+        covered, gain = self.covered, self.gain
         for t in self.subsets[vehicle_id]:
-            if not self.covered[t]:
-                self.covered[t] = True
-                self.gain[self.members[t]] -= self.values[t]
+            if not covered[t]:
+                covered[t] = True
+                value = self.values[t]
+                for v in self.members[t]:
+                    gain[v] -= value
+        self.spent += self.bids[vehicle_id]
 
 
-@dataclass
-class _Pick:
-    candidate: int
-    bid: float
-    candidate_gain: float  # A(c | Y) before selecting c
-    tracked_gain: float  # A(i | Y) at the same moment, nan if untracked
-    spent_before: float
+def _picks(state: _CoverageState, budget: float, drop_misfits: bool = False):
+    """Greedy by unit gain; yields ``(vehicle, fits)`` before taking each pick.
 
-
-@dataclass
-class _BreakRun:
-    order: list[int]
-    picks: list[_Pick]
-    ending: str  # 'exhausted' | 'negative' | 'budget'
-    end_pick: _Pick | None  # the candidate that triggered a 'budget' break
-    end_tracked_gain: float
-    end_spent: float
-
-
-def _break_run(
-    state: _CoverageState,
-    budget: float,
-    exclude: int | None = None,
-    track: int | None = None,
-) -> _BreakRun:
-    """Greedy by unit gain with break-on-stop semantics.
-
-    Ties in the argmax go to the lowest vehicle id (np.argmax returns the
-    first maximum and the array is id-indexed). With ``exclude`` set, that
-    vehicle is never picked but its marginal coverage keeps being tracked.
+    Every rule stops at the first argmax with a negative unit gain. The
+    break rule (``tbsap``) also stops at the first argmax whose bid does not
+    fit, and yields it with ``fits`` False first. With ``drop_misfits``
+    (``greedy_heuristic``) such a bid is dropped for good, since spend only
+    grows, and the loop goes on. The state is selected into after each
+    yield, so the consumer sees it as it was just before the pick.
     """
-    n = len(state.bids)
-    remaining = np.ones(n, dtype=bool)
-    if exclude is not None:
-        remaining[exclude] = False
-    order: list[int] = []
-    picks: list[_Pick] = []
-    spent = 0.0
-
-    def tracked() -> float:
-        return float(state.gain[track]) if track is not None else float("nan")
-
-    while remaining.any():
-        unit = np.where(remaining, (state.gain - state.bids) / state.bids, -np.inf)
-        k = int(np.argmax(unit))
-        if unit[k] < 0:
-            return _BreakRun(order, picks, "negative", None, tracked(), spent)
-        if spent + state.bids[k] > budget:
-            end = _Pick(k, float(state.bids[k]), float(state.gain[k]), tracked(), spent)
-            return _BreakRun(order, picks, "budget", end, tracked(), spent)
-        picks.append(
-            _Pick(k, float(state.bids[k]), float(state.gain[k]), tracked(), spent)
-        )
-        order.append(k)
-        remaining[k] = False
+    while (best := state.pop_best()) is not None:
+        unit, k = best
+        if unit < 0:
+            return
+        if drop_misfits:
+            if state.bids[k] > budget - state.spent:
+                continue
+        elif state.spent + state.bids[k] > budget:
+            yield k, False
+            return
+        yield k, True
         state.select(k)
-        spent += float(state.bids[k])
-    return _BreakRun(order, picks, "exhausted", None, tracked(), spent)
 
 
 def greedy_heuristic(instance: AuctionInstance) -> AuctionOutcome:
@@ -222,80 +219,65 @@ def greedy_heuristic(instance: AuctionInstance) -> AuctionOutcome:
     empty or the best remaining unit gain is negative.
     """
     state = _CoverageState(instance)
-    budget = instance.budget
-    n = len(state.bids)
-    remaining = np.ones(n, dtype=bool)
-    order: list[int] = []
-    spent = 0.0
-    while True:
-        feasible = remaining & (state.bids <= budget - spent)
-        if not feasible.any():
-            break
-        unit = np.where(feasible, (state.gain - state.bids) / state.bids, -np.inf)
-        k = int(np.argmax(unit))
-        if unit[k] < 0:
-            break
-        order.append(k)
-        remaining[k] = False
-        state.select(k)
-        spent += float(state.bids[k])
+    order = [k for k, _ in _picks(state, instance.budget, drop_misfits=True)]
     payments = {v: float(instance.vehicle(v).bid) for v in order}
     profit = coverage_value(order, instance) - sum(payments.values())
     return AuctionOutcome(
-        winners=tuple(order), payments=payments, profit=profit, total_bid=spent
+        winners=tuple(order), payments=payments, profit=profit, total_bid=state.spent
     )
 
 
 def tbsap_allocate(instance: AuctionInstance) -> list[int]:
     """Winner selection stage: greedy by unit gain, break on first stop."""
-    run = _break_run(_CoverageState(instance), instance.budget)
-    return run.order
+    return [k for k, fits in _picks(_CoverageState(instance), instance.budget) if fits]
 
 
-def _critical_payment(instance: AuctionInstance, vehicle_id: int) -> PaymentTrace:
+def _critical_scans(instance: AuctionInstance, only: int | None = None):
+    """Yield each break-greedy winner, in pick order, with its payment scan.
+
+    The run that leaves winner i out is the main run up to i's pick: argmax
+    never chose i before, and the lowest-id tie-break makes that strict. So
+    its positions up to there come from snapshots of the main run's gains,
+    and only the suffix from i's pick is run, on a fork of the main state.
+    A scan is ``(positions, tail_value, tail_slack, payment)`` with one
+    ``(candidate, replacement bid, slack)`` per position. With ``only`` set,
+    just that winner's suffix is run and yielded.
+    """
     state = _CoverageState(instance)
     budget = instance.budget
-    run = _break_run(state, budget, exclude=vehicle_id, track=vehicle_id)
+    prefix: list[tuple[int, list[float], float]] = []  # (pick, gains, slack) before it
+    for k, fits in _picks(state, budget):
+        if not fits:
+            return
+        if only is None or k == only:
+            yield k, _scan(state, k, prefix, budget)
+        prefix.append((k, state.gain[:], budget - state.spent))
 
-    # Each position j the priced vehicle could have been picked at supports
+
+def _scan(state: _CoverageState, k: int, prefix, budget: float):
+    """Payment scan of winner k from the main run's state just before its pick."""
+    bids = state.bids
+    # Each position the priced vehicle could have been picked at supports
     # bids up to min(replacement bid, remaining budget): the replacement bid
     # ties the candidate's unit gain, and anything above the slack makes the
-    # allocation loop break on budget before the vehicle is in.
-    steps: list[PaymentStep] = []
-
-    def add_step(pick: _Pick) -> None:
-        raw = pick.bid * pick.tracked_gain / pick.candidate_gain
-        slack = budget - pick.spent_before
-        steps.append(PaymentStep(pick.candidate, raw, slack, min(raw, slack)))
-
-    for pick in run.picks:
-        add_step(pick)
-
+    # loop break on budget before the vehicle is in.
+    rows = [(c, bids[c] * snap[k] / snap[c], slack) for c, snap, slack in prefix]
+    suffix = state.fork()
+    gains = suffix.gain
+    fits_end = True
+    for c, fits_end in _picks(suffix, budget):
+        rows.append((c, bids[c] * gains[k] / gains[c], budget - suffix.spent))
+    pool = [min(raw, slack) for _, raw, slack in rows]
     tail_value = tail_slack = None
-    contributions = [s.contribution for s in steps]
-    if run.ending == "budget":
-        # The breaking candidate's position is still reachable by outbidding
-        # it; positions beyond it are not, since the loop stops there.
-        assert run.end_pick is not None
-        add_step(run.end_pick)
-        contributions.append(steps[-1].contribution)
-    else:
-        # Run ended with every remaining unit gain negative (or nobody
-        # left): the priced vehicle can also append at the end with any bid
-        # that keeps its own unit gain nonnegative and fits the budget.
-        tail_value = run.end_tracked_gain
-        tail_slack = budget - run.end_spent
-        contributions.append(min(tail_value, tail_slack))
-
-    assert contributions, "a winner always has at least one feasible position"
-    payment = max(contributions)
-    return PaymentTrace(
-        vehicle_id=vehicle_id,
-        candidates=tuple(steps),
-        tail_value=tail_value,
-        tail_slack=tail_slack,
-        payment=payment,
-    )
+    if fits_end:
+        # Run ended with every remaining unit gain negative (or nobody left):
+        # the priced vehicle can also append at the end with any bid that
+        # keeps its own unit gain nonnegative and fits. After a budget break,
+        # positions past the breaking candidate are unreachable, so there is
+        # no tail.
+        tail_value, tail_slack = gains[k], budget - suffix.spent
+        pool.append(min(tail_value, tail_slack))
+    return rows, tail_value, tail_slack, max(pool)
 
 
 def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
@@ -309,18 +291,16 @@ def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
     The payment is the maximum over these feasible positions. It never
     depends on the winner's own bid.
     """
-    winners = tbsap_allocate(instance)
-    if vehicle_id not in winners:
-        raise NotWinnerError(f"vehicle {vehicle_id} is not a winner")
-    return _critical_payment(instance, vehicle_id)
+    for _, (rows, tail_value, tail_slack, payment) in _critical_scans(instance, vehicle_id):
+        steps = tuple(PaymentStep(c, raw, slack, min(raw, slack)) for c, raw, slack in rows)
+        return PaymentTrace(vehicle_id, steps, tail_value, tail_slack, payment)
+    raise NotWinnerError(f"vehicle {vehicle_id} is not a winner")
 
 
 def tbsap(instance: AuctionInstance) -> AuctionOutcome:
     """Truthful budgeted auction: break-greedy allocation, critical payments."""
-    winners = tbsap_allocate(instance)
-    payments = {
-        v: _critical_payment(instance, v).payment for v in winners
-    }
+    payments = {k: scan[3] for k, scan in _critical_scans(instance)}
+    winners = list(payments)  # pick order
     total_bid = float(sum(instance.vehicle(v).bid for v in winners))
     profit = coverage_value(winners, instance) - sum(payments.values())
     return AuctionOutcome(

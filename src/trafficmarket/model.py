@@ -9,6 +9,7 @@ bid (equal to the cost unless a test deviates it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -121,6 +122,10 @@ class ScenarioConfig:
     kappa_max: float = 5.0
 
     def __post_init__(self) -> None:
+        bounds = (self.budget, self.city_side, *self.detection_range,
+                  self.appraisement_max, self.kappa_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("budget, city_side and sampling bounds must be finite")
         if self.n_tasks < 0 or self.n_vehicles < 0:
             raise ValueError("counts must be nonnegative")
         if self.budget <= 0:
@@ -204,18 +209,20 @@ def coverage_value(winners: Iterable[int], instance: AuctionInstance) -> float:
 
 
 def validate_instance(instance: AuctionInstance) -> None:
-    """Structural checks: dense ids, valid subsets, positive values."""
+    """Structural checks: dense ids, valid subsets, finite positive values."""
     task_ids = {t.id for t in instance.tasks}
     if task_ids != set(range(len(instance.tasks))):
         raise ValueError("task ids must be dense 0..m-1")
     if [v.id for v in instance.vehicles] != list(range(len(instance.vehicles))):
         raise ValueError("vehicle ids must be dense 0..n-1")
-    if instance.budget < 0:
-        raise ValueError("budget must be nonnegative")
+    if not math.isfinite(instance.budget) or instance.budget < 0:
+        raise ValueError("budget must be finite and nonnegative")
     for t in instance.tasks:
-        if t.appraisement <= 0:
-            raise ValueError(f"task {t.id} appraisement must be positive")
+        if not math.isfinite(t.appraisement) or t.appraisement <= 0:
+            raise ValueError(f"task {t.id} appraisement must be finite and positive")
     for v in instance.vehicles:
+        if not (math.isfinite(v.bid) and math.isfinite(v.true_cost)):
+            raise ValueError(f"vehicle {v.id} cost and bid must be finite")
         if v.bid < 0 or v.true_cost < 0:
             raise ValueError(f"vehicle {v.id} cost and bid must be nonnegative")
         if not v.task_subset <= task_ids:
@@ -278,18 +285,17 @@ def loads_scenario(text: str) -> AuctionInstance:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != _HEADER:
         raise ValueError(f"expected header {_HEADER!r}")
-    city = 1000.0
-    budget = None
+    singles: dict[str, float] = {}  # city and budget, each at most once
     tasks: list[Task] = []
     vehicles: list[Vehicle] = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         kind = parts[0]
         try:
-            if kind == "city":
-                city = float(parts[1])
-            elif kind == "budget":
-                budget = float(parts[1])
+            if kind in ("city", "budget"):
+                if kind in singles:
+                    raise ValueError(f"second {kind} record")
+                singles[kind] = float(parts[1])
             elif kind == "task":
                 tasks.append(
                     Task(
@@ -300,11 +306,10 @@ def loads_scenario(text: str) -> AuctionInstance:
                     )
                 )
             elif kind == "vehicle":
-                subset = (
-                    frozenset()
-                    if parts[7] == "-"
-                    else frozenset(int(s) for s in parts[7].split(","))
-                )
+                ids = [] if parts[7] == "-" else [int(s) for s in parts[7].split(",")]
+                subset = frozenset(ids)
+                if len(subset) != len(ids):
+                    raise ValueError(f"repeated task id in subset {parts[7]!r}")
                 vehicles.append(
                     Vehicle(
                         id=int(parts[1]),
@@ -320,10 +325,13 @@ def loads_scenario(text: str) -> AuctionInstance:
                 raise ValueError(f"unknown record {kind!r}")
         except (IndexError, ValueError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-    if budget is None:
+    if "budget" not in singles:
         raise ValueError("missing budget record")
     instance = AuctionInstance(
-        tasks=tuple(tasks), vehicles=tuple(vehicles), budget=budget, city_side=city
+        tasks=tuple(tasks),
+        vehicles=tuple(vehicles),
+        budget=singles["budget"],
+        city_side=singles.get("city", 1000.0),
     )
     validate_instance(instance)
     return instance

@@ -55,3 +55,77 @@ def critical_bid_bisection(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def slow_greedy(instance: AuctionInstance, exclude=None, track=None, drop_misfits=False):
+    """Greedy by unit gain, rescanning every vehicle on Python sets.
+
+    Picks the highest unit gain (A(v|Y) - b_v) / b_v, lowest id on ties,
+    and stops at the first negative one. The break rule (tbsap) also stops
+    at the first pick whose bid does not fit; with ``drop_misfits``
+    (greedy_heuristic) only bids within the remaining budget compete.
+    ``exclude`` is never picked; ``track``'s marginal coverage is recorded
+    at every position. Returns the picks, the candidate that broke the loop
+    on budget (or None), and (A(track|Y), spent) at the end. Each pick or
+    breaker is (candidate, bid, A(candidate|Y), A(track|Y), spent).
+    """
+    values = {t.id: t.appraisement for t in instance.tasks}
+    bids = {v.id: v.bid for v in instance.vehicles}
+    covered: set[int] = set()
+    spent = 0.0
+
+    def added(vid):
+        return sum(values[t] for t in instance.vehicles[vid].task_subset - covered)
+
+    def tracked():
+        return added(track) if track is not None else None
+
+    remaining = [v.id for v in instance.vehicles if v.id != exclude]
+    picks = []
+    while True:
+        pool = [
+            vid for vid in remaining
+            if not drop_misfits or bids[vid] <= instance.budget - spent
+        ]
+        if not pool:
+            break
+        best = max(pool, key=lambda vid: ((added(vid) - bids[vid]) / bids[vid], -vid))
+        gain = added(best)
+        if (gain - bids[best]) / bids[best] < 0:
+            break
+        entry = (best, bids[best], gain, tracked(), spent)
+        if spent + bids[best] > instance.budget:
+            return picks, entry, (tracked(), spent)
+        picks.append(entry)
+        covered |= instance.vehicles[best].task_subset
+        spent += bids[best]
+        remaining.remove(best)
+    return picks, None, (tracked(), spent)
+
+
+def exclusion_payment(instance: AuctionInstance, vehicle_id: int):
+    """Critical bid of a winner from one full greedy run without it.
+
+    Every position of that run supports bids up to the smaller of the bid
+    tying the candidate there and the budget slack there. A budget break
+    ends the reachable positions at the breaker; any other ending adds the
+    tail, where the vehicle appends with its leftover coverage. Returns
+    (positions, tail_value, tail_slack, payment), one position per
+    (candidate, replacement bid, slack).
+    """
+    picks, breaker, (tail_value, end_spent) = slow_greedy(
+        instance, exclude=vehicle_id, track=vehicle_id
+    )
+    budget = instance.budget
+    positions = [
+        (cand, bid * mine / gain, budget - spent)
+        for cand, bid, gain, mine, spent in picks + ([breaker] if breaker else [])
+    ]
+    pool = [min(raw, slack) for _, raw, slack in positions]
+    tail_slack = None
+    if breaker is None:
+        tail_slack = budget - end_spent
+        pool.append(min(tail_value, tail_slack))
+    else:
+        tail_value = None
+    return positions, tail_value, tail_slack, max(pool)

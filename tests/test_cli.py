@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from trafficmarket.cli import main
+from trafficmarket.model import paper_example, save_scenario
 
 
 def run_cli(argv):
@@ -82,6 +83,13 @@ class TestAuction:
         code, _, err = run_cli(["auction", "--scenario", str(bad)])
         assert code != 0 and "error:" in err
 
+    def test_nan_scenario_exits_1(self, tmp_path):
+        scn = tmp_path / "nan.scn"
+        save_scenario(paper_example(), scn)
+        scn.write_text(scn.read_text().replace("task 1 100.0 0.0 3.0", "task 1 100.0 0.0 nan"))
+        code, out, err = run_cli(["auction", "--scenario", str(scn)])
+        assert code == 1 and out == "" and "finite" in err
+
 
 class TestGenRoundTrip:
     def test_gen_then_auction(self, tmp_path):
@@ -101,6 +109,13 @@ class TestGenRoundTrip:
              "--budget", "0", "--out", str(tmp_path / "x.json")]
         )
         assert code != 0 and "error:" in err
+
+    def test_gen_rejects_nan_budget(self, tmp_path):
+        code, _, err = run_cli(
+            ["gen", "--seed", "1", "--n-tasks", "5", "--n-vehicles", "5",
+             "--budget", "nan", "--out", str(tmp_path / "x.scn")]
+        )
+        assert code == 1 and "finite" in err
 
 
 class TestConsensus:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -82,6 +84,61 @@ def test_config_validation():
         ScenarioConfig(n_tasks=5, n_vehicles=5, budget=1.0, city_side=-3.0)
     with pytest.raises(ValueError):
         ScenarioConfig(n_tasks=5, n_vehicles=5, budget=1.0, detection_range=(0.0, 5.0))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_budget(value):
+    with pytest.raises(ValueError, match="finite"):
+        ScenarioConfig(n_tasks=5, n_vehicles=5, budget=value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_sampling_bounds(value):
+    with pytest.raises(ValueError, match="finite"):
+        ScenarioConfig(n_tasks=5, n_vehicles=5, budget=1.0, appraisement_max=value)
+    with pytest.raises(ValueError, match="finite"):
+        ScenarioConfig(n_tasks=5, n_vehicles=5, budget=1.0, detection_range=(1.0, value))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_validate_rejects_non_finite_numbers(value):
+    instance = paper_example()
+    with pytest.raises(ValueError, match="finite"):
+        validate_instance(replace(instance, budget=value))
+    tasks = (replace(instance.tasks[1], appraisement=value),) + instance.tasks[2:]
+    with pytest.raises(ValueError, match="finite"):
+        validate_instance(replace(instance, tasks=instance.tasks[:1] + tasks))
+    with pytest.raises(ValueError, match="finite"):
+        validate_instance(instance.with_bid(2, value))
+    vehicles = instance.vehicles[:2] + (replace(instance.vehicles[2], true_cost=value),)
+    with pytest.raises(ValueError, match="finite"):
+        validate_instance(replace(instance, vehicles=vehicles))
+
+
+def test_scenario_with_nan_appraisement_rejected():
+    text = dumps_scenario(paper_example()).replace("task 1 100.0 0.0 3.0", "task 1 100.0 0.0 nan")
+    assert "nan" in text
+    with pytest.raises(ValueError, match="finite"):
+        loads_scenario(text)
+
+
+def test_scenario_second_budget_record_rejected():
+    text = dumps_scenario(paper_example()) + "budget 1.0\n"
+    with pytest.raises(ValueError, match="second budget"):
+        loads_scenario(text)
+
+
+def test_scenario_second_city_record_rejected():
+    text = dumps_scenario(paper_example()).replace("budget", "city 10.0\nbudget")
+    with pytest.raises(ValueError, match="second city"):
+        loads_scenario(text)
+
+
+def test_scenario_repeated_subset_task_rejected():
+    text = dumps_scenario(paper_example())
+    assert " 0,2,4\n" in text
+    with pytest.raises(ValueError, match="repeated task id"):
+        loads_scenario(text.replace(" 0,2,4\n", " 0,0,2,4\n"))
 
 
 def test_example_coverage_values():
