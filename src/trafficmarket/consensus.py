@@ -12,6 +12,13 @@ with alpha = +-1 for voting/abstaining this epoch, beta = +-1 for a leader
 whose block was accepted/rejected (0 for everyone else), gamma = +-1 for a
 committee verifier judging the block correctly/incorrectly (0 otherwise),
 and the result clamped to [0, 1].
+
+The hot path works on arrays. Ballots share one of two candidate pools per
+epoch, so casting them is O(N). The tally adds each ballot's weighted pool
+mask to one float64 vector, in ballot order, which reproduces the
+per-target sums of a ballot-by-ballot count exactly (see
+``elect_witnesses``). A round computes alpha, beta, gamma, delta and the
+clamp as vectors and looks roles up in a map built once per epoch.
 """
 
 from __future__ import annotations
@@ -105,8 +112,19 @@ class ReputationParams:
 
 @dataclass(frozen=True)
 class VotingBallot:
+    """One voter's approval ballot over a candidate pool it shares.
+
+    Every ballot of an epoch points at one of two pools built once: the ids
+    at or above theta, or the ids strictly below it. ``supported`` is the
+    pool without the voter itself.
+    """
+
     voter_id: int
-    supported: frozenset[int]
+    pool: frozenset[int]
+
+    @property
+    def supported(self) -> frozenset[int]:
+        return self.pool - {self.voter_id}
 
 
 @dataclass(frozen=True)
@@ -151,6 +169,8 @@ class ConsensusState:
     skipped: set[int] = field(default_factory=set)
     voted: frozenset[int] = frozenset()
     chain: list[BlockRecord] = field(default_factory=list)
+    #: committee role of each seated id this epoch, leaders counted as witnesses
+    roles: dict[int, str] = field(default_factory=dict)
 
     def start_epoch(self, committee: Committee, voted: frozenset[int]) -> None:
         self.epoch += 1
@@ -159,6 +179,8 @@ class ConsensusState:
         self.leader_cursor = 0
         self.skipped = set()
         self.voted = voted
+        self.roles = dict.fromkeys(committee.standby, "standby")
+        self.roles.update(dict.fromkeys(committee.active_order, "witness"))
 
     def next_leader(self) -> int | None:
         """Next unskipped node in leader order, None when exhausted."""
@@ -177,22 +199,27 @@ def cast_votes(nodes: Sequence[FullNode], params: ReputationParams) -> list[Voti
     weighting happens at tally time. Nodes with ``votes=False`` abstain.
 
     A well-behaved voter supports every other node at or above theta; the
-    adversarial rule supports everyone strictly below it.
+    adversarial rule supports everyone strictly below it. The two pools are
+    built once and shared, so the ballots cost O(N) together.
     """
-    ballots = []
-    for voter in nodes:
-        if not voter.behavior.votes:
-            continue
-        if voter.behavior.supports_low_reputation:
-            supported = frozenset(
-                n.id for n in nodes if n.id != voter.id and n.reputation < params.theta
-            )
-        else:
-            supported = frozenset(
-                n.id for n in nodes if n.id != voter.id and n.reputation >= params.theta
-            )
-        ballots.append(VotingBallot(voter_id=voter.id, supported=supported))
-    return ballots
+    high = frozenset(n.id for n in nodes if n.reputation >= params.theta)
+    low = frozenset(n.id for n in nodes if n.reputation < params.theta)
+    return [
+        VotingBallot(
+            voter_id=voter.id,
+            pool=low if voter.behavior.supports_low_reputation else high,
+        )
+        for voter in nodes
+        if voter.behavior.votes
+    ]
+
+
+def _check_nodes(nodes: Sequence[FullNode]) -> None:
+    if sorted(n.id for n in nodes) != list(range(len(nodes))):
+        raise ValueError("node ids must be dense 0..n-1")
+    for n in nodes:
+        if not 0.0 <= n.reputation <= 1.0:
+            raise ValueError(f"node {n.id} reputation {n.reputation!r} is not in [0, 1]")
 
 
 def elect_witnesses(
@@ -208,27 +235,55 @@ def elect_witnesses(
     A supporter contributes its reputation under the reputation-weighted
     mode and exactly 1 under equal weighting. Ranking ties break on the
     lower id. The |D| leaders are shuffled into a random order by ``rng``.
+
+    The tally is one float64 vector indexed by id (so ids must be dense
+    0..n-1), accumulated ballot by ballot: each ballot adds its weight
+    times its pool's 0/1 mask, with the voter's own entry zeroed. Every
+    target therefore receives exactly the additions a per-target sum in
+    ballot order makes; the extra ``+ 0.0`` terms are exact because every
+    tally is non-negative. The closed form "total weight minus the
+    target's own" would round differently and could reorder tied ranks.
     """
     if not (0 < active_size <= committee_size <= len(nodes)):
         raise ValueError("need 0 < active_size <= committee_size <= population")
-    reputations = {n.id: n.reputation for n in nodes}
-    result = {n.id: 0.0 for n in nodes}
+    _check_nodes(nodes)
+    n = len(nodes)
+    reputations = [0.0] * n
+    for node in nodes:
+        reputations[node.id] = node.reputation
+    weighted = mode is VotingMode.REPUTATION_WEIGHTED
+    masks: dict[frozenset[int], np.ndarray] = {}
+    tally = np.zeros(n)
+    term = np.empty(n)
     for ballot in ballots:
-        weight = (
-            reputations[ballot.voter_id]
-            if mode is VotingMode.REPUTATION_WEIGHTED
-            else 1.0
-        )
-        for target in ballot.supported:
-            result[target] += weight
-    ranking = sorted(result, key=lambda a: (-result[a], a))
+        voter = ballot.voter_id
+        if not 0 <= voter < n:
+            raise ValueError(f"ballot from unknown voter {voter!r}")
+        mask = masks.get(ballot.pool)
+        if mask is None:
+            mask = masks[ballot.pool] = _pool_mask(ballot.pool, n)
+        np.multiply(mask, reputations[voter] if weighted else 1.0, out=term)
+        term[voter] = 0.0
+        tally += term
+    ranking = np.lexsort((np.arange(n), -tally)).tolist()
     members = tuple(ranking[:committee_size])
-    active = list(ranking[:active_size])
-    order = tuple(int(active[i]) for i in rng.permutation(len(active)))
+    active = ranking[:active_size]
+    order = tuple(active[i] for i in rng.permutation(len(active)))
     standby = tuple(ranking[active_size:committee_size])
+    totals = tally.tolist()
+    result = {node.id: totals[node.id] for node in nodes}
     return Committee(
         members=members, active_order=order, standby=standby, voting_result=result
     )
+
+
+def _pool_mask(pool: frozenset[int], n: int) -> np.ndarray:
+    ids = np.fromiter(pool, dtype=np.int64, count=len(pool))
+    if ids.size and not (0 <= ids.min() and ids.max() < n):
+        raise ValueError("ballot supports an id outside 0..n-1")
+    mask = np.zeros(n)
+    mask[ids] = 1.0
+    return mask
 
 
 def update_reputation(node: FullNode, delta: float) -> float:
@@ -242,16 +297,6 @@ def update_reputation(node: FullNode, delta: float) -> float:
     return rep
 
 
-def _role_of(node_id: int, committee: Committee, leader_id: int) -> str:
-    if node_id == leader_id:
-        return "leader"
-    if node_id in committee.active_order:
-        return "witness"
-    if node_id in committee.standby:
-        return "standby"
-    return "none"
-
-
 def run_round(
     state: ConsensusState,
     nodes: Sequence[FullNode],
@@ -263,7 +308,7 @@ def run_round(
     The scheduled leader either produces nothing (it is skipped for the
     rest of the epoch and the round records no block) or produces a block
     that every other committee member verifies. Reputations of all nodes
-    update afterwards, abstainers included.
+    update afterwards, abstainers included, in one vector sweep.
     """
     committee = state.committee
     if committee is None:
@@ -273,10 +318,12 @@ def run_round(
         raise RuntimeError("leader order exhausted for this epoch")
     state.leader_cursor += 1
     rnd = state.global_round
-    by_id = {n.id: n for n in nodes}
-    leader_behavior = by_id[leader_id].behavior_at(rnd)
+    ids = [n.id for n in nodes]
+    position = {node_id: i for i, node_id in enumerate(ids)}
+    leader = position[leader_id]
+    leader_behavior = nodes[leader].behavior_at(rnd)
 
-    gamma: dict[int, int] = {n.id: 0 for n in nodes}
+    gamma = [0] * len(nodes)
     accepted = False
     confirmations = 0
     if not leader_behavior.produces_block:
@@ -286,8 +333,9 @@ def run_round(
         for member_id in committee.members:
             if member_id == leader_id:
                 continue
-            correct = by_id[member_id].behavior_at(rnd).verifies_correctly
-            gamma[member_id] = 1 if correct else -1
+            member = position[member_id]
+            correct = nodes[member].behavior_at(rnd).verifies_correctly
+            gamma[member] = 1 if correct else -1
             if (valid and correct) or (not valid and not correct):
                 confirmations += 1
         accepted = confirmations > (2.0 / 3.0) * len(committee.members)
@@ -306,23 +354,27 @@ def run_round(
                 )
             )
 
-    records = []
-    for node in nodes:
-        alpha = 1 if node.id in state.voted else -1
-        beta = (1 if accepted else -1) if node.id == leader_id else 0
-        delta = params.w_vote * alpha + params.w_lead * beta + params.w_verify * gamma[node.id]
-        reputation = update_reputation(node, delta)
-        records.append(
-            BehaviorRecord(
-                node_id=node.id,
-                alpha=alpha,
-                beta=beta,
-                gamma=gamma[node.id],
-                delta=delta,
-                reputation=reputation,
-                role=_role_of(node.id, committee, leader_id),
-            )
+    alpha = np.array([1 if node_id in state.voted else -1 for node_id in ids])
+    beta = np.zeros(len(nodes), dtype=np.int64)
+    beta[leader] = 1 if accepted else -1
+    delta = (
+        params.w_vote * alpha
+        + params.w_lead * beta
+        + params.w_verify * np.array(gamma)
+    )
+    reputations = np.clip(
+        np.array([n.reputation for n in nodes]) + delta, 0.0, 1.0
+    ).tolist()
+    for node, rep in zip(nodes, reputations):
+        node.reputation = rep
+    roles = [state.roles.get(node_id, "none") for node_id in ids]
+    roles[leader] = "leader"
+    records = list(
+        map(
+            BehaviorRecord,
+            ids, alpha.tolist(), beta.tolist(), gamma, delta.tolist(), reputations, roles,
         )
+    )
     state.round_in_epoch += 1
     state.global_round += 1
     return records
@@ -366,8 +418,9 @@ def run_epochs(
     experiments use it to pin narratives that depend on who gets elected
     when. An epoch ends early only if every remaining leader was skipped.
     """
-    if sorted(n.id for n in nodes) != list(range(len(nodes))):
-        raise ValueError("node ids must be dense 0..n-1")
+    if n_epochs < 0:
+        raise ValueError("n_epochs must be non-negative")
+    _check_nodes(nodes)
     rng = np.random.default_rng(seed)
     state = ConsensusState()
     history = ConsensusHistory(rows=[], chain=state.chain, committees=[])
@@ -392,17 +445,12 @@ def run_epochs(
                 if payload_provider
                 else None
             )
-            for record in run_round(state, nodes, params, payload):
-                history.rows.append(
-                    HistoryRow(
-                        epoch=epoch,
-                        round_index=state.global_round - 1,
-                        node_id=record.node_id,
-                        reputation=record.reputation,
-                        role=record.role,
-                        delta=record.delta,
-                    )
-                )
+            records = run_round(state, nodes, params, payload)
+            round_index = state.global_round - 1
+            history.rows.extend(
+                HistoryRow(epoch, round_index, r.node_id, r.reputation, r.role, r.delta)
+                for r in records
+            )
     return history
 
 

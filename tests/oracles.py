@@ -1,14 +1,18 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is written the slow, obvious way on purpose: set unions,
-full rescans, binary search. Tests compare the fast package code against
-these, so nothing in this file may import from trafficmarket.auction beyond
-the functions under test's inputs and outputs.
+full rescans, binary search, ballot-by-ballot tallies. Tests compare the
+fast package code against these, so nothing in this file may import from
+trafficmarket.auction or trafficmarket.consensus beyond the functions under
+test's inputs and outputs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+
+import numpy as np
 
 from trafficmarket.model import AuctionInstance
 
@@ -129,3 +133,117 @@ def exclusion_payment(instance: AuctionInstance, vehicle_id: int):
     else:
         tail_value = None
     return positions, tail_value, tail_slack, max(pool)
+
+
+def slow_cast_votes(nodes, theta: float) -> list[tuple[int, frozenset[int]]]:
+    """Ballots as (voter id, explicit supported set), one full scan per voter.
+
+    A well-behaved voter backs every other node at or above theta, an
+    adversarial one every other node strictly below it; abstainers cast
+    nothing.
+    """
+    ballots = []
+    for voter in nodes:
+        if not voter.behavior.votes:
+            continue
+        if voter.behavior.supports_low_reputation:
+            supported = frozenset(
+                n.id for n in nodes if n.id != voter.id and n.reputation < theta
+            )
+        else:
+            supported = frozenset(
+                n.id for n in nodes if n.id != voter.id and n.reputation >= theta
+            )
+        ballots.append((voter.id, supported))
+    return ballots
+
+
+def slow_tally(ballots, nodes, weighted: bool) -> dict[int, float]:
+    """Voting result accumulated target by target, in ballot order.
+
+    A supporter adds its reputation when ``weighted`` and exactly 1.0
+    otherwise. Keys follow the order of ``nodes``.
+    """
+    reputations = {n.id: n.reputation for n in nodes}
+    result = {n.id: 0.0 for n in nodes}
+    for voter_id, supported in ballots:
+        weight = reputations[voter_id] if weighted else 1.0
+        for target in supported:
+            result[target] += weight
+    return result
+
+
+def slow_seat(result, committee_size, active_size, rng):
+    """(members, active_order, standby) from a voting result: rank by
+    (-result, id), shuffle the top ``active_size`` with ``rng``."""
+    ranking = sorted(result, key=lambda a: (-result[a], a))
+    active = ranking[:active_size]
+    order = tuple(int(active[i]) for i in rng.permutation(len(active)))
+    return (
+        tuple(ranking[:committee_size]),
+        order,
+        tuple(ranking[active_size:committee_size]),
+    )
+
+
+def slow_run_epochs(nodes, params, committee_size, active_size, n_epochs, weighted, seed):
+    """Elect, run the leader rounds and update reputations node by node.
+
+    Mutates ``nodes`` like the package does. Returns history rows
+    (epoch, round, node id, reputation, role, delta), chain blocks
+    (epoch, round, producer, payload hash, confirmations) and per-epoch
+    (voting result, members, active order, standby).
+    """
+    rng = np.random.default_rng(seed)
+    by_id = {n.id: n for n in nodes}
+    rows, chain, committees = [], [], []
+    rnd = 0
+    for epoch in range(n_epochs):
+        ballots = slow_cast_votes(nodes, params.theta)
+        voted = {voter for voter, _ in ballots}
+        result = slow_tally(ballots, nodes, weighted)
+        members, order, standby = slow_seat(result, committee_size, active_size, rng)
+        committees.append((result, members, order, standby))
+        for leader_id in order:
+            leader = by_id[leader_id].behavior_at(rnd)
+            gamma = {n.id: 0 for n in nodes}
+            accepted = False
+            if leader.produces_block:
+                confirmations = 0
+                for member_id in members:
+                    if member_id == leader_id:
+                        continue
+                    correct = by_id[member_id].behavior_at(rnd).verifies_correctly
+                    gamma[member_id] = 1 if correct else -1
+                    valid = leader.produces_valid_block
+                    if (valid and correct) or (not valid and not correct):
+                        confirmations += 1
+                accepted = confirmations > (2.0 / 3.0) * len(members)
+                if accepted:
+                    payload = hashlib.sha256(f"{epoch}:{rnd}".encode()).hexdigest()
+                    chain.append((epoch, rnd, leader_id, payload, confirmations))
+            for node in nodes:
+                alpha = 1 if node.id in voted else -1
+                beta = (1 if accepted else -1) if node.id == leader_id else 0
+                delta = (
+                    params.w_vote * alpha
+                    + params.w_lead * beta
+                    + params.w_verify * gamma[node.id]
+                )
+                rep = node.reputation + delta
+                if rep > 1.0:
+                    rep = 1.0
+                elif rep < 0.0:
+                    rep = 0.0
+                node.reputation = rep
+                if node.id == leader_id:
+                    role = "leader"
+                elif node.id in order:
+                    role = "witness"
+                elif node.id in standby:
+                    role = "standby"
+                else:
+                    role = "none"
+                rows.append((epoch, rnd, node.id, rep, role, delta))
+            rnd += 1
+    return rows, chain, committees

@@ -142,6 +142,11 @@ class TestConsensus:
         code, _, err = run_cli(["consensus", "--abnormal-frac", "1.5"])
         assert code != 0 and "error:" in err
 
+    def test_negative_epochs_rejected(self):
+        code, out, err = run_cli(["consensus", "--nodes", "10", "--committee",
+                                  "5", "--active", "2", "--epochs", "-1"])
+        assert code == 1 and "n_epochs" in err and out == ""
+
 
 class TestTrade:
     def test_round_over_builtin_scenario(self, tmp_path):

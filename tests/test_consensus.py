@@ -14,6 +14,7 @@ from trafficmarket.consensus import (
     ConsensusState,
     FullNode,
     ReputationParams,
+    VotingBallot,
     VotingMode,
     cast_votes,
     elect_witnesses,
@@ -115,6 +116,42 @@ class TestElection:
             elect_witnesses(ballots, nodes, 2, 0, VotingMode.EQUAL_WEIGHT, rng)
         with pytest.raises(ValueError):
             elect_witnesses(ballots, nodes, 1, 2, VotingMode.EQUAL_WEIGHT, rng)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.5])
+    def test_rejects_reputation_outside_unit_interval(self, bad):
+        ballots = cast_votes(make_nodes([0.9, 0.8, 0.7]), PARAMS)
+        nodes = make_nodes([0.9, bad, 0.7])
+        with pytest.raises(ValueError, match="reputation"):
+            elect_witnesses(ballots, nodes, 2, 1, VotingMode.REPUTATION_WEIGHTED,
+                            np.random.default_rng(0))
+
+    def test_requires_dense_ids(self):
+        nodes = [FullNode(id=0, reputation=0.9), FullNode(id=2, reputation=0.8)]
+        ballots = cast_votes(nodes, PARAMS)
+        with pytest.raises(ValueError, match="dense"):
+            elect_witnesses(ballots, nodes, 2, 1, VotingMode.EQUAL_WEIGHT,
+                            np.random.default_rng(0))
+
+    @pytest.mark.parametrize("ballot", [
+        VotingBallot(voter_id=3, pool=frozenset({0})),
+        VotingBallot(voter_id=0, pool=frozenset({1, 3})),
+        VotingBallot(voter_id=0, pool=frozenset({-1})),
+    ])
+    def test_rejects_ballot_outside_population(self, ballot):
+        nodes = make_nodes([0.9, 0.8, 0.7])
+        with pytest.raises(ValueError, match="unknown voter|outside"):
+            elect_witnesses([ballot], nodes, 2, 1, VotingMode.EQUAL_WEIGHT,
+                            np.random.default_rng(0))
+
+    def test_ballots_share_pools(self):
+        nodes = make_nodes([0.9, 0.5, 0.2, 0.1], behaviors={3: ABNORMAL_BEHAVIOR})
+        ballots = cast_votes(nodes, PARAMS)
+        assert ballots[0].pool is ballots[1].pool is ballots[2].pool
+        assert ballots[0].pool == frozenset({0, 1})
+        assert ballots[3].pool == frozenset({2, 3})
+        assert [b.supported for b in ballots] == [
+            frozenset({1}), frozenset({0}), frozenset({0, 1}), frozenset({2}),
+        ]
 
     def test_leader_order_is_seed_deterministic(self):
         nodes = make_nodes([0.9] * 8)
@@ -280,6 +317,18 @@ class TestEpochRuns:
     def test_requires_dense_ids(self):
         nodes = [FullNode(id=3), FullNode(id=5)]
         with pytest.raises(ValueError, match="dense"):
+            run_epochs(nodes, PARAMS, 2, 1, n_epochs=1)
+
+    def test_rejects_negative_epochs(self):
+        nodes = make_nodes([0.3, 0.7])
+        with pytest.raises(ValueError, match="n_epochs"):
+            run_epochs(nodes, PARAMS, 2, 1, n_epochs=-1)
+        assert [n.reputation for n in nodes] == [0.3, 0.7]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), -1e-9, 1.0 + 1e-9])
+    def test_rejects_reputation_outside_unit_interval(self, bad):
+        nodes = make_nodes([0.5, 0.6, bad])
+        with pytest.raises(ValueError, match="reputation"):
             run_epochs(nodes, PARAMS, 2, 1, n_epochs=1)
 
 

@@ -1,0 +1,189 @@
+"""The array consensus path against the ballot-by-ballot oracle.
+
+Reputations drawn from {0, theta, 1} plus a few repeated values make
+tallies tie exactly, so any change in the order weights are added (a
+closed-form tally, a pairwise sum) shows up as a reordered ranking. The
+golden digests pin whole histories recorded with explicit per-ballot
+frozensets and a dict tally.
+"""
+
+import hashlib
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trafficmarket.consensus import (
+    ABNORMAL_BEHAVIOR,
+    Behavior,
+    FullNode,
+    ReputationParams,
+    VotingMode,
+    cast_votes,
+    elect_witnesses,
+    run_epochs,
+)
+
+from oracles import slow_cast_votes, slow_run_epochs, slow_seat, slow_tally
+
+PARAMS = ReputationParams()
+MODES = (VotingMode.REPUTATION_WEIGHTED, VotingMode.EQUAL_WEIGHT)
+
+behaviors = st.builds(
+    Behavior,
+    votes=st.booleans(),
+    supports_low_reputation=st.booleans(),
+    produces_block=st.booleans(),
+    produces_valid_block=st.booleans(),
+    verifies_correctly=st.booleans(),
+)
+
+
+@st.composite
+def populations(draw, max_size=14, scripted=True):
+    """Nodes with tie-prone reputations, abstainers and (when ``scripted``)
+    per-round scripts, listed out of id order."""
+    n = draw(st.integers(2, max_size))
+    palette = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    values = st.sampled_from([0.0, PARAMS.theta, 1.0, *palette])
+    nodes = [
+        FullNode(
+            id=i,
+            reputation=draw(values),
+            behavior=draw(st.one_of(
+                st.just(Behavior()), st.just(ABNORMAL_BEHAVIOR), behaviors
+            )),
+            script=draw(st.none() | st.dictionaries(
+                st.integers(0, 12), behaviors, max_size=3
+            )) if scripted else None,
+        )
+        for i in range(n)
+    ]
+    return draw(st.permutations(nodes))
+
+
+def clone(nodes):
+    return [FullNode(n.id, n.reputation, n.behavior, n.script) for n in nodes]
+
+
+@settings(max_examples=150)
+@given(nodes=populations(scripted=False), sizes=st.tuples(st.integers(1, 14), st.integers(1, 14)),
+       seed=st.integers(0, 2**32 - 1))
+def test_election_matches_oracle(nodes, sizes, seed):
+    committee_size = min(max(sizes), len(nodes))
+    active_size = min(min(sizes), committee_size)
+    ballots = cast_votes(nodes, PARAMS)
+    slow = slow_cast_votes(nodes, PARAMS.theta)
+    assert [(b.voter_id, b.supported) for b in ballots] == slow
+    for mode in MODES:
+        committee = elect_witnesses(
+            ballots, nodes, committee_size, active_size, mode,
+            np.random.default_rng(seed),
+        )
+        result = slow_tally(slow, nodes, mode is VotingMode.REPUTATION_WEIGHTED)
+        assert committee.voting_result == result
+        assert list(committee.voting_result) == list(result)
+        assert all(type(v) is float for v in committee.voting_result.values())
+        assert (committee.members, committee.active_order, committee.standby) == (
+            slow_seat(result, committee_size, active_size, np.random.default_rng(seed))
+        )
+
+
+@settings(max_examples=100)
+@given(nodes=populations(max_size=10), active=st.integers(1, 4),
+       epochs=st.integers(1, 3), weighted=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_epochs_match_oracle(nodes, active, epochs, weighted, seed):
+    committee_size = max(1, len(nodes) - 1)
+    active = min(active, committee_size)
+    mode = MODES[0] if weighted else MODES[1]
+    fast_nodes, slow_nodes = clone(nodes), clone(nodes)
+    history = run_epochs(fast_nodes, PARAMS, committee_size, active, epochs,
+                         mode=mode, seed=seed)
+    rows, chain, committees = slow_run_epochs(
+        slow_nodes, PARAMS, committee_size, active, epochs, weighted, seed
+    )
+    assert [
+        (r.epoch, r.round_index, r.node_id, r.reputation, r.role, r.delta)
+        for r in history.rows
+    ] == rows
+    assert [
+        (b.epoch, b.round_index, b.producer_id, b.payload_hash, b.confirmations)
+        for b in history.chain
+    ] == chain
+    assert [
+        (c.voting_result, c.members, c.active_order, c.standby)
+        for c in history.committees
+    ] == committees
+    assert [n.reputation for n in fast_nodes] == [n.reputation for n in slow_nodes]
+
+
+def population(n, hostile_frac, seed, values=None):
+    """Hostile ids drawn without replacement; reputations uniform on each
+    side of theta, or drawn from ``values`` when given."""
+    rng = np.random.default_rng(seed)
+    hostile = set(rng.choice(n, size=round(hostile_frac * n), replace=False).tolist())
+    nodes = []
+    for i in range(n):
+        if values is not None:
+            rep = float(rng.choice(values))
+        else:
+            rep = rng.uniform(0.0, 0.5) if i in hostile else rng.uniform(0.5, 1.0)
+        behavior = ABNORMAL_BEHAVIOR if i in hostile else Behavior()
+        nodes.append(FullNode(id=i, reputation=rep, behavior=behavior))
+    return nodes
+
+
+def tie_heavy(seed):
+    """Clamped and threshold reputations, abstainers, scripted leaders, and
+    the node list reversed out of id order."""
+    nodes = population(120, 0.3, seed, values=[0.0, 0.5, 1.0, 0.3, 0.7])
+    for node in nodes[::7]:
+        node.behavior = Behavior(votes=False)
+    for node in nodes[::11]:
+        node.script = {r: Behavior(produces_block=False) for r in range(0, 30, 3)}
+    return nodes[::-1]
+
+
+def history_digest(history) -> str:
+    rows = [
+        (r.epoch, r.round_index, r.node_id, r.reputation, r.role, r.delta)
+        for r in history.rows
+    ]
+    chain = [
+        (b.epoch, b.round_index, b.producer_id, b.payload_hash, b.confirmations)
+        for b in history.chain
+    ]
+    seats = [
+        (c.members, c.active_order, c.standby, list(c.voting_result.items()))
+        for c in history.committees
+    ]
+    return hashlib.sha256(repr((rows, chain, seats)).encode()).hexdigest()
+
+
+CONFIGS = {
+    "reputation-20pct": (lambda: population(300, 0.2, 1), 200, 10, 4, MODES[0], 1),
+    "equal-40pct": (lambda: population(300, 0.4, 2), 180, 8, 3, MODES[1], 2),
+    "ties-reputation": (lambda: tie_heavy(3), 80, 10, 3, MODES[0], 3),
+    "ties-equal": (lambda: tie_heavy(4), 60, 6, 3, MODES[1], 4),
+}
+
+# sha256 of repr((history rows, chain, committees)) per configuration,
+# recorded with explicit per-ballot frozensets, a dict tally and per-node
+# updates.
+GOLDEN = {
+    "reputation-20pct": "a97e475e4e0b88c7d9ff8c87690b462d00c56d397392200a7c99c09ee9aecb15",
+    "equal-40pct": "6dc51407e638ccf7e0c57d0a31e714e583cadef35aa7f1bfe39d32267b4c7500",
+    "ties-reputation": "1cf1971b6b68183b421101b0aceea8d60f414f1f66561d1fa26282b8321aba0a",
+    "ties-equal": "20566b79a68ed4ec9545b78a2db3f622ca31d7bb1858b940b00661c6147d44eb",
+}
+
+
+def test_golden_histories():
+    digests = {
+        name: history_digest(
+            run_epochs(make(), PARAMS, committee, active, epochs, mode=mode, seed=seed)
+        )
+        for name, (make, committee, active, epochs, mode, seed) in CONFIGS.items()
+    }
+    assert digests == GOLDEN
