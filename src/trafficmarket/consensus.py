@@ -420,6 +420,8 @@ def run_epochs(
     """
     if n_epochs < 0:
         raise ValueError("n_epochs must be non-negative")
+    if not (0 < active_size <= committee_size <= len(nodes)):
+        raise ValueError("need 0 < active_size <= committee_size <= population")
     _check_nodes(nodes)
     rng = np.random.default_rng(seed)
     state = ConsensusState()

@@ -6,10 +6,19 @@ all key material drawn from a caller-supplied generator so runs replay
 bit-for-bit. ``HashStubScheme`` is a dependency-free double for tests; it
 keeps a private-key registry behind the scenes and must never leave a
 simulation.
+
+``Ed25519X25519Scheme`` parses each private key once and reuses the parsed
+key object (``_signing_key`` and ``_agreement_key``, module-level LRU
+caches keyed by the exact private bytes). This is exact: Ed25519 signing is
+deterministic (RFC 8032) and X25519 agreement is a pure function of the two
+keys, so a reused key object gives the same bytes as a freshly parsed one.
+It cannot weaken a check, because verification never reads these caches:
+every ``verify`` and every authentication tag is computed in full.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
@@ -44,6 +53,11 @@ __all__ = [
 _ECIES_INFO = b"trafficmarket-ecies-v1"
 # safe only because every encryption derives a fresh ephemeral key
 _GCM_NONCE = bytes(12)
+#: Parsed private keys kept per cache. A trading world signs and decrypts
+#: with one key per vehicle plus the authority's and the CA's, so this
+#: covers worlds of a few thousand vehicles; beyond it, keys that fell out
+#: are parsed again.
+_PARSED_KEYS = 4096
 
 
 class DecryptionError(Exception):
@@ -59,6 +73,16 @@ class KeyPair:
 def fingerprint(public: bytes) -> str:
     """Short stable identifier for a public key, for ledgers and logs."""
     return hashlib.sha256(public).hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=_PARSED_KEYS)
+def _signing_key(seed: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(seed)
+
+
+@functools.lru_cache(maxsize=_PARSED_KEYS)
+def _agreement_key(seed: bytes) -> X25519PrivateKey:
+    return X25519PrivateKey.from_private_bytes(seed)
 
 
 class SignatureScheme:
@@ -91,6 +115,9 @@ class Ed25519X25519Scheme(SignatureScheme):
     key (32 bytes each side). Encryption is ECIES-style: fresh ephemeral
     X25519 key, HKDF-SHA256 to an AES-256-GCM key, zero nonce, ephemeral
     public key prepended to the ciphertext.
+
+    ``sign`` and ``decrypt`` reuse parsed private keys from module-level
+    caches, so subclasses need not call ``__init__``.
     """
 
     def generate_keypair(self, rng: np.random.Generator) -> KeyPair:
@@ -109,7 +136,7 @@ class Ed25519X25519Scheme(SignatureScheme):
         return KeyPair(private=sign_seed + kex_seed, public=sign_pub + kex_pub)
 
     def sign(self, private: bytes, data: bytes) -> bytes:
-        return Ed25519PrivateKey.from_private_bytes(private[:32]).sign(data)
+        return _signing_key(private[:32]).sign(data)
 
     def verify(self, public: bytes, data: bytes, signature: bytes) -> bool:
         try:
@@ -134,7 +161,7 @@ class Ed25519X25519Scheme(SignatureScheme):
         if len(ciphertext) < 48:  # ephemeral key plus GCM tag
             raise DecryptionError("ciphertext too short")
         ephemeral = X25519PublicKey.from_public_bytes(ciphertext[:32])
-        shared = X25519PrivateKey.from_private_bytes(private[32:64]).exchange(ephemeral)
+        shared = _agreement_key(private[32:64]).exchange(ephemeral)
         try:
             return AESGCM(self._derive_key(shared)).decrypt(
                 _GCM_NONCE, ciphertext[32:], None

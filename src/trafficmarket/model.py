@@ -209,10 +209,11 @@ def coverage_value(winners: Iterable[int], instance: AuctionInstance) -> float:
 
 
 def validate_instance(instance: AuctionInstance) -> None:
-    """Structural checks: dense ids, valid subsets, finite positive values."""
-    task_ids = {t.id for t in instance.tasks}
-    if task_ids != set(range(len(instance.tasks))):
-        raise ValueError("task ids must be dense 0..m-1")
+    """Structural checks: dense ids in order, valid subsets, finite positive
+    values. Task values are read by position, so task j must sit at index j."""
+    if [t.id for t in instance.tasks] != list(range(len(instance.tasks))):
+        raise ValueError("task ids must be dense 0..m-1, in order")
+    task_ids = set(range(len(instance.tasks)))
     if [v.id for v in instance.vehicles] != list(range(len(instance.vehicles))):
         raise ValueError("vehicle ids must be dense 0..n-1")
     if not math.isfinite(instance.budget) or instance.budget < 0:
@@ -264,6 +265,7 @@ def paper_example() -> AuctionInstance:
 #   task <id> <x> <y> <appraisement>
 #   vehicle <id> <x> <y> <detection_distance> <true_cost> <bid> <t,t,...|->
 _HEADER = "scenario v1"
+_FIELDS = {"city": 2, "budget": 2, "task": 5, "vehicle": 8}  # including the kind
 
 
 def dumps_scenario(instance: AuctionInstance) -> str:
@@ -292,6 +294,12 @@ def loads_scenario(text: str) -> AuctionInstance:
         parts = line.split()
         kind = parts[0]
         try:
+            if kind not in _FIELDS:
+                raise ValueError(f"unknown record {kind!r}")
+            if len(parts) != _FIELDS[kind]:
+                raise ValueError(
+                    f"{kind} record has {len(parts) - 1} fields, expected {_FIELDS[kind] - 1}"
+                )
             if kind in ("city", "budget"):
                 if kind in singles:
                     raise ValueError(f"second {kind} record")
@@ -305,7 +313,7 @@ def loads_scenario(text: str) -> AuctionInstance:
                         appraisement=float(parts[4]),
                     )
                 )
-            elif kind == "vehicle":
+            else:
                 ids = [] if parts[7] == "-" else [int(s) for s in parts[7].split(",")]
                 subset = frozenset(ids)
                 if len(subset) != len(ids):
@@ -321,17 +329,22 @@ def loads_scenario(text: str) -> AuctionInstance:
                         task_subset=subset,
                     )
                 )
-            else:
-                raise ValueError(f"unknown record {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if "budget" not in singles:
         raise ValueError("missing budget record")
+    city_side = singles.get("city", 1000.0)
+    if not (math.isfinite(city_side) and city_side > 0):
+        raise ValueError("city side must be finite and positive")
+    places = [c for record in (*tasks, *vehicles) for c in (record.x, record.y)]
+    places += [v.detection_distance for v in vehicles]
+    if not all(map(math.isfinite, places)):
+        raise ValueError("positions and detection distances must be finite")
     instance = AuctionInstance(
         tasks=tuple(tasks),
         vehicles=tuple(vehicles),
         budget=singles["budget"],
-        city_side=singles.get("city", 1000.0),
+        city_side=city_side,
     )
     validate_instance(instance)
     return instance

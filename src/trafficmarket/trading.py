@@ -11,6 +11,26 @@ Message security rides on a pluggable scheme from :mod:`trafficmarket.crypto`.
 Randomness for each participant's key material and ciphertexts comes from
 generators derived from (seed, role, vehicle id), which keeps a round's
 bytes independent of processing order and reproducible end to end.
+
+A round repeats no crypto work whose answer it already has, and every check
+still runs in full on anything new:
+
+* A certificate is verified once per world. ``CertificateAuthority.check``
+  remembers the certificates that verified, keyed by their exact content
+  (CA public key, subject, public key, signature). A certificate that
+  differs in any byte misses the set and is verified in full, so a
+  corrupted or foreign certificate still fails closed. Only successes are
+  kept, and Ed25519 and HMAC signatures are unique per message, so the set
+  holds at most one entry per issued certificate. Certificate revocation,
+  if it is ever added, must clear the set.
+* The broadcast is verified once per round. Every vehicle receives the
+  same ``publish`` message against the same authority certificate, so its
+  certificate and signature are checked once before the vehicles' loop;
+  only the freshness check runs per session. Abort reasons are unchanged.
+* Parsed private keys are reused (see :mod:`trafficmarket.crypto`).
+
+Every request, order, delivery and confirm is unique, so their signatures
+are always verified afresh.
 """
 
 from __future__ import annotations
@@ -95,6 +115,9 @@ class CertificateAuthority:
     def __init__(self, scheme: SignatureScheme, rng: np.random.Generator):
         self.scheme = scheme
         self.keys = scheme.generate_keypair(rng)
+        #: (CA public key, subject, public key, signature) of every
+        #: certificate that has verified; see the module docstring
+        self._valid: set[tuple[bytes, str, bytes, bytes]] = set()
 
     def issue(self, subject: str, public_key: bytes) -> Certificate:
         signature = self.scheme.sign(
@@ -103,11 +126,22 @@ class CertificateAuthority:
         return Certificate(subject=subject, public_key=public_key, signature=signature)
 
     def check(self, certificate: Certificate) -> bool:
-        return self.scheme.verify(
+        key = (
+            self.keys.public,
+            certificate.subject,
+            certificate.public_key,
+            certificate.signature,
+        )
+        if key in self._valid:
+            return True
+        if not self.scheme.verify(
             self.keys.public,
             _certificate_bytes(certificate.subject, certificate.public_key),
             certificate.signature,
-        )
+        ):
+            return False
+        self._valid.add(key)
+        return True
 
 
 @dataclass
@@ -296,6 +330,25 @@ def verify_message(
     order, stopping at the first failure. Returns (plaintext, None) on
     success and (None, reason) otherwise.
     """
+    plaintext, reason = _authenticate(
+        world, message, sender_certificate, recipient_private
+    )
+    if reason is None:
+        reason = _staleness(message, last_timestamp)
+    return (None, reason) if reason else (plaintext, None)
+
+
+def _staleness(message: ProtocolMessage, last_timestamp: int) -> str | None:
+    return "stale timestamp" if message.timestamp <= last_timestamp else None
+
+
+def _authenticate(
+    world: TradingWorld,
+    message: ProtocolMessage,
+    sender_certificate: Certificate,
+    recipient_private: bytes | None,
+) -> tuple[bytes | None, str | None]:
+    """``verify_message`` without the freshness check."""
     if not world.ca.check(sender_certificate):
         return None, "bad certificate"
     if sender_certificate.subject != message.sender:
@@ -315,11 +368,8 @@ def verify_message(
             plaintext = world.scheme.decrypt(recipient_private, message.body)
         except DecryptionError:
             return None, "undecryptable"
-    else:
-        plaintext = message.body
-    if message.timestamp <= last_timestamp:
-        return None, "stale timestamp"
-    return plaintext, None
+        return plaintext, None
+    return message.body, None
 
 
 def pay_winner(world: TradingWorld, session: TradingSession, amount: Fraction) -> None:
@@ -421,13 +471,13 @@ def run_trading_round(
         world, MessageKind.PUBLISH, authority, f"round-{round_index}", publish_body
     )
 
-    # step 2: vehicles validate the broadcast and submit encrypted requests
+    # step 2: vehicles validate the broadcast and submit encrypted requests;
+    # every vehicle gets the same message, so it is authenticated once
+    _, broadcast_failure = _authenticate(world, publish, authority.certificate, None)
     requests: dict[int, ProtocolMessage] = {}
     for vid in sorted(sessions):
         session = sessions[vid]
-        _, reason = verify_message(
-            world, publish, authority.certificate, None, session.last_timestamp
-        )
+        reason = broadcast_failure or _staleness(publish, session.last_timestamp)
         if reason:
             session.abort(f"broadcast: {reason}")
             continue

@@ -147,6 +147,11 @@ class TestConsensus:
                                   "5", "--active", "2", "--epochs", "-1"])
         assert code == 1 and "n_epochs" in err and out == ""
 
+    def test_bad_sizes_rejected_without_epochs(self):
+        code, out, err = run_cli(["consensus", "--nodes", "10", "--committee",
+                                  "50", "--active", "60", "--epochs", "0"])
+        assert code == 1 and "committee_size" in err and out == ""
+
 
 class TestTrade:
     def test_round_over_builtin_scenario(self, tmp_path):

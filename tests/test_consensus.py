@@ -325,6 +325,24 @@ class TestEpochRuns:
             run_epochs(nodes, PARAMS, 2, 1, n_epochs=-1)
         assert [n.reputation for n in nodes] == [0.3, 0.7]
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    @pytest.mark.parametrize(
+        "committee, active", [(3, 4), (5, 2), (2, 0), (0, 0), (2, -1)]
+    )
+    def test_rejects_bad_sizes_even_without_epochs(self, epochs, committee, active):
+        # checked up front, not only inside elect_witnesses, so a run that
+        # elects nothing (zero epochs, or a forced schedule) still refuses
+        nodes = make_nodes([0.3, 0.5, 0.7, 0.9])
+        with pytest.raises(ValueError, match="active_size <= committee_size"):
+            run_epochs(nodes, PARAMS, committee, active, n_epochs=epochs)
+        assert [n.reputation for n in nodes] == [0.3, 0.5, 0.7, 0.9]
+
+    def test_rejects_bad_sizes_with_forced_schedule(self):
+        nodes = make_nodes([0.5] * 5)
+        schedule = [forced([0, 1, 2, 3], [0, 1], [2, 3])]
+        with pytest.raises(ValueError, match="active_size <= committee_size"):
+            run_epochs(nodes, PARAMS, 6, 2, n_epochs=1, committee_schedule=schedule)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), -1e-9, 1.0 + 1e-9])
     def test_rejects_reputation_outside_unit_interval(self, bad):
         nodes = make_nodes([0.5, 0.6, bad])

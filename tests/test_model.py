@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trafficmarket.model import (
+    AuctionInstance,
     ScenarioConfig,
+    Task,
+    Vehicle,
     coverage_value,
     dumps_scenario,
     generate_scenario,
@@ -122,6 +125,30 @@ def test_scenario_with_nan_appraisement_rejected():
         loads_scenario(text)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [("city 1000.0", "city inf"), ("city 1000.0", "city -5.0"),
+     ("city 1000.0", "city 0.0"), ("task 1 100.0 0.0", "task 1 nan 0.0"),
+     ("vehicle 2 200.0 50.0 0.0", "vehicle 2 200.0 50.0 -inf")],
+)
+def test_scenario_with_bad_place_rejected(old, new):
+    text = dumps_scenario(paper_example())
+    assert old in text
+    with pytest.raises(ValueError, match="finite"):
+        loads_scenario(text.replace(old, new))
+
+
+def test_scenario_with_tasks_out_of_order_rejected():
+    # task values are read by position, so a reordered file would silently
+    # change the auction: tbsap picked (0, 2) instead of (0, 1)
+    lines = dumps_scenario(paper_example()).splitlines()
+    tasks = [line for line in lines if line.startswith("task")]
+    rest = [line for line in lines if not line.startswith("task")]
+    text = "\n".join(rest[:3] + tasks[::-1] + rest[3:]) + "\n"
+    with pytest.raises(ValueError, match="in order"):
+        loads_scenario(text)
+
+
 def test_scenario_second_budget_record_rejected():
     text = dumps_scenario(paper_example()) + "budget 1.0\n"
     with pytest.raises(ValueError, match="second budget"):
@@ -197,6 +224,10 @@ def test_scenario_parse_errors():
         loads_scenario("scenario v1\ncity 10.0\n")  # no budget
     with pytest.raises(ValueError):
         loads_scenario("scenario v1\nbudget 5.0\ntask 0 1.0 2.0\n")  # short row
+    with pytest.raises(ValueError, match="task record has 5 fields, expected 4"):
+        loads_scenario("scenario v1\nbudget 5.0\ntask 0 1.0 2.0 3.0 junk\n")
+    with pytest.raises(ValueError, match="budget record has 2 fields, expected 1"):
+        loads_scenario("scenario v1\nbudget 5.0 6.0\n")
 
 
 def test_with_bid_and_with_budget():
@@ -219,3 +250,91 @@ def test_generation_deterministic_property(seed):
     assert dumps_scenario(generate_scenario(config)) == dumps_scenario(
         generate_scenario(config)
     )
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_nonneg = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+_positive = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenario_instances(draw):
+    m = draw(st.integers(0, 5))
+    tasks = tuple(
+        Task(id=j, x=draw(_finite), y=draw(_finite), appraisement=draw(_positive))
+        for j in range(m)
+    )
+    vehicles = tuple(
+        Vehicle(
+            id=i,
+            x=draw(_finite),
+            y=draw(_finite),
+            detection_distance=draw(_nonneg),
+            true_cost=draw(_nonneg),
+            task_subset=frozenset(draw(st.sets(st.integers(0, m - 1))) if m else ()),
+            bid=draw(_nonneg),
+        )
+        for i in range(draw(st.integers(0, 5)))
+    )
+    return AuctionInstance(
+        tasks=tasks, vehicles=vehicles, budget=draw(_nonneg), city_side=draw(_positive)
+    )
+
+
+def _loads_or_value_error(text):
+    """Parse ``text``; a ValueError is an accepted outcome, any other
+    exception fails the test."""
+    try:
+        return loads_scenario(text)
+    except ValueError:
+        return None
+
+
+@given(instance=scenario_instances())
+def test_scenario_fuzz_roundtrip_exact(instance):
+    text = dumps_scenario(instance)
+    again = loads_scenario(text)
+    assert again == instance
+    assert dumps_scenario(again) == text
+
+
+@given(instance=scenario_instances(), cut=st.integers(0, 10**6))
+def test_scenario_fuzz_truncated(instance, cut):
+    text = dumps_scenario(instance)
+    _loads_or_value_error(text[: cut % (len(text) + 1)])
+
+
+@given(instance=scenario_instances(), data=st.data())
+def test_scenario_fuzz_reordered_records(instance, data):
+    # records other than the header may come in any order that keeps ids
+    # readable; whatever parses must be the very same instance
+    header, *records = dumps_scenario(instance).splitlines()
+    shuffled = data.draw(st.permutations(records))
+    loaded = _loads_or_value_error("\n".join([header, *shuffled]) + "\n")
+    assert loaded is None or loaded == instance
+
+
+@given(
+    instance=scenario_instances(),
+    junk=st.lists(
+        st.one_of(
+            st.text(max_size=30),
+            st.lists(
+                st.one_of(
+                    st.sampled_from(["city", "budget", "task", "vehicle", "-", ",",
+                                     "nan", "inf", "-1", "0", "1e400", "0,0", "1,"]),
+                    st.text(max_size=6),
+                ),
+                max_size=9,
+            ).map(" ".join),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    data=st.data(),
+)
+def test_scenario_fuzz_junk_lines(instance, junk, data):
+    lines = dumps_scenario(instance).splitlines()
+    for line in junk:
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    _loads_or_value_error("\n".join(lines) + "\n")

@@ -1,5 +1,6 @@
 """End-to-end tests for the signed trading protocol."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from trafficmarket.crypto import (
 from trafficmarket.model import paper_example
 from trafficmarket.trading import (
     Certificate,
+    CertificateAuthority,
     MessageKind,
     ProtocolError,
     SessionState,
@@ -24,6 +26,10 @@ from trafficmarket.trading import (
     verify_message,
     write_ledger_csv,
 )
+
+from conftest import dense_scenario
+
+SCHEMES = [HashStubScheme, Ed25519X25519Scheme]
 
 
 @pytest.fixture
@@ -327,3 +333,100 @@ class TestVerifyMessage:
             world, request, cert, world.authority.keys.private, 0
         )
         assert reason is None and plaintext.startswith(b"('request'")
+
+
+def _corrupt(certificate, field):
+    if field == "subject":
+        return replace(certificate, subject=certificate.subject + "x")
+    value = getattr(certificate, field)
+    return replace(certificate, **{field: value[:-1] + bytes([value[-1] ^ 1])})
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+class TestCertificateCacheFailsClosed:
+    """A certificate that verified once is remembered per world; any byte of
+    difference, or a different CA key, must still be caught in full."""
+
+    def funded_world(self, scheme):
+        instance = paper_example()
+        world = build_world(instance, scheme(), seed=7, authority_balance=Fraction(50))
+        return world, instance
+
+    @pytest.mark.parametrize("field", ["signature", "public_key", "subject"])
+    def test_vehicle_certificate_corrupted_after_acceptance(self, scheme, field):
+        world, instance = self.funded_world(scheme)
+        first = run_trading_round(world, instance)
+        assert first.sessions[0].state is SessionState.CONFIRMED
+        world.vehicles[0].certificate = _corrupt(world.vehicles[0].certificate, field)
+        second = run_trading_round(world, instance)
+        assert second.excluded == frozenset({0})
+        assert second.sessions[0].failure == "request: bad certificate"
+        assert second.sessions[1].state is SessionState.CONFIRMED
+        assert second.sessions[2].state is SessionState.CONFIRMED
+
+    def test_corrupted_authority_certificate_aborts_every_session(self, scheme):
+        world, instance = self.funded_world(scheme)
+        run_trading_round(world, instance)
+        world.authority.certificate = _corrupt(world.authority.certificate, "signature")
+        balances = [p.account.balance for p in world.vehicles.values()]
+        result = run_trading_round(world, instance)
+        assert {s.failure for s in result.sessions.values()} == {
+            "broadcast: bad certificate"
+        }
+        assert result.block is None and len(world.ledger) == 1
+        assert [p.account.balance for p in world.vehicles.values()] == balances
+
+    def test_certificate_from_another_ca_is_rejected(self, scheme):
+        world, instance = self.funded_world(scheme)
+        run_trading_round(world, instance)
+        rogue = CertificateAuthority(world.scheme, np.random.default_rng(99))
+        honest = world.vehicles[0].certificate
+        world.vehicles[0].certificate = rogue.issue(honest.subject, honest.public_key)
+        assert rogue.check(world.vehicles[0].certificate)
+        result = run_trading_round(world, instance)
+        assert result.sessions[0].failure == "request: bad certificate"
+        assert result.sessions[1].state is SessionState.CONFIRMED
+
+    def test_new_ca_key_forgets_accepted_certificates(self, scheme):
+        world, instance = self.funded_world(scheme)
+        run_trading_round(world, instance)
+        world.ca.keys = world.scheme.generate_keypair(np.random.default_rng(99))
+        result = run_trading_round(world, instance)
+        assert {s.failure for s in result.sessions.values()} == {
+            "broadcast: bad certificate"
+        }
+
+
+def _transcript_digest(world, instance, rounds):
+    h = hashlib.sha256()
+    for _ in range(rounds):
+        result = run_trading_round(world, instance)
+        for vid in sorted(result.sessions):
+            session = result.sessions[vid]
+            h.update(repr((vid, session.state.value, session.failure)).encode())
+            for m in session.transcript:
+                h.update(
+                    repr(
+                        (m.kind.value, m.sender, m.session_id, m.timestamp,
+                         m.body, m.signature, m.encrypted)
+                    ).encode()
+                )
+        h.update((result.block.hash if result.block else "-").encode())
+    return h.hexdigest()
+
+
+# sha256 over every session's state, failure and transcript (kind, sender,
+# session, timestamp, body, signature, encrypted) and the block hash of three
+# consecutive real-crypto rounds on one world, recorded with the certificate
+# checked on every message, the broadcast checked per vehicle and every
+# private key parsed per call: none of the reuse may move a byte.
+GOLDEN_ROUNDS_DIGEST = "05d35e1ca96e22d8089eeb332ca64714ddc9f58e97616b355a2234ca5449c72a"
+
+
+def test_golden_digest_real_rounds():
+    instance = dense_scenario(3)
+    world = build_world(
+        instance, Ed25519X25519Scheme(), seed=5, authority_balance=Fraction(10**6)
+    )
+    assert _transcript_digest(world, instance, rounds=3) == GOLDEN_ROUNDS_DIGEST
+    assert len(world.ledger) == 3
