@@ -228,7 +228,7 @@ def _cmd_consensus(args) -> int:
         mode=mode,
         seed=args.seed,
     )
-    rounds = len({(r.epoch, r.round_index) for r in history.rows})
+    rounds = len(history.rows) // len(nodes)  # one row per node per round
     print(
         f"nodes: {args.nodes} committee: {args.committee} active: {args.active}"
     )

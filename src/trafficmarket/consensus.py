@@ -17,8 +17,10 @@ The hot path works on arrays. Ballots share one of two candidate pools per
 epoch, so casting them is O(N). The tally adds each ballot's weighted pool
 mask to one float64 vector, in ballot order, which reproduces the
 per-target sums of a ballot-by-ballot count exactly (see
-``elect_witnesses``). A round computes alpha, beta, gamma, delta and the
-clamp as vectors and looks roles up in a map built once per epoch.
+``elect_witnesses``). A round produces columns, not per-node objects: id
+positions, alpha and roles are built once per epoch, beta, gamma, delta
+and the clamp in one vector sweep. ``run_epochs`` zips the columns into
+``HistoryRow`` NamedTuples, each row built once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import csv
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +50,6 @@ __all__ = [
     "cast_votes",
     "elect_witnesses",
     "run_round",
-    "update_reputation",
     "run_epochs",
     "write_history_csv",
 ]
@@ -148,8 +150,7 @@ class BlockRecord:
     confirmations: int
 
 
-@dataclass(frozen=True)
-class BehaviorRecord:
+class BehaviorRecord(NamedTuple):
     node_id: int
     alpha: int
     beta: int
@@ -286,30 +287,27 @@ def _pool_mask(pool: frozenset[int], n: int) -> np.ndarray:
     return mask
 
 
-def update_reputation(node: FullNode, delta: float) -> float:
-    """Apply a reputation delta, clamped so the value stays inside [0, 1]."""
-    rep = node.reputation + delta
-    if rep > 1.0:
-        rep = 1.0
-    elif rep < 0.0:
-        rep = 0.0
-    node.reputation = rep
-    return rep
+def _epoch_view(state: ConsensusState, nodes: Sequence[FullNode]) -> tuple:
+    """What stays fixed between the rounds of an epoch: the ids in node
+    order, id -> position, alpha (+1 voted, -1 abstained) and each node's
+    committee role, leaders counted as witnesses."""
+    ids = [n.id for n in nodes]
+    alpha = np.array([1 if node_id in state.voted else -1 for node_id in ids])
+    roles = [state.roles.get(node_id, "none") for node_id in ids]
+    return ids, {node_id: i for i, node_id in enumerate(ids)}, alpha, roles
 
 
-def run_round(
+def _round(
     state: ConsensusState,
     nodes: Sequence[FullNode],
     params: ReputationParams,
-    payload_hash: str | None = None,
-) -> list[BehaviorRecord]:
-    """One consensus round: leader attempt, verification, reputation sweep.
-
-    The scheduled leader either produces nothing (it is skipped for the
-    rest of the epoch and the round records no block) or produces a block
-    that every other committee member verifies. Reputations of all nodes
-    update afterwards, abstainers included, in one vector sweep.
-    """
+    payload_hash: str | None,
+    view: tuple,
+) -> tuple:
+    """The body of ``run_round`` on an ``_epoch_view``. Returns the round's
+    columns in node order: ids, alpha, beta, gamma, delta, reputation and
+    role (alpha and beta as int arrays)."""
+    ids, position, alpha, roles = view
     committee = state.committee
     if committee is None:
         raise RuntimeError("no committee elected")
@@ -318,8 +316,6 @@ def run_round(
         raise RuntimeError("leader order exhausted for this epoch")
     state.leader_cursor += 1
     rnd = state.global_round
-    ids = [n.id for n in nodes]
-    position = {node_id: i for i, node_id in enumerate(ids)}
     leader = position[leader_id]
     leader_behavior = nodes[leader].behavior_at(rnd)
 
@@ -354,7 +350,6 @@ def run_round(
                 )
             )
 
-    alpha = np.array([1 if node_id in state.voted else -1 for node_id in ids])
     beta = np.zeros(len(nodes), dtype=np.int64)
     beta[leader] = 1 if accepted else -1
     delta = (
@@ -367,21 +362,32 @@ def run_round(
     ).tolist()
     for node, rep in zip(nodes, reputations):
         node.reputation = rep
-    roles = [state.roles.get(node_id, "none") for node_id in ids]
+    roles = roles.copy()
     roles[leader] = "leader"
-    records = list(
-        map(
-            BehaviorRecord,
-            ids, alpha.tolist(), beta.tolist(), gamma, delta.tolist(), reputations, roles,
-        )
-    )
     state.round_in_epoch += 1
     state.global_round += 1
-    return records
+    return ids, alpha, beta, gamma, delta.tolist(), reputations, roles
 
 
-@dataclass(frozen=True)
-class HistoryRow:
+def run_round(
+    state: ConsensusState,
+    nodes: Sequence[FullNode],
+    params: ReputationParams,
+    payload_hash: str | None = None,
+) -> list[BehaviorRecord]:
+    """One consensus round: leader attempt, verification, reputation sweep.
+
+    The scheduled leader either produces nothing (it is skipped for the
+    rest of the epoch and the round records no block) or produces a block
+    that every other committee member verifies. Reputations of all nodes
+    update afterwards, abstainers included, in one vector sweep.
+    """
+    view = _epoch_view(state, nodes)
+    ids, alpha, beta, *rest = _round(state, nodes, params, payload_hash, view)
+    return list(map(BehaviorRecord, ids, alpha.tolist(), beta.tolist(), *rest))
+
+
+class HistoryRow(NamedTuple):
     epoch: int
     round_index: int
     node_id: int
@@ -439,19 +445,22 @@ def run_epochs(
             )
         state.start_epoch(committee, voted)
         history.committees.append(committee)
+        view = _epoch_view(state, nodes)
         for _ in range(len(committee.active_order)):
             if state.next_leader() is None:
                 break  # fully skipped epoch ends early
+            round_index = state.global_round
             payload = (
-                payload_provider(epoch, state.global_round)
-                if payload_provider
-                else None
+                payload_provider(epoch, round_index) if payload_provider else None
             )
-            records = run_round(state, nodes, params, payload)
-            round_index = state.global_round - 1
+            ids, _, _, _, delta, reputations, roles = _round(
+                state, nodes, params, payload, view
+            )
             history.rows.extend(
-                HistoryRow(epoch, round_index, r.node_id, r.reputation, r.role, r.delta)
-                for r in records
+                map(
+                    HistoryRow._make,
+                    zip(repeat(epoch), repeat(round_index), ids, reputations, roles, delta),
+                )
             )
     return history
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import fmean
 from typing import Callable, Sequence
@@ -32,7 +32,6 @@ import numpy as np
 from trafficmarket.auction import greedy_heuristic, tbsap
 from trafficmarket.consensus import (
     ABNORMAL_BEHAVIOR,
-    Behavior,
     Committee,
     ConsensusHistory,
     FullNode,
@@ -71,14 +70,6 @@ VEHICLE_COUNTS = (500, 1000)
 TRAJECTORY_NORMAL_WAYPOINTS = (0.55, 0.74, 0.93, 1.0, 1.0)
 TRAJECTORY_ABNORMAL_WAYPOINTS = (0.45, 0.40, 0.21, 0.02, 0.0)
 
-# abstains from elections, fabricates blocks, judges other blocks wrongly
-_HOSTILE = Behavior(
-    votes=False,
-    supports_low_reputation=True,
-    produces_valid_block=False,
-    verifies_correctly=False,
-)
-
 
 @dataclass(frozen=True)
 class TrajectoryResult:
@@ -105,7 +96,7 @@ def reputation_trajectory(seed: int = 0) -> TrajectoryResult:
     floor. Background nodes 2..13 fill the remaining seats.
     """
     nodes = [FullNode(id=i, reputation=0.5) for i in range(14)]
-    nodes[1].behavior = _HOSTILE
+    nodes[1].behavior = replace(ABNORMAL_BEHAVIOR, votes=False)  # also abstains
     background = list(range(2, 14))
     schedule = [
         _forced(background, background[:10], background[10:]),

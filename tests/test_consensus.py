@@ -20,7 +20,6 @@ from trafficmarket.consensus import (
     elect_witnesses,
     run_epochs,
     run_round,
-    update_reputation,
     write_history_csv,
 )
 
@@ -177,14 +176,6 @@ class TestReputationParams:
         with pytest.raises(ValueError):
             ReputationParams(theta=1.5)
 
-    def test_clamp(self):
-        node = FullNode(id=0, reputation=0.99)
-        assert update_reputation(node, 0.055) == 1.0
-        node.reputation = 0.01
-        assert update_reputation(node, -0.055) == 0.0
-        node.reputation = 0.5
-        assert update_reputation(node, 0.015) == pytest.approx(0.515)
-
 
 def single_round(nodes, committee, params=PARAMS):
     state = ConsensusState()
@@ -208,6 +199,18 @@ class TestRoundDeltas:
         assert recs[1].role == "witness"
         assert recs[2].role == "standby"
         assert recs[4].role == "none"
+
+    def test_clamp(self):
+        # committee of seven: the block needs 5 > 14/3 of the 6 verifiers
+        wrong = Behavior(votes=False, verifies_correctly=False)
+        nodes = make_nodes([0.99, 0.01] + [0.5] * 6, behaviors={1: wrong})
+        _, recs = single_round(nodes, forced(range(7), [0, 1], range(2, 7)))
+        assert recs[0].beta == 1 and recs[0].delta == pytest.approx(0.055)
+        assert recs[0].reputation == nodes[0].reputation == 1.0
+        assert (recs[1].alpha, recs[1].gamma) == (-1, -1)
+        assert recs[1].delta == pytest.approx(-0.015)
+        assert recs[1].reputation == nodes[1].reputation == 0.0
+        assert recs[2].reputation == pytest.approx(0.515)
 
     def test_invalid_block_rejected_and_leader_punished(self):
         nodes = make_nodes([0.5] * 5, behaviors={0: SABOTEUR})

@@ -10,18 +10,24 @@ frozensets and a dict tally.
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficmarket.consensus import (
     ABNORMAL_BEHAVIOR,
     Behavior,
+    BehaviorRecord,
+    Committee,
+    ConsensusState,
     FullNode,
+    HistoryRow,
     ReputationParams,
     VotingMode,
     cast_votes,
     elect_witnesses,
     run_epochs,
+    run_round,
 )
 
 from oracles import slow_cast_votes, slow_run_epochs, slow_seat, slow_tally
@@ -116,6 +122,99 @@ def test_epochs_match_oracle(nodes, active, epochs, weighted, seed):
         for c in history.committees
     ] == committees
     assert [n.reputation for n in fast_nodes] == [n.reputation for n in slow_nodes]
+
+
+def drive_rounds(nodes, committee_size, active_size, n_epochs, mode, seed, schedule):
+    """run_epochs' steps one by one through the public ``run_round``, the
+    way the benchmark probe drives them; returns (rows, records, chain)."""
+    rng = np.random.default_rng(seed)
+    state = ConsensusState()
+    rows, records = [], []
+    for epoch in range(n_epochs):
+        ballots = cast_votes(nodes, PARAMS)
+        committee = schedule[epoch]
+        if committee is None:
+            committee = elect_witnesses(
+                ballots, nodes, committee_size, active_size, mode, rng
+            )
+        else:
+            rng.permutation(active_size)
+        state.start_epoch(committee, frozenset(b.voter_id for b in ballots))
+        for _ in range(len(committee.active_order)):
+            if state.next_leader() is None:
+                break
+            round_index = state.global_round
+            for r in run_round(state, nodes, PARAMS):
+                rows.append((epoch, round_index, r.node_id, r.reputation, r.role, r.delta))
+                records.append(r)
+    return rows, records, state.chain
+
+
+@st.composite
+def schedules(draw, n, committee_size, active_size, n_epochs):
+    """Per epoch, None (elect) or a committee forced from a permutation."""
+    forced = []
+    for _ in range(n_epochs):
+        if draw(st.booleans()):
+            forced.append(None)
+            continue
+        seats = draw(st.permutations(range(n)))[:committee_size]
+        forced.append(Committee(
+            members=tuple(seats),
+            active_order=tuple(seats[:active_size]),
+            standby=tuple(seats[active_size:]),
+            voting_result={},
+        ))
+    return forced
+
+
+@settings(max_examples=100)
+@given(data=st.data(), nodes=populations(max_size=10), active=st.integers(1, 4),
+       epochs=st.integers(1, 3), weighted=st.booleans(), reverse=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_round_matches_run_epochs(data, nodes, active, epochs, weighted,
+                                      reverse, seed):
+    nodes = clone(nodes)
+    skippers = data.draw(st.sets(st.integers(0, len(nodes) - 1), max_size=3))
+    for node in nodes:
+        if node.id in skippers:
+            node.script = {r: Behavior(produces_block=False) for r in range(0, 12, 2)}
+    if reverse:
+        nodes.sort(key=lambda n: n.id, reverse=True)
+    committee_size = max(1, len(nodes) - 1)
+    active = min(active, committee_size)
+    mode = MODES[0] if weighted else MODES[1]
+    schedule = data.draw(schedules(len(nodes), committee_size, active, epochs))
+    epoch_nodes, round_nodes = clone(nodes), clone(nodes)
+    history = run_epochs(epoch_nodes, PARAMS, committee_size, active, epochs,
+                         mode=mode, seed=seed, committee_schedule=schedule)
+    rows, records, chain = drive_rounds(
+        round_nodes, committee_size, active, epochs, mode, seed, schedule
+    )
+    assert [tuple(r) for r in history.rows] == rows
+    assert history.chain == chain
+    assert [n.reputation for n in epoch_nodes] == [n.reputation for n in round_nodes]
+    for r in records:
+        assert r.alpha in (1, -1) and r.beta in (1, 0, -1) and r.gamma in (1, 0, -1)
+        assert r.delta == (
+            PARAMS.w_vote * r.alpha + PARAMS.w_lead * r.beta + PARAMS.w_verify * r.gamma
+        )
+
+
+def test_record_types_are_immutable():
+    assert HistoryRow._fields == (
+        "epoch", "round_index", "node_id", "reputation", "role", "delta"
+    )
+    assert BehaviorRecord._fields == (
+        "node_id", "alpha", "beta", "gamma", "delta", "reputation", "role"
+    )
+    row = HistoryRow(0, 3, 2, 0.5, "witness", 0.015)
+    record = BehaviorRecord(2, 1, 0, 1, 0.015, 0.5, "witness")
+    for obj in (row, record):
+        for name in ("reputation", "role", "delta", "node_id", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0)
+    assert (row.round_index, row.role, record.gamma) == (3, "witness", 1)
 
 
 def population(n, hostile_frac, seed, values=None):
