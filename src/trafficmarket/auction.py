@@ -39,7 +39,6 @@ from __future__ import annotations
 import copy
 import heapq
 from dataclasses import dataclass
-from typing import Iterable
 
 from trafficmarket.model import (
     AuctionInstance,
@@ -49,13 +48,10 @@ from trafficmarket.model import (
 )
 
 __all__ = [
-    "MarginalGain",
     "PaymentStep",
     "PaymentTrace",
     "NotWinnerError",
     "SizeLimitError",
-    "reduced_profit",
-    "marginal_gain",
     "greedy_heuristic",
     "tbsap_allocate",
     "tbsap_payment",
@@ -75,13 +71,6 @@ class NotWinnerError(ValueError):
 
 class SizeLimitError(ValueError):
     """Raised when the exhaustive oracle is asked for an oversized instance."""
-
-
-@dataclass(frozen=True)
-class MarginalGain:
-    vehicle_id: int
-    gain: float  # Pbar(v|X) = A(v|X) - b_v
-    unit_gain: float  # Phat(v|X) = gain / b_v
 
 
 @dataclass(frozen=True)
@@ -107,29 +96,6 @@ class PaymentTrace:
     tail_value: float | None  # marginal coverage left for the priced vehicle
     tail_slack: float | None
     payment: float
-
-
-def reduced_profit(winners: Iterable[int], instance: AuctionInstance) -> float:
-    """Pbar(W): coverage value minus the winners' bid total."""
-    ids = list(winners)
-    total_bid = sum(instance.vehicle(v).bid for v in ids)
-    return coverage_value(ids, instance) - total_bid
-
-
-def marginal_gain(
-    vehicle_id: int, selected: Iterable[int], instance: AuctionInstance
-) -> MarginalGain:
-    """Direct evaluation of Pbar(v|X) and Phat(v|X), no incremental state."""
-    vehicle = instance.vehicle(vehicle_id)
-    if vehicle.bid <= 0:
-        raise ValueError("unit gain undefined for nonpositive bid")
-    covered: set[int] = set()
-    for vid in selected:
-        covered.update(instance.vehicle(vid).task_subset)
-    values = {t.id: t.appraisement for t in instance.tasks}
-    added = sum(values[t] for t in vehicle.task_subset - covered)
-    gain = added - vehicle.bid
-    return MarginalGain(vehicle_id, gain, gain / vehicle.bid)
 
 
 class _CoverageState:

@@ -10,6 +10,7 @@ bid (equal to the cost unless a test deviates it).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -122,12 +123,25 @@ class ScenarioConfig:
     kappa_max: float = 5.0
 
     def __post_init__(self) -> None:
+        # Counts and the seed must be true integers (numpy ones included):
+        # True would mean 1, and a float fails later inside numpy.
+        for name in ("n_tasks", "n_vehicles", "rng_seed"):
+            value = getattr(self, name)
+            try:
+                index = None if isinstance(value, bool) else operator.index(value)
+            except TypeError:
+                index = None
+            if index is None:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if index < 0:
+                raise ValueError(f"{name} must be nonnegative")
+            object.__setattr__(self, name, index)
+        if len(self.detection_range) != 2:
+            raise ValueError("detection_range must be a (lo, hi) pair")
         bounds = (self.budget, self.city_side, *self.detection_range,
                   self.appraisement_max, self.kappa_max)
         if not all(map(math.isfinite, bounds)):
             raise ValueError("budget, city_side and sampling bounds must be finite")
-        if self.n_tasks < 0 or self.n_vehicles < 0:
-            raise ValueError("counts must be nonnegative")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
         if self.city_side <= 0:
@@ -139,57 +153,72 @@ class ScenarioConfig:
             raise ValueError("sampling upper bounds must be positive")
 
 
-def _upper_half_open(rng: np.random.Generator, hi: float) -> float:
-    # uniform on (0, hi]: rng.uniform(0, hi) covers [0, hi), flip it.
-    return hi - rng.uniform(0.0, hi)
+#: Placements per block of the distance mask. Holding one block of squared
+#: distances at a time bounds the temporary arrays at _BLOCK x n_tasks floats.
+_BLOCK = 64
 
 
 def generate_scenario(config: ScenarioConfig) -> AuctionInstance:
     """Sample a scenario deterministically from the config seed.
 
-    Tasks first, then vehicles, each consuming a fixed number of draws so a
-    placement never shifts another's randomness. A placement whose detection
-    circle covers no task would have cost 0 and nothing to sell; it is
-    dropped and the surviving vehicles are re-indexed densely.
+    The draw order is a contract. Tasks take ``rng.random((n_tasks, 3))``
+    (x, y, appraisement), then placements take ``rng.random((n_vehicles, 4))``
+    (x, y, detection distance, kappa), row-major. That is the double stream
+    the scalar ``rng.uniform`` calls consume, scaled by numpy's own formulas:
+    ``lo + (hi - lo) * u`` on [lo, hi), and ``hi - hi * u`` on (0, hi]. So a
+    placement never shifts another's randomness, and fewer placements from
+    the same seed give a prefix of the vehicles.
+
+    A task is sensed when ``dx*dx + dy*dy < d*d``, strictly. The squares are
+    products, correctly rounded on every platform (``x**2`` would go through
+    libm ``pow``). The mask is built ``_BLOCK`` placements at a time, never as
+    one placements x tasks array. A placement that senses no task would cost 0 and have
+    nothing to sell; it is dropped and the survivors are re-indexed densely.
+    Every field is a Python ``int`` or ``float``, so ``repr`` writes plain
+    numbers into scenario files.
     """
     rng = np.random.default_rng(config.rng_seed)
     side = config.city_side
-
-    tasks = []
-    for j in range(config.n_tasks):
-        x = rng.uniform(0.0, side)
-        y = rng.uniform(0.0, side)
-        a = _upper_half_open(rng, config.appraisement_max)
-        tasks.append(Task(id=j, x=x, y=y, appraisement=a))
+    u = rng.random((config.n_tasks, 3))
+    task_x = side * u[:, 0]
+    task_y = side * u[:, 1]
+    appraisement = config.appraisement_max - config.appraisement_max * u[:, 2]
+    tasks = tuple(
+        map(Task, range(config.n_tasks), task_x.tolist(), task_y.tolist(),
+            appraisement.tolist())
+    )
 
     lo, hi = config.detection_range
+    placements = rng.random((config.n_vehicles, 4))
     vehicles = []
-    for _ in range(config.n_vehicles):
-        x = rng.uniform(0.0, side)
-        y = rng.uniform(0.0, side)
-        d = rng.uniform(lo, hi)
-        kappa = _upper_half_open(rng, config.kappa_max)
-        d2 = d * d
-        subset = frozenset(
-            t.id for t in tasks if (t.x - x) ** 2 + (t.y - y) ** 2 < d2
-        )
-        if not subset:
-            continue
-        cost = kappa * len(subset)
-        vehicles.append(
-            Vehicle(
-                id=len(vehicles),
-                x=x,
-                y=y,
-                detection_distance=d,
-                true_cost=cost,
-                task_subset=subset,
-                bid=cost,
+    for start in range(0, config.n_vehicles, _BLOCK):
+        u = placements[start:start + _BLOCK]
+        x = side * u[:, 0]
+        y = side * u[:, 1]
+        d = lo + (hi - lo) * u[:, 2]
+        kappa = config.kappa_max - config.kappa_max * u[:, 3]
+        dx = task_x - x[:, None]
+        dy = task_y - y[:, None]
+        within = dx * dx + dy * dy < (d * d)[:, None]
+        fields = list(zip(x.tolist(), y.tolist(), d.tolist(), kappa.tolist()))
+        for i in np.flatnonzero(within.any(axis=1)).tolist():
+            vx, vy, vd, vkappa = fields[i]
+            subset = frozenset(np.flatnonzero(within[i]).tolist())
+            cost = vkappa * len(subset)
+            vehicles.append(
+                Vehicle(
+                    id=len(vehicles),
+                    x=vx,
+                    y=vy,
+                    detection_distance=vd,
+                    true_cost=cost,
+                    task_subset=subset,
+                    bid=cost,
+                )
             )
-        )
 
     return AuctionInstance(
-        tasks=tuple(tasks),
+        tasks=tasks,
         vehicles=tuple(vehicles),
         budget=config.budget,
         city_side=side,

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is written the slow, obvious way on purpose: set unions,
-full rescans, binary search, ballot-by-ballot tallies. Tests compare the
+full rescans, binary search, ballot-by-ballot tallies, one scalar draw at a
+time. Tests compare the
 fast package code against these, so nothing in this file may import from
 trafficmarket.auction or trafficmarket.consensus beyond the functions under
 test's inputs and outputs.
@@ -11,10 +12,100 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from trafficmarket.model import AuctionInstance
+from trafficmarket.model import (
+    AuctionInstance,
+    ScenarioConfig,
+    Task,
+    Vehicle,
+    coverage_value,
+)
+
+
+def slow_generate_scenario(config: ScenarioConfig) -> AuctionInstance:
+    """Scenario generation one scalar draw and one task at a time.
+
+    Per task: x, y, then appraisement on (0, hi] as ``hi - uniform(0, hi)``.
+    Per placement: x, y, detection distance, kappa, then a scan of every
+    task with the strict rule ``(tx - x)**2 + (ty - y)**2 < d*d``. Python's
+    ``**`` squares through libm ``pow``, which can be one ulp off the
+    correctly rounded product, so this agrees with the package's products
+    except for a task within an ulp of a detection circle.
+    """
+    rng = np.random.default_rng(config.rng_seed)
+    side = config.city_side
+    tasks = []
+    for j in range(config.n_tasks):
+        x = rng.uniform(0.0, side)
+        y = rng.uniform(0.0, side)
+        a = config.appraisement_max - rng.uniform(0.0, config.appraisement_max)
+        tasks.append(Task(id=j, x=x, y=y, appraisement=a))
+
+    lo, hi = config.detection_range
+    vehicles = []
+    for _ in range(config.n_vehicles):
+        x = rng.uniform(0.0, side)
+        y = rng.uniform(0.0, side)
+        d = rng.uniform(lo, hi)
+        kappa = config.kappa_max - rng.uniform(0.0, config.kappa_max)
+        d2 = d * d
+        subset = frozenset(
+            t.id for t in tasks if (t.x - x) ** 2 + (t.y - y) ** 2 < d2
+        )
+        if not subset:
+            continue
+        cost = kappa * len(subset)
+        vehicles.append(
+            Vehicle(
+                id=len(vehicles),
+                x=x,
+                y=y,
+                detection_distance=d,
+                true_cost=cost,
+                task_subset=subset,
+                bid=cost,
+            )
+        )
+    return AuctionInstance(
+        tasks=tuple(tasks),
+        vehicles=tuple(vehicles),
+        budget=config.budget,
+        city_side=side,
+    )
+
+
+@dataclass(frozen=True)
+class MarginalGain:
+    vehicle_id: int
+    gain: float  # Pbar(v|X) = A(v|X) - b_v
+    unit_gain: float  # Phat(v|X) = gain / b_v
+
+
+def reduced_profit(winners: Iterable[int], instance: AuctionInstance) -> float:
+    """Pbar(W): coverage value minus the winners' bid total."""
+    ids = list(winners)
+    total_bid = sum(instance.vehicle(v).bid for v in ids)
+    return coverage_value(ids, instance) - total_bid
+
+
+def marginal_gain(
+    vehicle_id: int, selected: Iterable[int], instance: AuctionInstance
+) -> MarginalGain:
+    """Direct evaluation of Pbar(v|X) and Phat(v|X), no incremental state."""
+    vehicle = instance.vehicle(vehicle_id)
+    if vehicle.bid <= 0:
+        raise ValueError("unit gain undefined for nonpositive bid")
+    covered: set[int] = set()
+    for vid in selected:
+        covered.update(instance.vehicle(vid).task_subset)
+    values = {t.id: t.appraisement for t in instance.tasks}
+    added = sum(values[t] for t in vehicle.task_subset - covered)
+    gain = added - vehicle.bid
+    return MarginalGain(vehicle_id, gain, gain / vehicle.bid)
 
 
 def union_coverage(winner_ids, instance: AuctionInstance) -> float:

@@ -19,7 +19,6 @@ import pytest
 from trafficmarket.auction import (
     brute_force_optimum,
     greedy_heuristic,
-    marginal_gain,
     tbsap,
 )
 from trafficmarket.cli import main as cli_main
@@ -50,6 +49,7 @@ from trafficmarket.trading import (
 )
 
 from conftest import random_synthetic_instance
+from oracles import marginal_gain
 
 EPS = 1e-9  # float-roundoff guard, not a semantic tolerance
 

@@ -4,14 +4,13 @@ import pytest
 from trafficmarket.auction import (
     brute_force_optimum,
     greedy_heuristic,
-    marginal_gain,
-    reduced_profit,
     tbsap,
     tbsap_allocate,
 )
 from trafficmarket.model import paper_example
 
 from conftest import build_instance, dense_scenario, random_synthetic_instance
+from oracles import marginal_gain, reduced_profit
 
 
 def test_example_first_iteration_unit_gains(example_instance):

@@ -7,12 +7,12 @@ from trafficmarket.auction import (
     SizeLimitError,
     brute_force_optimum,
     greedy_heuristic,
-    reduced_profit,
     tbsap,
 )
 from trafficmarket.model import paper_example
 
 from conftest import build_instance, random_synthetic_instance
+from oracles import reduced_profit
 
 
 def test_example_optimum(example_instance):

@@ -4,7 +4,6 @@ import pytest
 from trafficmarket.auction import (
     NotWinnerError,
     greedy_heuristic,
-    marginal_gain,
     tbsap,
     tbsap_allocate,
     tbsap_payment,
@@ -12,7 +11,7 @@ from trafficmarket.auction import (
 from trafficmarket.model import coverage_value, paper_example
 
 from conftest import build_instance, dense_scenario, random_synthetic_instance
-from oracles import critical_bid_bisection, wins
+from oracles import critical_bid_bisection, marginal_gain, wins
 
 
 def test_example_allocation(example_instance):

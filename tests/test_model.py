@@ -45,6 +45,16 @@ def test_task_subsets_match_distance_rule():
         assert v.task_subset == rechecked_subset(v, instance.tasks)
 
 
+def test_task_at_exactly_the_detection_distance_is_not_sensed():
+    # On a 1e-170 map every squared distance and d*d underflow to 0.0, so
+    # each task ties its placement's circle exactly; strict < keeps none.
+    config = ScenarioConfig(
+        n_tasks=20, n_vehicles=300, budget=1.0, city_side=1e-170,
+        detection_range=(1e-170, 1e-170),
+    )
+    assert generate_scenario(config).vehicles == ()
+
+
 def test_generated_instances_validate():
     instance = generate_scenario(
         ScenarioConfig(n_tasks=30, n_vehicles=100, budget=10.0, rng_seed=11)
@@ -87,6 +97,49 @@ def test_config_validation():
         ScenarioConfig(n_tasks=5, n_vehicles=5, budget=1.0, city_side=-3.0)
     with pytest.raises(ValueError):
         ScenarioConfig(n_tasks=5, n_vehicles=5, budget=1.0, detection_range=(0.0, 5.0))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_tasks", True),
+        ("n_vehicles", False),
+        ("rng_seed", True),
+        ("n_tasks", 2.5),
+        ("n_vehicles", 3.0),
+        ("rng_seed", 1.5),
+        ("rng_seed", -1),
+        ("n_vehicles", -2),
+        ("rng_seed", np.True_),
+        ("n_tasks", "4"),
+    ],
+)
+def test_config_rejects_non_integer_counts_and_seeds(field, value):
+    fields = dict(n_tasks=5, n_vehicles=5, budget=1.0, rng_seed=0)
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**{**fields, field: value})
+
+
+def test_config_accepts_numpy_integers_as_plain_ints():
+    config = ScenarioConfig(
+        n_tasks=np.int64(20), n_vehicles=np.uint8(30), budget=5.0,
+        rng_seed=np.int32(4),
+    )
+    counts = (config.n_tasks, config.n_vehicles, config.rng_seed)
+    assert counts == (20, 30, 4) and all(type(c) is int for c in counts)
+    plain = ScenarioConfig(n_tasks=20, n_vehicles=30, budget=5.0, rng_seed=4)
+    assert config == plain
+    assert dumps_scenario(generate_scenario(config)) == dumps_scenario(
+        generate_scenario(plain)
+    )
+
+
+@pytest.mark.parametrize("detection_range", [(10.0,), (10.0, 20.0, 30.0), ()])
+def test_config_rejects_detection_range_not_a_pair(detection_range):
+    with pytest.raises(ValueError, match="pair"):
+        ScenarioConfig(
+            n_tasks=5, n_vehicles=5, budget=1.0, detection_range=detection_range
+        )
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

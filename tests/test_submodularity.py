@@ -4,10 +4,10 @@ diminishing-returns inequality since the bid term cancels."""
 import numpy as np
 import pytest
 
-from trafficmarket.auction import marginal_gain
 from trafficmarket.model import coverage_value
 
 from conftest import random_synthetic_instance
+from oracles import marginal_gain
 
 
 def sample_nested_sets(rng, ids):
