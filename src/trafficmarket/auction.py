@@ -31,13 +31,25 @@ winner before, and the lowest-id tie-break makes that strict. So ``tbsap``
 runs the allocation once, keeps the gains before each pick, reads every
 prefix position from those, and runs only the suffix from each winner's
 pick on a copy of the state. The payments equal those of one full re-run
-per winner, bit for bit.
+per winner, bit for bit. ``tbsap`` also ends each suffix once no later
+position can raise the payment: every entry is at most the priced
+vehicle's marginal coverage (up to rounding, which a 1e-12 margin covers)
+and at most the budget slack, and neither ever rises (see ``_scan``).
+``tbsap_payment`` scans in full and is the reference for that cut.
+
+Task values, sorted subsets, member lists and initial gains depend only on
+the geometry, so the last geometry's set-up is kept and reused while the
+``tasks`` tuple and every ``task_subset`` are the very same objects. The
+key holds them alive, so a new geometry can never match it: the cache
+fails closed. Validation and the bid checks still run on every call.
 """
 
 from __future__ import annotations
 
 import copy
 import heapq
+import math
+import operator
 from dataclasses import dataclass
 
 from trafficmarket.model import (
@@ -57,7 +69,6 @@ __all__ = [
     "tbsap_payment",
     "tbsap",
     "brute_force_optimum",
-    "outcome_csv_rows",
     "write_outcome_csv",
 ]
 
@@ -98,6 +109,38 @@ class PaymentTrace:
     payment: float
 
 
+#: (key, set-up) of the last geometry seen; one entry only. See ``_setup``.
+_last_geometry: tuple = ((), None)
+
+
+def _setup(instance: AuctionInstance) -> tuple[list, list, list, list]:
+    """``(values, sorted subsets, members, initial gains)`` of a validated
+    instance; none of these depend on bids or the budget.
+
+    Reused while the key holds: the same ``tasks`` tuple and, position by
+    position, the same ``task_subset`` frozensets, compared with ``is``.
+    The entry holds strong references to them, so no id is reused while it
+    lives, and anything not provably the same geometry misses and is built
+    afresh. Callers copy the gain list before changing it.
+    """
+    global _last_geometry
+    key = (instance.tasks, *(v.task_subset for v in instance.vehicles))
+    last_key, setup = _last_geometry
+    if len(last_key) == len(key) and all(map(operator.is_, last_key, key)):
+        return setup
+    values = instance.task_values()
+    ordered = [sorted(s) for s in key[1:]]
+    members: list[list[int]] = [[] for _ in instance.tasks]
+    for v, subset in enumerate(ordered):
+        for t in subset:
+            members[t].append(v)
+    # initial marginal coverage = full subset value; numpy's summation
+    # order fixes the bits of every gain and payment derived from it
+    setup = (values.tolist(), ordered, members, [float(values[s].sum()) for s in ordered])
+    _last_geometry = (key, setup)
+    return setup
+
+
 class _CoverageState:
     """Greedy state: marginal coverage per vehicle, the lazy heap of
     ``(-unit_gain, id)`` keys (see the module docstring), and spend so far."""
@@ -106,21 +149,13 @@ class _CoverageState:
 
     def __init__(self, instance: AuctionInstance):
         validate_instance(instance)
-        values = instance.task_values()
-        self.values = values.tolist()
         self.bids = [float(v.bid) for v in instance.vehicles]
         for v, bid in enumerate(self.bids):
             if bid <= 0:
                 raise ValueError(f"vehicle {v}: bids must be positive in auctions")
-        self.subsets = [sorted(v.task_subset) for v in instance.vehicles]
-        self.members: list[list[int]] = [[] for _ in instance.tasks]
-        for v in instance.vehicles:
-            for t in v.task_subset:
-                self.members[t].append(v.id)
+        self.values, self.subsets, self.members, gain = _setup(instance)
+        self.gain = gain[:]
         self.covered = [False] * len(instance.tasks)
-        # initial marginal coverage = full subset value; numpy's summation
-        # order fixes the bits of every gain and payment derived from it
-        self.gain = [float(values[s].sum()) for s in self.subsets]
         self.heap = [(-((g - b) / b), v) for v, (g, b) in enumerate(zip(self.gain, self.bids))]
         heapq.heapify(self.heap)
         self.spent = 0.0
@@ -207,7 +242,8 @@ def _critical_scans(instance: AuctionInstance, only: int | None = None):
     and only the suffix from i's pick is run, on a fork of the main state.
     A scan is ``(positions, tail_value, tail_slack, payment)`` with one
     ``(candidate, replacement bid, slack)`` per position. With ``only`` set,
-    just that winner's suffix is run and yielded.
+    just that winner's suffix is run, in full, and yielded; otherwise each
+    suffix ends once it cannot raise the payment (see ``_scan``).
     """
     state = _CoverageState(instance)
     budget = instance.budget
@@ -216,34 +252,50 @@ def _critical_scans(instance: AuctionInstance, only: int | None = None):
         if not fits:
             return
         if only is None or k == only:
-            yield k, _scan(state, k, prefix, budget)
+            yield k, _scan(state, k, prefix, budget, cut=only is None)
         prefix.append((k, state.gain[:], budget - state.spent))
 
 
-def _scan(state: _CoverageState, k: int, prefix, budget: float):
-    """Payment scan of winner k from the main run's state just before its pick."""
+def _scan(state: _CoverageState, k: int, prefix, budget: float, cut: bool):
+    """Payment scan of winner k from the main run's state just before its pick.
+
+    With ``cut`` the suffix ends at the first position whose bound
+    ``min(gains[k], slack)``, widened by a relative 1e-12, is strictly below
+    the best entry so far. That is exact. Every pick c has unit gain >= 0,
+    so gains[c] >= bids[c] and the replacement bid ``bids[c] * gains[k] /
+    gains[c]`` exceeds gains[k] by rounding only (an ulp or two, for normal
+    floats). gains[k] and the slack never rise along the suffix, and the
+    tail entry is ``min(gains[k], slack)`` at the end. So no later entry can
+    exceed the best, and ``max`` keeps the first of equal entries. The
+    positions then stop at the cut; the payment has the full scan's bits.
+    """
     bids = state.bids
     # Each position the priced vehicle could have been picked at supports
     # bids up to min(replacement bid, remaining budget): the replacement bid
     # ties the candidate's unit gain, and anything above the slack makes the
     # loop break on budget before the vehicle is in.
     rows = [(c, bids[c] * snap[k] / snap[c], slack) for c, snap, slack in prefix]
+    best = max((min(raw, slack) for _, raw, slack in rows), default=-math.inf)
     suffix = state.fork()
     gains = suffix.gain
-    fits_end = True
-    for c, fits_end in _picks(suffix, budget):
-        rows.append((c, bids[c] * gains[k] / gains[c], budget - suffix.spent))
-    pool = [min(raw, slack) for _, raw, slack in rows]
+    fits = True
     tail_value = tail_slack = None
-    if fits_end:
-        # Run ended with every remaining unit gain negative (or nobody left):
-        # the priced vehicle can also append at the end with any bid that
-        # keeps its own unit gain nonnegative and fits. After a budget break,
-        # positions past the breaking candidate are unreachable, so there is
-        # no tail.
-        tail_value, tail_slack = gains[k], budget - suffix.spent
-        pool.append(min(tail_value, tail_slack))
-    return rows, tail_value, tail_slack, max(pool)
+    for c, fits in _picks(suffix, budget):
+        slack = budget - suffix.spent
+        if cut and min(gains[k], slack) * (1 + 1e-12) < best:
+            break
+        rows.append((c, bids[c] * gains[k] / gains[c], slack))
+        best = max(best, min(rows[-1][1], slack))
+    else:
+        if fits:
+            # Run ended with every remaining unit gain negative (or nobody
+            # left): the priced vehicle can also append at the end with any
+            # bid that keeps its own unit gain nonnegative and fits. After a
+            # budget break, positions past the breaking candidate are
+            # unreachable, so there is no tail.
+            tail_value, tail_slack = gains[k], budget - suffix.spent
+            best = max(best, min(tail_value, tail_slack))
+    return rows, tail_value, tail_slack, best
 
 
 def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
@@ -327,21 +379,13 @@ def brute_force_optimum(instance: AuctionInstance) -> AuctionOutcome:
     )
 
 
-def outcome_csv_rows(
-    outcome: AuctionOutcome, instance: AuctionInstance
-) -> list[tuple[int, float, float, float]]:
-    """One row per winner: (vehicle_id, bid, payment, profit of the outcome)."""
-    return [
-        (v, float(instance.vehicle(v).bid), outcome.payments[v], outcome.profit)
-        for v in outcome.winners
-    ]
-
-
 def write_outcome_csv(outcome: AuctionOutcome, instance: AuctionInstance, path) -> None:
+    """One row per winner: vehicle_id, bid, payment, profit of the outcome."""
     import csv
 
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["vehicle_id", "bid", "payment", "profit"])
-        for row in outcome_csv_rows(outcome, instance):
-            writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
+        for v in outcome.winners:
+            bid = float(instance.vehicle(v).bid)
+            writer.writerow([v, repr(bid), repr(outcome.payments[v]), repr(outcome.profit)])

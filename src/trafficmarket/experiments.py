@@ -21,10 +21,8 @@ trials run in.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from statistics import fmean
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,14 +48,12 @@ __all__ = [
     "TRAJECTORY_NORMAL_WAYPOINTS",
     "TRAJECTORY_ABNORMAL_WAYPOINTS",
     "ExperimentSpec",
-    "MetricRow",
     "TrajectoryResult",
     "reputation_trajectory",
     "ideal_normal_fraction",
     "rnw_vs_rafn_rows",
     "profit_vs_budget_rows",
     "bid_payment_rows",
-    "aggregate_metric",
     "EXPERIMENTS",
     "run_experiment",
 ]
@@ -280,51 +276,6 @@ EXPERIMENTS: dict[str, Callable[[int, Path, dict], Path]] = {
 
 
 @dataclass(frozen=True)
-class MetricRow:
-    """One aggregated point of a sweep: the mean plus the per-trial values."""
-
-    sweep_value: float
-    metric: str
-    mean: float
-    values: tuple[float, ...]
-
-    @classmethod
-    def from_values(
-        cls, sweep_value: float, metric: str, values: Sequence[float]
-    ) -> "MetricRow":
-        return cls(
-            sweep_value=sweep_value,
-            metric=metric,
-            mean=fmean(values),
-            values=tuple(values),
-        )
-
-
-def aggregate_metric(
-    per_trial_rows: Sequence[Sequence[tuple]],
-    sweep_index: int,
-    label_index: int,
-    value_index: int,
-) -> list[MetricRow]:
-    """Collect trial rows into MetricRows keyed by (sweep value, label).
-
-    Rows from every trial are grouped on the sweep column and a label
-    column (say the voting mode or mechanism name); the metric name is the
-    label. Ordering follows first appearance, which is deterministic
-    because trial row order is.
-    """
-    grouped: dict[tuple, list[float]] = {}
-    for rows in per_trial_rows:
-        for row in rows:
-            key = (row[sweep_index], str(row[label_index]))
-            grouped.setdefault(key, []).append(float(row[value_index]))
-    return [
-        MetricRow.from_values(sweep, label, values)
-        for (sweep, label), values in grouped.items()
-    ]
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
     """A named study plus how many trials to run and where randomness starts.
 
@@ -372,6 +323,9 @@ def run_experiment(
         raise ValueError(f"unknown experiment {name!r}")
     jobs = [(name, seed, str(out_dir), params or {}) for seed in seeds]
     if parallel and len(jobs) > 1:
+        # imported here: loading the process pool costs every other run ~30 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor() as pool:
             return list(pool.map(_run_one, jobs))
     return [_run_one(job) for job in jobs]

@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from statistics import fmean
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -338,3 +339,48 @@ def slow_run_epochs(nodes, params, committee_size, active_size, n_epochs, weight
                 rows.append((epoch, rnd, node.id, rep, role, delta))
             rnd += 1
     return rows, chain, committees
+
+
+@dataclass(frozen=True)
+class MetricRow:
+    """One aggregated point of a sweep: the mean plus the per-trial values."""
+
+    sweep_value: float
+    metric: str
+    mean: float
+    values: tuple[float, ...]
+
+    @classmethod
+    def from_values(
+        cls, sweep_value: float, metric: str, values: Sequence[float]
+    ) -> "MetricRow":
+        return cls(
+            sweep_value=sweep_value,
+            metric=metric,
+            mean=fmean(values),
+            values=tuple(values),
+        )
+
+
+def aggregate_metric(
+    per_trial_rows: Sequence[Sequence[tuple]],
+    sweep_index: int,
+    label_index: int,
+    value_index: int,
+) -> list[MetricRow]:
+    """Collect trial rows into MetricRows keyed by (sweep value, label).
+
+    Rows from every trial are grouped on the sweep column and a label
+    column (say the voting mode or mechanism name); the metric name is the
+    label. Ordering follows first appearance, which is deterministic
+    because trial row order is.
+    """
+    grouped: dict[tuple, list[float]] = {}
+    for rows in per_trial_rows:
+        for row in rows:
+            key = (row[sweep_index], str(row[label_index]))
+            grouped.setdefault(key, []).append(float(row[value_index]))
+    return [
+        MetricRow.from_values(sweep, label, values)
+        for (sweep, label), values in grouped.items()
+    ]

@@ -4,14 +4,33 @@ On small-integer appraisements and bids every coverage sum and every spend
 is exact and unit-gain ties are real, so the fast path must reproduce the
 oracle's positions bit for bit. Float instances are held to 1e-9. A golden
 digest pins the exact bits of both mechanisms on geometric instances.
+
+``tbsap`` ends each winner's scan once no later position can raise the
+payment, while ``tbsap_payment`` scans in full, so the two are compared bit
+for bit. The set-up cache is checked against outcomes from a new
+interpreter.
 """
 
 import hashlib
+import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trafficmarket.auction import greedy_heuristic, tbsap, tbsap_allocate, tbsap_payment
+import trafficmarket
+from trafficmarket.auction import (
+    _critical_scans,
+    greedy_heuristic,
+    tbsap,
+    tbsap_allocate,
+    tbsap_payment,
+)
+from trafficmarket.model import dumps_scenario
 
 from conftest import build_instance, dense_scenario, random_synthetic_instance
 from oracles import exclusion_payment, slow_greedy
@@ -118,3 +137,114 @@ def test_golden_digest_dense():
                 )
             )
     assert hashlib.sha256(repr(parts).encode()).hexdigest() == GOLDEN_DIGEST
+
+
+def assert_payments_match_full_scans(instance):
+    """Every ``tbsap`` payment has the bits of the winner's full scan;
+    returns (positions scanned by tbsap, positions in the full scans)."""
+    outcome = tbsap(instance)
+    full = 0
+    for w in outcome.winners:
+        trace = tbsap_payment(w, instance)
+        assert outcome.payments[w].hex() == trace.payment.hex(), w
+        full += len(trace.candidates)
+    cut = sum(len(scan[0]) for _, scan in _critical_scans(instance))
+    return cut, full
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cut_scans_match_full_scans_on_dense_maps(seed):
+    base = dense_scenario(seed, n_tasks=200, n_vehicles=1000, side=1000.0)
+    cut = full = 0
+    for budget in (25.0, 50.0, 100.0, 200.0, 400.0):
+        c, f = assert_payments_match_full_scans(base.with_budget(budget))
+        cut, full = cut + c, full + f
+    # the early exit does fire here, so the comparison is not vacuous
+    assert cut < full
+
+
+def test_cut_scans_match_full_scans_on_float_instances():
+    rng = np.random.default_rng(34)
+    cut = full = 0
+    for _ in range(300):
+        c, f = assert_payments_match_full_scans(
+            random_synthetic_instance(rng, max_n=50, max_m=100)
+        )
+        cut, full = cut + c, full + f
+    assert cut < full
+
+
+def test_replacement_bid_rounded_above_the_gain_still_counts():
+    # Vehicles 1 and 2 have unit gain exactly 0, so vehicle 0's replacement
+    # bid at each is fl(fl(bid * 7.82) / bid): 7.82 itself at vehicle 1, and
+    # one ulp above it at vehicle 2. An early exit that ties the best at
+    # 7.82 without the widening margin would miss that ulp.
+    instance = build_instance(
+        [7.82, 1.469, 7.135], [[0], [1], [2]], [3.91, 1.469, 7.135], 100.0
+    )
+    up = math.nextafter(7.82, math.inf)
+    assert [s.replacement_bid for s in tbsap_payment(0, instance).candidates] == [7.82, up]
+    assert tbsap(instance).payments[0] == up
+
+
+FRESH = """
+import sys
+from trafficmarket.auction import greedy_heuristic, tbsap
+from trafficmarket.model import loads_scenario
+for text in sys.stdin.read().split("\\0"):
+    instance = loads_scenario(text)
+    print(repr((tbsap(instance), greedy_heuristic(instance))))
+"""
+
+
+def fresh_outcomes(instances) -> list[str]:
+    """``repr`` of (tbsap, greedy) per instance, from a new interpreter that
+    parses each instance on its own, so no geometry is shared."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trafficmarket.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH],
+        input="\0".join(map(dumps_scenario, instances)),
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    return done.stdout.splitlines()
+
+
+def outcomes(instances) -> list[str]:
+    return [repr((tbsap(i), greedy_heuristic(i))) for i in instances]
+
+
+def test_setup_cache_matches_a_fresh_process():
+    a = dense_scenario(3, n_tasks=60, n_vehicles=120, budget=40.0, side=300.0)
+    b = dense_scenario(4, n_tasks=60, n_vehicles=120, budget=40.0, side=300.0)
+    assert a.tasks != b.tasks
+    winners = tbsap(a).winners
+    winner, loser = winners[0], next(v.id for v in a.vehicles if v.id not in winners)
+    # same tasks tuple; a loser now senses what the first winner senses
+    swapped = replace(
+        a,
+        vehicles=tuple(
+            replace(v, task_subset=frozenset(a.vehicles[winner].task_subset))
+            if v.id == loser else v
+            for v in a.vehicles
+        ),
+    )
+    assert swapped.tasks is a.tasks
+    assert swapped.vehicles[loser].task_subset != a.vehicles[loser].task_subset
+    cases = [
+        a, b, a.with_budget(10.0), b.with_budget(100.0), a,  # A/B/A interleave
+        a.with_bid(winner, a.vehicles[winner].bid * 2.5),
+        a.with_bid(loser, a.vehicles[loser].bid / 4),
+        swapped, a, swapped.with_budget(20.0),
+    ]
+    fresh = fresh_outcomes(cases)
+    assert fresh[7] != fresh[0]  # the swap changes the outcome
+    assert outcomes(cases) == fresh
+
+
+@pytest.mark.parametrize("bid", [math.nan, 0.0, -1.0])
+def test_bad_bid_on_a_cached_geometry_raises(bid):
+    instance = dense_scenario(5, n_tasks=60, n_vehicles=120, side=300.0)
+    tbsap(instance)
+    for mechanism in (tbsap, greedy_heuristic, tbsap_allocate):
+        with pytest.raises(ValueError):
+            mechanism(instance.with_bid(1, bid))

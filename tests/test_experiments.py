@@ -1,10 +1,15 @@
 """Tests for the bundled studies: shapes, invariants, and file output."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 from statistics import fmean
 
 import pytest
 
+import trafficmarket
 from trafficmarket.auction import tbsap
 from trafficmarket.experiments import (
     BUDGET_GRID,
@@ -12,8 +17,6 @@ from trafficmarket.experiments import (
     TRAJECTORY_ABNORMAL_WAYPOINTS,
     TRAJECTORY_NORMAL_WAYPOINTS,
     ExperimentSpec,
-    MetricRow,
-    aggregate_metric,
     bid_payment_rows,
     ideal_normal_fraction,
     profit_vs_budget_rows,
@@ -22,6 +25,8 @@ from trafficmarket.experiments import (
     run_experiment,
 )
 from trafficmarket.model import ScenarioConfig, generate_scenario
+
+from oracles import MetricRow, aggregate_metric
 
 # small, fast stand-ins for the full sweeps
 SMALL_PROFIT = dict(budgets=(10.0, 25.0, 50.0), vehicle_counts=(60, 120), n_tasks=30)
@@ -190,6 +195,14 @@ class TestSpecAndRunner:
             assert hashlib.sha256(a.read_bytes()).hexdigest() == hashlib.sha256(
                 b.read_bytes()
             ).hexdigest()
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only --parallel needs concurrent.futures.process; it loads on use
+        probe = "import sys, trafficmarket; print('concurrent.futures.process' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(trafficmarket.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, check=True, timeout=60)
+        assert done.stdout == "False\n"
 
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -36,8 +36,38 @@ GEN_GOLDENS = {
 }
 
 STUDY_GOLDENS = {
-    "profit-vs-budget": "7e004a0919e350d441271af737b996d13e6c2778317e66ed4b64b7efaff483ef",
-    "bid-payment": "df36db42e85fc5c67e48c185c455a8b906bc8656151e092cbcfb42ea8963f841",
+    ("profit-vs-budget", 0): "7e004a0919e350d441271af737b996d13e6c2778317e66ed4b64b7efaff483ef",
+    ("profit-vs-budget", 1): "feba0e41b59b9418b27244c6754ddfa2b54b152fd5ce87a9668faae2c8f3d930",
+    ("profit-vs-budget", 2): "105f3956ef93ace36eeb891088e385ca2eb358ec92b8197a1f4c127bd9e3b498",
+    ("profit-vs-budget", 3): "9386209c2b0003c389c7dadbd1de9431a256313898b41aa78378b61069a278a7",
+    ("profit-vs-budget", 4): "123234842abb3493d961fc126cd8acb572d5ac4e659078592b09ad198a5c7a9e",
+    ("bid-payment", 0): "df36db42e85fc5c67e48c185c455a8b906bc8656151e092cbcfb42ea8963f841",
+    ("bid-payment", 1): "70426de0764ab4693f093272ddc4566a95ffd02d5707f8b925f447a5889d5e83",
+    ("bid-payment", 2): "36087da41765aa6bdf9c0ab53f0a97633fb44bc53034a63bce0708f826ee3267",
+    ("bid-payment", 3): "ea3a9f159d6bbcf0709d32d642cf8e59c89605eadfb57946ab666a32d89e4959",
+    ("bid-payment", 4): "5a310ff05caf3289cfdef7590e612c5b75f9b48cc4009a9139e6d6ff51c45503",
+}
+
+# `auction` on the trade-round map, with the budget at the scenario's 400 and
+# at a budget-bound 50: (outcome CSV digest, stdout digest). Paths are
+# relative to the working directory, because stdout echoes them.
+AUCTION_GOLDENS = {
+    ("tbsap", "400"): (
+        "3bb23aa4a436c493b28195125f71618585690872fcab603a8723832f886929b0",
+        "84ab296f6bfa170cf0fb69465b2bd0c80fd3bf602e04161de803f13dcffef65e",
+    ),
+    ("tbsap", "50"): (
+        "af1da50f673ea01d89abdf355b9cf22d61004742420bf1d4a4781809dd38bfb0",
+        "a48ef94a8027e248f23c12c70c7ec79512b2dc19e174bc26cd3a55875b1e8bf8",
+    ),
+    ("greedy", "400"): (
+        "a7e3abf0abfe505945501152c4bc8998ac9fb21bfd5490f1147fa4c63227fc96",
+        "b7b2f2e64720192c2142e580806739814be659d9477560f9afddab1af52babb3",
+    ),
+    ("greedy", "50"): (
+        "36b126f9e320e49d111148eed26601c33629e7f67d20dbf93f3ef86c44b9c05c",
+        "1256ef5b8789892c12cc8b3d2b4681c55ef153be9940ddd0f033dd4c2429f656",
+    ),
 }
 
 
@@ -62,7 +92,27 @@ def test_gen_scenario_file(name, tmp_path):
     assert sha256(path) == digest
 
 
-@pytest.mark.parametrize("study", sorted(STUDY_GOLDENS))
-def test_study_csv_seed0(study, tmp_path):
-    run_cli(["experiment", study, "--seed", "0", "--out-dir", str(tmp_path)])
-    assert sha256(tmp_path / study / "0.csv") == STUDY_GOLDENS[study]
+@pytest.mark.parametrize("study, seed", sorted(STUDY_GOLDENS))
+def test_study_csv(study, seed, tmp_path):
+    run_cli(["experiment", study, "--seed", str(seed), "--out-dir", str(tmp_path)])
+    assert sha256(tmp_path / study / f"{seed}.csv") == STUDY_GOLDENS[study, seed]
+
+
+@pytest.fixture(scope="module")
+def trade_round_map(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("trade-round")
+    flags, _, digest = GEN_GOLDENS["trade-round"]
+    run_cli(["gen", *flags, "--out", str(directory / "map.scn")])
+    assert sha256(directory / "map.scn") == digest
+    return directory
+
+
+@pytest.mark.parametrize("mechanism, budget", sorted(AUCTION_GOLDENS))
+def test_auction_outcome(mechanism, budget, trade_round_map, tmp_path, monkeypatch):
+    (tmp_path / "map.scn").write_bytes((trade_round_map / "map.scn").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    out = run_cli(["auction", "--scenario", "map.scn", "--mechanism", mechanism,
+                   "--budget", budget, "--out", "winners.csv"])
+    csv_digest, stdout_digest = AUCTION_GOLDENS[mechanism, budget]
+    assert sha256(tmp_path / "winners.csv") == csv_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
