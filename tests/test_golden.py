@@ -46,6 +46,58 @@ STUDY_GOLDENS = {
     ("bid-payment", 2): "36087da41765aa6bdf9c0ab53f0a97633fb44bc53034a63bce0708f826ee3267",
     ("bid-payment", 3): "ea3a9f159d6bbcf0709d32d642cf8e59c89605eadfb57946ab666a32d89e4959",
     ("bid-payment", 4): "5a310ff05caf3289cfdef7590e612c5b75f9b48cc4009a9139e6d6ff51c45503",
+    # the schedule is pinned, so the seed does not reach the trajectory
+    ("trajectory", 0): "152cf820dc4744bdb8107292713b5ede8b3046b57f931a71092eb593aa0abd3a",
+    ("trajectory", 1): "152cf820dc4744bdb8107292713b5ede8b3046b57f931a71092eb593aa0abd3a",
+    ("trajectory", 2): "152cf820dc4744bdb8107292713b5ede8b3046b57f931a71092eb593aa0abd3a",
+    ("trajectory", 3): "152cf820dc4744bdb8107292713b5ede8b3046b57f931a71092eb593aa0abd3a",
+    ("trajectory", 4): "152cf820dc4744bdb8107292713b5ede8b3046b57f931a71092eb593aa0abd3a",
+    ("rnw-vs-rafn", 0): "e57f0a74eda5c1e2432497271af95f01d97e11289aa902cf1d4c13934815848a",
+    ("rnw-vs-rafn", 1): "534fe1d4fff6c59f19b0af4e25e33302b392fb19a26c47a8d052c7fb13d2dcde",
+    ("rnw-vs-rafn", 2): "79bd43d17e641fb46cdfaeb8dcab6c40252c0f05c36c2f8b8eff7237dcc2ce21",
+    ("rnw-vs-rafn", 3): "4ab64aefe16ba1a12c8222fced3b9889dae10bd14c9ee6a4f713584369f3e529",
+    ("rnw-vs-rafn", 4): "79bd43d17e641fb46cdfaeb8dcab6c40252c0f05c36c2f8b8eff7237dcc2ce21",
+}
+
+# Whole CLI runs: argv, the file it writes, (file digest, stdout digest).
+# Paths are relative to the working directory, because stdout echoes them.
+# The consensus history holds the hostile-population draws bit for bit;
+# rnw-vs-rafn rows only count seats, so they can miss a changed draw.
+CLI_GOLDENS = {
+    "consensus-test-10": (
+        ["consensus", "--nodes", "30", "--committee", "12", "--active", "4",
+         "--epochs", "2", "--abnormal-frac", "0.2", "--seed", "5", "--out", "out.csv"],
+        "out.csv",
+        "d5b164010ae4271a2ac4d4401dbc9d638fc6b705f60b1eff3101e6cdc0221fa4",
+        "fb5fc1278540444312de5a6693b2d96f479c3600c0318ca14f0c1567f6a7b472",
+    ),
+    "consensus-readme": (
+        ["consensus", "--nodes", "100", "--committee", "70", "--active", "10",
+         "--abnormal-frac", "0.2", "--seed", "5", "--out", "out.csv"],
+        "out.csv",
+        "c53a18335a3859d099e5733ebb108e93c77fcc686e7a4689b977e5299f994e94",
+        "ed0a551ada7ccc01bed1acd0cc6245fa29e027cab0874270abd7b131815d6180",
+    ),
+    # the block hash does not depend on the scheme, so both give one ledger
+    "trade-real": (
+        ["trade", "--scenario", "paper-example", "--scheme", "real", "--out", "out.csv"],
+        "out.csv",
+        "43061fa28c439ae2efabdef9034ef3afaad952fb1edb4cefe4c3a6ac2b60f425",
+        "eb9ae74ea0bd4de0fac577f8d7e91c774f28ba96a8ddb7edc6aed874326841c0",
+    ),
+    "trade-stub": (
+        ["trade", "--scenario", "paper-example", "--scheme", "stub", "--out", "out.csv"],
+        "out.csv",
+        "43061fa28c439ae2efabdef9034ef3afaad952fb1edb4cefe4c3a6ac2b60f425",
+        "eb9ae74ea0bd4de0fac577f8d7e91c774f28ba96a8ddb7edc6aed874326841c0",
+    ),
+    "rnw-vs-rafn-test-10": (
+        ["experiment", "rnw-vs-rafn", "--seed", "7", "--nodes", "20", "--committee",
+         "10", "--active", "2", "--grid", "0.0,0.4", "--out-dir", "res"],
+        "res/rnw-vs-rafn/7.csv",
+        "b280d12a18f2041c1c20e80ae3cb11392c75856f44345c5f437fc25117b8952b",
+        "5ccd081cf113e65a187e78d607ce12db39d87998c9ab79d04c544780395ea471",
+    ),
 }
 
 # `auction` on the trade-round map, with the budget at the scenario's 400 and
@@ -115,4 +167,13 @@ def test_auction_outcome(mechanism, budget, trade_round_map, tmp_path, monkeypat
                    "--budget", budget, "--out", "winners.csv"])
     csv_digest, stdout_digest = AUCTION_GOLDENS[mechanism, budget]
     assert sha256(tmp_path / "winners.csv") == csv_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_cli_run(name, tmp_path, monkeypatch):
+    argv, written, file_digest, stdout_digest = CLI_GOLDENS[name]
+    monkeypatch.chdir(tmp_path)
+    out = run_cli(argv)
+    assert sha256(tmp_path / written) == file_digest
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
