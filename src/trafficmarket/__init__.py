@@ -15,7 +15,7 @@ from trafficmarket.consensus import (
     run_epochs,
 )
 from trafficmarket.crypto import Ed25519X25519Scheme, HashStubScheme, SignatureScheme
-from trafficmarket.experiments import EXPERIMENTS, ExperimentSpec, run_experiment
+from trafficmarket.experiments import EXPERIMENTS, run_experiment
 from trafficmarket.model import (
     AuctionInstance,
     AuctionOutcome,
@@ -38,7 +38,6 @@ __all__ = [
     "Behavior",
     "EXPERIMENTS",
     "Ed25519X25519Scheme",
-    "ExperimentSpec",
     "FullNode",
     "HashStubScheme",
     "ReputationParams",

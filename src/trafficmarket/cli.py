@@ -24,15 +24,14 @@ from trafficmarket.auction import (
     write_outcome_csv,
 )
 from trafficmarket.consensus import (
-    ABNORMAL_BEHAVIOR,
-    FullNode,
     ReputationParams,
     VotingMode,
     run_epochs,
+    sample_population,
     write_history_csv,
 )
 from trafficmarket.crypto import Ed25519X25519Scheme, HashStubScheme
-from trafficmarket.experiments import EXPERIMENTS, ExperimentSpec
+from trafficmarket.experiments import EXPERIMENTS, allowed_params, run_experiment
 from trafficmarket.model import (
     AuctionInstance,
     ScenarioConfig,
@@ -50,24 +49,6 @@ MECHANISMS = {
     "oracle": brute_force_optimum,
 }
 
-# flag name -> experiment parameter, vetted per experiment below
-_EXPERIMENT_PARAMS = {
-    "nodes": "population",
-    "committee": "committee_size",
-    "active": "active_size",
-    "grid": "grid",
-    "budgets": "budgets",
-    "vehicle_counts": "vehicle_counts",
-    "n_tasks": "n_tasks",
-    "budget": "budget",
-}
-_ALLOWED_PARAMS = {
-    "trajectory": set(),
-    "rnw-vs-rafn": {"population", "committee_size", "active_size", "grid"},
-    "profit-vs-budget": {"budgets", "vehicle_counts", "n_tasks"},
-    "bid-payment": {"budget", "vehicle_counts", "n_tasks"},
-}
-
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
@@ -75,6 +56,19 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
+
+
+# experiment overrides: (flag, row-function parameter, type, help)
+_OVERRIDES = (
+    ("--nodes", "population", int, None),
+    ("--committee", "committee_size", int, None),
+    ("--active", "active_size", int, None),
+    ("--grid", "grid", _floats, "comma-separated sweep values"),
+    ("--budgets", "budgets", _floats, "comma-separated budget grid"),
+    ("--vehicle-counts", "vehicle_counts", _ints, "comma-separated densities"),
+    ("--n-tasks", "n_tasks", int, None),
+    ("--budget", "budget", float, None),
+)
 
 
 def _resolve_scenario(name: str) -> AuctionInstance:
@@ -137,18 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--trials", type=int, default=1)
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--out-dir", default="results")
-    experiment.add_argument("--parallel", action="store_true")
-    experiment.add_argument("--nodes", type=int, default=None)
-    experiment.add_argument("--committee", type=int, default=None)
-    experiment.add_argument("--active", type=int, default=None)
-    experiment.add_argument("--grid", type=_floats, default=None,
-                            help="comma-separated sweep values")
-    experiment.add_argument("--budgets", type=_floats, default=None,
-                            help="comma-separated budget grid")
-    experiment.add_argument("--vehicle-counts", type=_ints, default=None,
-                            help="comma-separated densities")
-    experiment.add_argument("--n-tasks", type=int, default=None)
-    experiment.add_argument("--budget", type=float, default=None)
+    for flag, dest, kind, text in _OVERRIDES:
+        experiment.add_argument(flag, dest=dest, type=kind, default=None, help=text)
     return parser
 
 
@@ -194,26 +178,9 @@ def _cmd_auction(args) -> int:
     return 0
 
 
-def _build_population(n: int, abnormal_frac: float, seed: int) -> list[FullNode]:
-    rng = np.random.default_rng([seed, 20])
-    n_abnormal = round(abnormal_frac * n)
-    hostile = set(int(i) for i in rng.choice(n, size=n_abnormal, replace=False))
-    nodes = []
-    for i in range(n):
-        if i in hostile:
-            nodes.append(
-                FullNode(id=i, reputation=rng.uniform(0.0, 0.5),
-                         behavior=ABNORMAL_BEHAVIOR)
-            )
-        else:
-            nodes.append(FullNode(id=i, reputation=rng.uniform(0.5, 1.0)))
-    return nodes
-
-
 def _cmd_consensus(args) -> int:
-    if not 0.0 <= args.abnormal_frac <= 1.0:
-        raise ValueError("--abnormal-frac must lie in [0, 1]")
-    nodes = _build_population(args.nodes, args.abnormal_frac, args.seed)
+    rng = np.random.default_rng([args.seed, 20])
+    nodes = sample_population(args.nodes, args.abnormal_frac, rng)
     mode = (
         VotingMode.REPUTATION_WEIGHTED
         if args.mode == "reputation"
@@ -268,19 +235,15 @@ def _cmd_trade(args) -> int:
 
 def _cmd_experiment(args) -> int:
     params = {}
-    for flag, param in _EXPERIMENT_PARAMS.items():
-        value = getattr(args, flag, None)
+    for flag, dest, _, _ in _OVERRIDES:
+        value = getattr(args, dest)
         if value is None:
             continue
-        if param not in _ALLOWED_PARAMS[args.name]:
-            raise ValueError(
-                f"--{flag.replace('_', '-')} does not apply to {args.name}"
-            )
-        params[param] = value
-    spec = ExperimentSpec(
-        experiment=args.name, trials=args.trials, seed=args.seed, params=params
-    )
-    for path in spec.run(out_dir=args.out_dir, parallel=args.parallel):
+        if dest not in allowed_params(args.name):
+            raise ValueError(f"{flag} does not apply to {args.name}")
+        params[dest] = value
+    seeds = range(args.seed, args.seed + args.trials)
+    for path in run_experiment(args.name, seeds, args.out_dir, params):
         print(f"wrote {path}")
     return 0
 

@@ -30,7 +30,7 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "NORMAL_BEHAVIOR",
     "ABNORMAL_BEHAVIOR",
     "FullNode",
+    "sample_population",
     "ReputationParams",
     "VotingBallot",
     "Committee",
@@ -96,6 +97,26 @@ class FullNode:
         if self.script and global_round in self.script:
             return self.script[global_round]
         return self.behavior
+
+
+def sample_population(
+    n: int, hostile_frac: float, rng: np.random.Generator
+) -> list[FullNode]:
+    """``n`` nodes with ids 0..n-1, ``round(hostile_frac * n)`` of them hostile.
+
+    The hostile ids are drawn first, without replacement, so they
+    interleave with the others; then each node in id order draws its
+    reputation, in [0, 0.5) if hostile and in [0.5, 1) if well-behaved.
+    """
+    if not 0.0 <= hostile_frac <= 1.0:
+        raise ValueError(f"hostile fraction {hostile_frac!r} is not in [0, 1]")
+    hostile = set(rng.choice(n, size=round(hostile_frac * n), replace=False).tolist())
+    return [
+        FullNode(id=i, reputation=rng.uniform(0.0, 0.5), behavior=ABNORMAL_BEHAVIOR)
+        if i in hostile
+        else FullNode(id=i, reputation=rng.uniform(0.5, 1.0))
+        for i in range(n)
+    ]
 
 
 @dataclass(frozen=True)
@@ -163,7 +184,6 @@ class BehaviorRecord(NamedTuple):
 @dataclass
 class ConsensusState:
     epoch: int = -1
-    round_in_epoch: int = 0
     global_round: int = 0
     committee: Committee | None = None
     leader_cursor: int = 0
@@ -175,7 +195,6 @@ class ConsensusState:
 
     def start_epoch(self, committee: Committee, voted: frozenset[int]) -> None:
         self.epoch += 1
-        self.round_in_epoch = 0
         self.committee = committee
         self.leader_cursor = 0
         self.skipped = set()
@@ -301,7 +320,6 @@ def _round(
     state: ConsensusState,
     nodes: Sequence[FullNode],
     params: ReputationParams,
-    payload_hash: str | None,
     view: tuple,
 ) -> tuple:
     """The body of ``run_round`` on an ``_epoch_view``. Returns the round's
@@ -336,16 +354,13 @@ def _round(
                 confirmations += 1
         accepted = confirmations > (2.0 / 3.0) * len(committee.members)
         if accepted:
-            if payload_hash is None:
-                payload_hash = hashlib.sha256(
-                    f"{state.epoch}:{rnd}".encode()
-                ).hexdigest()
+            payload = f"{state.epoch}:{rnd}".encode()
             state.chain.append(
                 BlockRecord(
                     epoch=state.epoch,
                     round_index=rnd,
                     producer_id=leader_id,
-                    payload_hash=payload_hash,
+                    payload_hash=hashlib.sha256(payload).hexdigest(),
                     confirmations=confirmations,
                 )
             )
@@ -364,7 +379,6 @@ def _round(
         node.reputation = rep
     roles = roles.copy()
     roles[leader] = "leader"
-    state.round_in_epoch += 1
     state.global_round += 1
     return ids, alpha, beta, gamma, delta.tolist(), reputations, roles
 
@@ -373,7 +387,6 @@ def run_round(
     state: ConsensusState,
     nodes: Sequence[FullNode],
     params: ReputationParams,
-    payload_hash: str | None = None,
 ) -> list[BehaviorRecord]:
     """One consensus round: leader attempt, verification, reputation sweep.
 
@@ -383,7 +396,7 @@ def run_round(
     update afterwards, abstainers included, in one vector sweep.
     """
     view = _epoch_view(state, nodes)
-    ids, alpha, beta, *rest = _round(state, nodes, params, payload_hash, view)
+    ids, alpha, beta, *rest = _round(state, nodes, params, view)
     return list(map(BehaviorRecord, ids, alpha.tolist(), beta.tolist(), *rest))
 
 
@@ -415,7 +428,6 @@ def run_epochs(
     mode: VotingMode = VotingMode.REPUTATION_WEIGHTED,
     seed: int = 0,
     committee_schedule: Sequence[Committee | None] | None = None,
-    payload_provider: Callable[[int, int], str] | None = None,
 ) -> ConsensusHistory:
     """Full simulation: elect, run |D| rounds, update, re-elect.
 
@@ -450,12 +462,7 @@ def run_epochs(
             if state.next_leader() is None:
                 break  # fully skipped epoch ends early
             round_index = state.global_round
-            payload = (
-                payload_provider(epoch, round_index) if payload_provider else None
-            )
-            ids, _, _, _, delta, reputations, roles = _round(
-                state, nodes, params, payload, view
-            )
+            ids, _, _, _, delta, reputations, roles = _round(state, nodes, params, view)
             history.rows.extend(
                 map(
                     HistoryRow._make,

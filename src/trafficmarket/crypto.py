@@ -47,7 +47,6 @@ __all__ = [
     "SignatureScheme",
     "Ed25519X25519Scheme",
     "HashStubScheme",
-    "fingerprint",
 ]
 
 _ECIES_INFO = b"trafficmarket-ecies-v1"
@@ -68,11 +67,6 @@ class DecryptionError(Exception):
 class KeyPair:
     private: bytes
     public: bytes
-
-
-def fingerprint(public: bytes) -> str:
-    """Short stable identifier for a public key, for ledgers and logs."""
-    return hashlib.sha256(public).hexdigest()[:16]
 
 
 @functools.lru_cache(maxsize=_PARSED_KEYS)

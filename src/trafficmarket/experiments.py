@@ -10,8 +10,10 @@ Four studies ship with the package:
   the truthful mechanism across a budget sweep at two vehicle densities.
 - ``bid-payment``: winning bids against their critical payments.
 
-Every study takes a single integer seed and writes
-``<out_dir>/<study>/<seed>.csv``; row order and float formatting are
+``EXPERIMENTS`` maps each name to its row function and CSV header, and
+``run_experiment`` is the one entry point: it writes
+``<out_dir>/<study>/<seed>.csv`` per seed. Overrides are the row
+function's keyword parameters. Row order and float formatting are
 deterministic, so identical seeds give byte-identical files. Trial seeds
 never feed one shared stream: anything random inside a trial derives its
 generator from ``[seed, tag, ...]`` so results do not depend on the order
@@ -21,7 +23,8 @@ trials run in.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+import inspect
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -30,6 +33,7 @@ import numpy as np
 from trafficmarket.auction import greedy_heuristic, tbsap
 from trafficmarket.consensus import (
     ABNORMAL_BEHAVIOR,
+    NORMAL_BEHAVIOR,
     Committee,
     ConsensusHistory,
     FullNode,
@@ -38,6 +42,7 @@ from trafficmarket.consensus import (
     cast_votes,
     elect_witnesses,
     run_epochs,
+    sample_population,
 )
 from trafficmarket.model import AuctionInstance, ScenarioConfig, generate_scenario
 
@@ -47,7 +52,6 @@ __all__ = [
     "VEHICLE_COUNTS",
     "TRAJECTORY_NORMAL_WAYPOINTS",
     "TRAJECTORY_ABNORMAL_WAYPOINTS",
-    "ExperimentSpec",
     "TrajectoryResult",
     "reputation_trajectory",
     "ideal_normal_fraction",
@@ -55,6 +59,7 @@ __all__ = [
     "profit_vs_budget_rows",
     "bid_payment_rows",
     "EXPERIMENTS",
+    "allowed_params",
     "run_experiment",
 ]
 
@@ -127,27 +132,13 @@ def rnw_vs_rafn_rows(
     active_size: int = 10,
     grid: Sequence[float] = HOSTILE_FRACTION_GRID,
 ) -> list[tuple]:
-    """One election per grid point and voting mode; same population for both.
-
-    Well-behaved nodes start with reputation in [0.5, 1), hostile ones in
-    [0, 0.5), hostile ids drawn without replacement so they interleave.
-    Returns rows (rafn, mode, rnw, ideal).
+    """One election per grid point and voting mode; same population for both,
+    drawn by ``sample_population``. Returns rows (rafn, mode, rnw, ideal).
     """
     rows = []
     for grid_index, rafn in enumerate(grid):
         rng = np.random.default_rng([seed, 10, grid_index])
-        n_hostile = round(rafn * population)
-        hostile_ids = set(
-            int(i) for i in rng.choice(population, size=n_hostile, replace=False)
-        )
-        nodes = []
-        for i in range(population):
-            if i in hostile_ids:
-                rep = rng.uniform(0.0, 0.5)
-                nodes.append(FullNode(id=i, reputation=rep, behavior=ABNORMAL_BEHAVIOR))
-            else:
-                rep = rng.uniform(0.5, 1.0)
-                nodes.append(FullNode(id=i, reputation=rep))
+        nodes = sample_population(population, rafn, rng)
         params = ReputationParams()
         ballots = cast_votes(nodes, params)
         ideal = ideal_normal_fraction(population, committee_size, rafn)
@@ -162,21 +153,22 @@ def rnw_vs_rafn_rows(
                 mode,
                 np.random.default_rng([seed, 11, grid_index, mode_index]),
             )
-            normal_seats = sum(1 for m in committee.members if m not in hostile_ids)
+            normal_seats = sum(
+                1 for m in committee.members if nodes[m].behavior is NORMAL_BEHAVIOR
+            )
             rows.append((rafn, mode.value, normal_seats / committee_size, ideal))
     return rows
 
 
 def _paired_instances(
-    seed: int, vehicle_counts: Sequence[int], n_tasks: int, budget: float
+    seed: int, vehicle_counts: Sequence[int], n_tasks: int
 ) -> dict[int, AuctionInstance]:
     """One geometric scenario per density, sharing the seed so the smaller
-    placement set is a prefix of the larger one."""
+    placement set is a prefix of the larger one. The budget does not enter
+    the geometry; callers set it per auction through ``with_budget``."""
     instances = {}
     for count in vehicle_counts:
-        config = ScenarioConfig(
-            n_tasks=n_tasks, n_vehicles=count, budget=budget, rng_seed=seed
-        )
+        config = ScenarioConfig(n_tasks=n_tasks, n_vehicles=count, budget=1.0, rng_seed=seed)
         instances[count] = generate_scenario(config)
     return instances
 
@@ -192,7 +184,7 @@ def profit_vs_budget_rows(
     The heuristic's profit is coverage minus winning bids; the truthful
     mechanism's is coverage minus critical payments.
     """
-    instances = _paired_instances(seed, vehicle_counts, n_tasks, budgets[0])
+    instances = _paired_instances(seed, vehicle_counts, n_tasks)
     rows = []
     for count in vehicle_counts:
         for budget in budgets:
@@ -216,12 +208,13 @@ def bid_payment_rows(
 ) -> list[tuple]:
     """Winner rows (n_vehicles, vehicle_id, bid, payment) under the truthful
     mechanism at a fixed budget."""
-    instances = _paired_instances(seed, vehicle_counts, n_tasks, budget)
+    instances = _paired_instances(seed, vehicle_counts, n_tasks)
     rows = []
     for count in vehicle_counts:
-        outcome = tbsap(instances[count])
+        instance = instances[count].with_budget(budget)
+        outcome = tbsap(instance)
         for winner in outcome.winners:
-            bid = instances[count].vehicle(winner).bid
+            bid = instance.vehicle(winner).bid
             rows.append((count, winner, bid, outcome.payments[winner]))
     return rows
 
@@ -239,93 +232,53 @@ def _write_rows(path: Path, header: Sequence[str], rows: Sequence[tuple]) -> Non
             writer.writerow([_format(v) for v in row])
 
 
-def _run_trajectory(seed: int, out_dir: Path, params: dict) -> Path:
-    result = reputation_trajectory(seed, **params)
-    path = out_dir / "trajectory" / f"{seed}.csv"
-    _write_rows(path, ["round", "normal_reputation", "abnormal_reputation"], result.rows)
-    return path
+def _trajectory_rows(seed: int) -> tuple[tuple[int, float, float], ...]:
+    return reputation_trajectory(seed).rows
 
 
-def _run_rnw(seed: int, out_dir: Path, params: dict) -> Path:
-    rows = rnw_vs_rafn_rows(seed, **params)
-    path = out_dir / "rnw-vs-rafn" / f"{seed}.csv"
-    _write_rows(path, ["rafn", "mode", "rnw", "ideal"], rows)
-    return path
-
-
-def _run_profit(seed: int, out_dir: Path, params: dict) -> Path:
-    rows = profit_vs_budget_rows(seed, **params)
-    path = out_dir / "profit-vs-budget" / f"{seed}.csv"
-    _write_rows(path, ["n_vehicles", "budget", "mechanism", "profit", "n_winners"], rows)
-    return path
-
-
-def _run_scatter(seed: int, out_dir: Path, params: dict) -> Path:
-    rows = bid_payment_rows(seed, **params)
-    path = out_dir / "bid-payment" / f"{seed}.csv"
-    _write_rows(path, ["n_vehicles", "vehicle_id", "bid", "payment"], rows)
-    return path
-
-
-EXPERIMENTS: dict[str, Callable[[int, Path, dict], Path]] = {
-    "trajectory": _run_trajectory,
-    "rnw-vs-rafn": _run_rnw,
-    "profit-vs-budget": _run_profit,
-    "bid-payment": _run_scatter,
+EXPERIMENTS: dict[str, tuple[Callable[..., Sequence[tuple]], tuple[str, ...]]] = {
+    "trajectory": (
+        _trajectory_rows, ("round", "normal_reputation", "abnormal_reputation")
+    ),
+    "rnw-vs-rafn": (rnw_vs_rafn_rows, ("rafn", "mode", "rnw", "ideal")),
+    "profit-vs-budget": (
+        profit_vs_budget_rows,
+        ("n_vehicles", "budget", "mechanism", "profit", "n_winners"),
+    ),
+    "bid-payment": (bid_payment_rows, ("n_vehicles", "vehicle_id", "bid", "payment")),
 }
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A named study plus how many trials to run and where randomness starts.
-
-    ``params`` carries per-study overrides (population sizes, sweep grids,
-    task counts); trial k runs with seed ``seed + k``.
-    """
-
-    experiment: str
-    trials: int = 1
-    seed: int = 0
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        for name, value in self.params.items():
-            if isinstance(value, (tuple, list)) and len(value) == 0:
-                raise ValueError(f"sweep grid {name!r} must be nonempty")
-
-    def seeds(self) -> range:
-        return range(self.seed, self.seed + self.trials)
-
-    def run(self, out_dir: Path | str = "results", parallel: bool = False) -> list[Path]:
-        return run_experiment(
-            self.experiment, self.seeds(), out_dir, parallel, self.params
-        )
-
-
-def _run_one(args) -> Path:
-    name, seed, out_dir, params = args
-    return EXPERIMENTS[name](seed, Path(out_dir), params)
+def allowed_params(name: str) -> tuple[str, ...]:
+    """The overrides a study takes: its row function's parameters after the seed."""
+    rows, _ = EXPERIMENTS[name]
+    return tuple(inspect.signature(rows).parameters)[1:]
 
 
 def run_experiment(
     name: str,
     seeds: Sequence[int],
     out_dir: Path | str = "results",
-    parallel: bool = False,
     params: dict | None = None,
 ) -> list[Path]:
-    """Write one CSV per seed for the named study; returns the paths."""
+    """Write ``<out_dir>/<name>/<seed>.csv`` for each seed; returns the paths.
+
+    ``params`` overrides keyword parameters of the study's row function
+    (population sizes, sweep grids, task counts); a grid must be nonempty.
+    """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
-    jobs = [(name, seed, str(out_dir), params or {}) for seed in seeds]
-    if parallel and len(jobs) > 1:
-        # imported here: loading the process pool costs every other run ~30 ms
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor() as pool:
-            return list(pool.map(_run_one, jobs))
-    return [_run_one(job) for job in jobs]
+    if not seeds:
+        raise ValueError("need at least one seed: trials must be at least 1")
+    params = params or {}
+    for key, value in params.items():
+        if key not in allowed_params(name):
+            raise ValueError(f"{key!r} does not apply to {name}")
+        if isinstance(value, (tuple, list)) and len(value) == 0:
+            raise ValueError(f"sweep grid {key!r} must be nonempty")
+    rows, header = EXPERIMENTS[name]
+    paths = []
+    for seed in seeds:
+        paths.append(Path(out_dir) / name / f"{seed}.csv")
+        _write_rows(paths[-1], header, rows(seed, **params))
+    return paths

@@ -216,6 +216,37 @@ class TestExperiment:
         with pytest.raises(SystemExit):
             run_cli(["experiment", "nope"])
 
+    def test_zero_budget_accepted_anywhere_in_the_grid(self, tmp_path):
+        small = ["--vehicle-counts", "30", "--n-tasks", "10"]
+        rows = {}
+        for grid in ("0,25", "25,0"):
+            out_dir = tmp_path / grid
+            code, _, err = run_cli(["experiment", "profit-vs-budget", *small,
+                                    "--budgets", grid, "--out-dir", str(out_dir)])
+            assert code == 0, err
+            lines = (out_dir / "profit-vs-budget" / "0.csv").read_text().splitlines()
+            rows[grid] = sorted(lines[1:])
+        assert rows["0,25"] == rows["25,0"]
+        assert any(",0.0,tbsap,0.0,0" in line for line in rows["0,25"])
+        code, _, err = run_cli(["experiment", "bid-payment", *small, "--budget", "0",
+                                "--out-dir", str(tmp_path / "bid")])
+        assert code == 0, err
+        assert (tmp_path / "bid" / "bid-payment" / "0.csv").read_text() == (
+            "n_vehicles,vehicle_id,bid,payment\n"
+        )
+
+
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+@pytest.mark.parametrize("command", ["experiment rnw-vs-rafn --grid",
+                                     "consensus --abnormal-frac"])
+def test_hostile_fraction_out_of_range(command, value, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    *argv, flag = command.split()
+    code, out, err = run_cli([*argv, f"{flag}={value}"])
+    assert (code, out) == (1, "")
+    assert err == f"error: hostile fraction {value} is not in [0, 1]\n"
+    assert not any(tmp_path.iterdir())
+
 
 class TestDeterminism:
     """Criterion: identical invocations produce identical bytes."""

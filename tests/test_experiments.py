@@ -1,22 +1,16 @@
 """Tests for the bundled studies: shapes, invariants, and file output."""
 
-import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 from statistics import fmean
 
 import pytest
 
-import trafficmarket
 from trafficmarket.auction import tbsap
 from trafficmarket.experiments import (
     BUDGET_GRID,
     HOSTILE_FRACTION_GRID,
     TRAJECTORY_ABNORMAL_WAYPOINTS,
     TRAJECTORY_NORMAL_WAYPOINTS,
-    ExperimentSpec,
+    allowed_params,
     bid_payment_rows,
     ideal_normal_fraction,
     profit_vs_budget_rows,
@@ -165,15 +159,22 @@ class TestMetricAggregation:
 
 
 class TestSpecAndRunner:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="unknown experiment"):
-            ExperimentSpec(experiment="nope")
+    def test_run_experiment_validation(self, tmp_path):
         with pytest.raises(ValueError, match="trials"):
-            ExperimentSpec(experiment="trajectory", trials=0)
+            run_experiment("trajectory", [], tmp_path)
         with pytest.raises(ValueError, match="nonempty"):
-            ExperimentSpec(experiment="rnw-vs-rafn", params={"grid": ()})
-        spec = ExperimentSpec(experiment="trajectory", trials=3, seed=10)
-        assert list(spec.seeds()) == [10, 11, 12]
+            run_experiment("rnw-vs-rafn", [0], tmp_path, params={"grid": ()})
+        with pytest.raises(ValueError, match="does not apply"):
+            run_experiment("trajectory", [0], tmp_path, params={"grid": (0.5,)})
+        assert not any(tmp_path.iterdir())
+
+    def test_overrides_are_row_function_keywords(self):
+        assert allowed_params("trajectory") == ()
+        assert allowed_params("rnw-vs-rafn") == (
+            "population", "committee_size", "active_size", "grid"
+        )
+        assert allowed_params("profit-vs-budget") == ("budgets", "vehicle_counts", "n_tasks")
+        assert allowed_params("bid-payment") == ("budget", "vehicle_counts", "n_tasks")
 
     def test_runner_writes_deterministic_csv(self, tmp_path):
         paths = run_experiment("rnw-vs-rafn", [0, 1], tmp_path, params=SMALL_RNW)
@@ -184,35 +185,12 @@ class TestSpecAndRunner:
         again = run_experiment("rnw-vs-rafn", [0], tmp_path, params=SMALL_RNW)
         assert again[0].read_bytes() == first
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial = run_experiment(
-            "rnw-vs-rafn", [0, 1], tmp_path / "s", params=SMALL_RNW
-        )
-        parallel = run_experiment(
-            "rnw-vs-rafn", [0, 1], tmp_path / "p", parallel=True, params=SMALL_RNW
-        )
-        for a, b in zip(serial, parallel):
-            assert hashlib.sha256(a.read_bytes()).hexdigest() == hashlib.sha256(
-                b.read_bytes()
-            ).hexdigest()
-
-    def test_import_leaves_the_process_pool_unloaded(self):
-        # only --parallel needs concurrent.futures.process; it loads on use
-        probe = "import sys, trafficmarket; print('concurrent.futures.process' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=str(Path(trafficmarket.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              text=True, env=env, check=True, timeout=60)
-        assert done.stdout == "False\n"
+    def test_seed_names_the_file(self, tmp_path):
+        paths = run_experiment("trajectory", range(42, 43), tmp_path)
+        assert paths == [tmp_path / "trajectory" / "42.csv"]
+        header = paths[0].read_text().splitlines()[0]
+        assert header == "round,normal_reputation,abnormal_reputation"
 
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_experiment("bogus", [0], tmp_path)
-
-    def test_spec_run_wrapper(self, tmp_path):
-        spec = ExperimentSpec(
-            experiment="trajectory", trials=1, seed=42
-        )
-        paths = spec.run(out_dir=tmp_path)
-        assert paths[0].name == "42.csv"
-        header = paths[0].read_text().splitlines()[0]
-        assert header == "round,normal_reputation,abnormal_reputation"
