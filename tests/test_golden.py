@@ -28,6 +28,20 @@ GEN_GOLDENS = {
         215,
         "990c8c625ada863de8d59b3bd8ddbf9bab1181788d60f8e034593bd411ee0614",
     ),
+    # test_10's gen invocation
+    "test-10": (
+        ["--seed", "3", "--n-tasks", "12", "--n-vehicles", "40", "--budget", "20",
+         "--city-side", "400"],
+        5,
+        "63f838a2b070c6424761fd9c915f2ed9b9092411b3de75b7062e6ac1198d90da",
+    ),
+    # the studies' default size (200 tasks, 1000 placements) at the default
+    # city side
+    "default-size": (
+        ["--seed", "0", "--n-tasks", "200", "--n-vehicles", "1000", "--budget", "100"],
+        224,
+        "ebb35fbbeba0c97c852ea41cfc17eec4cc02cf53b5518677fe34737555928f49",
+    ),
     "no-vehicles": (
         ["--seed", "5", "--n-tasks", "12", "--n-vehicles", "0", "--budget", "10"],
         0,
@@ -91,6 +105,21 @@ CLI_GOLDENS = {
         "43061fa28c439ae2efabdef9034ef3afaad952fb1edb4cefe4c3a6ac2b60f425",
         "eb9ae74ea0bd4de0fac577f8d7e91c774f28ba96a8ddb7edc6aed874326841c0",
     ),
+    "auction-test-10": (
+        ["auction", "--scenario", "paper-example", "--mechanism", "tbsap", "--out", "out.csv"],
+        "out.csv",
+        "af24ca794c972fe091561dc18ffb7af8f84cd69452288bdec1a3265c1f5a1cdd",
+        "8da2ec5c8fd97d00f777e11e8d3a2803595744b73c92fc64b742e5cbd0f19aad",
+    ),
+    # a budget grid out of order: every budget after the first on a map reuses
+    # what earlier calls cached for that map, so this pins reuse across calls
+    "profit-vs-budget-unordered": (
+        ["experiment", "profit-vs-budget", "--seed", "0", "--budgets", "400,25,200,50",
+         "--out-dir", "res"],
+        "res/profit-vs-budget/0.csv",
+        "2605d44867fafe68197a2da9849a7c1faeef4f36ea5313b36a6d503cdb522cc9",
+        "435b10903058c2c19939670dba8ebad858665a6b4061fe645b87c651b017ccbb",
+    ),
     "rnw-vs-rafn-test-10": (
         ["experiment", "rnw-vs-rafn", "--seed", "7", "--nodes", "20", "--committee",
          "10", "--active", "2", "--grid", "0.0,0.4", "--out-dir", "res"],
@@ -121,6 +150,15 @@ AUCTION_GOLDENS = {
         "1256ef5b8789892c12cc8b3d2b4681c55ef153be9940ddd0f033dd4c2429f656",
     ),
 }
+
+
+# `trade --mechanism greedy` on the quick-tour map: (ledger digest, stdout
+# digest). Greedy pays bids, so the budget funds every winner and a block
+# settles.
+TRADE_GREEDY_GOLDEN = (
+    "ceae0f73df727489a5681176e3da56d33eb5239b7130aba97d918ea940e3ebcd",
+    "89ad1759635a4297d42f591e13bb6479ad7aa78d73e21faf54341634e2ee9385",
+)
 
 
 def run_cli(argv):
@@ -177,3 +215,15 @@ def test_cli_run(name, tmp_path, monkeypatch):
     out = run_cli(argv)
     assert sha256(tmp_path / written) == file_digest
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+
+
+def test_trade_greedy_on_a_generated_map(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags, _, digest = GEN_GOLDENS["quick-tour"]
+    run_cli(["gen", *flags, "--out", "city.scn"])
+    assert sha256(tmp_path / "city.scn") == digest
+    out = run_cli(["trade", "--scenario", "city.scn", "--mechanism", "greedy",
+                   "--out", "ledger.csv"])
+    assert "block: -" not in out
+    assert sha256(tmp_path / "ledger.csv") == TRADE_GREEDY_GOLDEN[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == TRADE_GREEDY_GOLDEN[1]
