@@ -6,6 +6,8 @@ signed information-trading protocol, plus the experiment harness that ties
 them together. Everything is deterministic under explicit seeds.
 """
 
+import importlib
+
 from trafficmarket.auction import brute_force_optimum, greedy_heuristic, tbsap
 from trafficmarket.consensus import (
     Behavior,
@@ -14,7 +16,6 @@ from trafficmarket.consensus import (
     VotingMode,
     run_epochs,
 )
-from trafficmarket.crypto import Ed25519X25519Scheme, HashStubScheme, SignatureScheme
 from trafficmarket.experiments import EXPERIMENTS, run_experiment
 from trafficmarket.model import (
     AuctionInstance,
@@ -28,9 +29,19 @@ from trafficmarket.model import (
     paper_example,
     save_scenario,
 )
-from trafficmarket.trading import SessionState, build_world, run_trading_round
 
 __version__ = "0.1.0"
+
+_LAZY = dict.fromkeys(["Ed25519X25519Scheme", "HashStubScheme", "SignatureScheme"], "crypto")
+_LAZY.update(dict.fromkeys(["SessionState", "build_world", "run_trading_round"], "trading"))
+
+
+def __getattr__(name: str):
+    """Import a trading or crypto name on first use (PEP 562), so that only
+    they load ``cryptography``."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"trafficmarket.{_LAZY[name]}"), name)
 
 __all__ = [
     "AuctionInstance",

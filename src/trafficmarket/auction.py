@@ -37,11 +37,20 @@ vehicle's marginal coverage (up to rounding, which a 1e-12 margin covers)
 and at most the budget slack, and neither ever rises (see ``_scan``).
 ``tbsap_payment`` scans in full and is the reference for that cut.
 
+A budget sweep shares one trace. The budget never changes the pick order
+(argmax reads only gains and bids); it decides where the break rule stops
+and enters each position only as ``min(replacement bid, B - spend)``. So a
+first ``tbsap`` call on a geometry and bid vector runs the cut scans, and a
+repeat call at any budget replays a budget-free trace, built once: per
+pick, the spend before it and its rows ``(candidate, replacement bid,
+spend)``, each suffix run to its natural end, the tail last (``_replay``).
+
 Task values, sorted subsets, member lists and initial gains depend only on
 the geometry, so the last geometry's set-up is kept and reused while the
 ``tasks`` tuple and every ``task_subset`` are the very same objects. The
 key holds them alive, so a new geometry can never match it: the cache
-fails closed. Validation and the bid checks still run on every call.
+fails closed. The trace sits in that entry beside its bids, compared by
+value. Validation and the bid checks run on every call.
 """
 
 from __future__ import annotations
@@ -109,8 +118,8 @@ class PaymentTrace:
     payment: float
 
 
-#: (key, set-up) of the last geometry seen; one entry only. See ``_setup``.
-_last_geometry: tuple = ((), None)
+#: (key, set-up, [bids, trace or None]) of the last geometry; one entry only.
+_last_geometry: tuple = ((), None, None)
 
 
 def _setup(instance: AuctionInstance) -> tuple[list, list, list, list]:
@@ -125,7 +134,7 @@ def _setup(instance: AuctionInstance) -> tuple[list, list, list, list]:
     """
     global _last_geometry
     key = (instance.tasks, *(v.task_subset for v in instance.vehicles))
-    last_key, setup = _last_geometry
+    last_key, setup, _ = _last_geometry
     if len(last_key) == len(key) and all(map(operator.is_, last_key, key)):
         return setup
     values = instance.task_values()
@@ -137,7 +146,7 @@ def _setup(instance: AuctionInstance) -> tuple[list, list, list, list]:
     # initial marginal coverage = full subset value; numpy's summation
     # order fixes the bits of every gain and payment derived from it
     setup = (values.tolist(), ordered, members, [float(values[s].sum()) for s in ordered])
-    _last_geometry = (key, setup)
+    _last_geometry = (key, setup, [None, None])
     return setup
 
 
@@ -233,27 +242,24 @@ def tbsap_allocate(instance: AuctionInstance) -> list[int]:
     return [k for k, fits in _picks(_CoverageState(instance), instance.budget) if fits]
 
 
-def _critical_scans(instance: AuctionInstance, only: int | None = None):
-    """Yield each break-greedy winner, in pick order, with its payment scan.
+def _critical_scans(state: _CoverageState, budget: float, cut: bool, only: int | None = None):
+    """Yield each break-greedy winner in pick order with the spend before its
+    pick and its scan ``(rows, tail, payment)``, selecting into ``state``.
 
-    The run that leaves winner i out is the main run up to i's pick: argmax
-    never chose i before, and the lowest-id tie-break makes that strict. So
-    its positions up to there come from snapshots of the main run's gains,
-    and only the suffix from i's pick is run, on a fork of the main state.
-    A scan is ``(positions, tail_value, tail_slack, payment)`` with one
-    ``(candidate, replacement bid, slack)`` per position. With ``only`` set,
-    just that winner's suffix is run, in full, and yielded; otherwise each
-    suffix ends once it cannot raise the payment (see ``_scan``).
+    Prefix rows come from snapshots of the main run's gains, and only the
+    suffix is run, on a fork (see the module docstring). A row is
+    ``(candidate, replacement bid, spend before it)``; ``tail`` is None or
+    ``(marginal coverage, spend)`` at the end. With ``only`` set just that
+    winner is scanned; with ``cut`` each suffix ends once it cannot raise
+    the payment (see ``_scan``).
     """
-    state = _CoverageState(instance)
-    budget = instance.budget
-    prefix: list[tuple[int, list[float], float]] = []  # (pick, gains, slack) before it
+    prefix: list[tuple[int, list[float], float]] = []  # (pick, gains, spend) before it
     for k, fits in _picks(state, budget):
         if not fits:
             return
         if only is None or k == only:
-            yield k, _scan(state, k, prefix, budget, cut=only is None)
-        prefix.append((k, state.gain[:], budget - state.spent))
+            yield k, state.spent, _scan(state, k, prefix, budget, cut)
+        prefix.append((k, state.gain[:], state.spent))
 
 
 def _scan(state: _CoverageState, k: int, prefix, budget: float, cut: bool):
@@ -274,17 +280,17 @@ def _scan(state: _CoverageState, k: int, prefix, budget: float, cut: bool):
     # bids up to min(replacement bid, remaining budget): the replacement bid
     # ties the candidate's unit gain, and anything above the slack makes the
     # loop break on budget before the vehicle is in.
-    rows = [(c, bids[c] * snap[k] / snap[c], slack) for c, snap, slack in prefix]
-    best = max((min(raw, slack) for _, raw, slack in rows), default=-math.inf)
+    rows = [(c, bids[c] * snap[k] / snap[c], spent) for c, snap, spent in prefix]
+    best = max((min(raw, budget - spent) for _, raw, spent in rows), default=-math.inf)
     suffix = state.fork()
     gains = suffix.gain
     fits = True
-    tail_value = tail_slack = None
+    tail = None
     for c, fits in _picks(suffix, budget):
         slack = budget - suffix.spent
         if cut and min(gains[k], slack) * (1 + 1e-12) < best:
             break
-        rows.append((c, bids[c] * gains[k] / gains[c], slack))
+        rows.append((c, bids[c] * gains[k] / gains[c], suffix.spent))
         best = max(best, min(rows[-1][1], slack))
     else:
         if fits:
@@ -293,9 +299,29 @@ def _scan(state: _CoverageState, k: int, prefix, budget: float, cut: bool):
             # bid that keeps its own unit gain nonnegative and fits. After a
             # budget break, positions past the breaking candidate are
             # unreachable, so there is no tail.
-            tail_value, tail_slack = gains[k], budget - suffix.spent
-            best = max(best, min(tail_value, tail_slack))
-    return rows, tail_value, tail_slack, best
+            tail = gains[k], suffix.spent
+            best = max(best, min(gains[k], budget - suffix.spent))
+    return rows, tail, best
+
+
+def _replay(trace: list, bids: list[float], budget: float) -> dict[int, float]:
+    """Payments at ``budget`` from the budget-free trace, as ``_scan`` finds
+    them: picks before the first misfit win, and each folds ``min(raw, budget
+    - spend)`` by ``max`` over its rows through the first misfit; the tail row
+    is last, so a break skips it. The conditionals pick as min and max do."""
+    payments = {}
+    for k, spent, rows in trace:
+        if spent + bids[k] > budget:
+            break
+        best = -math.inf
+        for c, raw, spent_c in rows:
+            slack = budget - spent_c
+            entry = slack if slack < raw else raw
+            best = entry if entry > best else best
+            if spent_c + bids[c] > budget:
+                break
+        payments[k] = best
+    return payments
 
 
 def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
@@ -309,15 +335,27 @@ def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
     The payment is the maximum over these feasible positions. It never
     depends on the winner's own bid.
     """
-    for _, (rows, tail_value, tail_slack, payment) in _critical_scans(instance, vehicle_id):
-        steps = tuple(PaymentStep(c, raw, slack, min(raw, slack)) for c, raw, slack in rows)
+    budget = instance.budget
+    scans = _critical_scans(_CoverageState(instance), budget, False, vehicle_id)
+    for _, _, (rows, tail, payment) in scans:
+        steps = tuple(PaymentStep(c, r, budget - s, min(r, budget - s)) for c, r, s in rows)
+        tail_value, tail_slack = (tail[0], budget - tail[1]) if tail else (None, None)
         return PaymentTrace(vehicle_id, steps, tail_value, tail_slack, payment)
     raise NotWinnerError(f"vehicle {vehicle_id} is not a winner")
 
 
 def tbsap(instance: AuctionInstance) -> AuctionOutcome:
     """Truthful budgeted auction: break-greedy allocation, critical payments."""
-    payments = {k: scan[3] for k, scan in _critical_scans(instance)}
+    state = _CoverageState(instance)
+    memo, budget = _last_geometry[2], instance.budget  # the entry the state set up from
+    if memo[0] != state.bids:  # first call on these bids: cut scans at this budget
+        memo[:] = state.bids, None
+        payments = {k: scan[2] for k, _, scan in _critical_scans(state, budget, True)}
+    else:  # repeat call: replay the budget-free trace, built on the first repeat
+        if memo[1] is None:
+            scans = _critical_scans(state, math.inf, False)
+            memo[1] = [(k, spent, [*rows, (k, *tail)]) for k, spent, (rows, tail, _) in scans]
+        payments = _replay(memo[1], state.bids, budget)
     winners = list(payments)  # pick order
     total_bid = float(sum(instance.vehicle(v).bid for v in winners))
     profit = coverage_value(winners, instance) - sum(payments.values())

@@ -30,7 +30,6 @@ from trafficmarket.consensus import (
     sample_population,
     write_history_csv,
 )
-from trafficmarket.crypto import Ed25519X25519Scheme, HashStubScheme
 from trafficmarket.experiments import EXPERIMENTS, allowed_params, run_experiment
 from trafficmarket.model import (
     AuctionInstance,
@@ -41,7 +40,6 @@ from trafficmarket.model import (
     paper_example,
     save_scenario,
 )
-from trafficmarket.trading import build_world, run_trading_round, write_ledger_csv
 
 MECHANISMS = {
     "greedy": greedy_heuristic,
@@ -210,6 +208,10 @@ def _cmd_consensus(args) -> int:
 
 
 def _cmd_trade(args) -> int:
+    # only this subcommand needs cryptography, so only it imports it
+    from trafficmarket.crypto import Ed25519X25519Scheme, HashStubScheme
+    from trafficmarket.trading import build_world, run_trading_round, write_ledger_csv
+
     instance = _resolve_scenario(args.scenario)
     scheme = Ed25519X25519Scheme() if args.scheme == "real" else HashStubScheme()
     world = build_world(instance, scheme, seed=args.seed)

@@ -108,6 +108,8 @@ def sample_population(
     interleave with the others; then each node in id order draws its
     reputation, in [0, 0.5) if hostile and in [0.5, 1) if well-behaved.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"population size {n!r} is not a nonnegative integer")
     if not 0.0 <= hostile_frac <= 1.0:
         raise ValueError(f"hostile fraction {hostile_frac!r} is not in [0, 1]")
     hostile = set(rng.choice(n, size=round(hostile_frac * n), replace=False).tolist())

@@ -168,6 +168,8 @@ def _paired_instances(
     the geometry; callers set it per auction through ``with_budget``."""
     instances = {}
     for count in vehicle_counts:
+        if count in instances:  # a repeat would repeat rows
+            raise ValueError(f"vehicle_counts grid repeats {count!r}")
         config = ScenarioConfig(n_tasks=n_tasks, n_vehicles=count, budget=1.0, rng_seed=seed)
         instances[count] = generate_scenario(config)
     return instances
@@ -184,6 +186,9 @@ def profit_vs_budget_rows(
     The heuristic's profit is coverage minus winning bids; the truthful
     mechanism's is coverage minus critical payments.
     """
+    for i, budget in enumerate(budgets):  # a repeat would repeat rows
+        if budget in budgets[:i]:
+            raise ValueError(f"budgets grid repeats {budget!r}")
     instances = _paired_instances(seed, vehicle_counts, n_tasks)
     rows = []
     for count in vehicle_counts:

@@ -8,7 +8,8 @@ digest pins the exact bits of both mechanisms on geometric instances.
 ``tbsap`` ends each winner's scan once no later position can raise the
 payment, while ``tbsap_payment`` scans in full, so the two are compared bit
 for bit. The set-up cache is checked against outcomes from a new
-interpreter.
+interpreter, and budget sweeps that replay the budget-free trace against
+``tbsap`` on an emptied cache.
 """
 
 import hashlib
@@ -21,9 +22,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trafficmarket
+from trafficmarket import auction
 from trafficmarket.auction import (
+    _CoverageState,
     _critical_scans,
     greedy_heuristic,
     tbsap,
@@ -148,7 +153,10 @@ def assert_payments_match_full_scans(instance):
         trace = tbsap_payment(w, instance)
         assert outcome.payments[w].hex() == trace.payment.hex(), w
         full += len(trace.candidates)
-    cut = sum(len(scan[0]) for _, scan in _critical_scans(instance))
+    cut = sum(
+        len(scan[0])
+        for _, _, scan in _critical_scans(_CoverageState(instance), instance.budget, True)
+    )
     return cut, full
 
 
@@ -248,3 +256,75 @@ def test_bad_bid_on_a_cached_geometry_raises(bid):
     for mechanism in (tbsap, greedy_heuristic, tbsap_allocate):
         with pytest.raises(ValueError):
             mechanism(instance.with_bid(1, bid))
+
+
+def cold(instance):
+    """``tbsap`` and each winner's ``tbsap_payment`` on an emptied cache;
+    the cache is put back afterwards, so a sweep under test goes on."""
+    saved = auction._last_geometry
+    auction._last_geometry = ((), None, None)
+    try:
+        outcome = tbsap(instance)
+        return outcome, [tbsap_payment(w, instance).payment for w in outcome.winners]
+    finally:
+        auction._last_geometry = saved
+
+
+def exact(outcome):
+    payments = [outcome.payments[w].hex() for w in outcome.winners]
+    return outcome.winners, payments, outcome.profit.hex(), outcome.total_bid.hex()
+
+
+def boundary_budgets(instance) -> list[float]:
+    """The spend after each pick of a run no budget stops, one ulp either
+    side of it, and zero: the budgets where a pick starts or stops fitting."""
+    bids = [float(v.bid) for v in instance.vehicles]
+    spends = [0.0]
+    for k in tbsap_allocate(instance.with_budget(2 * sum(bids))):
+        spends.append(spends[-1] + bids[k])
+    return [b for s in spends for b in (s, math.nextafter(s, 0.0), math.nextafter(s, math.inf))]
+
+
+def small_geometric(rng):
+    seed, n = int(rng.integers(2**31)), int(rng.integers(20, 70))
+    return dense_scenario(seed, n_tasks=30, n_vehicles=n, side=120.0)
+
+
+@st.composite
+def budget_sweeps(draw):
+    """Calls on one geometry at budgets in any order, repeats included,
+    interleaved with a copy that changes one bid and with a second geometry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    make = draw(st.sampled_from([integer_instance, random_synthetic_instance, small_geometric]))
+    main, other = make(rng), make(rng)
+    v = draw(st.integers(0, len(main.vehicles) - 1))
+    # the first choice keeps the bids, so that copy may share the trace
+    bid = draw(st.sampled_from([main.vehicles[v].bid, main.vehicles[v].bid / 3, 1.0, 2.0]))
+    variants = [main, main.with_bid(v, bid), other]
+    pool = boundary_budgets(main) + boundary_budgets(other)
+    budget = st.sampled_from(pool) | st.floats(0.0, max(pool) * 1.1)
+    variant = st.sampled_from([0, 0, 0, 1, 2])
+    steps = draw(st.lists(st.tuples(variant, budget), min_size=1, max_size=10))
+    descending = sorted((budget for _, budget in steps), reverse=True)
+    steps += [(0, budget) for budget in descending] + steps[:1]
+    return [variants[i].with_budget(budget) for i, budget in steps]
+
+
+@settings(max_examples=200)
+@given(sweep=budget_sweeps())
+def test_budget_sweeps_match_an_emptied_cache(sweep):
+    for instance in sweep:
+        outcome = tbsap(instance)
+        want, payments = cold(instance)
+        assert exact(outcome) == exact(want)
+        assert exact(outcome)[1] == [p.hex() for p in payments]
+
+
+def test_trace_is_built_on_a_repeat_call_only():
+    instance = dense_scenario(6, n_tasks=60, n_vehicles=120, side=300.0)
+    tbsap(instance)
+    assert auction._last_geometry[2][1] is None  # a first call runs the cut scans
+    tbsap(instance.with_budget(5.0))
+    assert auction._last_geometry[2][1] is not None
+    tbsap(instance.with_bid(0, instance.vehicles[0].bid * 2))
+    assert auction._last_geometry[2][1] is None  # new bids: a first call again

@@ -6,11 +6,15 @@ twice must print identical text and write identical files.
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import trafficmarket
 from trafficmarket.cli import main
 from trafficmarket.model import paper_example, save_scenario
 
@@ -248,6 +252,31 @@ def test_hostile_fraction_out_of_range(command, value, tmp_path, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["consensus", "experiment rnw-vs-rafn"])
+def test_negative_population_size(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([*command.split(), "--nodes", "-5"])
+    assert (code, out) == (1, "")
+    assert err == "error: population size -5 is not a nonnegative integer\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "study, flag, grid, message",
+    [
+        ("profit-vs-budget", "--vehicle-counts", "10,10", "vehicle_counts grid repeats 10"),
+        ("profit-vs-budget", "--budgets", "25,50,25.0", "budgets grid repeats 25.0"),
+        ("bid-payment", "--vehicle-counts", "30,40,30", "vehicle_counts grid repeats 30"),
+    ],
+)
+def test_repeated_grid_value(study, flag, grid, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["experiment", study, flag, grid, "--trials", "2"])
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 class TestDeterminism:
     """Criterion: identical invocations produce identical bytes."""
 
@@ -291,3 +320,33 @@ class TestDeterminism:
             assert code == 0
             hashes.append(file_hash(path))
         assert hashes[0] == hashes[1]
+
+
+# Runs in a new interpreter: the package and every subcommand but trade must
+# leave cryptography unloaded, and a trading name must still resolve.
+NO_CRYPTO = """
+import contextlib, io, sys
+import trafficmarket
+from trafficmarket.cli import main
+loaded = ["cryptography" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["gen", "--seed", "3", "--n-tasks", "5", "--n-vehicles", "9", "--budget", "5",
+         "--city-side", "60", "--out", "city.scn"],
+        ["auction", "--scenario", "city.scn"],
+        ["consensus", "--nodes", "20", "--committee", "8", "--active", "3"],
+        ["experiment", "trajectory", "--out-dir", "res"],
+    ):
+        assert main(argv) == 0, argv
+        loaded.append("cryptography" in sys.modules)
+print(loaded, trafficmarket.HashStubScheme.__module__, "cryptography" in sys.modules)
+"""
+
+
+def test_only_trade_imports_cryptography(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(trafficmarket.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_CRYPTO],
+        cwd=tmp_path, capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    assert done.stdout == "[False, False, False, False, False] trafficmarket.crypto True\n"

@@ -1,6 +1,7 @@
 """Election, round, and reputation-dynamics tests for the consensus simulator."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from trafficmarket.consensus import (
     elect_witnesses,
     run_epochs,
     run_round,
+    sample_population,
     write_history_csv,
 )
 
@@ -422,3 +424,14 @@ def test_history_csv_layout(tmp_path):
     parsed = [float(r["reputation"]) for r in rows]
     wanted = [r.reputation for r in history.rows]
     assert parsed == wanted
+
+
+@pytest.mark.parametrize("n", [-1, 5.0, True, "5", np.int64(-2)])
+def test_sample_population_rejects_a_bad_size(n):
+    with pytest.raises(ValueError, match=f"^population size {re.escape(repr(n))} is not"):
+        sample_population(n, 0.2, np.random.default_rng(0))
+
+
+def test_sample_population_takes_numpy_and_zero_sizes():
+    assert len(sample_population(np.int64(3), 0.5, np.random.default_rng(0))) == 3
+    assert sample_population(0, 0.5, np.random.default_rng(0)) == []
