@@ -27,30 +27,33 @@ as vehicles are selected, so every float has the bits a full rescan gives.
 
 A critical bid comes from the greedy run over everyone but the winner. That
 run equals the main run up to the winner's pick: argmax never chose the
-winner before, and the lowest-id tie-break makes that strict. So ``tbsap``
-runs the allocation once, keeps the gains before each pick, reads every
-prefix position from those, and runs only the suffix from each winner's
-pick on a copy of the state. The payments equal those of one full re-run
-per winner, bit for bit. ``tbsap`` also ends each suffix once no later
-position can raise the payment: every entry is at most the priced
-vehicle's marginal coverage (up to rounding, which a 1e-12 margin covers)
-and at most the budget slack, and neither ever rises (see ``_scan``).
-``tbsap_payment`` scans in full and is the reference for that cut.
+winner before, and the lowest-id tie-break makes that strict. So the scans
+run the allocation once, keep the gains before each pick, read every prefix
+position from those, and run only the suffix from each winner's pick on a
+copy of the state. The payments equal those of one full re-run per winner,
+bit for bit; ``tbsap_payment`` scans in full and is the reference.
 
-A budget sweep shares one trace. The budget never changes the pick order
-(argmax reads only gains and bids); it decides where the break rule stops
-and enters each position only as ``min(replacement bid, B - spend)``. So a
-first ``tbsap`` call on a geometry and bid vector runs the cut scans, and a
-repeat call at any budget replays a budget-free trace, built once: per
-pick, the spend before it and its rows ``(candidate, replacement bid,
-spend)``, each suffix run to its natural end, the tail last (``_replay``).
+The budget never changes the pick order (argmax reads only gains and
+bids); it decides where the break rule stops and enters each position only
+as ``min(replacement bid, B - spend)``. So ``tbsap`` keeps one trace per
+geometry and bid vector: per pick, the spend before it and its rows
+``(candidate, replacement bid, spend)``, built by the break greedy at a cap
+(``_critical_scans``). Every payment folds its rows at the call's budget
+(``_fold``). An entry never falls as B rises, so each suffix ends once no
+later position can raise the payment at any budget from the least at which
+its pick wins up to the cap: every entry is at most the priced vehicle's
+marginal coverage (up to rounding, which a 1e-12 margin covers) and at most
+the slack at the cap, and neither ever rises. A call with new bids builds
+the trace capped at its own budget, which keeps a one-off call at a tight
+budget from running suffixes that budget never reaches. A call at a budget
+above the cap rebuilds it once with no cap; every other call only folds.
 
 Task values, sorted subsets, member lists and initial gains depend only on
 the geometry, so the last geometry's set-up is kept and reused while the
 ``tasks`` tuple and every ``task_subset`` are the very same objects. The
 key holds them alive, so a new geometry can never match it: the cache
-fails closed. The trace sits in that entry beside its bids, compared by
-value. Validation and the bid checks run on every call.
+fails closed. The trace sits in that entry beside its cap and its bids,
+compared by value. Validation and the bid checks run on every call.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ class PaymentTrace:
     payment: float
 
 
-#: (key, set-up, [bids, trace or None]) of the last geometry; one entry only.
+#: (key, set-up, [bids, cap, trace]) of the last geometry; one entry only.
 _last_geometry: tuple = ((), None, None)
 
 
@@ -146,7 +149,7 @@ def _setup(instance: AuctionInstance) -> tuple[list, list, list, list]:
     # initial marginal coverage = full subset value; numpy's summation
     # order fixes the bits of every gain and payment derived from it
     setup = (values.tolist(), ordered, members, [float(values[s].sum()) for s in ordered])
-    _last_geometry = (key, setup, [None, None])
+    _last_geometry = (key, setup, [None, None, None])
     return setup
 
 
@@ -242,93 +245,85 @@ def tbsap_allocate(instance: AuctionInstance) -> list[int]:
     return [k for k, fits in _picks(_CoverageState(instance), instance.budget) if fits]
 
 
-def _critical_scans(state: _CoverageState, budget: float, cut: bool, only: int | None = None):
-    """Yield each break-greedy winner in pick order with the spend before its
-    pick and its scan ``(rows, tail, payment)``, selecting into ``state``.
+def _critical_scans(state: _CoverageState, cap: float, cut: bool, only: int | None = None):
+    """Yield ``(pick, spend before it, rows)`` for each pick of the break
+    greedy at budget ``cap``, in pick order, selecting into ``state``.
 
-    Prefix rows come from snapshots of the main run's gains, and only the
-    suffix is run, on a fork (see the module docstring). A row is
-    ``(candidate, replacement bid, spend before it)``; ``tail`` is None or
-    ``(marginal coverage, spend)`` at the end. With ``only`` set just that
-    winner is scanned; with ``cut`` each suffix ends once it cannot raise
-    the payment (see ``_scan``).
+    A row is ``(candidate, replacement bid, spend before it)``: one position
+    at which the priced vehicle k could have been picked in the run over
+    everyone but k, supporting bids up to ``min(replacement bid, B - spend)``
+    at budget B. The replacement bid ties the candidate's unit gain there;
+    a bid above the slack breaks the loop on budget before k is in. Prefix
+    rows come from snapshots of the main run's gains, and only the suffix
+    is run, on a fork (see the module docstring). When the suffix ends with
+    no break, k could also append at the end with its leftover coverage, so
+    a last row ``(k, coverage, spend)`` carries that. With ``only`` set just
+    that pick has rows computed and is yielded.
+
+    With ``cut`` each suffix ends at the first position whose bound
+    ``min(gains[k], cap - spend)``, widened by a relative 1e-12, is strictly
+    below k's best entry at ``win``, the least budget at which k wins. That
+    is exact at every budget from ``win`` to ``cap``. Every pick c has unit
+    gain >= 0, so gains[c] >= bids[c] and the replacement bid ``bids[c] *
+    gains[k] / gains[c]`` exceeds gains[k] by rounding only (an ulp or two
+    for products in the normal float range). gains[k] and the slack never
+    rise along the suffix, so the bound caps every later entry and the
+    leftover row. An entry never falls as the budget rises, and the rows
+    through the first misfit only grow, so the best at ``win`` is a floor
+    under the best at any larger budget. The suffix folds it without the
+    misfit test: entries after the first misfit at ``win`` have spend above
+    it and are negative, below the first row's nonnegative entry.
     """
+    bids = state.bids
     prefix: list[tuple[int, list[float], float]] = []  # (pick, gains, spend) before it
-    for k, fits in _picks(state, budget):
+    for k, fits in _picks(state, cap):
         if not fits:
             return
         if only is None or k == only:
-            yield k, state.spent, _scan(state, k, prefix, budget, cut)
+            rows = [(c, bids[c] * snap[k] / snap[c], spent) for c, snap, spent in prefix]
+            win = state.spent + bids[k]
+            best = _fold(rows, bids, win)  # every prefix row fits at win
+            suffix = state.fork()
+            gains = suffix.gain
+            fits = True
+            for c, fits in _picks(suffix, cap):
+                # the widened min(gain, cap - spent) against best, then one fold
+                # step at win, without calls: this loop is the hot one
+                spent, gain = suffix.spent, gains[k]
+                if cut and (gain * (1 + 1e-12) < best or (cap - spent) * (1 + 1e-12) < best):
+                    break
+                raw = bids[c] * gain / gains[c]
+                rows.append((c, raw, spent))
+                entry = win - spent if win - spent < raw else raw
+                best = entry if entry > best else best
+            else:
+                if fits:  # no budget break: k can append at the end
+                    rows.append((k, gains[k], suffix.spent))
+            yield k, state.spent, rows
         prefix.append((k, state.gain[:], state.spent))
 
 
-def _scan(state: _CoverageState, k: int, prefix, budget: float, cut: bool):
-    """Payment scan of winner k from the main run's state just before its pick.
-
-    With ``cut`` the suffix ends at the first position whose bound
-    ``min(gains[k], slack)``, widened by a relative 1e-12, is strictly below
-    the best entry so far. That is exact. Every pick c has unit gain >= 0,
-    so gains[c] >= bids[c] and the replacement bid ``bids[c] * gains[k] /
-    gains[c]`` exceeds gains[k] by rounding only (an ulp or two, for normal
-    floats). gains[k] and the slack never rise along the suffix, and the
-    tail entry is ``min(gains[k], slack)`` at the end. So no later entry can
-    exceed the best, and ``max`` keeps the first of equal entries. The
-    positions then stop at the cut; the payment has the full scan's bits.
-    """
-    bids = state.bids
-    # Each position the priced vehicle could have been picked at supports
-    # bids up to min(replacement bid, remaining budget): the replacement bid
-    # ties the candidate's unit gain, and anything above the slack makes the
-    # loop break on budget before the vehicle is in.
-    rows = [(c, bids[c] * snap[k] / snap[c], spent) for c, snap, spent in prefix]
-    best = max((min(raw, budget - spent) for _, raw, spent in rows), default=-math.inf)
-    suffix = state.fork()
-    gains = suffix.gain
-    fits = True
-    tail = None
-    for c, fits in _picks(suffix, budget):
-        slack = budget - suffix.spent
-        if cut and min(gains[k], slack) * (1 + 1e-12) < best:
+def _fold(rows: list, bids: list[float], budget: float) -> float:
+    """The payment at ``budget``: ``min(raw, budget - spend)`` folded by
+    ``max`` over the rows through the first that does not fit. A leftover
+    row is last, so a break skips it. The conditionals pick as min and max
+    do, first of equals included, so the bits are theirs."""
+    best = -math.inf
+    for c, raw, spent in rows:
+        slack = budget - spent
+        entry = slack if slack < raw else raw
+        best = entry if entry > best else best
+        if spent + bids[c] > budget:
             break
-        rows.append((c, bids[c] * gains[k] / gains[c], suffix.spent))
-        best = max(best, min(rows[-1][1], slack))
-    else:
-        if fits:
-            # Run ended with every remaining unit gain negative (or nobody
-            # left): the priced vehicle can also append at the end with any
-            # bid that keeps its own unit gain nonnegative and fits. After a
-            # budget break, positions past the breaking candidate are
-            # unreachable, so there is no tail.
-            tail = gains[k], suffix.spent
-            best = max(best, min(gains[k], budget - suffix.spent))
-    return rows, tail, best
-
-
-def _replay(trace: list, bids: list[float], budget: float) -> dict[int, float]:
-    """Payments at ``budget`` from the budget-free trace, as ``_scan`` finds
-    them: picks before the first misfit win, and each folds ``min(raw, budget
-    - spend)`` by ``max`` over its rows through the first misfit; the tail row
-    is last, so a break skips it. The conditionals pick as min and max do."""
-    payments = {}
-    for k, spent, rows in trace:
-        if spent + bids[k] > budget:
-            break
-        best = -math.inf
-        for c, raw, spent_c in rows:
-            slack = budget - spent_c
-            entry = slack if slack < raw else raw
-            best = entry if entry > best else best
-            if spent_c + bids[c] > budget:
-                break
-        payments[k] = best
-    return payments
+    return best
 
 
 def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
     """Critical bid for a winner: the threshold above which it loses.
 
-    Scans the selection order over the other vehicles. Position by position
-    it records the bid that would tie the candidate picked there, clamped by
+    Scans the selection order over the other vehicles in full, with no cut,
+    and is the reference for ``tbsap``'s payments. Position by position it
+    records the bid that would tie the candidate picked there, clamped by
     the budget slack at that point; when the scan ends for a reason other
     than a budget break, the vehicle could also be appended at the end, so
     its leftover marginal coverage (clamped the same way) joins the pool.
@@ -336,10 +331,12 @@ def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
     depends on the winner's own bid.
     """
     budget = instance.budget
-    scans = _critical_scans(_CoverageState(instance), budget, False, vehicle_id)
-    for _, _, (rows, tail, payment) in scans:
+    state = _CoverageState(instance)
+    for k, _, rows in _critical_scans(state, budget, False, vehicle_id):
+        payment = _fold(rows, state.bids, budget)
+        tail = rows.pop() if rows and rows[-1][0] == k else None  # only the leftover row is k
         steps = tuple(PaymentStep(c, r, budget - s, min(r, budget - s)) for c, r, s in rows)
-        tail_value, tail_slack = (tail[0], budget - tail[1]) if tail else (None, None)
+        tail_value, tail_slack = (tail[1], budget - tail[2]) if tail else (None, None)
         return PaymentTrace(vehicle_id, steps, tail_value, tail_slack, payment)
     raise NotWinnerError(f"vehicle {vehicle_id} is not a winner")
 
@@ -347,15 +344,16 @@ def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
 def tbsap(instance: AuctionInstance) -> AuctionOutcome:
     """Truthful budgeted auction: break-greedy allocation, critical payments."""
     state = _CoverageState(instance)
-    memo, budget = _last_geometry[2], instance.budget  # the entry the state set up from
-    if memo[0] != state.bids:  # first call on these bids: cut scans at this budget
-        memo[:] = state.bids, None
-        payments = {k: scan[2] for k, _, scan in _critical_scans(state, budget, True)}
-    else:  # repeat call: replay the budget-free trace, built on the first repeat
-        if memo[1] is None:
-            scans = _critical_scans(state, math.inf, False)
-            memo[1] = [(k, spent, [*rows, (k, *tail)]) for k, spent, (rows, tail, _) in scans]
-        payments = _replay(memo[1], state.bids, budget)
+    bids, budget = state.bids, instance.budget
+    memo = _last_geometry[2]  # [bids, cap, trace] of the entry the state set up from
+    if memo[0] != bids or memo[1] < budget:  # new bids build at B, a higher B without cap
+        cap = budget if memo[0] != bids else math.inf
+        memo[:] = bids, cap, list(_critical_scans(state, cap, True))
+    payments = {}
+    for k, spent, rows in memo[2]:  # winners are the picks before the first misfit
+        if spent + bids[k] > budget:
+            break
+        payments[k] = _fold(rows, bids, budget)
     winners = list(payments)  # pick order
     total_bid = float(sum(instance.vehicle(v).bid for v in winners))
     profit = coverage_value(winners, instance) - sum(payments.values())

@@ -5,11 +5,12 @@ is exact and unit-gain ties are real, so the fast path must reproduce the
 oracle's positions bit for bit. Float instances are held to 1e-9. A golden
 digest pins the exact bits of both mechanisms on geometric instances.
 
-``tbsap`` ends each winner's scan once no later position can raise the
-payment, while ``tbsap_payment`` scans in full, so the two are compared bit
-for bit. The set-up cache is checked against outcomes from a new
-interpreter, and budget sweeps that replay the budget-free trace against
-``tbsap`` on an emptied cache.
+``tbsap`` folds every payment from a trace whose suffixes end once no later
+position can raise the payment, while ``tbsap_payment`` scans in full, so
+the two are compared bit for bit. The set-up cache is checked against
+outcomes from a new interpreter, budget sweeps that fold a cached trace
+against ``tbsap_payment`` and ``tbsap`` on an emptied cache, and the rule
+that caps a trace at the first call's budget directly.
 """
 
 import hashlib
@@ -146,17 +147,16 @@ def test_golden_digest_dense():
 
 def assert_payments_match_full_scans(instance):
     """Every ``tbsap`` payment has the bits of the winner's full scan;
-    returns (positions scanned by tbsap, positions in the full scans)."""
+    returns (positions in the trace a first call at this budget builds,
+    positions in the full scans), leftover-coverage rows counted on both."""
     outcome = tbsap(instance)
     full = 0
     for w in outcome.winners:
         trace = tbsap_payment(w, instance)
         assert outcome.payments[w].hex() == trace.payment.hex(), w
-        full += len(trace.candidates)
-    cut = sum(
-        len(scan[0])
-        for _, _, scan in _critical_scans(_CoverageState(instance), instance.budget, True)
-    )
+        full += len(trace.candidates) + (trace.tail_value is not None)
+    state = _CoverageState(instance)
+    cut = sum(len(rows) for _, _, rows in _critical_scans(state, instance.budget, True))
     return cut, full
 
 
@@ -193,6 +193,25 @@ def test_replacement_bid_rounded_above_the_gain_still_counts():
     up = math.nextafter(7.82, math.inf)
     assert [s.replacement_bid for s in tbsap_payment(0, instance).candidates] == [7.82, up]
     assert tbsap(instance).payments[0] == up
+    # Bidding 7.82, vehicle 0 ties at unit gain 0 and is picked first, so its
+    # best entry at the least budget at which it wins is 7.82 from vehicle 1.
+    assert tbsap(instance.with_bid(0, 7.82)).payments[0] == up
+
+
+def test_replacement_bid_far_above_the_gain_still_counts():
+    # A product below the normal range rounds with an absolute error, so a
+    # replacement bid can exceed the gain by more than an ulp: here by one
+    # at vehicle 0 and by 86 (2e-14 relative) at vehicle 2. Every vehicle
+    # has unit gain 0, so vehicle 1's best entry before vehicle 2 is the
+    # first of these, above its gain; only the 1e-12 margin keeps the scan
+    # going to the second.
+    gain = 1.2345e-150
+    instance = build_instance(
+        [1.04e-160, gain, 1.014e-160], [[0], [1], [2]], [1.04e-160, gain, 1.014e-160], 100.0
+    )
+    bids = [s.replacement_bid for s in tbsap_payment(1, instance).candidates]
+    assert bids == [math.nextafter(gain, math.inf), 1.2345000000000232e-150]
+    assert tbsap(instance).payments[1] == bids[1]
 
 
 FRESH = """
@@ -259,12 +278,14 @@ def test_bad_bid_on_a_cached_geometry_raises(bid):
 
 
 def cold(instance):
-    """``tbsap`` and each winner's ``tbsap_payment`` on an emptied cache;
-    the cache is put back afterwards, so a sweep under test goes on."""
+    """``tbsap`` and each winner's ``tbsap_payment`` on an emptied cache, so
+    the trace is built afresh, capped at this budget; the cache is put back
+    afterwards, so a sweep under test goes on with its own trace."""
     saved = auction._last_geometry
     auction._last_geometry = ((), None, None)
     try:
         outcome = tbsap(instance)
+        assert auction._last_geometry[2][1] == instance.budget
         return outcome, [tbsap_payment(w, instance).payment for w in outcome.winners]
     finally:
         auction._last_geometry = saved
@@ -313,6 +334,8 @@ def budget_sweeps(draw):
 @settings(max_examples=200)
 @given(sweep=budget_sweeps())
 def test_budget_sweeps_match_an_emptied_cache(sweep):
+    # tbsap_payment scans in full with no trace, so it is the independent
+    # reference; the cold call checks the outcome's other fields
     for instance in sweep:
         outcome = tbsap(instance)
         want, payments = cold(instance)
@@ -320,11 +343,23 @@ def test_budget_sweeps_match_an_emptied_cache(sweep):
         assert exact(outcome)[1] == [p.hex() for p in payments]
 
 
-def test_trace_is_built_on_a_repeat_call_only():
+def test_trace_is_capped_at_the_first_budget():
     instance = dense_scenario(6, n_tasks=60, n_vehicles=120, side=300.0)
-    tbsap(instance)
-    assert auction._last_geometry[2][1] is None  # a first call runs the cut scans
-    tbsap(instance.with_budget(5.0))
-    assert auction._last_geometry[2][1] is not None
-    tbsap(instance.with_bid(0, instance.vehicles[0].bid * 2))
-    assert auction._last_geometry[2][1] is None  # new bids: a first call again
+    tbsap(instance.with_budget(10.0))
+    memo = auction._last_geometry[2]
+    trace = memo[2]
+    assert memo[1] == 10.0  # new bids: built at this budget
+    for budget in (10.0, 4.0, 0.0):
+        tbsap(instance.with_budget(budget))
+        assert memo[1] == 10.0 and memo[2] is trace  # within the cap: folded
+    tbsap(instance.with_bid(0, instance.vehicles[0].bid).with_budget(10.0))  # same bids
+    assert memo[1] == 10.0 and memo[2] is trace
+    tbsap(instance.with_budget(30.0))
+    assert memo[1] == math.inf and memo[2] is not trace  # above the cap: rebuilt
+    uncapped = memo[2]
+    assert len(uncapped) > len(trace)  # the cap left picks out
+    for budget in (1e9, 5.0):
+        tbsap(instance.with_budget(budget))
+        assert memo[2] is uncapped  # rebuilt once only
+    tbsap(instance.with_bid(0, instance.vehicles[0].bid * 2).with_budget(5.0))
+    assert memo[1] == 5.0 and memo[2] is not uncapped  # new bids: built again
