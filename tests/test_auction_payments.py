@@ -10,10 +10,17 @@ position can raise the payment, while ``tbsap_payment`` scans in full, so
 the two are compared bit for bit. The set-up cache is checked against
 outcomes from a new interpreter, budget sweeps that fold a cached trace
 against ``tbsap_payment`` and ``tbsap`` on an emptied cache, and the rule
-that caps a trace at the first call's budget directly.
+that caps a trace at the first call's budget directly. A trace folded again
+is folded as arrays: tests pin a zero payment beside a -0.0 entry, budgets
+at every spend where a pick or a row stops fitting, and leftover rows, and
+check that such a fold builds no greedy state and that the mechanisms
+interleaved on one geometry match an emptied cache. Tie families with
+values across the whole float range keep the cut exact where a product
+leaves the normal range.
 """
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -36,7 +43,7 @@ from trafficmarket.auction import (
     tbsap_allocate,
     tbsap_payment,
 )
-from trafficmarket.model import dumps_scenario
+from trafficmarket.model import AuctionOutcome, dumps_scenario
 
 from conftest import build_instance, dense_scenario, random_synthetic_instance
 from oracles import exclusion_payment, slow_greedy
@@ -155,7 +162,7 @@ def assert_payments_match_full_scans(instance):
         trace = tbsap_payment(w, instance)
         assert outcome.payments[w].hex() == trace.payment.hex(), w
         full += len(trace.candidates) + (trace.tail_value is not None)
-    state = _CoverageState(instance)
+    state = auction._memo(instance)[1].fork()
     cut = sum(len(rows) for _, _, rows in _critical_scans(state, instance.budget, True))
     return cut, full
 
@@ -212,6 +219,56 @@ def test_replacement_bid_far_above_the_gain_still_counts():
     bids = [s.replacement_bid for s in tbsap_payment(1, instance).candidates]
     assert bids == [math.nextafter(gain, math.inf), 1.2345000000000232e-150]
     assert tbsap(instance).payments[1] == bids[1]
+
+
+def test_payment_cut_is_exact_below_the_normal_range():
+    # Every unit gain is 0 and ids break the ties. Vehicle 0's replacement
+    # bid for vehicle 2 comes from a product below the normal range and lands
+    # above vehicle 2's gain by far more than the margin; with vehicle 1's
+    # slack it is the best entry before vehicle 3, and a cut there loses
+    # vehicle 3's larger one. So the trace of such bids is built uncut.
+    values = [5.140139183153108e-168, 1.0, 1.2345e-150, 1.0451280436117553e-173]
+    instance = build_instance(values, [[0], [1], [2], [3]], values, 100.0)
+    want = "0x1.291ba0151afb5p-498"
+    assert tbsap_payment(2, instance).payment.hex() == want
+    assert tbsap(instance).payments[2].hex() == want
+
+
+@st.composite
+def tie_families(draw):
+    """Calls at several budgets on vehicles with one task each that bid its
+    value, so every unit gain is 0 and the picks run in id order. An anchor
+    value has its exponent drawn across the whole float range. One or two
+    values before it and one or two after it have exponents that put their
+    product with the anchor below the normal range, where it can round far
+    off, or (one in four) anywhere. A filler worth 1.0 may be put anywhere,
+    to leave slack. Budgets are the spend after each pick and one ulp
+    either side, 100 and the largest float."""
+    anchor = draw(st.integers(-1074, 1023))
+    near = st.integers(-1070, -1050).map(lambda e: max(-1074, min(1023, e - anchor)))
+    exponent = st.sampled_from([near, near, near, st.integers(-1074, 1023)]).flatmap(lambda s: s)
+    before, after = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    exponents = [draw(exponent) for _ in range(before)] + [anchor]
+    exponents += [draw(exponent) for _ in range(after)]
+    values = [math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), e) for e in exponents]
+    if draw(st.booleans()):
+        values.insert(draw(st.integers(0, len(values))), 1.0)
+    instance = build_instance(values, [[v] for v in range(len(values))], values, 0.0)
+    spends = itertools.accumulate(values)
+    pool = [b for s in spends for b in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf))]
+    pool = [b for b in pool if math.isfinite(b)] + [100.0, sys.float_info.max]
+    budgets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    return [instance.with_budget(budget) for budget in budgets]
+
+
+@settings(max_examples=200)
+@given(sweep=tie_families())
+def test_tie_families_match_full_scans_at_every_magnitude(sweep):
+    for instance in sweep:
+        outcome = tbsap(instance)
+        assert exact(outcome)[1] == [
+            tbsap_payment(w, instance).payment.hex() for w in outcome.winners
+        ]
 
 
 FRESH = """
@@ -285,7 +342,7 @@ def cold(instance):
     auction._last_geometry = ((), None, None)
     try:
         outcome = tbsap(instance)
-        assert auction._last_geometry[2][1] == instance.budget
+        assert auction._last_geometry[2][2].cap == instance.budget
         return outcome, [tbsap_payment(w, instance).payment for w in outcome.winners]
     finally:
         auction._last_geometry = saved
@@ -346,20 +403,129 @@ def test_budget_sweeps_match_an_emptied_cache(sweep):
 def test_trace_is_capped_at_the_first_budget():
     instance = dense_scenario(6, n_tasks=60, n_vehicles=120, side=300.0)
     tbsap(instance.with_budget(10.0))
-    memo = auction._last_geometry[2]
+    memo = auction._last_geometry[2]  # [bids, start state, trace]
     trace = memo[2]
-    assert memo[1] == 10.0  # new bids: built at this budget
+    assert trace.cap == 10.0  # new bids: built at this budget
+    assert trace.rows is not None and trace.columns is None  # folded as rows
     for budget in (10.0, 4.0, 0.0):
         tbsap(instance.with_budget(budget))
-        assert memo[1] == 10.0 and memo[2] is trace  # within the cap: folded
+        assert trace.cap == 10.0 and memo[2] is trace  # within the cap: folded
+        assert trace.rows is None and trace.columns is not None  # as columns
     tbsap(instance.with_bid(0, instance.vehicles[0].bid).with_budget(10.0))  # same bids
-    assert memo[1] == 10.0 and memo[2] is trace
+    assert memo[2] is trace
     tbsap(instance.with_budget(30.0))
-    assert memo[1] == math.inf and memo[2] is not trace  # above the cap: rebuilt
+    assert memo[2].cap == math.inf and memo[2] is not trace  # above the cap: rebuilt
     uncapped = memo[2]
-    assert len(uncapped) > len(trace)  # the cap left picks out
+    assert len(uncapped.picks) > len(trace.picks)  # the cap left picks out
     for budget in (1e9, 5.0):
         tbsap(instance.with_budget(budget))
         assert memo[2] is uncapped  # rebuilt once only
     tbsap(instance.with_bid(0, instance.vehicles[0].bid * 2).with_budget(5.0))
-    assert memo[1] == 5.0 and memo[2] is not uncapped  # new bids: built again
+    assert memo[2].cap == 5.0 and memo[2] is not uncapped  # new bids: built again
+
+
+def test_zero_payment_keeps_the_first_zero():
+    # Every bid is the least float. Vehicle 0 is picked first; in the run
+    # without it, its replacement bids at vehicles 1 and 2 round to +0.0 and,
+    # once 1 and 2 cover its tasks and leave its gain at -2**-60, the one at
+    # vehicle 3 rounds to -0.0. Its payment is the first zero, +0.0.
+    tiny = math.ldexp(1.0, -1074)
+    instance = build_instance(
+        [1.0, 2.0**-60, 4.0, 4.0, 4.0], [[0, 1], [0, 2], [1, 3], [4]], [tiny] * 4, 1.0
+    )
+    rows = [r.replacement_bid.hex() for r in tbsap_payment(0, instance).candidates]
+    assert rows == ["0x0.0p+0", "0x0.0p+0", "-0x0.0p+0"]
+    for budget in (1.0, 0.5, 1.0):  # the second and third calls fold columns
+        outcome = tbsap(instance.with_budget(budget))
+        want, payments = cold(instance.with_budget(budget))
+        assert exact(outcome) == exact(want)
+        assert exact(outcome)[1] == [p.hex() for p in payments]
+        assert outcome.payments[0].hex() == "0x0.0p+0"
+
+
+def row_sums(instance) -> list[float]:
+    """The spend after each pick and after each row's candidate in an
+    uncapped trace: the budgets at which a pick or a row stops fitting."""
+    bids, start, _ = auction._memo(instance)
+    sums = set()
+    for k, spent, rows in _critical_scans(start.fork(), math.inf, True):
+        sums.add(spent + bids[k])
+        sums.update(spend + bids[c] for c, _, spend in rows)
+    return sorted(sums)
+
+
+def test_folds_at_misfit_thresholds():
+    # Each budget sits at a spend where a pick or a row stops fitting, or
+    # one ulp either side. The first call builds the trace at the largest,
+    # so every later one folds columns.
+    rng = np.random.default_rng(36)
+    instances = [integer_instance(rng) for _ in range(40)] + [small_geometric(rng) for _ in range(2)]
+    for instance in instances:
+        sums = row_sums(instance)
+        if len(sums) > 40:
+            sums = sorted(rng.choice(sums, 40, replace=False).tolist())
+        budgets = [b for s in sums for b in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf))]
+        tbsap(instance.with_budget(max(budgets, default=0.0)))
+        for budget in budgets:
+            outcome = tbsap(instance.with_budget(budget))
+            want, payments = cold(instance.with_budget(budget))
+            assert exact(outcome) == exact(want)
+            assert exact(outcome)[1] == [p.hex() for p in payments]
+
+
+def test_leftover_row_prices_the_winners():
+    # Disjoint tasks: vehicle 0 is picked first, then vehicle 1, and no
+    # budget break ends either scan, so each winner's last row is its
+    # leftover coverage, which sets its payment; vehicle 1's is the last row
+    # of the whole trace. At B=11 vehicle 0's is cut to its slack, 9.
+    instance = build_instance([10.0, 10.0], [[0], [1]], [1.0, 2.0], 100.0)
+    for budget in (100.0, 50.0, 11.0, 12.0, 100.0):
+        outcome = tbsap(instance.with_budget(budget))
+        assert outcome.winners == (0, 1)
+        for w in outcome.winners:
+            trace = tbsap_payment(w, instance.with_budget(budget))
+            tail = min(trace.tail_value, trace.tail_slack)
+            assert outcome.payments[w].hex() == trace.payment.hex() == tail.hex()
+    assert outcome.payments == {0: 10.0, 1: 10.0}
+
+
+def test_a_fold_builds_no_state(monkeypatch):
+    instance = dense_scenario(7, n_tasks=60, n_vehicles=120, side=300.0)
+    tbsap(instance.with_budget(40.0))
+    built = []
+    init, fork = _CoverageState.__init__, _CoverageState.fork
+    monkeypatch.setattr(
+        _CoverageState, "__init__", lambda self, *args: built.append("init") or init(self, *args)
+    )
+    monkeypatch.setattr(_CoverageState, "fork", lambda self: built.append("fork") or fork(self))
+    for budget in (40.0, 10.0, 25.0):
+        tbsap(instance.with_budget(budget))
+    assert built == []
+    greedy_heuristic(instance)
+    tbsap_allocate(instance)
+    assert built == ["fork", "fork"]  # the same bids fork the cached start state
+    tbsap(instance.with_bid(0, instance.vehicles[0].bid * 2))
+    assert built.count("init") == 1  # new bids set up one new start state
+
+
+def cold_call(mechanism, instance):
+    """``mechanism`` on an emptied cache, which is put back afterwards."""
+    saved = auction._last_geometry
+    auction._last_geometry = ((), None, None)
+    try:
+        return mechanism(instance)
+    finally:
+        auction._last_geometry = saved
+
+
+@settings(max_examples=100)
+@given(sweep=budget_sweeps(), data=st.data())
+def test_mechanisms_interleaved_match_an_emptied_cache(sweep, data):
+    # budget_sweeps mixes the same bids, a changed bid and a second geometry
+    mechanisms = st.sampled_from([greedy_heuristic, tbsap, tbsap_allocate])
+    for instance in sweep:
+        mechanism = data.draw(mechanisms)
+        got, want = mechanism(instance), cold_call(mechanism, instance)
+        if isinstance(got, AuctionOutcome):
+            got, want = exact(got), exact(want)
+        assert got == want
