@@ -92,6 +92,7 @@ from trafficmarket.model import (
     AuctionInstance,
     AuctionOutcome,
     validate_instance,
+    write_rows,
 )
 
 __all__ = [
@@ -564,11 +565,11 @@ def brute_force_optimum(instance: AuctionInstance) -> AuctionOutcome:
 
 def write_outcome_csv(outcome: AuctionOutcome, instance: AuctionInstance, path) -> None:
     """One row per winner: vehicle_id, bid, payment, profit of the outcome."""
-    import csv
-
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vehicle_id", "bid", "payment", "profit"])
-        for v in outcome.winners:
-            bid = float(instance.vehicle(v).bid)
-            writer.writerow([v, repr(bid), repr(outcome.payments[v]), repr(outcome.profit)])
+    write_rows(
+        path,
+        ("vehicle_id", "bid", "payment", "profit"),
+        (
+            (v, float(instance.vehicle(v).bid), outcome.payments[v], outcome.profit)
+            for v in outcome.winners
+        ),
+    )

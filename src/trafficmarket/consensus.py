@@ -25,7 +25,6 @@ and the clamp in one vector sweep. ``run_epochs`` zips the columns into
 
 from __future__ import annotations
 
-import csv
 import enum
 import hashlib
 from dataclasses import dataclass, field
@@ -33,6 +32,8 @@ from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from trafficmarket.model import write_rows
 
 __all__ = [
     "VotingMode",
@@ -475,17 +476,6 @@ def run_epochs(
 
 
 def write_history_csv(history: ConsensusHistory, path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "round", "node_id", "reputation", "role", "delta"])
-        for row in history.rows:
-            writer.writerow(
-                [
-                    row.epoch,
-                    row.round_index,
-                    row.node_id,
-                    repr(row.reputation),
-                    row.role,
-                    repr(row.delta),
-                ]
-            )
+    write_rows(
+        path, ("epoch", "round", "node_id", "reputation", "role", "delta"), history.rows
+    )

@@ -1,4 +1,4 @@
-"""Bundled simulation studies and their CSV writers.
+"""Bundled simulation studies.
 
 Four studies ship with the package:
 
@@ -13,16 +13,15 @@ Four studies ship with the package:
 ``EXPERIMENTS`` maps each name to its row function and CSV header, and
 ``run_experiment`` is the one entry point: it writes
 ``<out_dir>/<study>/<seed>.csv`` per seed. Overrides are the row
-function's keyword parameters. Row order and float formatting are
-deterministic, so identical seeds give byte-identical files. Trial seeds
-never feed one shared stream: anything random inside a trial derives its
-generator from ``[seed, tag, ...]`` so results do not depend on the order
-trials run in.
+function's keyword parameters. Rows come in a fixed order and
+``model.write_rows`` writes them, so identical seeds give byte-identical
+files. Trial seeds never feed one shared stream: anything random inside a
+trial derives its generator from ``[seed, tag, ...]`` so results do not
+depend on the order trials run in.
 """
 
 from __future__ import annotations
 
-import csv
 import inspect
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -44,7 +43,12 @@ from trafficmarket.consensus import (
     run_epochs,
     sample_population,
 )
-from trafficmarket.model import AuctionInstance, ScenarioConfig, generate_scenario
+from trafficmarket.model import (
+    AuctionInstance,
+    ScenarioConfig,
+    generate_scenario,
+    write_rows,
+)
 
 __all__ = [
     "BUDGET_GRID",
@@ -224,19 +228,6 @@ def bid_payment_rows(
     return rows
 
 
-def _format(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def _write_rows(path: Path, header: Sequence[str], rows: Sequence[tuple]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format(v) for v in row])
-
-
 def _trajectory_rows(seed: int) -> tuple[tuple[int, float, float], ...]:
     return reputation_trajectory(seed).rows
 
@@ -284,6 +275,9 @@ def run_experiment(
     rows, header = EXPERIMENTS[name]
     paths = []
     for seed in seeds:
+        # rows first, so a grid the row function rejects leaves no directory
+        table = rows(seed, **params)
         paths.append(Path(out_dir) / name / f"{seed}.csv")
-        _write_rows(paths[-1], header, rows(seed, **params))
+        paths[-1].parent.mkdir(parents=True, exist_ok=True)
+        write_rows(paths[-1], header, table)
     return paths

@@ -9,10 +9,11 @@ bid (equal to the cost unless a test deviates it).
 
 from __future__ import annotations
 
+import csv
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "loads_scenario",
     "save_scenario",
     "load_scenario",
+    "write_rows",
 ]
 
 
@@ -79,7 +81,9 @@ class AuctionInstance:
         return v
 
     def with_budget(self, budget: float) -> "AuctionInstance":
-        # zero is allowed and buys nothing; only negative budgets are invalid
+        # zero is allowed and buys nothing; non-finite fails as in validate_instance
+        if not math.isfinite(budget):
+            raise ValueError("budget must be finite and nonnegative")
         if budget < 0:
             raise ValueError("budget must be nonnegative")
         return replace(self, budget=budget)
@@ -387,3 +391,13 @@ def save_scenario(instance: AuctionInstance, path) -> None:
 def load_scenario(path) -> AuctionInstance:
     with open(path, "r", encoding="ascii") as fh:
         return loads_scenario(fh.read())
+
+
+def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` then ``rows`` as CSV: floats by ``repr``, the rest by
+    ``str``. Every CSV the package writes goes through here."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])

@@ -7,6 +7,13 @@ once, and confirms, after which the confirmed trades are sealed into a
 hash-chained block. Balances are Fractions so money is conserved exactly;
 every verification failure aborts only the session it happened in.
 
+Request, order, delivery and confirm are one leg each, run by one helper.
+Its send half makes the message, lets ``tamper`` alter a request or a
+delivery, and appends it to the transcript; its receive half verifies it
+and either aborts the session with ``"<leg>: <reason>"`` or advances the
+session's clock and returns the plaintext. Every request is sent before
+any is received, so the authority vets them together.
+
 Message security rides on a pluggable scheme from :mod:`trafficmarket.crypto`.
 Randomness for each participant's key material and ciphertexts comes from
 generators derived from (seed, role, vehicle id), which keeps a round's
@@ -36,7 +43,6 @@ are always verified afresh.
 from __future__ import annotations
 
 import ast
-import csv
 import enum
 import hashlib
 from dataclasses import dataclass, field, replace
@@ -51,7 +57,7 @@ from trafficmarket.crypto import (
     KeyPair,
     SignatureScheme,
 )
-from trafficmarket.model import AuctionInstance, AuctionOutcome
+from trafficmarket.model import AuctionInstance, AuctionOutcome, write_rows
 
 __all__ = [
     "ProtocolError",
@@ -295,10 +301,12 @@ def _make_message(
     kind: MessageKind,
     sender: Participant,
     session_id: str,
-    plaintext: bytes,
+    payload: tuple,
     recipient: Participant | None = None,
     rng: np.random.Generator | None = None,
 ) -> ProtocolMessage:
+    """Sign the ``repr`` of ``payload``, encrypted for ``recipient`` if one is given."""
+    plaintext = repr(payload).encode()
     if recipient is not None:
         body = world.scheme.encrypt(recipient.keys.public, plaintext, rng)
     else:
@@ -400,23 +408,12 @@ def _default_data_check(vehicle_id: int, task_ids, readings) -> bool:
 
 
 def _surviving_instance(
-    instance: AuctionInstance, excluded: set[int]
+    instance: AuctionInstance, excluded: frozenset[int]
 ) -> tuple[AuctionInstance, dict[int, int]]:
     """Re-index the non-excluded vehicles densely; map new ids back to old."""
-    remap = {}
-    vehicles = []
-    for vehicle in instance.vehicles:
-        if vehicle.id in excluded:
-            continue
-        remap[len(vehicles)] = vehicle.id
-        vehicles.append(replace(vehicle, id=len(vehicles)))
-    survived = AuctionInstance(
-        tasks=instance.tasks,
-        vehicles=tuple(vehicles),
-        budget=instance.budget,
-        city_side=instance.city_side,
-    )
-    return survived, remap
+    kept = [v for v in instance.vehicles if v.id not in excluded]
+    vehicles = tuple(replace(v, id=new) for new, v in enumerate(kept))
+    return replace(instance, vehicles=vehicles), {new: v.id for new, v in enumerate(kept)}
 
 
 @dataclass
@@ -446,7 +443,6 @@ def run_trading_round(
     if data_check is None:
         data_check = _default_data_check
     authority = world.authority
-    scheme = world.scheme
     round_index = len(world.ledger)
     sessions = {v.id: TradingSession(v.id) for v in instance.vehicles}
     subset_of = {v.id: tuple(sorted(v.task_subset)) for v in instance.vehicles}
@@ -454,21 +450,45 @@ def run_trading_round(
         v.id: np.random.default_rng([world.seed, 3, round_index, v.id])
         for v in instance.vehicles
     }
-    authority_rng = {
-        v.id: np.random.default_rng([world.seed, 4, round_index, v.id])
-        for v in instance.vehicles
-    }
+
+    def send(session, kind, sender, recipient, payload, rng) -> ProtocolMessage:
+        # the send half of a leg: make the message, let tamper see requests
+        # and deliveries in flight, append it to the transcript
+        message = _make_message(
+            world,
+            kind,
+            sender,
+            f"round-{round_index}/vehicle-{session.vehicle_id}",
+            payload,
+            recipient=recipient,
+            rng=rng,
+        )
+        if tamper is not None and kind in (MessageKind.REQUEST, MessageKind.DATA):
+            message = tamper(message)
+        session.transcript.append(message)
+        return message
+
+    def receive(session, kind, message, sender, recipient) -> bytes | None:
+        # the receive half: verify, then abort or advance the session's clock
+        plaintext, reason = verify_message(
+            world, message, sender.certificate, recipient.keys.private,
+            session.last_timestamp,
+        )
+        if reason:
+            session.abort(f"{kind.name.lower()}: {reason}")
+            return None
+        session.last_timestamp = message.timestamp
+        return plaintext
+
+    def leg(session, kind, sender, recipient, payload, rng) -> bytes | None:
+        message = send(session, kind, sender, recipient, payload, rng)
+        return receive(session, kind, message, sender, recipient)
 
     # step 1: signed broadcast of the task catalogue
-    publish_body = repr(
-        (
-            "publish",
-            tuple((t.id, t.x, t.y, t.appraisement) for t in instance.tasks),
-            instance.budget,
-        )
-    ).encode()
+    catalogue = tuple((t.id, t.x, t.y, t.appraisement) for t in instance.tasks)
     publish = _make_message(
-        world, MessageKind.PUBLISH, authority, f"round-{round_index}", publish_body
+        world, MessageKind.PUBLISH, authority, f"round-{round_index}",
+        ("publish", catalogue, instance.budget),
     )
 
     # step 2: vehicles validate the broadcast and submit encrypted requests;
@@ -483,38 +503,24 @@ def run_trading_round(
             continue
         session.last_timestamp = publish.timestamp
         session.transcript.append(publish)
-        body = repr(
-            ("request", vid, subset_of[vid], instance.vehicle(vid).bid)
-        ).encode()
-        message = _make_message(
-            world,
+        requests[vid] = send(
+            session,
             MessageKind.REQUEST,
             world.vehicles[vid],
-            f"round-{round_index}/vehicle-{vid}",
-            body,
-            recipient=authority,
-            rng=vehicle_rng[vid],
+            authority,
+            ("request", vid, subset_of[vid], instance.vehicle(vid).bid),
+            vehicle_rng[vid],
         )
-        if tamper is not None:
-            message = tamper(message)
-        session.transcript.append(message)
         session.state = SessionState.REQUESTED
-        requests[vid] = message
 
     # step 3: the authority vets every request before allocating
     for vid in sorted(requests):
         session = sessions[vid]
-        plaintext, reason = verify_message(
-            world,
-            requests[vid],
-            world.vehicles[vid].certificate,
-            authority.keys.private,
-            session.last_timestamp,
+        plaintext = receive(
+            session, MessageKind.REQUEST, requests[vid], world.vehicles[vid], authority
         )
-        if reason:
-            session.abort(f"request: {reason}")
+        if plaintext is None:
             continue
-        session.last_timestamp = requests[vid].timestamp
         tag, claimed_id, claimed_subset, _bid = ast.literal_eval(plaintext.decode())
         if tag != "request" or claimed_id != vid or tuple(claimed_subset) != subset_of[vid]:
             session.abort("request: inconsistent payload")
@@ -522,16 +528,11 @@ def run_trading_round(
     excluded = frozenset(
         vid for vid, s in sessions.items() if s.state is SessionState.ABORTED
     )
-    survivors, remap = _surviving_instance(instance, set(excluded))
+    survivors, remap = _surviving_instance(instance, excluded)
     sub_outcome = mechanism(survivors)
     winners = tuple(remap[w] for w in sub_outcome.winners)
     payments = {remap[w]: p for w, p in sub_outcome.payments.items()}
-    outcome = AuctionOutcome(
-        winners=winners,
-        payments=payments,
-        profit=sub_outcome.profit,
-        total_bid=sub_outcome.total_bid,
-    )
+    outcome = replace(sub_outcome, winners=winners, payments=payments)
     for vid, session in sessions.items():
         if session.state is SessionState.REQUESTED:
             if vid in payments:
@@ -541,66 +542,29 @@ def run_trading_round(
 
     # the authority must be able to cover every quoted payment before
     # anything moves
+    served = sorted(winners)
     total_due = sum((Fraction(payments[w]) for w in winners), Fraction(0))
     if authority.account.balance < total_due:
-        for vid in winners:
+        for vid in served:
             sessions[vid].abort("authority balance insufficient")
-        return RoundResult(
-            outcome=outcome,
-            sessions=sessions,
-            excluded=excluded,
-            records=(),
-            block=None,
-        )
+        served = []
 
     # steps 4-8 per winner: order, deliver, check, pay, confirm
     records = []
-    for vid in sorted(winners):
+    for vid in served:
         session = sessions[vid]
-        participant = world.vehicles[vid]
-        session_id = f"round-{round_index}/vehicle-{vid}"
-
-        order = _make_message(
-            world,
-            MessageKind.ORDER,
-            authority,
-            session_id,
-            repr(("order", vid, subset_of[vid], repr(payments[vid]))).encode(),
-            recipient=participant,
-            rng=authority_rng[vid],
-        )
-        _, reason = verify_message(
-            world, order, authority.certificate, participant.keys.private,
-            session.last_timestamp,
-        )
-        if reason:
-            session.abort(f"order: {reason}")
+        vehicle = world.vehicles[vid]
+        rng = vehicle_rng[vid]
+        order = ("order", vid, subset_of[vid], repr(payments[vid]))
+        authority_rng = np.random.default_rng([world.seed, 4, round_index, vid])
+        if leg(session, MessageKind.ORDER, authority, vehicle, order, authority_rng) is None:
             continue
-        session.last_timestamp = order.timestamp
-        session.transcript.append(order)
         session.state = SessionState.ORDERED
 
-        readings = _sensor_readings(vid, subset_of[vid])
-        delivery = _make_message(
-            world,
-            MessageKind.DATA,
-            participant,
-            session_id,
-            repr(("data", vid, readings)).encode(),
-            recipient=authority,
-            rng=vehicle_rng[vid],
-        )
-        if tamper is not None:
-            delivery = tamper(delivery)
-        session.transcript.append(delivery)
-        plaintext, reason = verify_message(
-            world, delivery, participant.certificate, authority.keys.private,
-            session.last_timestamp,
-        )
-        if reason:
-            session.abort(f"data: {reason}")
+        delivery = ("data", vid, _sensor_readings(vid, subset_of[vid]))
+        plaintext = leg(session, MessageKind.DATA, vehicle, authority, delivery, rng)
+        if plaintext is None:
             continue
-        session.last_timestamp = delivery.timestamp
         _, _, delivered = ast.literal_eval(plaintext.decode())
         if not data_check(vid, subset_of[vid], tuple(delivered)):
             session.abort("data rejected")
@@ -610,34 +574,20 @@ def run_trading_round(
 
         pay_winner(world, session, Fraction(payments[vid]))
 
-        confirm = _make_message(
-            world,
-            MessageKind.CONFIRM,
-            participant,
-            session_id,
-            repr(("confirm", vid, str(session.paid_amount))).encode(),
-            recipient=authority,
-            rng=vehicle_rng[vid],
-        )
-        session.transcript.append(confirm)
-        _, reason = verify_message(
-            world, confirm, participant.certificate, authority.keys.private,
-            session.last_timestamp,
-        )
-        if reason:
-            session.abort(f"confirm: {reason}")
+        confirm = ("confirm", vid, str(session.paid_amount))
+        if leg(session, MessageKind.CONFIRM, vehicle, authority, confirm, rng) is None:
             continue
-        session.last_timestamp = confirm.timestamp
+        confirmed = session.transcript[-1]
         session.state = SessionState.CONFIRMED
-        session.confirmed_at = confirm.timestamp
+        session.confirmed_at = confirmed.timestamp
         records.append(
             TransactionRecord(
-                session_id=session_id,
+                session_id=confirmed.session_id,
                 authority=authority.name,
                 vehicle_id=vid,
                 amount=str(session.paid_amount),
                 data_digest=session.data_digest,
-                confirmed_at=confirm.timestamp,
+                confirmed_at=confirmed.timestamp,
             )
         )
 
@@ -653,12 +603,12 @@ def run_trading_round(
 
 def write_ledger_csv(world: TradingWorld, path) -> None:
     """Append-only view of confirmed trades, one record per line."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["session_id", "ta_id", "vehicle_id", "payment", "block_id"])
-        for block in world.ledger:
-            for record in block.records:
-                writer.writerow(
-                    [record.session_id, record.authority, record.vehicle_id,
-                     record.amount, block.index]
-                )
+    write_rows(
+        path,
+        ("session_id", "ta_id", "vehicle_id", "payment", "block_id"),
+        (
+            (r.session_id, r.authority, r.vehicle_id, r.amount, block.index)
+            for block in world.ledger
+            for r in block.records
+        ),
+    )

@@ -293,6 +293,10 @@ def test_with_bid_and_with_budget():
     assert instance.with_budget(0.0).budget == 0.0  # zero buys nothing but is legal
     with pytest.raises(ValueError):
         instance.with_budget(-1.0)
+    for budget in (float("nan"), float("inf"), float("-inf")):
+        # a scenario file could not hold the result: load_scenario rejects it
+        with pytest.raises(ValueError, match="^budget must be finite and nonnegative$"):
+            instance.with_budget(budget)
     with pytest.raises(KeyError):
         instance.with_bid(99, 1.0)
 

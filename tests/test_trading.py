@@ -32,6 +32,17 @@ from conftest import dense_scenario
 SCHEMES = [HashStubScheme, Ed25519X25519Scheme]
 
 
+class _RejectingStub(HashStubScheme):
+    """The stub scheme, rejecting every signature over bytes with ``prefix``."""
+
+    def __init__(self, prefix: bytes):
+        super().__init__()
+        self.prefix = prefix
+
+    def verify(self, public, data, signature):
+        return not data.startswith(self.prefix) and super().verify(public, data, signature)
+
+
 @pytest.fixture
 def world():
     instance = paper_example()
@@ -222,6 +233,37 @@ class TestFailureModes:
         assert result.sessions[1].failure == "data rejected"
         assert world.authority.account.balance == Fraction(5)
         assert result.block is None
+
+    @pytest.mark.parametrize(
+        "kind, affected",
+        [
+            (MessageKind.REQUEST, {0, 1, 2}),
+            (MessageKind.ORDER, {0, 1}),
+            (MessageKind.DATA, {0, 1}),
+            (MessageKind.CONFIRM, {0, 1}),
+        ],
+        ids=["request", "order", "data", "confirm"],
+    )
+    def test_every_leg_aborts_on_a_bad_signature(self, kind, affected):
+        # every leg appends its message, verifies it, and aborts with
+        # "<leg>: <reason>"; only the leg's own sessions are touched
+        instance = paper_example()
+        world = build_world(instance, _RejectingStub(f"{kind.value}|".encode()), seed=7)
+        start = world.total_balance()
+        result = run_trading_round(world, instance)
+        for vid, session in result.sessions.items():
+            if vid not in affected:
+                assert session.failure == "lost auction"
+                continue
+            assert session.state is SessionState.ABORTED
+            assert session.failure == f"{kind.name.lower()}: bad signature"
+            assert session.transcript[-1].kind is kind
+            assert session.confirmed_at is None
+            paid = kind is MessageKind.CONFIRM  # paid before the confirm leg
+            assert (session.paid_amount is not None) is paid
+            assert (world.vehicles[vid].account.balance > 0) is paid
+        assert result.records == () and result.block is None and world.ledger == []
+        assert world.total_balance() == start
 
     def test_underfunded_authority_aborts_before_any_transfer(self):
         instance = paper_example()
