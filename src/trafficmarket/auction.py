@@ -68,12 +68,15 @@ Task values, sorted subsets, member lists and initial gains depend only on
 the geometry, so the last geometry's set-up is kept and reused while the
 ``tasks`` tuple and every ``task_subset`` are the very same objects. The
 key holds them alive, so a new geometry can never match it: the cache
-fails closed. Beside the set-up sits a memo for the last bid vector seen
-on it, compared by value: the bids, the greedy's start state (initial
-gains and the heapified keys, which the budget never touches), and
-``tbsap``'s trace once one is built. Every entry point validates the
-instance and checks the bids once per call, then forks the start state, so
-a ``tbsap`` call that only folds builds no state at all.
+fails closed. Beside the set-up sits a memo (``_Memo``) for the last bid
+vector seen on it, compared by value: the bids, the greedy's start state
+(initial gains and the heapified keys, which the budget never touches),
+``tbsap``'s trace once one is built, and the ``vehicles`` tuple last
+validated with those bids. Every new ``(tasks, vehicles)`` pair is
+validated in full; a call on the very pair the memo holds, as each budget
+of a sweep made by ``with_budget`` is, checks only its budget (``_memo``).
+So a ``tbsap`` call that only folds builds no state at all, and the other
+entry points fork the start state once.
 """
 
 from __future__ import annotations
@@ -91,6 +94,7 @@ import numpy as np
 from trafficmarket.model import (
     AuctionInstance,
     AuctionOutcome,
+    validate_budget,
     validate_instance,
     write_rows,
 )
@@ -145,11 +149,22 @@ class PaymentTrace:
     payment: float
 
 
-#: (key, set-up, [bids, start state, trace]) of the last geometry; one entry.
+#: (key, set-up, memo) of the last geometry; one entry.
 _last_geometry: tuple = ((), None, None)
 
 
-def _setup(instance: AuctionInstance) -> tuple[tuple, list]:
+class _Memo:
+    """What the cached geometry keeps for the last bid vector seen on it:
+    the bids, the greedy's start state, ``tbsap``'s trace once one is
+    built, and the ``vehicles`` tuple last validated with those bids."""
+
+    __slots__ = ("bids", "start", "trace", "vehicles")
+
+    def __init__(self):
+        self.bids = self.start = self.trace = self.vehicles = None
+
+
+def _setup(instance: AuctionInstance) -> tuple[tuple, _Memo]:
     """``(values, sorted subsets, members, initial gains)`` of a validated
     instance, none of which depend on bids or the budget, and the memo kept
     beside them.
@@ -183,7 +198,7 @@ def _setup(instance: AuctionInstance) -> tuple[tuple, list]:
         else:
             gains.append(sum(items[start:end], 0.0))
     setup = (values.tolist(), ordered, members, gains)
-    memo = [None, None, None]
+    memo = _Memo()
     _last_geometry = (key, setup, memo)
     return setup, memo
 
@@ -234,18 +249,31 @@ class _CoverageState:
         self.spent += self.bids[vehicle_id]
 
 
-def _memo(instance: AuctionInstance) -> list:
-    """Validate the instance and check its bids, then return the cached
-    geometry's memo ``[bids, start state, trace]`` for these bids, made
-    afresh when the bids differ from the last ones seen on it."""
+def _memo(instance: AuctionInstance) -> _Memo:
+    """The cached geometry's memo for this instance's bids, made afresh
+    when the bids differ from the last ones seen on it.
+
+    A new ``(tasks, vehicles)`` pair is validated in full and its bids
+    checked. The memo then holds its ``vehicles`` tuple, and an instance
+    whose ``tasks`` and ``vehicles`` are those very objects has only its
+    budget checked: both tuples and everything in them are immutable, so
+    the rest of the validation would read the same values again. A pair
+    whose bids reset the memo takes its place, so the tuple before it
+    misses and is validated again.
+    """
+    key, _, memo = _last_geometry
+    if memo is not None and memo.vehicles is instance.vehicles and key[0] is instance.tasks:
+        validate_budget(instance.budget)
+        return memo
     validate_instance(instance)
     bids = [float(v.bid) for v in instance.vehicles]
     for v, bid in enumerate(bids):
         if bid <= 0:
             raise ValueError(f"vehicle {v}: bids must be positive in auctions")
     setup, memo = _setup(instance)
-    if memo[0] != bids:
-        memo[:] = bids, _CoverageState(setup, bids), None
+    if memo.bids != bids:
+        memo.bids, memo.start, memo.trace = bids, _CoverageState(setup, bids), None
+    memo.vehicles = instance.vehicles
     return memo
 
 
@@ -289,7 +317,7 @@ def greedy_heuristic(instance: AuctionInstance) -> AuctionOutcome:
     picks the best unit gain among them, and stops only when the pool is
     empty or the best remaining unit gain is negative.
     """
-    _, start, _ = _memo(instance)
+    start = _memo(instance).start
     state = start.fork()
     order = [k for k, _ in _picks(state, instance.budget, drop_misfits=True)]
     payments = {v: state.bids[v] for v in order}
@@ -301,7 +329,7 @@ def greedy_heuristic(instance: AuctionInstance) -> AuctionOutcome:
 
 def tbsap_allocate(instance: AuctionInstance) -> list[int]:
     """Winner selection stage: greedy by unit gain, break on first stop."""
-    _, start, _ = _memo(instance)
+    start = _memo(instance).start
     return [k for k, fits in _picks(start.fork(), instance.budget) if fits]
 
 
@@ -480,7 +508,8 @@ def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
     depends on the winner's own bid.
     """
     budget = instance.budget
-    bids, start, _ = _memo(instance)
+    memo = _memo(instance)
+    bids, start = memo.bids, memo.start
     for k, _, rows in _critical_scans(start.fork(), budget, False, vehicle_id):
         payment = _fold(rows, bids, budget)
         tail = rows.pop() if rows and rows[-1][0] == k else None  # only the leftover row is k
@@ -493,14 +522,14 @@ def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
 def tbsap(instance: AuctionInstance) -> AuctionOutcome:
     """Truthful budgeted auction: break-greedy allocation, critical payments."""
     memo = _memo(instance)
-    bids, start, trace = memo
+    bids, start, trace = memo.bids, memo.start, memo.trace
     budget = instance.budget
     if trace is not None and budget <= trace.cap:
         payments = trace.fold_columns(budget)
     else:  # new bids build at B, a higher B without cap
         cap = budget if trace is None else math.inf
-        memo[2] = trace = None  # freed before its successor is built
-        memo[2] = trace = _Trace(cap, _critical_scans(start.fork(), cap, True), bids)
+        memo.trace = trace = None  # freed before its successor is built
+        memo.trace = trace = _Trace(cap, _critical_scans(start.fork(), cap, True), bids)
         payments = trace.fold_rows(bids, budget)
     winners = list(payments)  # pick order
     total_bid = float(sum(instance.vehicle(v).bid for v in winners))

@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     trade = sub.add_parser("trade", help="run a full signed trading round")
     trade.add_argument("--scenario", required=True)
     trade.add_argument(
-        "--mechanism", choices=["greedy", "tbsap"], default="tbsap"
+        "--mechanism", choices=sorted(MECHANISMS), default="tbsap"
     )
     trade.add_argument("--scheme", choices=["real", "stub"], default="real")
     trade.add_argument("--seed", type=int, default=0)
@@ -263,6 +263,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # numpy would reject a negative seed later, without naming the flag
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return _COMMANDS[args.command](args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

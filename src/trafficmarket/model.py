@@ -25,6 +25,7 @@ __all__ = [
     "ScenarioConfig",
     "generate_scenario",
     "coverage_value",
+    "validate_budget",
     "validate_instance",
     "paper_example",
     "dumps_scenario",
@@ -81,11 +82,8 @@ class AuctionInstance:
         return v
 
     def with_budget(self, budget: float) -> "AuctionInstance":
-        # zero is allowed and buys nothing; non-finite fails as in validate_instance
-        if not math.isfinite(budget):
-            raise ValueError("budget must be finite and nonnegative")
-        if budget < 0:
-            raise ValueError("budget must be nonnegative")
+        # zero is allowed and buys nothing
+        validate_budget(budget)
         return replace(self, budget=budget)
 
     def with_bid(self, vehicle_id: int, bid: float) -> "AuctionInstance":
@@ -241,6 +239,12 @@ def coverage_value(winners: Iterable[int], instance: AuctionInstance) -> float:
     return float(sum(values[t] for t in covered))
 
 
+def validate_budget(budget: float) -> None:
+    """A budget is finite and nonnegative; zero buys nothing."""
+    if not math.isfinite(budget) or budget < 0:
+        raise ValueError("budget must be finite and nonnegative")
+
+
 def validate_instance(instance: AuctionInstance) -> None:
     """Structural checks: dense ids in order, valid subsets, finite positive
     values. Task values are read by position, so task j must sit at index j."""
@@ -249,8 +253,7 @@ def validate_instance(instance: AuctionInstance) -> None:
     task_ids = set(range(len(instance.tasks)))
     if [v.id for v in instance.vehicles] != list(range(len(instance.vehicles))):
         raise ValueError("vehicle ids must be dense 0..n-1")
-    if not math.isfinite(instance.budget) or instance.budget < 0:
-        raise ValueError("budget must be finite and nonnegative")
+    validate_budget(instance.budget)
     for t in instance.tasks:
         if not math.isfinite(t.appraisement) or t.appraisement <= 0:
             raise ValueError(f"task {t.id} appraisement must be finite and positive")

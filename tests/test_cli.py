@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import trafficmarket
-from trafficmarket.cli import main
+from trafficmarket.cli import MECHANISMS, main
 from trafficmarket.model import paper_example, save_scenario
 
 
@@ -184,6 +184,36 @@ class TestTrade:
         stub_block = [l for l in stub_out.splitlines() if l.startswith("block:")]
         real_block = [l for l in real_out.splitlines() if l.startswith("block:")]
         assert stub_block == real_block
+
+
+    @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
+    def test_every_auction_mechanism_trades(self, mechanism):
+        code, out, err = run_cli(
+            ["trade", "--scenario", "paper-example", "--scheme", "stub",
+             "--mechanism", mechanism]
+        )
+        assert (code, err) == (0, "")
+        assert f"mechanism: {mechanism}\n" in out
+        assert "\nblock: " in out and "block: -" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["consensus", "--seed", "-1", "--out", "history.csv"],
+        ["experiment", "trajectory", "--seed", "-1"],
+        ["trade", "--scenario", "paper-example", "--scheme", "stub", "--seed", "-1",
+         "--out", "ledger.csv"],
+        ["gen", "--seed", "-1", "--n-tasks", "3", "--n-vehicles", "3", "--budget", "1",
+         "--out", "city.scn"],
+    ],
+)
+def test_negative_seed_names_the_flag(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err == "error: --seed must be nonnegative, got -1\n"
+    assert not any(tmp_path.iterdir())
 
 
 class TestExperiment:
