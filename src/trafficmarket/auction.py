@@ -15,9 +15,9 @@ difference is deliberate:
   profit, not truthful.
 * ``tbsap`` breaks: it always considers every unselected vehicle and stops
   outright when the best candidate has negative unit gain or does not fit
-  the budget. Winners are paid their critical bid, the supremum of bids at
-  which they would still win with everyone else fixed, which makes truthful
-  bidding a dominant strategy.
+  the budget (both test ``spend + bid > B``, so neither spends above B).
+  Winners are paid their critical bid, the supremum of bids at which they
+  would still win with everyone else fixed: truthful bidding dominates.
 
 Both run one lazy greedy loop (Minoux's accelerated greedy): a max-heap of
 unit gains keyed ``(-unit_gain, id)``. Marginal coverage only falls, so a
@@ -291,19 +291,19 @@ def _picks(state: _CoverageState, budget: float, drop_misfits: bool = False):
 
     Every rule stops at the first argmax with a negative unit gain. The
     break rule (``tbsap``) also stops at the first argmax whose bid does not
-    fit, and yields it with ``fits`` False first. With ``drop_misfits``
-    (``greedy_heuristic``) such a bid is dropped for good, since spend only
-    grows, and the loop goes on. The state is selected into after each
-    yield, so the consumer sees it as it was just before the pick.
+    fit (spend + bid > B), and yields it with ``fits`` False first. With
+    ``drop_misfits`` (``greedy_heuristic``) such a bid is dropped for good,
+    since spend only grows and rounding is monotone, and the loop goes on.
+    The state is selected into after each yield, so the consumer sees it as
+    it was just before the pick.
     """
     while (best := state.pop_best()) is not None:
         unit, k = best
         if unit < 0:
             return
-        if drop_misfits:
-            if state.bids[k] > budget - state.spent:
+        if state.spent + state.bids[k] > budget:
+            if drop_misfits:
                 continue
-        elif state.spent + state.bids[k] > budget:
             yield k, False
             return
         yield k, True
@@ -313,7 +313,7 @@ def _picks(state: _CoverageState, budget: float, drop_misfits: bool = False):
 def greedy_heuristic(instance: AuctionInstance) -> AuctionOutcome:
     """Filter-and-continue greedy; winners are paid their bids.
 
-    Each iteration restricts candidates to bids within the remaining budget,
+    Each iteration restricts candidates to bids that fit, spend + bid <= B,
     picks the best unit gain among them, and stops only when the pool is
     empty or the best remaining unit gain is negative.
     """

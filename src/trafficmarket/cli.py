@@ -193,7 +193,7 @@ def _cmd_consensus(args) -> int:
         mode=mode,
         seed=args.seed,
     )
-    rounds = len(history.rows) // len(nodes)  # one row per node per round
+    rounds = len(history.rounds)
     print(
         f"nodes: {args.nodes} committee: {args.committee} active: {args.active}"
     )

@@ -17,16 +17,20 @@ The hot path works on arrays. Ballots share one of two candidate pools per
 epoch, so casting them is O(N). The tally adds each ballot's weighted pool
 mask to one float64 vector, in ballot order, which reproduces the
 per-target sums of a ballot-by-ballot count exactly (see
-``elect_witnesses``). A round produces columns, not per-node objects: id
-positions, alpha and roles are built once per epoch, beta, gamma, delta
-and the clamp in one vector sweep. ``run_epochs`` zips the columns into
-``HistoryRow`` NamedTuples, each row built once.
+``elect_witnesses``). The reputations, w_vote * alpha, roles and committee
+verdicts (+-1 per seat) are vectors built once per epoch; a round re-reads
+only scripted seats. The bits match a per-round rebuild: the same products,
+delta summed left to right, and float64 holds a Python float exactly.
+``ConsensusHistory`` keeps per-round columns and builds ``HistoryRow``s only
+when ``rows`` is read: CPython's collector never untracks a tuple subclass,
+so rows built during a run would be rescanned by every collection.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple, Sequence
@@ -49,6 +53,7 @@ __all__ = [
     "BehaviorRecord",
     "ConsensusState",
     "ConsensusHistory",
+    "ROLES",
     "cast_votes",
     "elect_witnesses",
     "run_round",
@@ -130,6 +135,9 @@ class ReputationParams:
     theta: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("w_vote", "w_lead", "w_verify"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"weight {name} must be finite, got {getattr(self, name)!r}")
         if not (self.w_lead > self.w_verify > self.w_vote > 0):
             raise ValueError("weights must satisfy w_lead > w_verify > w_vote > 0")
         if not (0 < self.theta < 1):
@@ -309,53 +317,66 @@ def _pool_mask(pool: frozenset[int], n: int) -> np.ndarray:
     return mask
 
 
-def _epoch_view(state: ConsensusState, nodes: Sequence[FullNode]) -> tuple:
-    """What stays fixed between the rounds of an epoch: the ids in node
-    order, id -> position, alpha (+1 voted, -1 abstained) and each node's
-    committee role, leaders counted as witnesses."""
-    ids = [n.id for n in nodes]
-    alpha = np.array([1 if node_id in state.voted else -1 for node_id in ids])
-    roles = [state.roles.get(node_id, "none") for node_id in ids]
-    return ids, {node_id: i for i, node_id in enumerate(ids)}, alpha, roles
+#: role names; history columns and epoch views hold int8 indexes into this
+ROLES = ("none", "standby", "witness", "leader")
+
+
+class _Epoch(NamedTuple):
+    """What stays fixed between the rounds of an epoch, in node order."""
+
+    position: dict[int, int]  # id -> index in node order
+    alpha: np.ndarray  # +1 voted, -1 abstained
+    vote_term: np.ndarray  # w_vote * alpha
+    roles: np.ndarray  # indexes into ROLES, leaders counted as witnesses
+    seats: np.ndarray  # committee seats per node; forced committees may repeat ids
+    verdict: np.ndarray  # +-1 per seated node by its behavior, 0 elsewhere
+    scripted: list  # (index, node) per seated node with a script
+
+
+def _epoch_view(state: ConsensusState, nodes: Sequence[FullNode], w_vote: float) -> _Epoch:
+    if state.committee is None:
+        raise RuntimeError("no committee elected")
+    position = {n.id: i for i, n in enumerate(nodes)}
+    alpha = np.array([1 if n.id in state.voted else -1 for n in nodes])
+    roles = np.array([ROLES.index(state.roles.get(n.id, "none")) for n in nodes], np.int8)
+    seated = [position[member_id] for member_id in state.committee.members]
+    seats = np.bincount(np.array(seated, dtype=np.int64), minlength=len(nodes))
+    verdict = np.where([n.behavior.verifies_correctly for n in nodes], 1, -1) * (seats > 0)
+    scripted = [(i, nodes[i]) for i in set(seated) if nodes[i].script]
+    return _Epoch(position, alpha, w_vote * alpha, roles, seats, verdict, scripted)
 
 
 def _round(
     state: ConsensusState,
     nodes: Sequence[FullNode],
     params: ReputationParams,
-    view: tuple,
+    view: _Epoch,
+    reputations: np.ndarray,
 ) -> tuple:
-    """The body of ``run_round`` on an ``_epoch_view``. Returns the round's
-    columns in node order: ids, alpha, beta, gamma, delta, reputation and
-    role (alpha and beta as int arrays)."""
-    ids, position, alpha, roles = view
-    committee = state.committee
-    if committee is None:
-        raise RuntimeError("no committee elected")
+    """The body of ``run_round`` on an ``_epoch_view`` and the epoch's
+    reputation vector. Returns the round's columns in node order: beta,
+    gamma, delta, the new reputation vector and the role indexes."""
     leader_id = state.next_leader()
     if leader_id is None:
         raise RuntimeError("leader order exhausted for this epoch")
     state.leader_cursor += 1
     rnd = state.global_round
-    leader = position[leader_id]
+    leader = view.position[leader_id]
     leader_behavior = nodes[leader].behavior_at(rnd)
 
-    gamma = [0] * len(nodes)
+    gamma = np.zeros(len(nodes), dtype=np.int64)
     accepted = False
-    confirmations = 0
     if not leader_behavior.produces_block:
         state.skipped.add(leader_id)
     else:
-        valid = leader_behavior.produces_valid_block
-        for member_id in committee.members:
-            if member_id == leader_id:
-                continue
-            member = position[member_id]
-            correct = nodes[member].behavior_at(rnd).verifies_correctly
-            gamma[member] = 1 if correct else -1
-            if (valid and correct) or (not valid and not correct):
-                confirmations += 1
-        accepted = confirmations > (2.0 / 3.0) * len(committee.members)
+        gamma = view.verdict.copy()
+        for i, node in view.scripted:
+            gamma[i] = 1 if node.behavior_at(rnd).verifies_correctly else -1
+        gamma[leader] = 0  # the leader does not verify its own block
+        # a seat confirms when its verdict matches the block's validity
+        agree = 1 if leader_behavior.produces_valid_block else -1
+        confirmations = int(view.seats @ (gamma == agree))
+        accepted = confirmations > (2.0 / 3.0) * len(state.committee.members)
         if accepted:
             payload = f"{state.epoch}:{rnd}".encode()
             state.chain.append(
@@ -370,20 +391,11 @@ def _round(
 
     beta = np.zeros(len(nodes), dtype=np.int64)
     beta[leader] = 1 if accepted else -1
-    delta = (
-        params.w_vote * alpha
-        + params.w_lead * beta
-        + params.w_verify * np.array(gamma)
-    )
-    reputations = np.clip(
-        np.array([n.reputation for n in nodes]) + delta, 0.0, 1.0
-    ).tolist()
-    for node, rep in zip(nodes, reputations):
-        node.reputation = rep
-    roles = roles.copy()
-    roles[leader] = "leader"
+    delta = view.vote_term + params.w_lead * beta + params.w_verify * gamma
+    roles = view.roles.copy()
+    roles[leader] = ROLES.index("leader")
     state.global_round += 1
-    return ids, alpha, beta, gamma, delta.tolist(), reputations, roles
+    return beta, gamma, delta, np.clip(reputations + delta, 0.0, 1.0), roles
 
 
 def run_round(
@@ -398,9 +410,15 @@ def run_round(
     that every other committee member verifies. Reputations of all nodes
     update afterwards, abstainers included, in one vector sweep.
     """
-    view = _epoch_view(state, nodes)
-    ids, alpha, beta, *rest = _round(state, nodes, params, view)
-    return list(map(BehaviorRecord, ids, alpha.tolist(), beta.tolist(), *rest))
+    view = _epoch_view(state, nodes, params.w_vote)
+    reputations = np.array([n.reputation for n in nodes], dtype=float)
+    beta, gamma, delta, reputations, roles = _round(state, nodes, params, view, reputations)
+    for node, rep in zip(nodes, reputations.tolist()):
+        node.reputation = rep
+    columns = (view.alpha, beta, gamma, delta, reputations)
+    roles = map(ROLES.__getitem__, roles.tolist())
+    ids = [n.id for n in nodes]
+    return list(map(BehaviorRecord, ids, *(c.tolist() for c in columns), roles))
 
 
 class HistoryRow(NamedTuple):
@@ -414,12 +432,34 @@ class HistoryRow(NamedTuple):
 
 @dataclass
 class ConsensusHistory:
-    rows: list[HistoryRow]
+    """``rounds`` holds ``(epoch, round_index, reputations, roles, deltas)``
+    per round, each column in the node order of ``ids``, roles as indexes
+    into ``ROLES``. ``rows`` builds the ``HistoryRow``s on every read."""
+
+    ids: list[int]
+    rounds: list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]
     chain: list[BlockRecord]
     committees: list[Committee]
 
+    @property
+    def rows(self) -> list[HistoryRow]:
+        return list(map(HistoryRow._make, self._tuples()))
+
     def rows_for(self, node_id: int) -> list[HistoryRow]:
-        return [r for r in self.rows if r.node_id == node_id]
+        if node_id not in self.ids:
+            return []
+        i = self.ids.index(node_id)
+        return [
+            HistoryRow(epoch, rnd, node_id, float(reps[i]), ROLES[roles[i]], float(deltas[i]))
+            for epoch, rnd, reps, roles, deltas in self.rounds
+        ]
+
+    def _tuples(self):
+        for epoch, rnd, reps, roles, deltas in self.rounds:
+            roles = map(ROLES.__getitem__, roles.tolist())
+            yield from zip(
+                repeat(epoch), repeat(rnd), self.ids, reps.tolist(), roles, deltas.tolist()
+            )
 
 
 def run_epochs(
@@ -446,7 +486,9 @@ def run_epochs(
     _check_nodes(nodes)
     rng = np.random.default_rng(seed)
     state = ConsensusState()
-    history = ConsensusHistory(rows=[], chain=state.chain, committees=[])
+    history = ConsensusHistory(
+        ids=[n.id for n in nodes], rounds=[], chain=state.chain, committees=[]
+    )
     for epoch in range(n_epochs):
         ballots = cast_votes(nodes, params)
         voted = frozenset(b.voter_id for b in ballots)
@@ -460,22 +502,19 @@ def run_epochs(
             )
         state.start_epoch(committee, voted)
         history.committees.append(committee)
-        view = _epoch_view(state, nodes)
+        view = _epoch_view(state, nodes, params.w_vote)
+        reputations = np.array([n.reputation for n in nodes], dtype=float)
         for _ in range(len(committee.active_order)):
             if state.next_leader() is None:
                 break  # fully skipped epoch ends early
             round_index = state.global_round
-            ids, _, _, _, delta, reputations, roles = _round(state, nodes, params, view)
-            history.rows.extend(
-                map(
-                    HistoryRow._make,
-                    zip(repeat(epoch), repeat(round_index), ids, reputations, roles, delta),
-                )
-            )
+            *_, delta, reputations, roles = _round(state, nodes, params, view, reputations)
+            history.rounds.append((epoch, round_index, reputations, roles, delta))
+        for node, rep in zip(nodes, reputations.tolist()):
+            node.reputation = rep
     return history
 
 
 def write_history_csv(history: ConsensusHistory, path) -> None:
-    write_rows(
-        path, ("epoch", "round", "node_id", "reputation", "role", "delta"), history.rows
-    )
+    header = ("epoch", "round", "node_id", "reputation", "role", "delta")
+    write_rows(path, header, history._tuples())

@@ -181,7 +181,7 @@ def slow_greedy(instance: AuctionInstance, exclude=None, track=None, drop_misfit
     while True:
         pool = [
             vid for vid in remaining
-            if not drop_misfits or bids[vid] <= instance.budget - spent
+            if not drop_misfits or spent + bids[vid] <= instance.budget
         ]
         if not pool:
             break
@@ -278,8 +278,12 @@ def slow_seat(result, committee_size, active_size, rng):
     )
 
 
-def slow_run_epochs(nodes, params, committee_size, active_size, n_epochs, weighted, seed):
+def slow_run_epochs(nodes, params, committee_size, active_size, n_epochs, weighted, seed,
+                    schedule=None):
     """Elect, run the leader rounds and update reputations node by node.
+
+    ``schedule`` forces the committee of each epoch where it is not None,
+    as ``run_epochs``' ``committee_schedule`` does.
 
     Mutates ``nodes`` like the package does. Returns history rows
     (epoch, round, node id, reputation, role, delta), chain blocks
@@ -293,8 +297,14 @@ def slow_run_epochs(nodes, params, committee_size, active_size, n_epochs, weight
     for epoch in range(n_epochs):
         ballots = slow_cast_votes(nodes, params.theta)
         voted = {voter for voter, _ in ballots}
-        result = slow_tally(ballots, nodes, weighted)
-        members, order, standby = slow_seat(result, committee_size, active_size, rng)
+        forced = schedule[epoch] if schedule is not None else None
+        if forced is None:
+            result = slow_tally(ballots, nodes, weighted)
+            members, order, standby = slow_seat(result, committee_size, active_size, rng)
+        else:
+            rng.permutation(active_size)
+            result = forced.voting_result
+            members, order, standby = forced.members, forced.active_order, forced.standby
         committees.append((result, members, order, standby))
         for leader_id in order:
             leader = by_id[leader_id].behavior_at(rnd)

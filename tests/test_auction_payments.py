@@ -630,27 +630,28 @@ def test_greedy_matches_the_oracle_beside_any_trace():
 
 
 @pytest.mark.parametrize(
-    "bids, budget, oracle_agrees",
+    "bids, budget, takes_vehicle_1",
     [
-        # 0.7 > fl(B - 0.3) is false, so the filter loop takes vehicle 1,
-        # though fl(0.3 + 0.7) = 1.0 is one ulp above B: a known fault of
-        # the fit test, which this case does not pin. The oracle also breaks
-        # on spend + bid > B, so it stops before vehicle 1.
+        # fl(0.3 + 0.7) = 1.0 is one ulp above B, though 0.7 > fl(B - 0.3)
+        # is false: vehicle 1 is dropped and vehicle 2 fits after it
         ([0.3, 0.7, 0.05], 0.9999999999999999, False),
-        # 0.1 > fl(B - 0.7) is true, so the filter loop drops vehicle 1,
-        # though fl(0.7 + 0.1) is B; vehicle 2 then fits
+        # fl(0.7 + 0.1) is B, though 0.1 > fl(B - 0.7) is true: vehicle 1
+        # fits and vehicle 2 no longer does
         ([0.7, 0.1, 0.05], 0.7999999999999999, True),
     ],
 )
-def test_greedy_keeps_its_own_fit_test(bids, budget, oracle_agrees):
-    # the two fit tests round apart at vehicle 1, which the break greedy's
-    # order holds second: beside any trace the greedy decides by its own
+def test_greedy_keeps_its_own_fit_test(bids, budget, takes_vehicle_1):
+    # a remaining-budget test (bid > B - spend) rounds apart from the fit
+    # test (spend + bid > B) at vehicle 1, which the break greedy's order
+    # holds second: beside any trace the greedy decides by the fit test
     instance = build_instance([20.0, 1.0, 0.06], [[0], [1], [2]], bids, budget)
     assert (bids[1] > budget - bids[0]) != (bids[0] + bids[1] > budget)
     auction._last_geometry = ((), None, None)
-    fresh = heuristic_view(greedy_heuristic(instance))  # no trace: the filter loop
-    if oracle_agrees:
-        assert fresh == slow_heuristic(instance)
+    outcome = greedy_heuristic(instance)  # no trace: the filter loop
+    assert outcome.winners == ((0, 1) if takes_vehicle_1 else (0, 2))
+    assert outcome.total_bid <= budget
+    fresh = heuristic_view(outcome)
+    assert fresh == slow_heuristic(instance)
     tbsap(instance)  # capped at B
     assert heuristic_view(greedy_heuristic(instance)) == fresh
     tbsap(instance.with_budget(10.0))  # rebuilt with no cap

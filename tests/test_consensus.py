@@ -178,6 +178,13 @@ class TestReputationParams:
         with pytest.raises(ValueError):
             ReputationParams(theta=1.5)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["w_vote", "w_lead", "w_verify"])
+    def test_rejects_infinite_weights(self, name, bad):
+        # w_lead=inf passes the ordering and would turn reputations into nan
+        with pytest.raises(ValueError, match=f"weight {name} must be finite"):
+            ReputationParams(**{name: bad})
+
 
 def single_round(nodes, committee, params=PARAMS):
     state = ConsensusState()

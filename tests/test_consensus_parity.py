@@ -8,17 +8,22 @@ frozensets and a dict tally.
 """
 
 import hashlib
+import io
+from contextlib import redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trafficmarket.cli import main
 from trafficmarket.consensus import (
     ABNORMAL_BEHAVIOR,
     Behavior,
     BehaviorRecord,
     Committee,
+    ConsensusHistory,
     ConsensusState,
     FullNode,
     HistoryRow,
@@ -28,7 +33,9 @@ from trafficmarket.consensus import (
     elect_witnesses,
     run_epochs,
     run_round,
+    write_history_csv,
 )
+from trafficmarket.model import write_rows
 
 from oracles import slow_cast_votes, slow_run_epochs, slow_seat, slow_tally
 
@@ -126,10 +133,11 @@ def test_epochs_match_oracle(nodes, active, epochs, weighted, seed):
 
 def drive_rounds(nodes, committee_size, active_size, n_epochs, mode, seed, schedule):
     """run_epochs' steps one by one through the public ``run_round``, the
-    way the benchmark probe drives them; returns (rows, records, chain)."""
+    way the benchmark probe drives them; returns (rows, records, chain,
+    committees)."""
     rng = np.random.default_rng(seed)
     state = ConsensusState()
-    rows, records = [], []
+    rows, records, committees = [], [], []
     for epoch in range(n_epochs):
         ballots = cast_votes(nodes, PARAMS)
         committee = schedule[epoch]
@@ -139,6 +147,7 @@ def drive_rounds(nodes, committee_size, active_size, n_epochs, mode, seed, sched
             )
         else:
             rng.permutation(active_size)
+        committees.append(committee)
         state.start_epoch(committee, frozenset(b.voter_id for b in ballots))
         for _ in range(len(committee.active_order)):
             if state.next_leader() is None:
@@ -147,7 +156,7 @@ def drive_rounds(nodes, committee_size, active_size, n_epochs, mode, seed, sched
             for r in run_round(state, nodes, PARAMS):
                 rows.append((epoch, round_index, r.node_id, r.reputation, r.role, r.delta))
                 records.append(r)
-    return rows, records, state.chain
+    return rows, records, state.chain, committees
 
 
 @st.composite
@@ -188,7 +197,7 @@ def test_run_round_matches_run_epochs(data, nodes, active, epochs, weighted,
     epoch_nodes, round_nodes = clone(nodes), clone(nodes)
     history = run_epochs(epoch_nodes, PARAMS, committee_size, active, epochs,
                          mode=mode, seed=seed, committee_schedule=schedule)
-    rows, records, chain = drive_rounds(
+    rows, records, chain, _ = drive_rounds(
         round_nodes, committee_size, active, epochs, mode, seed, schedule
     )
     assert [tuple(r) for r in history.rows] == rows
@@ -199,6 +208,96 @@ def test_run_round_matches_run_epochs(data, nodes, active, epochs, weighted,
         assert r.delta == (
             PARAMS.w_vote * r.alpha + PARAMS.w_lead * r.beta + PARAMS.w_verify * r.gamma
         )
+
+
+def hexed(rows):
+    return [(e, r, i, rep.hex(), role, d.hex()) for e, r, i, rep, role, d in rows]
+
+
+def seating(committees):
+    return [
+        (c.members, c.active_order, c.standby,
+         [(k, v.hex()) for k, v in c.voting_result.items()])
+        for c in committees
+    ]
+
+
+@settings(max_examples=100)
+@given(data=st.data(), nodes=populations(max_size=10, scripted=False),
+       active=st.integers(1, 4), epochs=st.integers(1, 3), weighted=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_scripted_verdicts_match_run_round(data, nodes, active, epochs, weighted, seed):
+    """run_epochs keeps one committee verdict vector per epoch and re-reads
+    only scripted members; run_round rebuilds everything each round, and
+    the oracle judges member by member."""
+    n = len(nodes)
+    committee_size = max(1, n - 1)
+    active = min(active, committee_size)
+    rounds = st.sets(st.integers(0, epochs * active - 1))
+    for node in nodes:
+        flipped = replace(node.behavior, verifies_correctly=not node.behavior.verifies_correctly)
+        node.script = dict.fromkeys(data.draw(rounds), flipped) or None
+    # a leader whose script skips round 0, the first of a forced epoch 0
+    skipper = data.draw(st.sampled_from(nodes))
+    skips = {
+        r: replace(skipper.behavior_at(r), produces_block=False)
+        for r in {0} | data.draw(rounds)
+    }
+    skipper.script = {**(skipper.script or {}), **skips}
+    schedule = data.draw(schedules(n, committee_size, active, epochs))
+    others = [i for i in data.draw(st.permutations(range(n))) if i != skipper.id]
+    seats = [skipper.id] + others[: committee_size - 1]
+    schedule[0] = Committee(
+        members=tuple(seats),
+        active_order=tuple(seats[:active]),
+        standby=tuple(seats[active:]),
+        voting_result={},
+    )
+    mode = MODES[0] if weighted else MODES[1]
+    epoch_nodes, round_nodes, slow_nodes = clone(nodes), clone(nodes), clone(nodes)
+    history = run_epochs(epoch_nodes, PARAMS, committee_size, active, epochs,
+                         mode=mode, seed=seed, committee_schedule=schedule)
+    rows, _, chain, committees = drive_rounds(
+        round_nodes, committee_size, active, epochs, mode, seed, schedule
+    )
+    slow_rows, slow_chain, _ = slow_run_epochs(
+        slow_nodes, PARAMS, committee_size, active, epochs, weighted, seed, schedule
+    )
+    assert all(b.round_index != 0 for b in history.chain)
+    assert hexed(history.rows) == hexed(rows) == hexed(slow_rows)
+    assert history.chain == chain
+    assert [
+        (b.epoch, b.round_index, b.producer_id, b.payload_hash, b.confirmations)
+        for b in history.chain
+    ] == slow_chain
+    assert all(type(b.confirmations) is int for b in history.chain)
+    assert seating(history.committees) == seating(committees)
+    assert [n.reputation.hex() for n in epoch_nodes] == [
+        n.reputation.hex() for n in round_nodes
+    ] == [n.reputation.hex() for n in slow_nodes]
+
+
+def test_history_readers_never_build_rows(tmp_path, monkeypatch):
+    history = run_epochs(tie_heavy(5), PARAMS, 40, 6, 2, seed=5)
+    rows = history.rows
+    assert len(rows) == 120 * len(history.rounds)
+    header = ("epoch", "round", "node_id", "reputation", "role", "delta")
+    write_rows(tmp_path / "rows.csv", header, rows)
+
+    def refuse(self):
+        raise AssertionError("ConsensusHistory.rows was read")
+
+    monkeypatch.setattr(ConsensusHistory, "rows", property(refuse))
+    write_history_csv(history, tmp_path / "history.csv")
+    assert (tmp_path / "history.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    for node_id in (0, 7, 119):
+        assert history.rows_for(node_id) == [r for r in rows if r.node_id == node_id]
+    assert history.rows_for(120) == []
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(["consensus", "--nodes", "40", "--committee", "20", "--active", "4",
+                     "--epochs", "2", "--seed", "3", "--out", str(tmp_path / "cli.csv")])
+    assert code == 0 and "rounds: 8 " in out.getvalue()
+    assert len((tmp_path / "cli.csv").read_text().splitlines()) == 1 + 40 * 8
 
 
 def test_record_types_are_immutable():
