@@ -13,17 +13,29 @@ whose block was accepted/rejected (0 for everyone else), gamma = +-1 for a
 committee verifier judging the block correctly/incorrectly (0 otherwise),
 and the result clamped to [0, 1].
 
-The hot path works on arrays. Ballots share one of two candidate pools per
-epoch, so casting them is O(N). The tally adds each ballot's weighted pool
-mask to one float64 vector, in ballot order, which reproduces the
-per-target sums of a ballot-by-ballot count exactly (see
-``elect_witnesses``). The reputations, w_vote * alpha, roles and committee
-verdicts (+-1 per seat) are vectors built once per epoch; a round re-reads
-only scripted seats. The bits match a per-round rebuild: the same products,
-delta summed left to right, and float64 holds a Python float exactly.
-``ConsensusHistory`` keeps per-round columns and builds ``HistoryRow``s only
-when ``rows`` is read: CPython's collector never untracks a tuple subclass,
-so rows built during a run would be rescanned by every collection.
+The hot path works on arrays. ``run_epochs`` builds no ballots: each
+node's ``votes`` and ``supports_low_reputation`` are read once per run, so
+its ballots are fixed arrays of voter ids and pools (high or low) in node
+order, and each epoch only rebuilds the two pools from ``reputations >=
+theta``. ``elect_witnesses`` turns a ballot list into the same arrays, and
+both call one tally, ``_tally``. A node's voting result is the weights of
+the ballots whose pool holds it, its own skipped, added in ballot order:
+the sum a ballot-by-ballot count makes, whose other terms add 0.0 to a
+non-negative total and change no bit. Nodes covered by the same pools see
+one ballot sequence and share its running sum; a node with a ballot in
+that sequence is a chain that starts from the running sum just before its
+first ballot and takes every later weight, one slice add per ballot for
+every chain begun. The closed form (total weight less the node's own)
+rounds differently and could reorder tied ranks.
+
+The reputations, w_vote * alpha and each node's verdict (+-1 by its
+behavior) are vectors built once per run, the roles and committee seats
+once per epoch; a round re-reads only scripted seats. The bits match a
+per-round rebuild: the same products, delta summed left to right, and
+float64 holds a Python float exactly. ``ConsensusHistory`` keeps per-round
+columns and builds ``HistoryRow``s only when ``rows`` is read: CPython's
+collector never untracks a tuple subclass, so rows built during a run
+would be rescanned by every collection.
 """
 
 from __future__ import annotations
@@ -266,66 +278,135 @@ def elect_witnesses(
     A supporter contributes its reputation under the reputation-weighted
     mode and exactly 1 under equal weighting. Ranking ties break on the
     lower id. The |D| leaders are shuffled into a random order by ``rng``.
-
-    The tally is one float64 vector indexed by id (so ids must be dense
-    0..n-1), accumulated ballot by ballot: each ballot adds its weight
-    times its pool's 0/1 mask, with the voter's own entry zeroed. Every
-    target therefore receives exactly the additions a per-target sum in
-    ballot order makes; the extra ``+ 0.0`` terms are exact because every
-    tally is non-negative. The closed form "total weight minus the
-    target's own" would round differently and could reorder tied ranks.
+    Ids must be dense 0..n-1. The ballots become (voter, pool) arrays for
+    ``_tally``, the routine ``run_epochs`` elects with.
     """
     if not (0 < active_size <= committee_size <= len(nodes)):
         raise ValueError("need 0 < active_size <= committee_size <= population")
     _check_nodes(nodes)
     n = len(nodes)
-    reputations = [0.0] * n
-    for node in nodes:
-        reputations[node.id] = node.reputation
-    weighted = mode is VotingMode.REPUTATION_WEIGHTED
-    masks: dict[frozenset[int], np.ndarray] = {}
-    tally = np.zeros(n)
-    term = np.empty(n)
+    rows: dict[frozenset[int], int] = {}
+    voters, pool_of = [], []
     for ballot in ballots:
-        voter = ballot.voter_id
-        if not 0 <= voter < n:
-            raise ValueError(f"ballot from unknown voter {voter!r}")
-        mask = masks.get(ballot.pool)
-        if mask is None:
-            mask = masks[ballot.pool] = _pool_mask(ballot.pool, n)
-        np.multiply(mask, reputations[voter] if weighted else 1.0, out=term)
-        term[voter] = 0.0
-        tally += term
-    ranking = np.lexsort((np.arange(n), -tally)).tolist()
-    members = tuple(ranking[:committee_size])
+        if not 0 <= ballot.voter_id < n:
+            raise ValueError(f"ballot from unknown voter {ballot.voter_id!r}")
+        voters.append(ballot.voter_id)
+        pool_of.append(rows.setdefault(ballot.pool, len(rows)))
+    pools = np.zeros((len(rows), n), dtype=bool)
+    for pool, row in rows.items():
+        members = np.fromiter(pool, dtype=np.int64, count=len(pool))
+        if members.size and not (0 <= members.min() and members.max() < n):
+            raise ValueError("ballot supports an id outside 0..n-1")
+        pools[row, members] = True
+    ids = [node.id for node in nodes]
+    voters = np.array(voters, dtype=np.int64)
+    if mode is VotingMode.REPUTATION_WEIGHTED:
+        reputations = np.empty(n)
+        reputations[ids] = [node.reputation for node in nodes]
+        weights = reputations[voters]
+    else:
+        weights = np.ones(len(voters))
+    tally = _tally(voters, np.array(pool_of, dtype=np.intp), pools, weights)
+    return _seat(tally, ids, committee_size, active_size, rng)
+
+
+def _tally(
+    voters: np.ndarray, pool_of: np.ndarray, pools: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Voting result per id, as the module docstring sets out: ballot ``b``
+    of voter ``voters[b]`` adds ``weights[b]`` to every id of the (pools,
+    ids) mask row ``pools[pool_of[b]]`` but the voter. A voter's repeated
+    ballot skips its own chain, which is restored after the add, because
+    subtracting the weight again would round.
+    """
+    n = pools.shape[1]
+    tally = np.zeros(n)
+    if not len(pools):
+        return tally  # no ballots
+    order = np.lexsort(pools)  # ids sorted by the set of pools that cover them
+    covers = pools[:, order]
+    edges = np.flatnonzero((covers[:, 1:] != covers[:, :-1]).any(axis=0)) + 1
+    for group in np.split(order, edges):
+        seen = pools[:, group[0]][pool_of]  # the ballots this group sees
+        w, v = weights[seen], voters[seen]
+        running = np.cumsum(np.concatenate(([0.0], w)))
+        tally[group] = running[-1]
+        targets = np.zeros(n, dtype=bool)
+        targets[group] = True
+        own = np.flatnonzero(targets[v])  # ballots cast by the group's ids
+        if not own.size:
+            continue
+        first = np.full(n, len(w))
+        np.minimum.at(first, v[own], own)  # each voter's first ballot starts its chain
+        leads = first[v[own]] == own
+        starts, repeat = own[leads], own[~leads]
+        skips = dict(zip(  # a repeated ballot's position -> its voter's chain
+            repeat.tolist(), np.searchsorted(starts, first[v[repeat]]).tolist()
+        ))
+        chains = running[starts]
+        begun = np.searchsorted(starts, np.arange(len(w))).tolist()
+        for m, (k, x) in enumerate(zip(begun, w.tolist())):
+            chain = chains[:k]  # a view: ``chains[:k] += x`` would also copy back
+            if m in skips:
+                keep = chains[skips[m]]
+                chain += x
+                chains[skips[m]] = keep
+            else:
+                chain += x
+        tally[v[starts]] = chains
+    return tally
+
+
+def _seat(
+    tally: np.ndarray,
+    ids: Sequence[int],
+    committee_size: int,
+    active_size: int,
+    rng: np.random.Generator,
+) -> Committee:
+    """Rank by (-tally, id), seat the top ``committee_size`` and shuffle the
+    top ``active_size`` into leader order; the voting result follows the
+    node order ``ids``."""
+    ranking = np.lexsort((np.arange(len(tally)), -tally)).tolist()
     active = ranking[:active_size]
     order = tuple(active[i] for i in rng.permutation(len(active)))
-    standby = tuple(ranking[active_size:committee_size])
-    totals = tally.tolist()
-    result = {node.id: totals[node.id] for node in nodes}
     return Committee(
-        members=members, active_order=order, standby=standby, voting_result=result
+        members=tuple(ranking[:committee_size]),
+        active_order=order,
+        standby=tuple(ranking[active_size:committee_size]),
+        voting_result=dict(zip(ids, tally[ids].tolist())),
     )
-
-
-def _pool_mask(pool: frozenset[int], n: int) -> np.ndarray:
-    ids = np.fromiter(pool, dtype=np.int64, count=len(pool))
-    if ids.size and not (0 <= ids.min() and ids.max() < n):
-        raise ValueError("ballot supports an id outside 0..n-1")
-    mask = np.zeros(n)
-    mask[ids] = 1.0
-    return mask
 
 
 #: role names; history columns and epoch views hold int8 indexes into this
 ROLES = ("none", "standby", "witness", "leader")
 
 
+class _Run(NamedTuple):
+    """What stays fixed for a whole run, in node order."""
+
+    position: dict[int, int]  # id -> index in node order
+    alpha: np.ndarray  # +1 voted, -1 abstained
+    vote_term: np.ndarray  # w_vote * alpha
+    correct: np.ndarray  # +1 verifies correctly by behavior, -1 otherwise
+    has_script: np.ndarray  # bool
+
+
+def _run_view(nodes: Sequence[FullNode], voted: frozenset[int], w_vote: float) -> _Run:
+    alpha = np.array([1 if n.id in voted else -1 for n in nodes])
+    return _Run(
+        {n.id: i for i, n in enumerate(nodes)},
+        alpha,
+        w_vote * alpha,
+        np.where([n.behavior.verifies_correctly for n in nodes], 1, -1),
+        np.array([bool(n.script) for n in nodes], dtype=bool),
+    )
+
+
 class _Epoch(NamedTuple):
     """What stays fixed between the rounds of an epoch, in node order."""
 
     position: dict[int, int]  # id -> index in node order
-    alpha: np.ndarray  # +1 voted, -1 abstained
     vote_term: np.ndarray  # w_vote * alpha
     roles: np.ndarray  # indexes into ROLES, leaders counted as witnesses
     seats: np.ndarray  # committee seats per node; forced committees may repeat ids
@@ -333,17 +414,22 @@ class _Epoch(NamedTuple):
     scripted: list  # (index, node) per seated node with a script
 
 
-def _epoch_view(state: ConsensusState, nodes: Sequence[FullNode], w_vote: float) -> _Epoch:
-    if state.committee is None:
-        raise RuntimeError("no committee elected")
-    position = {n.id: i for i, n in enumerate(nodes)}
-    alpha = np.array([1 if n.id in state.voted else -1 for n in nodes])
-    roles = np.array([ROLES.index(state.roles.get(n.id, "none")) for n in nodes], np.int8)
-    seated = [position[member_id] for member_id in state.committee.members]
-    seats = np.bincount(np.array(seated, dtype=np.int64), minlength=len(nodes))
-    verdict = np.where([n.behavior.verifies_correctly for n in nodes], 1, -1) * (seats > 0)
-    scripted = [(i, nodes[i]) for i in set(seated) if nodes[i].script]
-    return _Epoch(position, alpha, w_vote * alpha, roles, seats, verdict, scripted)
+def _epoch_view(committee: Committee, nodes: Sequence[FullNode], run: _Run) -> _Epoch:
+    position = run.position
+    roles = np.zeros(len(nodes), dtype=np.int8)
+    roles[[position[i] for i in committee.standby]] = ROLES.index("standby")
+    roles[[position[i] for i in committee.active_order]] = ROLES.index("witness")
+    seated = np.array([position[i] for i in committee.members], dtype=np.int64)
+    seats = np.bincount(seated, minlength=len(nodes))
+    scripted = np.flatnonzero(run.has_script & (seats > 0)).tolist()
+    return _Epoch(
+        position,
+        run.vote_term,
+        roles,
+        seats,
+        run.correct * (seats > 0),
+        [(i, nodes[i]) for i in scripted],
+    )
 
 
 def _round(
@@ -410,12 +496,15 @@ def run_round(
     that every other committee member verifies. Reputations of all nodes
     update afterwards, abstainers included, in one vector sweep.
     """
-    view = _epoch_view(state, nodes, params.w_vote)
+    if state.committee is None:
+        raise RuntimeError("no committee elected")
+    run = _run_view(nodes, state.voted, params.w_vote)
+    view = _epoch_view(state.committee, nodes, run)
     reputations = np.array([n.reputation for n in nodes], dtype=float)
     beta, gamma, delta, reputations, roles = _round(state, nodes, params, view, reputations)
     for node, rep in zip(nodes, reputations.tolist()):
         node.reputation = rep
-    columns = (view.alpha, beta, gamma, delta, reputations)
+    columns = (run.alpha, beta, gamma, delta, reputations)
     roles = map(ROLES.__getitem__, roles.tolist())
     ids = [n.id for n in nodes]
     return list(map(BehaviorRecord, ids, *(c.tolist() for c in columns), roles))
@@ -477,42 +566,82 @@ def run_epochs(
     ``committee_schedule`` forces seating for the epochs where it is not
     None (ballots still flow, so voting reputation effects stay genuine);
     experiments use it to pin narratives that depend on who gets elected
-    when. An epoch ends early only if every remaining leader was skipped.
+    when. It must cover every epoch, seat only ids of the population and
+    draw its leaders from its members; repeated member ids are allowed.
+    An epoch ends early only if every remaining leader was skipped.
+
+    The ballots are ``cast_votes``' as arrays: one per voting node, in node
+    order, into pool 0 (high) or 1 (low), rebuilt each epoch.
     """
     if n_epochs < 0:
         raise ValueError("n_epochs must be non-negative")
     if not (0 < active_size <= committee_size <= len(nodes)):
         raise ValueError("need 0 < active_size <= committee_size <= population")
     _check_nodes(nodes)
+    ids = [n.id for n in nodes]
+    if committee_schedule is not None:
+        _check_schedule(committee_schedule, n_epochs, len(nodes))
     rng = np.random.default_rng(seed)
     state = ConsensusState()
-    history = ConsensusHistory(
-        ids=[n.id for n in nodes], rounds=[], chain=state.chain, committees=[]
-    )
+    history = ConsensusHistory(ids=ids, rounds=[], chain=state.chain, committees=[])
+    votes = np.array([n.behavior.votes for n in nodes], dtype=bool)
+    voters = np.array(ids, dtype=np.int64)[votes]
+    pool_of = np.array(
+        [n.behavior.supports_low_reputation for n in nodes], dtype=np.intp
+    )[votes]
+    voted = frozenset(voters.tolist())
+    run = _run_view(nodes, voted, params.w_vote)
+    pools = np.empty((2, len(nodes)), dtype=bool)
+    reputations = np.array([n.reputation for n in nodes], dtype=float)
     for epoch in range(n_epochs):
-        ballots = cast_votes(nodes, params)
-        voted = frozenset(b.voter_id for b in ballots)
         forced = committee_schedule[epoch] if committee_schedule is not None else None
         if forced is not None:
             committee = forced
             rng.permutation(active_size)  # keep the stream aligned
         else:
-            committee = elect_witnesses(
-                ballots, nodes, committee_size, active_size, mode, rng
-            )
+            pools[0, ids] = reputations >= params.theta
+            np.logical_not(pools[0], out=pools[1])
+            if mode is VotingMode.REPUTATION_WEIGHTED:
+                weights = reputations[votes]
+            else:
+                weights = np.ones(len(voters))
+            tally = _tally(voters, pool_of, pools, weights)
+            committee = _seat(tally, ids, committee_size, active_size, rng)
         state.start_epoch(committee, voted)
         history.committees.append(committee)
-        view = _epoch_view(state, nodes, params.w_vote)
-        reputations = np.array([n.reputation for n in nodes], dtype=float)
+        view = _epoch_view(committee, nodes, run)
         for _ in range(len(committee.active_order)):
             if state.next_leader() is None:
                 break  # fully skipped epoch ends early
             round_index = state.global_round
             *_, delta, reputations, roles = _round(state, nodes, params, view, reputations)
             history.rounds.append((epoch, round_index, reputations, roles, delta))
-        for node, rep in zip(nodes, reputations.tolist()):
-            node.reputation = rep
+    for node, rep in zip(nodes, reputations.tolist()):
+        node.reputation = rep
     return history
+
+
+def _check_schedule(
+    schedule: Sequence[Committee | None], n_epochs: int, n: int
+) -> None:
+    """Refuse, before any epoch runs, a schedule that is too short, seats an
+    unknown id, or names a leader outside its members."""
+    if len(schedule) < n_epochs:
+        raise ValueError(
+            f"committee_schedule has {len(schedule)} entries for {n_epochs} epochs"
+        )
+    population = range(n)  # ids are dense
+    for epoch in range(n_epochs):
+        committee = schedule[epoch]
+        if committee is None:
+            continue
+        for i in (*committee.members, *committee.active_order, *committee.standby):
+            if i not in population:
+                raise ValueError(f"epoch {epoch} committee seats unknown id {i!r}")
+        members = set(committee.members)
+        for i in committee.active_order:
+            if i not in members:
+                raise ValueError(f"epoch {epoch} leader {i!r} is not a committee member")
 
 
 def write_history_csv(history: ConsensusHistory, path) -> None:

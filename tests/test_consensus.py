@@ -355,6 +355,37 @@ class TestEpochRuns:
         with pytest.raises(ValueError, match="active_size <= committee_size"):
             run_epochs(nodes, PARAMS, 6, 2, n_epochs=1, committee_schedule=schedule)
 
+    def test_rejects_short_schedule_before_any_epoch(self):
+        nodes = make_nodes([0.3, 0.5, 0.7, 0.9, 0.6])
+        schedule = [forced([0, 1, 2, 3], [0, 1], [2, 3]), None]
+        with pytest.raises(ValueError, match="2 entries for 3 epochs"):
+            run_epochs(nodes, PARAMS, 4, 2, n_epochs=3, committee_schedule=schedule)
+        assert [n.reputation for n in nodes] == [0.3, 0.5, 0.7, 0.9, 0.6]
+
+    @pytest.mark.parametrize("seated", [
+        forced([0, 1, 2, 5], [0, 1], [2, 5]),  # a member
+        forced([0, 1, 2, 3], [0, 1], [2, -1]),  # a standby
+    ])
+    def test_rejects_schedule_seating_unknown_id(self, seated):
+        nodes = make_nodes([0.3, 0.5, 0.7, 0.9, 0.6])
+        schedule = [forced([0, 1, 2, 3], [0, 1], [2, 3]), seated]
+        with pytest.raises(ValueError, match="epoch 1 committee seats unknown id"):
+            run_epochs(nodes, PARAMS, 4, 2, n_epochs=2, committee_schedule=schedule)
+        assert [n.reputation for n in nodes] == [0.3, 0.5, 0.7, 0.9, 0.6]
+
+    def test_rejects_schedule_leader_outside_members(self):
+        nodes = make_nodes([0.3, 0.5, 0.7, 0.9, 0.6])
+        schedule = [None, forced([0, 1, 2], [0, 3], [1, 2])]
+        with pytest.raises(ValueError, match="epoch 1 leader 3 is not a committee member"):
+            run_epochs(nodes, PARAMS, 3, 2, n_epochs=2, committee_schedule=schedule)
+        assert [n.reputation for n in nodes] == [0.3, 0.5, 0.7, 0.9, 0.6]
+
+    def test_schedule_may_repeat_member_ids(self):
+        nodes = make_nodes([0.5] * 4)
+        schedule = [forced([0, 0, 1], [0, 1], [0])]
+        history = run_epochs(nodes, PARAMS, 3, 2, n_epochs=1, committee_schedule=schedule)
+        assert len(history.rounds) == 2
+
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), -1e-9, 1.0 + 1e-9])
     def test_rejects_reputation_outside_unit_interval(self, bad):
         nodes = make_nodes([0.5, 0.6, bad])

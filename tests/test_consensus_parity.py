@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trafficmarket.consensus as consensus
 from trafficmarket.cli import main
 from trafficmarket.consensus import (
     ABNORMAL_BEHAVIOR,
@@ -28,6 +29,7 @@ from trafficmarket.consensus import (
     FullNode,
     HistoryRow,
     ReputationParams,
+    VotingBallot,
     VotingMode,
     cast_votes,
     elect_witnesses,
@@ -129,6 +131,122 @@ def test_epochs_match_oracle(nodes, active, epochs, weighted, seed):
         for c in history.committees
     ] == committees
     assert [n.reputation for n in fast_nodes] == [n.reputation for n in slow_nodes]
+
+
+def check_election(ballots, nodes, committee_size, active_size, seed):
+    """``elect_witnesses`` against the ballot-by-ballot tally, by float.hex,
+    in both modes."""
+    pairs = [(b.voter_id, b.supported) for b in ballots]
+    for mode in MODES:
+        committee = elect_witnesses(
+            ballots, nodes, committee_size, active_size, mode, np.random.default_rng(seed)
+        )
+        result = slow_tally(pairs, nodes, mode is VotingMode.REPUTATION_WEIGHTED)
+        assert [(k, v.hex()) for k, v in committee.voting_result.items()] == [
+            (k, v.hex()) for k, v in result.items()
+        ]
+        assert (committee.members, committee.active_order, committee.standby) == (
+            slow_seat(result, committee_size, active_size, np.random.default_rng(seed))
+        )
+
+
+def test_hand_built_ballots_match_oracle():
+    """Overlapping pools, a voter with two ballots, an empty pool, and
+    ballots and nodes out of id order."""
+    reps = [0.31, 0.5, 0.97, 0.5, 0.1, 0.73]
+    nodes = [FullNode(id=i, reputation=reps[i]) for i in (3, 0, 5, 1, 4, 2)]
+    low, high, nobody = frozenset({0, 1, 2, 3}), frozenset({2, 3, 4, 5}), frozenset()
+    ballots = [
+        VotingBallot(4, low),
+        VotingBallot(1, high),
+        VotingBallot(5, nobody),
+        VotingBallot(1, low),  # voter 1 again, now in its own pool
+        VotingBallot(3, high),
+        VotingBallot(0, low),
+        VotingBallot(2, high),
+        VotingBallot(3, low),  # voter 3 in both of its pools
+        VotingBallot(1, low),  # and voter 1 in its own pool twice
+    ]
+    check_election(ballots, nodes, 4, 2, seed=3)
+    committee = elect_witnesses(ballots, nodes, 4, 2, VotingMode.EQUAL_WEIGHT,
+                                np.random.default_rng(3))
+    # 2 and 3 sit in both pools and skip their own ballots; 1 skips its two
+    assert committee.voting_result == {3: 6.0, 0: 4.0, 5: 3.0, 1: 3.0, 4: 3.0, 2: 7.0}
+    check_election([], nodes, 3, 1, seed=0)
+    check_election([VotingBallot(2, nobody)] * 3, nodes, 3, 1, seed=0)
+
+
+@st.composite
+def ballot_lists(draw):
+    """Nodes out of id order, and ballots over a few shared, overlapping,
+    possibly empty pools, with voters repeated and in any order."""
+    nodes = draw(populations(max_size=12, scripted=False))
+    ids = st.integers(0, len(nodes) - 1)
+    pools = draw(st.lists(st.frozensets(ids), min_size=1, max_size=4))
+    ballots = draw(st.lists(
+        st.builds(VotingBallot, voter_id=ids, pool=st.sampled_from(pools)),
+        max_size=3 * len(nodes),
+    ))
+    return nodes, ballots
+
+
+@settings(max_examples=150)
+@given(drawn=ballot_lists(), sizes=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+       seed=st.integers(0, 2**32 - 1))
+def test_any_ballot_list_matches_oracle(drawn, sizes, seed):
+    nodes, ballots = drawn
+    committee_size = min(max(sizes), len(nodes))
+    check_election(ballots, nodes, committee_size, min(min(sizes), committee_size), seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nodes=populations(max_size=60), active=st.integers(1, 8),
+       epochs=st.integers(1, 3), weighted=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_larger_epochs_match_oracle(nodes, active, epochs, weighted, seed):
+    """Populations of up to 60 nodes, listed out of id order, bit for bit."""
+    committee_size = max(1, 2 * len(nodes) // 3)
+    active = min(active, committee_size)
+    mode = MODES[0] if weighted else MODES[1]
+    fast_nodes, slow_nodes = clone(nodes), clone(nodes)
+    history = run_epochs(fast_nodes, PARAMS, committee_size, active, epochs,
+                         mode=mode, seed=seed)
+    rows, chain, committees = slow_run_epochs(
+        slow_nodes, PARAMS, committee_size, active, epochs, weighted, seed
+    )
+    assert hexed(history.rows) == hexed(rows)
+    assert [
+        (b.epoch, b.round_index, b.producer_id, b.payload_hash, b.confirmations)
+        for b in history.chain
+    ] == chain
+    assert seating(history.committees) == [
+        (members, order, standby, [(k, v.hex()) for k, v in result.items()])
+        for result, members, order, standby in committees
+    ]
+    assert [n.reputation.hex() for n in fast_nodes] == [
+        n.reputation.hex() for n in slow_nodes
+    ]
+
+
+def test_run_epochs_builds_no_ballots(tmp_path, monkeypatch):
+    """The epoch loop and the CLI job elect from arrays: with the ballot
+    type, ``cast_votes`` and ``elect_witnesses`` refusing, the history and
+    the CSV are those of an unpatched run."""
+    argv = ["consensus", "--nodes", "60", "--committee", "40", "--active", "6",
+            "--abnormal-frac", "0.3", "--epochs", "3", "--seed", "8"]
+    expected = history_digest(run_epochs(tie_heavy(6), PARAMS, 70, 8, 3, seed=6))
+    with redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(tmp_path / "before.csv")]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ballot object was built")
+
+    for name in ("VotingBallot", "cast_votes", "elect_witnesses"):
+        monkeypatch.setattr(consensus, name, refuse)
+    assert history_digest(run_epochs(tie_heavy(6), PARAMS, 70, 8, 3, seed=6)) == expected
+    with redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(tmp_path / "after.csv")]) == 0
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
 
 
 def drive_rounds(nodes, committee_size, active_size, n_epochs, mode, seed, schedule):

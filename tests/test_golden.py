@@ -92,6 +92,22 @@ CLI_GOLDENS = {
         "c53a18335a3859d099e5733ebb108e93c77fcc686e7a4689b977e5299f994e94",
         "ed0a551ada7ccc01bed1acd0cc6245fa29e027cab0874270abd7b131815d6180",
     ),
+    # the benchmark's population size, in both modes; equal weights make
+    # every tally an integer, so tied ranks are common there
+    "consensus-1000-reputation": (
+        ["consensus", "--nodes", "1000", "--committee", "700", "--active", "10",
+         "--abnormal-frac", "0.2", "--mode", "reputation", "--seed", "5", "--out", "out.csv"],
+        "out.csv",
+        "22636ae1fb7ca0bf85accfd9da542611587408eef97f270498db31124bfec9cb",
+        "a086c284617e5235304defd1b76478b2270b948adda4da2152cb87faaadf4642",
+    ),
+    "consensus-1000-equal": (
+        ["consensus", "--nodes", "1000", "--committee", "700", "--active", "10",
+         "--abnormal-frac", "0.2", "--mode", "equal", "--seed", "5", "--out", "out.csv"],
+        "out.csv",
+        "82ef7f513686ab2d255a4068232ee7d54078a43d25c2c34097708708760f9732",
+        "c89971fb27d34e104f3082a50089852529c7b9edf2d194c4e87794096c58e8f8",
+    ),
     # the block hash does not depend on the scheme, so both give one ledger
     "trade-real": (
         ["trade", "--scenario", "paper-example", "--scheme", "real", "--out", "out.csv"],
