@@ -34,49 +34,48 @@ copy of the state. The payments equal those of one full re-run per winner,
 bit for bit; ``tbsap_payment`` scans in full and is the reference.
 
 The budget never changes the pick order (argmax reads only gains and
-bids); it decides where the break rule stops and enters each position only
-as ``min(replacement bid, B - spend)``. So ``tbsap`` keeps one trace per
-geometry and bid vector: per pick, the spend before it and its rows
-``(candidate, replacement bid, spend)``, built by the break greedy at a cap
-(``_critical_scans``). Every payment folds its rows at the call's budget.
-An entry never falls as B rises, so each suffix ends once no later position
-can raise the payment at any budget from the least at which its pick wins
-up to the cap: every entry is at most the priced vehicle's marginal
-coverage (up to rounding, which a 1e-12 margin covers) and at most the
-slack at the cap, and neither ever rises. A call with new bids builds the
-trace capped at its own budget, which keeps a one-off call at a tight
-budget from running suffixes that budget never reaches. A call at a budget
-above the cap rebuilds it once with no cap; every other call only folds.
+bids); it decides where each rule stops. So each bid vector keeps the break
+greedy's picks and the spend after each (``_order``), built at a call's
+budget up to its first misfit, which caps it, or complete (cap inf) if the
+run ends on its own; a call above the cap rebuilds it at its own budget.
+``tbsap_allocate`` at B takes the picks whose spend is at most B, and so
+does ``greedy_heuristic``, whose filter drops nothing before that misfit.
+Unless they are all of a complete order, it selects them into a fork and
+goes on over fresh keys for just the other bids with spend + bid <= B, a
+prefix of the ids by bid. That is exact: a misfit misfits for good, as
+spend only grows and rounding is monotone, and if the whole heap's top is
+negative so is every bid that fits. So the argmax over the bids that fit,
+by the same key, is the unfiltered loop's pick, bit for bit.
 
-The call that builds a trace folds its row lists in Python (``_fold``).
-Most traces are never folded again: each instance of a property test or of
-a pool of small auctions is priced once, and turning a trace of a dozen
-rows into arrays costs about ten Python folds. A budget sweep or a repeated
-trading round folds one trace at call after call (98 of 100 ``tbsap`` calls
-on the auction-dense benchmark, 20 of 21 on trade-round, none of 1,024 on
-auction-small), so the next fold turns it into two flat columns, each
-row's replacement bid and spend, with per-pick offsets, drops the row
-lists, and it and every later fold are a few array reductions
-(``_Trace.fold_columns``). Their bits are ``_fold``'s: the slack is the
-same IEEE subtraction, ``min`` and ``max`` are selections, and the rows
-after a pick's first misfit, where ``_fold`` stops, have negative entries
-that cannot count. ``np.maximum`` keeps the last of equal operands and
-``_fold`` the first, which differ in bits only for +0.0 and -0.0, so a zero
-maximum takes its pick's first zero entry.
+Payments enter each position as ``min(replacement bid, B - spend)``. So
+``tbsap`` keeps one trace per bid vector: per pick, the spend before it and
+its rows ``(candidate, replacement bid, spend)``, built by the break greedy
+at a cap (``_critical_scans``), and every payment folds its rows at the
+call's budget. Each suffix ends once no later position can raise the
+payment at any budget up to the cap. New bids build the trace capped at
+the call's budget, so a one-off call at a tight budget runs no suffix that
+budget never reaches; a call above the cap rebuilds it once with no cap.
+
+The call that builds a trace folds its row lists in Python (``_fold``);
+most traces, such as each instance of a property test, are never folded
+again. A budget sweep folds one trace call after call, so the next fold
+turns it into two flat columns, with per-pick offsets, and every later
+fold is a few array reductions with ``_fold``'s bits (``_Trace``).
 
 Task values, sorted subsets, member lists and initial gains depend only on
 the geometry, so the last geometry's set-up is kept and reused while the
 ``tasks`` tuple and every ``task_subset`` are the very same objects. The
-key holds them alive, so a new geometry can never match it: the cache
-fails closed. Beside the set-up sits a memo (``_Memo``) for the last bid
-vector seen on it, compared by value: the bids, the greedy's start state
-(initial gains and the heapified keys, which the budget never touches),
-``tbsap``'s trace once one is built, and the ``vehicles`` tuple last
+key holds them alive, so a new geometry can never match it: the cache fails
+closed. Beside the set-up sits a memo (``_Memo``) for the last bid vector
+seen on it, compared by value: the bids, the greedy's start state (initial
+gains and the heapified keys, which the budget never touches), the order
+and ``tbsap``'s trace once each is built, and the ``vehicles`` tuple last
 validated with those bids. Every new ``(tasks, vehicles)`` pair is
 validated in full; a call on the very pair the memo holds, as each budget
 of a sweep made by ``with_budget`` is, checks only its budget (``_memo``).
-So a ``tbsap`` call that only folds builds no state at all, and the other
-entry points fork the start state once.
+So a ``tbsap`` call that only folds, an allocation within the order's cap
+and a greedy call a complete order covers build no state; any other call
+forks the start state once.
 """
 
 from __future__ import annotations
@@ -155,13 +154,14 @@ _last_geometry: tuple = ((), None, None)
 
 class _Memo:
     """What the cached geometry keeps for the last bid vector seen on it:
-    the bids, the greedy's start state, ``tbsap``'s trace once one is
-    built, and the ``vehicles`` tuple last validated with those bids."""
+    the bids, the greedy's start state, the order (``_order``) and
+    ``tbsap``'s trace once each is built, and the ``vehicles`` tuple last
+    validated with those bids."""
 
-    __slots__ = ("bids", "start", "trace", "vehicles")
+    __slots__ = ("bids", "start", "order", "trace", "vehicles")
 
     def __init__(self):
-        self.bids = self.start = self.trace = self.vehicles = None
+        self.bids = self.start = self.order = self.trace = self.vehicles = None
 
 
 def _setup(instance: AuctionInstance) -> tuple[tuple, _Memo]:
@@ -272,7 +272,8 @@ def _memo(instance: AuctionInstance) -> _Memo:
             raise ValueError(f"vehicle {v}: bids must be positive in auctions")
     setup, memo = _setup(instance)
     if memo.bids != bids:
-        memo.bids, memo.start, memo.trace = bids, _CoverageState(setup, bids), None
+        memo.bids, memo.start = bids, _CoverageState(setup, bids)
+        memo.order = memo.trace = None
     memo.vehicles = instance.vehicles
     return memo
 
@@ -310,27 +311,61 @@ def _picks(state: _CoverageState, budget: float, drop_misfits: bool = False):
         state.select(k)
 
 
+def _order(memo: _Memo, budget: float) -> tuple[tuple, _CoverageState | None]:
+    """The memo's order ``(cap, picks, reach, by_bid)``: the break greedy's
+    picks up to its first misfit at ``cap`` (inf if none), the spend after
+    each and every id by bid. One missing or capped below ``budget`` is
+    rebuilt at it, and returned with the fork it ran on; else with None."""
+    order = memo.order
+    if order is not None and budget <= order[0]:
+        return order, None
+    state = memo.start.fork()
+    bids, cap, picks, reach = state.bids, math.inf, [], []
+    for k, fits in _picks(state, budget):
+        if not fits:
+            cap = budget
+            break
+        picks.append(k)
+        reach.append(state.spent + bids[k])
+    by_bid = order[3] if order else sorted(range(len(bids)), key=bids.__getitem__)
+    memo.order = (cap, picks, reach, by_bid)
+    return memo.order, state
+
+
 def greedy_heuristic(instance: AuctionInstance) -> AuctionOutcome:
     """Filter-and-continue greedy; winners are paid their bids.
 
     Each iteration restricts candidates to bids that fit, spend + bid <= B,
     picks the best unit gain among them, and stops only when the pool is
-    empty or the best remaining unit gain is negative.
+    empty or the best remaining unit gain is negative. Its picks before the
+    first drop are the memo's order (see the module docstring).
     """
-    start = _memo(instance).start
-    state = start.fork()
-    order = [k for k, _ in _picks(state, instance.budget, drop_misfits=True)]
-    payments = {v: state.bids[v] for v in order}
-    profit = _coverage(state.values, instance, order) - sum(payments.values())
+    memo, budget = _memo(instance), instance.budget
+    (cap, picks, reach, by_bid), state = _order(memo, budget)
+    bids, n = memo.bids, bisect.bisect_right(reach, budget)
+    winners, total_bid = picks[:n], reach[n - 1] if n else 0.0
+    if n < len(picks) or cap < math.inf:  # the next pick misfits at B
+        if state is None:
+            state = memo.start.fork()
+            for k in winners:
+                state.select(k)
+        spent, gain, taken = state.spent, state.gain, set(winners)
+        fit = bisect.bisect_right(by_bid, budget, key=lambda v: spent + bids[v])
+        state.heap = [(-((gain[v] - bids[v]) / bids[v]), v) for v in by_bid[:fit] if v not in taken]
+        heapq.heapify(state.heap)
+        winners += [k for k, _ in _picks(state, budget, drop_misfits=True)]
+        total_bid = state.spent
+    payments = {v: bids[v] for v in winners}
+    profit = _coverage(memo.start.values, instance, winners) - sum(payments.values())
     return AuctionOutcome(
-        winners=tuple(order), payments=payments, profit=profit, total_bid=state.spent
+        winners=tuple(winners), payments=payments, profit=profit, total_bid=total_bid
     )
 
 
 def tbsap_allocate(instance: AuctionInstance) -> list[int]:
     """Winner selection stage: greedy by unit gain, break on first stop."""
-    start = _memo(instance).start
-    return [k for k, fits in _picks(start.fork(), instance.budget) if fits]
+    (_, picks, reach, _), _ = _order(_memo(instance), instance.budget)
+    return picks[: bisect.bisect_right(reach, instance.budget)]
 
 
 def _critical_scans(state: _CoverageState, cap: float, cut: bool, only: int | None = None):
@@ -465,7 +500,10 @@ class _Trace:
         winner's gain is at least its bid there): its entry is at least 0.
         Every pick has that first row: a suffix the cut ends has a row
         before it, and one it does not end has a row for its first pick or
-        for the leftover coverage.
+        for the leftover coverage. ``min`` and ``max`` are selections, and
+        ``np.maximum`` keeps the last of equal operands where ``_fold`` keeps
+        the first: they differ only for +0.0 and -0.0, so a zero maximum
+        takes its pick's first zero entry.
         """
         n = bisect.bisect_right(self.reach, budget)
         if not n:

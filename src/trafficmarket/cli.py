@@ -232,6 +232,12 @@ def _cmd_trade(args) -> int:
     if args.out:
         write_ledger_csv(world, Path(args.out))
         print(f"wrote {args.out}")
+    winners = result.outcome.winners
+    if winners and result.block is None:  # the round settled nothing
+        aborted = sum(result.sessions[v].failure is not None for v in winners)
+        print(f"error: no block written: {aborted} of {len(winners)} winners aborted",
+              file=sys.stderr)
+        return 1
     return 0
 
 

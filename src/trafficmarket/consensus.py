@@ -213,8 +213,6 @@ class ConsensusState:
     skipped: set[int] = field(default_factory=set)
     voted: frozenset[int] = frozenset()
     chain: list[BlockRecord] = field(default_factory=list)
-    #: committee role of each seated id this epoch, leaders counted as witnesses
-    roles: dict[int, str] = field(default_factory=dict)
 
     def start_epoch(self, committee: Committee, voted: frozenset[int]) -> None:
         self.epoch += 1
@@ -222,8 +220,6 @@ class ConsensusState:
         self.leader_cursor = 0
         self.skipped = set()
         self.voted = voted
-        self.roles = dict.fromkeys(committee.standby, "standby")
-        self.roles.update(dict.fromkeys(committee.active_order, "witness"))
 
     def next_leader(self) -> int | None:
         """Next unskipped node in leader order, None when exhausted."""

@@ -22,7 +22,10 @@ A call on the ``(tasks, vehicles)`` pair the memo holds checks only its
 budget, so bad budgets, bad bids and bad subsets right after a cached call
 must still raise. ``greedy_heuristic`` is checked against ``slow_greedy``
 at every boundary budget, on fresh bids and beside a capped and an
-uncapped ``tbsap`` trace.
+uncapped ``tbsap`` trace. It reads the break greedy's pick order, which
+``tbsap_allocate`` shares: budget sweeps in rising, falling and shuffled
+order, a capped, a complete, a rebuilt and a reset order, the fit test
+after the first drop, and a new interpreter check it against the oracle.
 """
 
 import hashlib
@@ -279,28 +282,30 @@ def test_tie_families_match_full_scans_at_every_magnitude(sweep):
 
 FRESH = """
 import sys
-from trafficmarket.auction import greedy_heuristic, tbsap
+from trafficmarket import auction
 from trafficmarket.model import loads_scenario
+mechanisms = [getattr(auction, name) for name in sys.argv[1:]]
 for text in sys.stdin.read().split("\\0"):
     instance = loads_scenario(text)
-    print(repr((tbsap(instance), greedy_heuristic(instance))))
+    print(repr(tuple(mechanism(instance) for mechanism in mechanisms)))
 """
 
 
-def fresh_outcomes(instances) -> list[str]:
-    """``repr`` of (tbsap, greedy) per instance, from a new interpreter that
-    parses each instance on its own, so no geometry is shared."""
+def fresh_outcomes(instances, mechanisms=(tbsap, greedy_heuristic)) -> list[str]:
+    """``repr`` of each mechanism's outcome per instance, from a new
+    interpreter that parses each instance on its own, so no geometry is
+    shared."""
     env = dict(os.environ, PYTHONPATH=str(Path(trafficmarket.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", FRESH],
+        [sys.executable, "-c", FRESH, *(m.__name__ for m in mechanisms)],
         input="\0".join(map(dumps_scenario, instances)),
         capture_output=True, text=True, env=env, check=True, timeout=120,
     )
     return done.stdout.splitlines()
 
 
-def outcomes(instances) -> list[str]:
-    return [repr((tbsap(i), greedy_heuristic(i))) for i in instances]
+def outcomes(instances, mechanisms=(tbsap, greedy_heuristic)) -> list[str]:
+    return [repr(tuple(m(i) for m in mechanisms)) for i in instances]
 
 
 def test_setup_cache_matches_a_fresh_process():
@@ -513,7 +518,9 @@ def test_a_fold_builds_no_state(monkeypatch):
     assert built == []
     greedy_heuristic(instance)
     tbsap_allocate(instance)
-    assert built == ["fork", "fork"]  # the same bids fork the cached start state
+    # the greedy builds the order on one fork of the cached start state, and
+    # the allocation at the same budget reads it
+    assert built == ["fork"]
     for _ in range(2):  # beside the trace capped at 40, then beside an uncapped one
         for mechanism in (greedy_heuristic, tbsap_allocate, tbsap):
             for budget in (40.0, 10.0, 25.0, 0.0):
@@ -670,3 +677,117 @@ def test_mechanisms_interleaved_match_an_emptied_cache(sweep, data):
         if isinstance(got, AuctionOutcome):
             got, want = exact(got), exact(want)
         assert got == want
+
+
+def sweep_budgets(instance, rng) -> list[float]:
+    """The boundary budgets of ``instance`` and a few random ones; the
+    call that finds them builds an order, so the cache is emptied after."""
+    budgets = boundary_budgets(instance)
+    budgets += rng.uniform(0.0, 1.2 * max(budgets), size=5).tolist()
+    auction._last_geometry = ((), None, None)
+    return budgets
+
+
+def test_greedy_sweeps_match_the_oracle_in_any_order():
+    # The first call of each sweep builds the order at its budget, so an
+    # ascending sweep rebuilds it above each cap, a descending one builds
+    # it once, and a shuffled one mixes the two.
+    rng = np.random.default_rng(38)
+    instances = [priced_bids(rng) for _ in range(40)] + [small_geometric(rng) for _ in range(2)]
+    for instance in instances:
+        budgets = sweep_budgets(instance, rng)
+        want = {b: slow_heuristic(instance.with_budget(b)) for b in budgets}
+        shuffled = rng.permutation(budgets).tolist()
+        for sweep in (sorted(budgets), sorted(budgets, reverse=True), shuffled):
+            auction._last_geometry = ((), None, None)
+            for budget in sweep:
+                got = heuristic_view(greedy_heuristic(instance.with_budget(budget)))
+                assert got == want[budget], (sweep[0], budget)
+
+
+def test_greedy_order_is_capped_rebuilt_and_reset():
+    instance = dense_scenario(6, n_tasks=60, n_vehicles=120, side=300.0)
+    auction._last_geometry = ((), None, None)
+
+    def check(budget, instance=instance):
+        instance = instance.with_budget(budget)
+        got = heuristic_view(greedy_heuristic(instance))
+        assert got == slow_heuristic(instance), budget
+        allocated = tbsap_allocate(instance)  # reads the same order
+        assert allocated == [pick[0] for pick in slow_greedy(instance)[0]], budget
+        return got
+
+    check(10.0)
+    memo = auction._last_geometry[2]
+    capped = memo.order
+    cap, picks, reach, _ = capped
+    assert cap == 10.0 and reach[-1] <= 10.0  # new bids: built at B, to a misfit
+    for budget in (10.0, reach[-1], 4.0, 0.0):
+        check(budget)
+        assert memo.order is capped  # within the cap: read
+    check(30.0)
+    assert memo.order[0] == 30.0  # above the cap: rebuilt at B
+    assert memo.order[1][: len(picks)] == picks
+    check(1e9)
+    complete = memo.order
+    cap, picks, reach, _ = complete
+    assert cap == math.inf  # the run ended on its own
+    for budget in (reach[-1], math.nextafter(reach[-1], 0.0), 30.0, 5.0, 0.0):
+        check(budget)
+        assert memo.order is complete
+    raised = instance.with_bid(picks[0], instance.vehicles[picks[0]].bid * 4)
+    assert check(1e9, raised) != check(1e9)  # new bids, a new order
+    for budget in (30.0, 10.0, 1e9):
+        check(budget, raised)
+        check(budget)
+
+
+def test_greedy_does_not_depend_on_what_ran_before():
+    # The allocation shares the greedy's order and tbsap keeps its own
+    # trace; either run first, capped low or not capped, leaves every
+    # greedy outcome as it is on an emptied cache.
+    rng = np.random.default_rng(39)
+    instances = [priced_bids(rng) for _ in range(20)] + [small_geometric(rng)]
+    for instance in instances:
+        budgets = sweep_budgets(instance, rng)
+        want = [cold_call(greedy_heuristic, instance.with_budget(b)) for b in budgets]
+        low, high = min(budgets), 2 * max(budgets) + 1.0
+        for before in ([(tbsap, low)], [(tbsap_allocate, low)],
+                       [(tbsap, high), (tbsap_allocate, low)], [(tbsap_allocate, high)]):
+            auction._last_geometry = ((), None, None)
+            for mechanism, budget in before:
+                mechanism(instance.with_budget(budget))
+            for budget, outcome in zip(budgets, want):
+                got = greedy_heuristic(instance.with_budget(budget))
+                assert exact(got) == exact(outcome), (before, budget)
+
+
+def test_continuation_keeps_the_fit_test():
+    # Vehicle 1 misfits after vehicle 0, so the greedy goes on from spend
+    # 0.7, where fl(0.7 + 0.1) is B though 0.1 > fl(B - 0.7): vehicle 2
+    # still fits, and its bid is the only one that does
+    budget = 0.7999999999999999
+    instance = build_instance([20.0, 5.0, 1.0], [[0], [1], [2]], [0.7, 0.5, 0.1], budget)
+    assert 0.1 > budget - 0.7 and 0.7 + 0.1 <= budget
+    for before in ([], [1e9], [budget]):  # no order, a complete one, one capped at B
+        auction._last_geometry = ((), None, None)
+        for b in before:
+            greedy_heuristic(instance.with_budget(b))
+        outcome = greedy_heuristic(instance)
+        assert outcome.winners == (0, 2) and outcome.total_bid == budget
+        assert heuristic_view(outcome) == slow_heuristic(instance)
+
+
+def test_greedy_sweeps_match_a_fresh_process():
+    # One interpreter sweeps one geometry in shuffled order, with a bid
+    # copy part way, so every call after the first reads a shared order;
+    # the new one parses each instance on its own.
+    rng = np.random.default_rng(40)
+    main = dense_scenario(11, n_tasks=60, n_vehicles=120, side=300.0)
+    budgets = sweep_budgets(main, rng)
+    budgets = rng.choice(budgets, size=min(len(budgets), 40), replace=False).tolist()
+    copy = main.with_bid(3, main.vehicles[3].bid / 3)
+    cases = [main.with_budget(b) for b in budgets]
+    cases[10:10] = [copy.with_budget(b) for b in budgets[:5]]
+    auction._last_geometry = ((), None, None)
+    assert outcomes(cases, (greedy_heuristic,)) == fresh_outcomes(cases, (greedy_heuristic,))

@@ -196,6 +196,25 @@ class TestTrade:
         assert f"mechanism: {mechanism}\n" in out
         assert "\nblock: " in out and "block: -" not in out
 
+    def test_round_without_a_block_exits_1(self, tmp_path, monkeypatch):
+        # tbsap's quoted payments exceed the budget the authority is funded
+        # with, so every winner aborts before anything moves; the greedy
+        # pays bids, which fit the budget, and settles on the same map
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(["gen", "--seed", "1", "--n-tasks", "200", "--n-vehicles",
+                              "1000", "--budget", "100", "--out", "city.scn"])
+        assert code == 0
+        code, out, err = run_cli(["trade", "--scenario", "city.scn", "--scheme", "stub",
+                                  "--out", "ledger.csv"])
+        winners = out.count("(authority balance insufficient)")
+        assert winners > 0 and "confirmed" not in out
+        assert out.endswith("block: -\nwrote ledger.csv\n")
+        assert code == 1
+        assert err == f"error: no block written: {winners} of {winners} winners aborted\n"
+        code, out, err = run_cli(["trade", "--scenario", "city.scn", "--scheme", "stub",
+                                  "--mechanism", "greedy"])
+        assert (code, err) == (0, "") and "block: -" not in out
+
 
 @pytest.mark.parametrize(
     "argv",
