@@ -24,8 +24,12 @@ the sum a ballot-by-ballot count makes, whose other terms add 0.0 to a
 non-negative total and change no bit. Nodes covered by the same pools see
 one ballot sequence and share its running sum; a node with a ballot in
 that sequence is a chain that starts from the running sum just before its
-first ballot and takes every later weight, one slice add per ballot for
-every chain begun. The closed form (total weight less the node's own)
+first ballot and takes every later weight, ``_BLOCK`` ballots per
+``np.add.reduce(axis=0)`` of a float64 block: row 0 holds the chains, each
+other row a ballot's weight, and -0.0 (x + -0.0 is x) fills the cells of
+chains not yet begun and of a voter's own chain at its repeat. numpy sums
+a one-column block pairwise, hence a spare column; ``accumulate`` runs
+column by column. The closed form (total weight less the node's own)
 rounds differently and could reorder tied ranks.
 
 The reputations, w_vote * alpha and each node's verdict (+-1 by its
@@ -253,6 +257,11 @@ def cast_votes(nodes: Sequence[FullNode], params: ReputationParams) -> list[Voti
     ]
 
 
+def _check_sizes(committee_size: int, active_size: int, population: int) -> None:
+    if not (0 < active_size <= committee_size <= population):
+        raise ValueError("need 0 < active_size <= committee_size <= population")
+
+
 def _check_nodes(nodes: Sequence[FullNode]) -> None:
     if sorted(n.id for n in nodes) != list(range(len(nodes))):
         raise ValueError("node ids must be dense 0..n-1")
@@ -277,8 +286,7 @@ def elect_witnesses(
     Ids must be dense 0..n-1. The ballots become (voter, pool) arrays for
     ``_tally``, the routine ``run_epochs`` elects with.
     """
-    if not (0 < active_size <= committee_size <= len(nodes)):
-        raise ValueError("need 0 < active_size <= committee_size <= population")
+    _check_sizes(committee_size, active_size, len(nodes))
     _check_nodes(nodes)
     n = len(nodes)
     rows: dict[frozenset[int], int] = {}
@@ -306,14 +314,16 @@ def elect_witnesses(
     return _seat(tally, ids, committee_size, active_size, rng)
 
 
+_BLOCK = 64  # ballots folded into the chains per axis-0 reduction
+
+
 def _tally(
     voters: np.ndarray, pool_of: np.ndarray, pools: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Voting result per id, as the module docstring sets out: ballot ``b``
     of voter ``voters[b]`` adds ``weights[b]`` to every id of the (pools,
-    ids) mask row ``pools[pool_of[b]]`` but the voter. A voter's repeated
-    ballot skips its own chain, which is restored after the add, because
-    subtracting the weight again would round.
+    ids) mask row ``pools[pool_of[b]]`` but the voter, whose chain takes
+    -0.0 at a repeated ballot: subtracting the weight would round.
     """
     n = pools.shape[1]
     tally = np.zeros(n)
@@ -336,20 +346,24 @@ def _tally(
         np.minimum.at(first, v[own], own)  # each voter's first ballot starts its chain
         leads = first[v[own]] == own
         starts, repeat = own[leads], own[~leads]
-        skips = dict(zip(  # a repeated ballot's position -> its voter's chain
-            repeat.tolist(), np.searchsorted(starts, first[v[repeat]]).tolist()
-        ))
-        chains = running[starts]
-        begun = np.searchsorted(starts, np.arange(len(w))).tolist()
-        for m, (k, x) in enumerate(zip(begun, w.tolist())):
-            chain = chains[:k]  # a view: ``chains[:k] += x`` would also copy back
-            if m in skips:
-                keep = chains[skips[m]]
-                chain += x
-                chains[skips[m]] = keep
-            else:
-                chain += x
-        tally[v[starts]] = chains
+        skips = np.searchsorted(starts, first[v[repeat]])  # each repeat's own chain
+        chains = np.append(running[starts], -0.0)  # a spare column keeps width >= 2
+        begun = np.searchsorted(starts, np.arange(len(w)))
+        buffer = np.empty((min(_BLOCK, len(w)) + 1) * len(chains))
+        for m0 in range(starts[0] + 1, len(w), _BLOCK):
+            m1 = min(m0 + _BLOCK, len(w))
+            width = begun[m1 - 1] + 1
+            block = buffer[: (m1 - m0 + 1) * width].reshape(m1 - m0 + 1, width)
+            block[0] = chains[:width]
+            block[1:] = w[m0:m1, None]  # row 1 + m - m0: ballot m's weight
+            lo = begun[m0]  # chains begun by then take every weight of the block
+            np.copyto(block[1:, lo:], -0.0,
+                      where=np.arange(lo, width) >= begun[m0:m1, None])
+            if repeat.size:
+                r0, r1 = np.searchsorted(repeat, (m0, m1))
+                block[repeat[r0:r1] - m0 + 1, skips[r0:r1]] = -0.0
+            np.add.reduce(block, axis=0, out=chains[:width])
+        tally[v[starts]] = chains[:-1]
     return tally
 
 
@@ -571,8 +585,7 @@ def run_epochs(
     """
     if n_epochs < 0:
         raise ValueError("n_epochs must be non-negative")
-    if not (0 < active_size <= committee_size <= len(nodes)):
-        raise ValueError("need 0 < active_size <= committee_size <= population")
+    _check_sizes(committee_size, active_size, len(nodes))
     _check_nodes(nodes)
     ids = [n.id for n in nodes]
     if committee_schedule is not None:

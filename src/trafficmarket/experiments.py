@@ -38,6 +38,7 @@ from trafficmarket.consensus import (
     FullNode,
     ReputationParams,
     VotingMode,
+    _check_sizes,
     cast_votes,
     elect_witnesses,
     run_epochs,
@@ -143,6 +144,7 @@ def rnw_vs_rafn_rows(
     for grid_index, rafn in enumerate(grid):
         rng = np.random.default_rng([seed, 10, grid_index])
         nodes = sample_population(population, rafn, rng)
+        _check_sizes(committee_size, active_size, population)  # before the ideal divides
         params = ReputationParams()
         ballots = cast_votes(nodes, params)
         ideal = ideal_normal_fraction(population, committee_size, rafn)

@@ -310,6 +310,25 @@ def test_negative_population_size(command, tmp_path, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("sizes", [
+    "--committee 0",
+    "--committee 0 --nodes 5",
+    "--committee 0 --active 0",
+    "--nodes 5",
+    "--nodes 0",
+    "--committee 20 --active 21",
+    "--active 0",
+])
+def test_rnw_committee_sizes_refused(sizes, tmp_path, monkeypatch):
+    """A committee of 0 used to divide by zero in the ideal share; every size
+    the election refuses is refused before the first row."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["experiment", "rnw-vs-rafn", *sizes.split()])
+    assert (code, out) == (1, "")
+    assert err == "error: need 0 < active_size <= committee_size <= population\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "study, flag, grid, message",
     [

@@ -199,6 +199,63 @@ def test_any_ballot_list_matches_oracle(drawn, sizes, seed):
     check_election(ballots, nodes, committee_size, min(min(sizes), committee_size), seed)
 
 
+@pytest.mark.parametrize("own_pool", [True, False])
+@pytest.mark.parametrize("n_ballots, seed", [(150, 0), (275, 1), (400, 2)])
+def test_long_ballot_lists_match_oracle(n_ballots, seed, own_pool):
+    """Ballot lists that span several tally blocks of 64 ballots. Voter 25
+    casts ballot 0, so its group (20-29, which sees each of the first 130
+    ballots) starts its blocks at 1, 65 and 129. At ballots 63, 64, 65, 127,
+    128 and 129 a voter votes again: 25 in its own pools, or 5 in a pool
+    without it. Later ballots also go to an empty pool."""
+    rng = np.random.default_rng(seed)
+    nodes = [FullNode(id=int(i), reputation=float(rng.uniform())) for i in rng.permutation(50)]
+    pools = [frozenset(range(30)), frozenset(range(20, 50)), frozenset(range(50)), frozenset()]
+    ballots = [
+        VotingBallot(int(rng.integers(50)), pools[rng.integers(4 if m > 129 else 3)])
+        for m in range(n_ballots)
+    ]
+    ballots[:2] = [VotingBallot(25, pools[2]), VotingBallot(5, pools[0])]
+    for k, m in enumerate((63, 64, 65, 127, 128, 129)):
+        ballots[m] = VotingBallot(25, pools[k % 3]) if own_pool else VotingBallot(5, pools[1])
+    check_election(ballots, nodes, 30, 7, seed)
+
+
+def test_one_and_two_chain_groups_match_oracle():
+    """A group with one begun chain and one with two, each followed by twelve
+    ballots from outside it. Summed pairwise, as numpy sums a block of one
+    column, these twelve weights round to a different total than the
+    ballot-by-ballot count."""
+    outsiders = [0.35, 0.44, 0.97, 0.57, 0.27, 0.25, 0.89, 0.23, 0.13, 0.3, 0.59, 0.56]
+    reps = [0.5, 0.81, 0.42, *outsiders]
+    nodes = [FullNode(id=i, reputation=r) for i, r in enumerate(reps)][::-1]
+    solo, pair = frozenset({0}), frozenset({1, 2})
+    ballots = [
+        VotingBallot(0, solo),
+        *(VotingBallot(i, solo) for i in range(3, 15)),
+        VotingBallot(1, pair),
+        VotingBallot(2, pair),
+        *(VotingBallot(i, pair) for i in range(3, 15)),
+    ]
+    check_election(ballots, nodes, 5, 2, seed=1)
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5])
+def test_numpy_axis0_reduce_folds_row_by_row(width):
+    """``_tally`` relies on ``np.add.reduce(block, axis=0)`` adding the rows
+    of a C-contiguous block one after another, as a ballot-by-ballot count
+    does. A block of one column is summed pairwise instead, which is why the
+    tally keeps a spare column. A numpy release that changes the order fails
+    here, not first in a golden digest."""
+    rng = np.random.default_rng(width)
+    for height in range(2, 301):
+        block = rng.standard_normal((height, width)) * 10.0 ** rng.integers(-6, 7, (height, width))
+        fold = block[0].copy()
+        for row in block[1:]:
+            fold = fold + row
+        reduced = np.add.reduce(block, axis=0)
+        assert reduced.view(np.int64).tolist() == fold.view(np.int64).tolist(), height
+
+
 @settings(max_examples=30, deadline=None)
 @given(nodes=populations(max_size=60), active=st.integers(1, 8),
        epochs=st.integers(1, 3), weighted=st.booleans(),
