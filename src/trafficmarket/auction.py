@@ -93,6 +93,7 @@ import numpy as np
 from trafficmarket.model import (
     AuctionInstance,
     AuctionOutcome,
+    left_sum,
     validate_budget,
     validate_instance,
     write_rows,
@@ -280,11 +281,10 @@ def _memo(instance: AuctionInstance) -> _Memo:
 
 def _coverage(values: list[float], instance: AuctionInstance, winners) -> float:
     """``coverage_value`` read from the set-up's value list: the same set,
-    updated in the same order, summed in its iteration order."""
-    covered: set[int] = set()
-    for v in winners:
-        covered.update(instance.vehicles[v].task_subset)
-    return float(sum(values[t] for t in covered))
+    built by the same merges in the same order, folded in its iteration order."""
+    vehicles = instance.vehicles
+    covered = set().union(*[vehicles[v].task_subset for v in winners])
+    return left_sum(map(values.__getitem__, covered))
 
 
 def _picks(state: _CoverageState, budget: float, drop_misfits: bool = False):
@@ -356,7 +356,7 @@ def greedy_heuristic(instance: AuctionInstance) -> AuctionOutcome:
         winners += [k for k, _ in _picks(state, budget, drop_misfits=True)]
         total_bid = state.spent
     payments = {v: bids[v] for v in winners}
-    profit = _coverage(memo.start.values, instance, winners) - sum(payments.values())
+    profit = _coverage(memo.start.values, instance, winners) - left_sum(payments.values())
     return AuctionOutcome(
         winners=tuple(winners), payments=payments, profit=profit, total_bid=total_bid
     )
@@ -570,8 +570,8 @@ def tbsap(instance: AuctionInstance) -> AuctionOutcome:
         memo.trace = trace = _Trace(cap, _critical_scans(start.fork(), cap, True), bids)
         payments = trace.fold_rows(bids, budget)
     winners = list(payments)  # pick order
-    total_bid = float(sum(instance.vehicle(v).bid for v in winners))
-    profit = _coverage(start.values, instance, winners) - sum(payments.values())
+    total_bid = left_sum(instance.vehicle(v).bid for v in winners)
+    profit = _coverage(start.values, instance, winners) - left_sum(payments.values())
     return AuctionOutcome(
         winners=tuple(winners), payments=payments, profit=profit, total_bid=total_bid
     )
@@ -624,7 +624,7 @@ def brute_force_optimum(instance: AuctionInstance) -> AuctionOutcome:
 
     recurse(0, 0.0, 0.0)
     payments = {v: float(bids[v]) for v in best_set}
-    total_bid = float(sum(bids[v] for v in best_set))
+    total_bid = left_sum(bids[v] for v in best_set)
     return AuctionOutcome(
         winners=best_set, payments=payments, profit=best_profit, total_bid=total_bid
     )

@@ -36,6 +36,7 @@ from trafficmarket.model import (
     ScenarioConfig,
     coverage_value,
     generate_scenario,
+    left_sum,
     load_scenario,
     paper_example,
     save_scenario,
@@ -199,7 +200,7 @@ def _cmd_consensus(args) -> int:
     )
     print(f"epochs: {args.epochs} rounds: {rounds} blocks: {len(history.chain)}")
     final = {n.id: n.reputation for n in nodes}
-    mean = sum(final.values()) / len(final) if final else 0.0
+    mean = left_sum(final.values()) / len(final) if final else 0.0
     print(f"mean_final_reputation: {mean!r}")
     if args.out:
         write_history_csv(history, Path(args.out))

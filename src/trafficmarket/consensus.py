@@ -16,30 +16,29 @@ and the result clamped to [0, 1].
 The hot path works on arrays. ``run_epochs`` builds no ballots: each
 node's ``votes`` and ``supports_low_reputation`` are read once per run, so
 its ballots are fixed arrays of voter ids and pools (high or low) in node
-order, and each epoch only rebuilds the two pools from ``reputations >=
-theta``. ``elect_witnesses`` turns a ballot list into the same arrays, and
-both call one tally, ``_tally``. A node's voting result is the weights of
-the ballots whose pool holds it, its own skipped, added in ballot order:
-the sum a ballot-by-ballot count makes, whose other terms add 0.0 to a
-non-negative total and change no bit. Nodes covered by the same pools see
-one ballot sequence and share its running sum; a node with a ballot in
-that sequence is a chain that starts from the running sum just before its
-first ballot and takes every later weight, ``_BLOCK`` ballots per
-``np.add.reduce(axis=0)`` of a float64 block: row 0 holds the chains, each
-other row a ballot's weight, and -0.0 (x + -0.0 is x) fills the cells of
-chains not yet begun and of a voter's own chain at its repeat. numpy sums
-a one-column block pairwise, hence a spare column; ``accumulate`` runs
-column by column. The closed form (total weight less the node's own)
-rounds differently and could reorder tied ranks.
+order, and each epoch rebuilds the pools from ``reputations >= theta``.
+``elect_witnesses`` turns a ballot list into the same arrays, and both
+call one tally, ``_tally``, on pools that share no id and at most one
+ballot per voter. A node's voting result is the weights of the ballots
+into its pool, its own skipped, added in ballot order: the sum a
+ballot-by-ballot count makes, whose other terms add 0.0 and change no bit.
+A pool's members share its running sum; one that casts a ballot into it is
+a chain that starts from the running sum just before that ballot and takes
+every later weight, ``_BLOCK`` ballots per ``np.add.reduce(axis=0)`` of a
+float64 block: row 0 holds the chains, each other row a ballot's weight,
+and -0.0 (x + -0.0 is x) fills the cells of chains not yet begun. numpy
+sums a one-column block pairwise, hence a spare column. The closed form
+(total weight less own weight) rounds differently and can reorder ties.
 
 The reputations, w_vote * alpha and each node's verdict (+-1 by its
-behavior) are vectors built once per run, the roles and committee seats
-once per epoch; a round re-reads only scripted seats. The bits match a
-per-round rebuild: the same products, delta summed left to right, and
-float64 holds a Python float exactly. ``ConsensusHistory`` keeps per-round
-columns and builds ``HistoryRow``s only when ``rows`` is read: CPython's
-collector never untracks a tuple subclass, so rows built during a run
-would be rescanned by every collection.
+behavior) are vectors built once per run; the roles, the seats, the deltas
+w_vote * alpha + w_verify * verdict and the seats that would confirm a
+valid or an invalid block once per epoch. A round rewrites only the leader
+and the scripted seats. The bits match a per-round rebuild: the terms it
+drops add +0.0 to w_vote * alpha, which is never zero. ``ConsensusHistory``
+keeps per-round columns and builds ``HistoryRow``s only when ``rows`` is
+read: CPython's collector never untracks a tuple subclass, so rows built
+during a run would be rescanned by every collection.
 """
 
 from __future__ import annotations
@@ -166,7 +165,8 @@ class VotingBallot:
 
     Every ballot of an epoch points at one of two pools built once: the ids
     at or above theta, or the ids strictly below it. ``supported`` is the
-    pool without the voter itself.
+    pool without the voter itself. ``elect_witnesses`` takes at most one
+    ballot per voter, into pools that share no id.
     """
 
     voter_id: int
@@ -270,6 +270,11 @@ def _check_nodes(nodes: Sequence[FullNode]) -> None:
             raise ValueError(f"node {n.id} reputation {n.reputation!r} is not in [0, 1]")
 
 
+def _check_mode(mode) -> None:
+    if not isinstance(mode, VotingMode):
+        raise ValueError(f"voting mode {mode!r} is not a VotingMode member")
+
+
 def elect_witnesses(
     ballots: Sequence[VotingBallot],
     nodes: Sequence[FullNode],
@@ -283,9 +288,11 @@ def elect_witnesses(
     A supporter contributes its reputation under the reputation-weighted
     mode and exactly 1 under equal weighting. Ranking ties break on the
     lower id. The |D| leaders are shuffled into a random order by ``rng``.
-    Ids must be dense 0..n-1. The ballots become (voter, pool) arrays for
-    ``_tally``, the routine ``run_epochs`` elects with.
+    Ids must be dense 0..n-1. The ballots must be ``cast_votes``' kind: at
+    most one per voter, into pools that share no id. They become (voter,
+    pool) arrays for ``_tally``, the routine ``run_epochs`` elects with.
     """
+    _check_mode(mode)
     _check_sizes(committee_size, active_size, len(nodes))
     _check_nodes(nodes)
     n = len(nodes)
@@ -296,12 +303,16 @@ def elect_witnesses(
             raise ValueError(f"ballot from unknown voter {ballot.voter_id!r}")
         voters.append(ballot.voter_id)
         pool_of.append(rows.setdefault(ballot.pool, len(rows)))
-    pools = np.zeros((len(rows), n), dtype=bool)
+    if len(set(voters)) < len(voters):
+        raise ValueError("a voter casts more than one ballot")
+    home = np.full(n, -1, dtype=np.intp)  # id -> its pool's row, -1 for none
     for pool, row in rows.items():
         members = np.fromiter(pool, dtype=np.int64, count=len(pool))
         if members.size and not (0 <= members.min() and members.max() < n):
             raise ValueError("ballot supports an id outside 0..n-1")
-        pools[row, members] = True
+        if (home[members] >= 0).any():
+            raise ValueError("two ballot pools share an id")
+        home[members] = row
     ids = [node.id for node in nodes]
     voters = np.array(voters, dtype=np.int64)
     if mode is VotingMode.REPUTATION_WEIGHTED:
@@ -310,7 +321,7 @@ def elect_witnesses(
         weights = reputations[voters]
     else:
         weights = np.ones(len(voters))
-    tally = _tally(voters, np.array(pool_of, dtype=np.intp), pools, weights)
+    tally = _tally(voters, np.array(pool_of, dtype=np.intp), home, weights)
     return _seat(tally, ids, committee_size, active_size, rng)
 
 
@@ -318,37 +329,25 @@ _BLOCK = 64  # ballots folded into the chains per axis-0 reduction
 
 
 def _tally(
-    voters: np.ndarray, pool_of: np.ndarray, pools: np.ndarray, weights: np.ndarray
+    voters: np.ndarray, pool_of: np.ndarray, home: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Voting result per id, as the module docstring sets out: ballot ``b``
-    of voter ``voters[b]`` adds ``weights[b]`` to every id of the (pools,
-    ids) mask row ``pools[pool_of[b]]`` but the voter, whose chain takes
-    -0.0 at a repeated ballot: subtracting the weight would round.
-    """
-    n = pools.shape[1]
-    tally = np.zeros(n)
-    if not len(pools):
-        return tally  # no ballots
-    order = np.lexsort(pools)  # ids sorted by the set of pools that cover them
-    covers = pools[:, order]
-    edges = np.flatnonzero((covers[:, 1:] != covers[:, :-1]).any(axis=0)) + 1
-    for group in np.split(order, edges):
-        seen = pools[:, group[0]][pool_of]  # the ballots this group sees
-        w, v = weights[seen], voters[seen]
+    of voter ``voters[b]`` adds ``weights[b]`` to every id ``i`` with
+    ``home[i] == pool_of[b]`` but the voter. A voter casts at most one
+    ballot, and ``home`` puts each id in at most one pool (-1 for none)."""
+    tally = np.zeros(len(home))
+    for pool in range(pool_of.max(initial=-1) + 1):
+        cast = pool_of == pool  # the ballots this pool's members see
+        w, v = weights[cast], voters[cast]
         running = np.cumsum(np.concatenate(([0.0], w)))
-        tally[group] = running[-1]
-        targets = np.zeros(n, dtype=bool)
-        targets[group] = True
-        own = np.flatnonzero(targets[v])  # ballots cast by the group's ids
-        if not own.size:
+        members = home == pool
+        tally[members] = running[-1]
+        own = members[v]  # a chain per ballot cast by a member
+        starts = np.flatnonzero(own)
+        if not starts.size:
             continue
-        first = np.full(n, len(w))
-        np.minimum.at(first, v[own], own)  # each voter's first ballot starts its chain
-        leads = first[v[own]] == own
-        starts, repeat = own[leads], own[~leads]
-        skips = np.searchsorted(starts, first[v[repeat]])  # each repeat's own chain
         chains = np.append(running[starts], -0.0)  # a spare column keeps width >= 2
-        begun = np.searchsorted(starts, np.arange(len(w)))
+        begun = np.cumsum(own) - own  # chains begun before each ballot
         buffer = np.empty((min(_BLOCK, len(w)) + 1) * len(chains))
         for m0 in range(starts[0] + 1, len(w), _BLOCK):
             m1 = min(m0 + _BLOCK, len(w))
@@ -359,9 +358,6 @@ def _tally(
             lo = begun[m0]  # chains begun by then take every weight of the block
             np.copyto(block[1:, lo:], -0.0,
                       where=np.arange(lo, width) >= begun[m0:m1, None])
-            if repeat.size:
-                r0, r1 = np.searchsorted(repeat, (m0, m1))
-                block[repeat[r0:r1] - m0 + 1, skips[r0:r1]] = -0.0
             np.add.reduce(block, axis=0, out=chains[:width])
         tally[v[starts]] = chains[:-1]
     return tally
@@ -376,15 +372,15 @@ def _seat(
 ) -> Committee:
     """Rank by (-tally, id), seat the top ``committee_size`` and shuffle the
     top ``active_size`` into leader order; the voting result follows the
-    node order ``ids``."""
-    ranking = np.lexsort((np.arange(len(tally)), -tally)).tolist()
+    node order ``ids``. The stable sort ranks ties, +-0.0 alike, by id."""
+    ranking = np.argsort(-tally, kind="stable")[:committee_size].tolist()
     active = ranking[:active_size]
     order = tuple(active[i] for i in rng.permutation(len(active)))
     return Committee(
-        members=tuple(ranking[:committee_size]),
+        members=tuple(ranking),
         active_order=order,
-        standby=tuple(ranking[active_size:committee_size]),
-        voting_result=dict(zip(ids, tally[ids].tolist())),
+        standby=tuple(ranking[active_size:]),
+        voting_result=dict(zip(ids, map(tally.tolist().__getitem__, ids))),
     )
 
 
@@ -395,7 +391,7 @@ ROLES = ("none", "standby", "witness", "leader")
 class _Run(NamedTuple):
     """What stays fixed for a whole run, in node order."""
 
-    position: dict[int, int]  # id -> index in node order
+    index: np.ndarray  # id -> index in node order
     alpha: np.ndarray  # +1 voted, -1 abstained
     vote_term: np.ndarray  # w_vote * alpha
     correct: np.ndarray  # +1 verifies correctly by behavior, -1 otherwise
@@ -404,8 +400,10 @@ class _Run(NamedTuple):
 
 def _run_view(nodes: Sequence[FullNode], voted: frozenset[int], w_vote: float) -> _Run:
     alpha = np.array([1 if n.id in voted else -1 for n in nodes])
+    index = np.empty(len(nodes), dtype=np.intp)
+    index[[n.id for n in nodes]] = np.arange(len(nodes))
     return _Run(
-        {n.id: i for i, n in enumerate(nodes)},
+        index,
         alpha,
         w_vote * alpha,
         np.where([n.behavior.verifies_correctly for n in nodes], 1, -1),
@@ -416,28 +414,34 @@ def _run_view(nodes: Sequence[FullNode], voted: frozenset[int], w_vote: float) -
 class _Epoch(NamedTuple):
     """What stays fixed between the rounds of an epoch, in node order."""
 
-    position: dict[int, int]  # id -> index in node order
-    vote_term: np.ndarray  # w_vote * alpha
+    run: _Run
     roles: np.ndarray  # indexes into ROLES, leaders counted as witnesses
-    seats: np.ndarray  # committee seats per node; forced committees may repeat ids
+    seats: list[int]  # committee seats per node; forced committees may repeat ids
     verdict: np.ndarray  # +-1 per seated node by its behavior, 0 elsewhere
+    delta: np.ndarray  # vote_term + w_verify * verdict
+    confirming: dict[int, int]  # verdict -> seats that hold it
     scripted: list  # (index, node) per seated node with a script
 
 
-def _epoch_view(committee: Committee, nodes: Sequence[FullNode], run: _Run) -> _Epoch:
-    position = run.position
+def _epoch_view(
+    committee: Committee, nodes: Sequence[FullNode], run: _Run, w_verify: float
+) -> _Epoch:
+    def at(ids):
+        return run.index[np.fromiter(ids, np.intp, len(ids))]
+
     roles = np.zeros(len(nodes), dtype=np.int8)
-    roles[[position[i] for i in committee.standby]] = ROLES.index("standby")
-    roles[[position[i] for i in committee.active_order]] = ROLES.index("witness")
-    seated = np.array([position[i] for i in committee.members], dtype=np.int64)
-    seats = np.bincount(seated, minlength=len(nodes))
+    roles[at(committee.standby)] = ROLES.index("standby")
+    roles[at(committee.active_order)] = ROLES.index("witness")
+    seats = np.bincount(at(committee.members), minlength=len(nodes))
+    verdict = run.correct * (seats > 0)
     scripted = np.flatnonzero(run.has_script & (seats > 0)).tolist()
     return _Epoch(
-        position,
-        run.vote_term,
+        run,
         roles,
-        seats,
-        run.correct * (seats > 0),
+        seats.tolist(),
+        verdict,
+        run.vote_term + w_verify * verdict,
+        {v: int(seats @ (verdict == v)) for v in (1, -1)},
         [(i, nodes[i]) for i in scripted],
     )
 
@@ -457,21 +461,24 @@ def _round(
         raise RuntimeError("leader order exhausted for this epoch")
     state.leader_cursor += 1
     rnd = state.global_round
-    leader = view.position[leader_id]
+    leader = int(view.run.index[leader_id])
     leader_behavior = nodes[leader].behavior_at(rnd)
 
-    gamma = np.zeros(len(nodes), dtype=np.int64)
     accepted = False
     if not leader_behavior.produces_block:
         state.skipped.add(leader_id)
+        gamma, delta = np.zeros(len(nodes), dtype=np.int64), view.run.vote_term.copy()
     else:
-        gamma = view.verdict.copy()
-        for i, node in view.scripted:
-            gamma[i] = 1 if node.behavior_at(rnd).verifies_correctly else -1
-        gamma[leader] = 0  # the leader does not verify its own block
+        gamma, delta = view.verdict.copy(), view.delta.copy()
+        verdicts = {i: 1 if n.behavior_at(rnd).verifies_correctly else -1 for i, n in view.scripted}
+        verdicts[leader] = 0  # the leader does not verify its own block
         # a seat confirms when its verdict matches the block's validity
         agree = 1 if leader_behavior.produces_valid_block else -1
-        confirmations = int(view.seats @ (gamma == agree))
+        confirmations = view.confirming[agree]
+        for i, verdict in verdicts.items():
+            confirmations += view.seats[i] * ((verdict == agree) - int(view.verdict[i] == agree))
+            gamma[i] = verdict
+            delta[i] = view.run.vote_term[i] + params.w_verify * verdict
         accepted = confirmations > (2.0 / 3.0) * len(state.committee.members)
         if accepted:
             payload = f"{state.epoch}:{rnd}".encode()
@@ -487,7 +494,7 @@ def _round(
 
     beta = np.zeros(len(nodes), dtype=np.int64)
     beta[leader] = 1 if accepted else -1
-    delta = view.vote_term + params.w_lead * beta + params.w_verify * gamma
+    delta[leader] = view.run.vote_term[leader] + params.w_lead * beta[leader]
     roles = view.roles.copy()
     roles[leader] = ROLES.index("leader")
     state.global_round += 1
@@ -508,8 +515,9 @@ def run_round(
     """
     if state.committee is None:
         raise RuntimeError("no committee elected")
+    _check_nodes(nodes)
     run = _run_view(nodes, state.voted, params.w_vote)
-    view = _epoch_view(state.committee, nodes, run)
+    view = _epoch_view(state.committee, nodes, run, params.w_verify)
     reputations = np.array([n.reputation for n in nodes], dtype=float)
     beta, gamma, delta, reputations, roles = _round(state, nodes, params, view, reputations)
     for node, rep in zip(nodes, reputations.tolist()):
@@ -585,6 +593,7 @@ def run_epochs(
     """
     if n_epochs < 0:
         raise ValueError("n_epochs must be non-negative")
+    _check_mode(mode)
     _check_sizes(committee_size, active_size, len(nodes))
     _check_nodes(nodes)
     ids = [n.id for n in nodes]
@@ -600,7 +609,6 @@ def run_epochs(
     )[votes]
     voted = frozenset(voters.tolist())
     run = _run_view(nodes, voted, params.w_vote)
-    pools = np.empty((2, len(nodes)), dtype=bool)
     reputations = np.array([n.reputation for n in nodes], dtype=float)
     for epoch in range(n_epochs):
         forced = committee_schedule[epoch] if committee_schedule is not None else None
@@ -608,17 +616,16 @@ def run_epochs(
             committee = forced
             rng.permutation(active_size)  # keep the stream aligned
         else:
-            pools[0, ids] = reputations >= params.theta
-            np.logical_not(pools[0], out=pools[1])
+            home = (reputations < params.theta)[run.index]  # by id: 0 high, 1 low
             if mode is VotingMode.REPUTATION_WEIGHTED:
                 weights = reputations[votes]
             else:
                 weights = np.ones(len(voters))
-            tally = _tally(voters, pool_of, pools, weights)
+            tally = _tally(voters, pool_of, home, weights)
             committee = _seat(tally, ids, committee_size, active_size, rng)
         state.start_epoch(committee, voted)
         history.committees.append(committee)
-        view = _epoch_view(committee, nodes, run)
+        view = _epoch_view(committee, nodes, run, params.w_verify)
         for _ in range(len(committee.active_order)):
             if state.next_leader() is None:
                 break  # fully skipped epoch ends early

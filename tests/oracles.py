@@ -24,6 +24,7 @@ from trafficmarket.model import (
     Task,
     Vehicle,
     coverage_value,
+    left_sum,
 )
 
 
@@ -89,7 +90,7 @@ class MarginalGain:
 def reduced_profit(winners: Iterable[int], instance: AuctionInstance) -> float:
     """Pbar(W): coverage value minus the winners' bid total."""
     ids = list(winners)
-    total_bid = sum(instance.vehicle(v).bid for v in ids)
+    total_bid = left_sum(instance.vehicle(v).bid for v in ids)
     return coverage_value(ids, instance) - total_bid
 
 
@@ -104,7 +105,7 @@ def marginal_gain(
     for vid in selected:
         covered.update(instance.vehicle(vid).task_subset)
     values = {t.id: t.appraisement for t in instance.tasks}
-    added = sum(values[t] for t in vehicle.task_subset - covered)
+    added = left_sum(values[t] for t in vehicle.task_subset - covered)
     gain = added - vehicle.bid
     return MarginalGain(vehicle_id, gain, gain / vehicle.bid)
 
@@ -113,7 +114,7 @@ def union_coverage(winner_ids, instance: AuctionInstance) -> float:
     covered = set()
     for vid in winner_ids:
         covered |= set(instance.vehicles[vid].task_subset)
-    return sum(t.appraisement for t in instance.tasks if t.id in covered)
+    return left_sum(t.appraisement for t in instance.tasks if t.id in covered)
 
 
 def rechecked_subset(vehicle, tasks) -> frozenset[int]:
@@ -171,7 +172,7 @@ def slow_greedy(instance: AuctionInstance, exclude=None, track=None, drop_misfit
     spent = 0.0
 
     def added(vid):
-        return sum(values[t] for t in instance.vehicles[vid].task_subset - covered)
+        return left_sum(values[t] for t in instance.vehicles[vid].task_subset - covered)
 
     def tracked():
         return added(track) if track is not None else None

@@ -52,7 +52,7 @@ from trafficmarket.auction import (
     tbsap_allocate,
     tbsap_payment,
 )
-from trafficmarket.model import AuctionOutcome, coverage_value, dumps_scenario
+from trafficmarket.model import AuctionOutcome, coverage_value, dumps_scenario, left_sum
 
 from conftest import build_instance, dense_scenario, random_synthetic_instance
 from oracles import exclusion_payment, slow_greedy
@@ -607,7 +607,7 @@ def slow_heuristic(instance):
     """``greedy_heuristic``'s winners, total bid and profit, from the oracle."""
     picks, _, (_, spent) = slow_greedy(instance, drop_misfits=True)
     winners = tuple(pick[0] for pick in picks)
-    bids = sum(instance.vehicles[v].bid for v in winners)
+    bids = left_sum(instance.vehicles[v].bid for v in winners)
     return winners, spent.hex(), (coverage_value(winners, instance) - bids).hex()
 
 

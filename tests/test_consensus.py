@@ -144,6 +144,37 @@ class TestElection:
             elect_witnesses([ballot], nodes, 2, 1, VotingMode.EQUAL_WEIGHT,
                             np.random.default_rng(0))
 
+    def test_rejects_a_voter_with_two_ballots(self):
+        nodes = make_nodes([0.9, 0.8, 0.7])
+        pool = frozenset({0, 1})
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="more than one ballot"):
+            elect_witnesses([VotingBallot(2, pool), VotingBallot(2, pool)], nodes, 2, 1,
+                            VotingMode.EQUAL_WEIGHT, rng)
+        with pytest.raises(ValueError, match="more than one ballot"):
+            elect_witnesses([VotingBallot(0, pool), VotingBallot(0, frozenset({2}))],
+                            nodes, 2, 1, VotingMode.EQUAL_WEIGHT, rng)
+        assert rng.bit_generator.state == state
+
+    def test_rejects_pools_that_share_an_id(self):
+        nodes = make_nodes([0.9, 0.8, 0.7])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        ballots = [VotingBallot(0, frozenset({1, 2})), VotingBallot(1, frozenset({0, 2}))]
+        with pytest.raises(ValueError, match="share an id"):
+            elect_witnesses(ballots, nodes, 2, 1, VotingMode.EQUAL_WEIGHT, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("mode", ["reputation", "equal", None, 0])
+    def test_rejects_a_mode_that_is_not_a_voting_mode(self, mode):
+        nodes = make_nodes([0.9, 0.8, 0.7])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="not a VotingMode"):
+            elect_witnesses(cast_votes(nodes, PARAMS), nodes, 2, 1, mode, rng)
+        assert rng.bit_generator.state == state
+
     def test_ballots_share_pools(self):
         nodes = make_nodes([0.9, 0.5, 0.2, 0.1], behaviors={3: ABNORMAL_BEHAVIOR})
         ballots = cast_votes(nodes, PARAMS)
@@ -331,6 +362,15 @@ class TestEpochRuns:
         with pytest.raises(ValueError, match="dense"):
             run_epochs(nodes, PARAMS, 2, 1, n_epochs=1)
 
+    @pytest.mark.parametrize("ids", [(0, 2), (-1, 1)])
+    def test_run_round_requires_dense_ids(self, ids):
+        nodes = [FullNode(id=i) for i in ids]
+        state = ConsensusState()
+        state.start_epoch(forced([ids[0]], [ids[0]]), frozenset(ids))
+        with pytest.raises(ValueError, match="dense"):
+            run_round(state, nodes, PARAMS)
+        assert [n.reputation for n in nodes] == [0.5, 0.5]
+
     def test_rejects_negative_epochs(self):
         nodes = make_nodes([0.3, 0.7])
         with pytest.raises(ValueError, match="n_epochs"):
@@ -385,6 +425,13 @@ class TestEpochRuns:
         schedule = [forced([0, 0, 1], [0, 1], [0])]
         history = run_epochs(nodes, PARAMS, 3, 2, n_epochs=1, committee_schedule=schedule)
         assert len(history.rounds) == 2
+
+    @pytest.mark.parametrize("mode", ["reputation", "equal", None, 0])
+    def test_rejects_a_mode_that_is_not_a_voting_mode(self, mode):
+        nodes = make_nodes([0.3, 0.5, 0.7])
+        with pytest.raises(ValueError, match="not a VotingMode"):
+            run_epochs(nodes, PARAMS, 2, 1, n_epochs=2, mode=mode)
+        assert [n.reputation for n in nodes] == [0.3, 0.5, 0.7]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), -1e-9, 1.0 + 1e-9])
     def test_rejects_reputation_outside_unit_interval(self, bad):

@@ -37,7 +37,7 @@ from trafficmarket.consensus import (
     run_round,
     write_history_csv,
 )
-from trafficmarket.model import write_rows
+from trafficmarket.model import left_sum, write_rows
 
 from oracles import slow_cast_votes, slow_run_epochs, slow_seat, slow_tally
 
@@ -151,42 +151,40 @@ def check_election(ballots, nodes, committee_size, active_size, seed):
 
 
 def test_hand_built_ballots_match_oracle():
-    """Overlapping pools, a voter with two ballots, an empty pool, and
-    ballots and nodes out of id order."""
-    reps = [0.31, 0.5, 0.97, 0.5, 0.1, 0.73]
-    nodes = [FullNode(id=i, reputation=reps[i]) for i in (3, 0, 5, 1, 4, 2)]
-    low, high, nobody = frozenset({0, 1, 2, 3}), frozenset({2, 3, 4, 5}), frozenset()
+    """Disjoint pools, one of them empty, ids in no pool, voters inside and
+    outside the pool they vote into, and ballots and nodes out of id order."""
+    reps = [0.31, 0.5, 0.97, 0.5, 0.1, 0.73, 0.66]
+    nodes = [FullNode(id=i, reputation=reps[i]) for i in (3, 0, 5, 1, 6, 4, 2)]
+    low, high, nobody = frozenset({0, 1, 2}), frozenset({3, 4}), frozenset()
     ballots = [
-        VotingBallot(4, low),
-        VotingBallot(1, high),
+        VotingBallot(4, low),  # from outside the pool
+        VotingBallot(1, low),
         VotingBallot(5, nobody),
-        VotingBallot(1, low),  # voter 1 again, now in its own pool
         VotingBallot(3, high),
         VotingBallot(0, low),
+        VotingBallot(6, high),
         VotingBallot(2, high),
-        VotingBallot(3, low),  # voter 3 in both of its pools
-        VotingBallot(1, low),  # and voter 1 in its own pool twice
     ]
     check_election(ballots, nodes, 4, 2, seed=3)
     committee = elect_witnesses(ballots, nodes, 4, 2, VotingMode.EQUAL_WEIGHT,
                                 np.random.default_rng(3))
-    # 2 and 3 sit in both pools and skip their own ballots; 1 skips its two
-    assert committee.voting_result == {3: 6.0, 0: 4.0, 5: 3.0, 1: 3.0, 4: 3.0, 2: 7.0}
+    # 0 and 1 skip their own ballots into low, 3 its own into high; 5 and 6 sit in no pool
+    assert committee.voting_result == {3: 2.0, 0: 2.0, 5: 0.0, 1: 2.0, 6: 0.0, 4: 3.0, 2: 3.0}
     check_election([], nodes, 3, 1, seed=0)
-    check_election([VotingBallot(2, nobody)] * 3, nodes, 3, 1, seed=0)
+    check_election([VotingBallot(2, nobody)], nodes, 3, 1, seed=0)
 
 
 @st.composite
 def ballot_lists(draw):
-    """Nodes out of id order, and ballots over a few shared, overlapping,
-    possibly empty pools, with voters repeated and in any order."""
+    """Nodes out of id order; each id in at most one of a few pools, some
+    possibly empty; at most one ballot per voter, in any order, into any
+    pool."""
     nodes = draw(populations(max_size=12, scripted=False))
-    ids = st.integers(0, len(nodes) - 1)
-    pools = draw(st.lists(st.frozensets(ids), min_size=1, max_size=4))
-    ballots = draw(st.lists(
-        st.builds(VotingBallot, voter_id=ids, pool=st.sampled_from(pools)),
-        max_size=3 * len(nodes),
-    ))
+    n = len(nodes)
+    home = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    pools = [frozenset(i for i in range(n) if home[i] == p) for p in range(4)]
+    voters = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    ballots = [VotingBallot(v, draw(st.sampled_from(pools))) for v in voters]
     return nodes, ballots
 
 
@@ -202,31 +200,39 @@ def test_any_ballot_list_matches_oracle(drawn, sizes, seed):
 @pytest.mark.parametrize("own_pool", [True, False])
 @pytest.mark.parametrize("n_ballots, seed", [(150, 0), (275, 1), (400, 2)])
 def test_long_ballot_lists_match_oracle(n_ballots, seed, own_pool):
-    """Ballot lists that span several tally blocks of 64 ballots. Voter 25
-    casts ballot 0, so its group (20-29, which sees each of the first 130
-    ballots) starts its blocks at 1, 65 and 129. At ballots 63, 64, 65, 127,
-    128 and 129 a voter votes again: 25 in its own pools, or 5 in a pool
-    without it. Later ballots also go to an empty pool."""
+    """Ballot lists that span several tally blocks of 64 ballots. The first
+    130 ballots go to pool 0-299, whose fold starts its blocks at 1, 65 and
+    129, since voter 25 casts ballot 0. Ballots 63, 64, 65, 127, 128 and 129
+    come from members, whose chains begin at the block edges, or from ids in
+    no pool. Later ballots go to any pool, the empty one included."""
     rng = np.random.default_rng(seed)
-    nodes = [FullNode(id=int(i), reputation=float(rng.uniform())) for i in rng.permutation(50)]
-    pools = [frozenset(range(30)), frozenset(range(20, 50)), frozenset(range(50)), frozenset()]
-    ballots = [
-        VotingBallot(int(rng.integers(50)), pools[rng.integers(4 if m > 129 else 3)])
-        for m in range(n_ballots)
-    ]
-    ballots[:2] = [VotingBallot(25, pools[2]), VotingBallot(5, pools[0])]
-    for k, m in enumerate((63, 64, 65, 127, 128, 129)):
-        ballots[m] = VotingBallot(25, pools[k % 3]) if own_pool else VotingBallot(5, pools[1])
+    nodes = [FullNode(id=int(i), reputation=float(rng.uniform())) for i in rng.permutation(500)]
+    pools = [frozenset(range(300)), frozenset(range(300, 450)), frozenset()]
+    edges = (63, 64, 65, 127, 128, 129)
+    at_edges = range(200, 206) if own_pool else range(450, 456)
+    others = iter(
+        i for i in rng.permutation(500).tolist() if i != 25 and i not in at_edges
+    )
+    ballots = [VotingBallot(25, pools[0])]
+    for m in range(1, n_ballots):
+        if m in edges:
+            ballots.append(VotingBallot(at_edges[edges.index(m)], pools[0]))
+        else:
+            ballots.append(VotingBallot(next(others), pools[rng.integers(3) if m > 129 else 0]))
     check_election(ballots, nodes, 30, 7, seed)
 
 
 def test_one_and_two_chain_groups_match_oracle():
-    """A group with one begun chain and one with two, each followed by twelve
-    ballots from outside it. Summed pairwise, as numpy sums a block of one
-    column, these twelve weights round to a different total than the
+    """A pool with one begun chain and one with two, each followed by twelve
+    ballots from its own outsiders. Summed pairwise, as numpy sums a block of
+    one column, each pool's weights round to a different total than the
     ballot-by-ballot count."""
-    outsiders = [0.35, 0.44, 0.97, 0.57, 0.27, 0.25, 0.89, 0.23, 0.13, 0.3, 0.59, 0.56]
-    reps = [0.5, 0.81, 0.42, *outsiders]
+    solo_out = [0.35, 0.44, 0.97, 0.57, 0.27, 0.25, 0.89, 0.23, 0.13, 0.3, 0.59, 0.56]
+    pair_out = [0.64, 0.67, 0.7, 0.23, 0.49, 0.31, 0.46, 0.19, 0.96, 0.29, 0.7, 0.37]
+    reps = [0.5, 0.81, 0.42, *solo_out, *pair_out]
+    for column in ([0.0, *solo_out], [0.0, reps[2], *pair_out]):
+        pairwise = np.add.reduce(np.array(column)[:, None], axis=0)[0]
+        assert pairwise != left_sum(column)
     nodes = [FullNode(id=i, reputation=r) for i, r in enumerate(reps)][::-1]
     solo, pair = frozenset({0}), frozenset({1, 2})
     ballots = [
@@ -234,9 +240,35 @@ def test_one_and_two_chain_groups_match_oracle():
         *(VotingBallot(i, solo) for i in range(3, 15)),
         VotingBallot(1, pair),
         VotingBallot(2, pair),
-        *(VotingBallot(i, pair) for i in range(3, 15)),
+        *(VotingBallot(i, pair) for i in range(15, 27)),
     ]
     check_election(ballots, nodes, 5, 2, seed=1)
+
+
+def test_seat_ties_and_zero_tallies_match_oracle():
+    """Equal weights give exact ties; ids in no pool, the voter into an empty
+    pool among them, keep +0.0. The stable sort ranks ties, and +0.0 against
+    -0.0, by id, as the oracle's (-result, id) key does."""
+    nodes = [FullNode(id=i, reputation=0.6) for i in (4, 1, 6, 0, 3, 5, 2)]
+    pool, nobody = frozenset({0, 1, 2}), frozenset()
+    ballots = [VotingBallot(5, pool), VotingBallot(0, pool),
+               VotingBallot(6, nobody), VotingBallot(3, pool)]
+    committee = elect_witnesses(ballots, nodes, 6, 3, VotingMode.EQUAL_WEIGHT,
+                                np.random.default_rng(2))
+    result = slow_tally([(b.voter_id, b.supported) for b in ballots], nodes, False)
+    assert [(k, v.hex()) for k, v in committee.voting_result.items()] == [
+        (k, v.hex()) for k, v in result.items()
+    ]
+    assert [committee.voting_result[i].hex() for i in (3, 4, 5, 6)] == ["0x0.0p+0"] * 4
+    assert (committee.members, committee.standby) == ((1, 2, 0, 3, 4, 5), (3, 4, 5))
+    assert (committee.members, committee.active_order, committee.standby) == (
+        slow_seat(result, 6, 3, np.random.default_rng(2))
+    )
+    signed = np.array([0.0, -0.0, 1.0, -0.0, 0.0, 1.0])
+    seated = consensus._seat(signed, range(6), 5, 2, np.random.default_rng(0))
+    assert seated.members == (2, 5, 0, 1, 3)
+    oracle = slow_seat(dict(enumerate(signed.tolist())), 5, 2, np.random.default_rng(0))
+    assert (seated.members, seated.active_order, seated.standby) == oracle
 
 
 @pytest.mark.parametrize("width", [2, 3, 4, 5])
@@ -450,6 +482,36 @@ def test_scripted_verdicts_match_run_round(data, nodes, active, epochs, weighted
     assert [n.reputation.hex() for n in epoch_nodes] == [
         n.reputation.hex() for n in round_nodes
     ] == [n.reputation.hex() for n in slow_nodes]
+
+
+def test_scripted_leader_flip_in_a_repeated_seat():
+    """Leader 0 holds two of eight seats and verifies wrongly by behavior,
+    but its script verifies correctly in round 0, the round it leads. Its
+    seats leave the count of a valid block under the scripted verdict: five
+    confirmations, not the 16/3 needed. Under its behavior's verdict they
+    would leave it twice, once for the script and once as the leader, and
+    the count would read seven and accept the block."""
+    behaviors = {0: Behavior(verifies_correctly=False), 6: Behavior(verifies_correctly=False),
+                 7: Behavior(votes=False)}
+    nodes = [FullNode(id=i, reputation=0.5, behavior=behaviors.get(i, Behavior()))
+             for i in range(8)]
+    nodes[0].script = {0: Behavior()}
+    schedule = [Committee(members=(0, 0, 1, 2, 3, 4, 5, 6), active_order=(0, 1),
+                          standby=(2, 3, 4, 5, 6), voting_result={})]
+    epoch_nodes, round_nodes, slow_nodes = clone(nodes), clone(nodes), clone(nodes)
+    history = run_epochs(epoch_nodes, PARAMS, 8, 2, 1, committee_schedule=schedule)
+    rows, records, chain, _ = drive_rounds(
+        round_nodes, 8, 2, 1, MODES[0], 0, schedule
+    )
+    slow_rows, slow_chain, _ = slow_run_epochs(slow_nodes, PARAMS, 8, 2, 1, True, 0, schedule)
+    assert history.chain == chain == slow_chain == []
+    assert hexed(history.rows) == hexed(rows) == hexed(slow_rows)
+    assert [(r.beta, r.gamma) for r in records[:8]] == [
+        (-1, 0), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, -1), (0, 0)
+    ]
+    assert [n.reputation.hex() for n in epoch_nodes] == [
+        n.reputation.hex() for n in slow_nodes
+    ]
 
 
 def test_history_readers_never_build_rows(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from trafficmarket.model import (
     coverage_value,
     dumps_scenario,
     generate_scenario,
+    left_sum,
     loads_scenario,
     paper_example,
     validate_instance,
@@ -219,6 +220,14 @@ def test_scenario_repeated_subset_task_rejected():
     assert " 0,2,4\n" in text
     with pytest.raises(ValueError, match="repeated task id"):
         loads_scenario(text.replace(" 0,2,4\n", " 0,0,2,4\n"))
+
+
+def test_left_sum_is_a_left_fold_on_every_python():
+    """Python 3.12's builtin sum keeps the 1.0 that a left fold rounds away
+    at 1e16; pinned totals must not depend on the interpreter."""
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([]) == 0.0 and type(left_sum([])) is float
+    assert left_sum(iter([0.1, 0.2, 0.3])).hex() == ((0.1 + 0.2) + 0.3).hex()
 
 
 def test_example_coverage_values():
