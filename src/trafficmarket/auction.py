@@ -570,7 +570,7 @@ def tbsap(instance: AuctionInstance) -> AuctionOutcome:
         memo.trace = trace = _Trace(cap, _critical_scans(start.fork(), cap, True), bids)
         payments = trace.fold_rows(bids, budget)
     winners = list(payments)  # pick order
-    total_bid = left_sum(instance.vehicle(v).bid for v in winners)
+    total_bid = trace.reach[len(winners) - 1] if winners else 0.0
     profit = _coverage(start.values, instance, winners) - left_sum(payments.values())
     return AuctionOutcome(
         winners=tuple(winners), payments=payments, profit=profit, total_bid=total_bid

@@ -13,32 +13,37 @@ whose block was accepted/rejected (0 for everyone else), gamma = +-1 for a
 committee verifier judging the block correctly/incorrectly (0 otherwise),
 and the result clamped to [0, 1].
 
-The hot path works on arrays. ``run_epochs`` builds no ballots: each
-node's ``votes`` and ``supports_low_reputation`` are read once per run, so
-its ballots are fixed arrays of voter ids and pools (high or low) in node
-order, and each epoch rebuilds the pools from ``reputations >= theta``.
-``elect_witnesses`` turns a ballot list into the same arrays, and both
-call one tally, ``_tally``, on pools that share no id and at most one
-ballot per voter. A node's voting result is the weights of the ballots
-into its pool, its own skipped, added in ballot order: the sum a
-ballot-by-ballot count makes, whose other terms add 0.0 and change no bit.
-A pool's members share its running sum; one that casts a ballot into it is
-a chain that starts from the running sum just before that ballot and takes
-every later weight, ``_BLOCK`` ballots per ``np.add.reduce(axis=0)`` of a
-float64 block: row 0 holds the chains, each other row a ballot's weight,
-and -0.0 (x + -0.0 is x) fills the cells of chains not yet begun. numpy
-sums a one-column block pairwise, hence a spare column. The closed form
-(total weight less own weight) rounds differently and can reorder ties.
+The hot path works on arrays, from one pass over the nodes that reads their
+ids, reputations, behavior flags and scripts and checks ids and reputations.
+``run_epochs`` builds no ballots: its ballots are fixed arrays of voter ids
+and pools (high or low) in node order, and each epoch rebuilds the pools
+from ``reputations >= theta``. ``elect_witnesses`` turns a ballot list into
+the same arrays, and both call one tally, ``_tally``, on pools that share
+no id and at most one ballot per voter. A node's voting result is the
+weights of the ballots into its pool, its own skipped, added in ballot
+order: the sum a ballot-by-ballot count makes, whose other terms add 0.0
+and change no bit. A pool's members share its running sum; one that casts
+a ballot into it is a chain that takes every weight but its own, ``_BLOCK``
+ballots per ``np.add.reduce(axis=0)`` of a float64 block: row 0 holds the
+chains, each other row a ballot's weight. A chain that begins inside a
+block starts from the running sum at the block's first ballot and takes
+the block's weights in order, -0.0 (x + -0.0 is x) in its own ballot's
+cell: ``np.cumsum`` is the same left fold, so the bits match a chain
+started just before its ballot. A block holds a spare column, as numpy
+sums a one-column block pairwise, then only the chains begun by its last
+ballot. The closed form (total weight less own weight) rounds differently
+and can reorder ties.
 
 The reputations, w_vote * alpha and each node's verdict (+-1 by its
 behavior) are vectors built once per run; the roles, the seats, the deltas
 w_vote * alpha + w_verify * verdict and the seats that would confirm a
 valid or an invalid block once per epoch. A round rewrites only the leader
-and the scripted seats. The bits match a per-round rebuild: the terms it
-drops add +0.0 to w_vote * alpha, which is never zero. ``ConsensusHistory``
-keeps per-round columns and builds ``HistoryRow``s only when ``rows`` is
-read: CPython's collector never untracks a tuple subclass, so rows built
-during a run would be rescanned by every collection.
+and the scripted seats; only ``run_round`` builds beta and gamma columns.
+The bits match a per-round rebuild: the terms it drops add +0.0 to w_vote *
+alpha, which is never zero. ``ConsensusHistory`` keeps per-round columns
+and builds ``HistoryRow``s only when ``rows`` is read: CPython's collector
+never untracks a tuple subclass, so rows built during a run would be
+rescanned by every collection.
 """
 
 from __future__ import annotations
@@ -262,14 +267,6 @@ def _check_sizes(committee_size: int, active_size: int, population: int) -> None
         raise ValueError("need 0 < active_size <= committee_size <= population")
 
 
-def _check_nodes(nodes: Sequence[FullNode]) -> None:
-    if sorted(n.id for n in nodes) != list(range(len(nodes))):
-        raise ValueError("node ids must be dense 0..n-1")
-    for n in nodes:
-        if not 0.0 <= n.reputation <= 1.0:
-            raise ValueError(f"node {n.id} reputation {n.reputation!r} is not in [0, 1]")
-
-
 def _check_mode(mode) -> None:
     if not isinstance(mode, VotingMode):
         raise ValueError(f"voting mode {mode!r} is not a VotingMode member")
@@ -294,7 +291,7 @@ def elect_witnesses(
     """
     _check_mode(mode)
     _check_sizes(committee_size, active_size, len(nodes))
-    _check_nodes(nodes)
+    run = _read_nodes(nodes)
     n = len(nodes)
     rows: dict[frozenset[int], int] = {}
     voters, pool_of = [], []
@@ -313,16 +310,13 @@ def elect_witnesses(
         if (home[members] >= 0).any():
             raise ValueError("two ballot pools share an id")
         home[members] = row
-    ids = [node.id for node in nodes]
     voters = np.array(voters, dtype=np.int64)
     if mode is VotingMode.REPUTATION_WEIGHTED:
-        reputations = np.empty(n)
-        reputations[ids] = [node.reputation for node in nodes]
-        weights = reputations[voters]
+        weights = run.reputations[run.index[voters]]
     else:
         weights = np.ones(len(voters))
     tally = _tally(voters, np.array(pool_of, dtype=np.intp), home, weights)
-    return _seat(tally, ids, committee_size, active_size, rng)
+    return _seat(tally, run.ids, committee_size, active_size, rng)
 
 
 _BLOCK = 64  # ballots folded into the chains per axis-0 reduction
@@ -334,7 +328,8 @@ def _tally(
     """Voting result per id, as the module docstring sets out: ballot ``b``
     of voter ``voters[b]`` adds ``weights[b]`` to every id ``i`` with
     ``home[i] == pool_of[b]`` but the voter. A voter casts at most one
-    ballot, and ``home`` puts each id in at most one pool (-1 for none)."""
+    ballot, and ``home`` puts each id in at most one pool (-1 for none).
+    Chain ``j`` is column ``j + 1`` of a block; column 0 is spare."""
     tally = np.zeros(len(home))
     for pool in range(pool_of.max(initial=-1) + 1):
         cast = pool_of == pool  # the ballots this pool's members see
@@ -342,24 +337,24 @@ def _tally(
         running = np.cumsum(np.concatenate(([0.0], w)))
         members = home == pool
         tally[members] = running[-1]
-        own = members[v]  # a chain per ballot cast by a member
-        starts = np.flatnonzero(own)
+        starts = np.flatnonzero(members[v])  # a chain per ballot cast by a member
         if not starts.size:
             continue
-        chains = np.append(running[starts], -0.0)  # a spare column keeps width >= 2
-        begun = np.cumsum(own) - own  # chains begun before each ballot
+        m0s = np.arange(starts[0] + 1, len(w), _BLOCK)  # each block's first ballot
+        m1s = np.minimum(m0s + _BLOCK, len(w))
+        widths = 1 + np.searchsorted(starts, m1s)  # a spare column, then the chains begun
+        k = (starts[1:] - starts[0] - 1) // _BLOCK  # the block each later chain begins in
+        chains = np.concatenate(([-0.0], running[starts[:1]], running[m0s[k]]))
+        own = (1 + starts[1:] - m0s[k]) * widths[k] + np.arange(2, len(chains))  # flat cell
+        cut = np.searchsorted(k, np.arange(len(m0s) + 1)).tolist()  # own's slice per block
         buffer = np.empty((min(_BLOCK, len(w)) + 1) * len(chains))
-        for m0 in range(starts[0] + 1, len(w), _BLOCK):
-            m1 = min(m0 + _BLOCK, len(w))
-            width = begun[m1 - 1] + 1
+        for i, (m0, m1, width) in enumerate(zip(m0s.tolist(), m1s.tolist(), widths.tolist())):
             block = buffer[: (m1 - m0 + 1) * width].reshape(m1 - m0 + 1, width)
             block[0] = chains[:width]
             block[1:] = w[m0:m1, None]  # row 1 + m - m0: ballot m's weight
-            lo = begun[m0]  # chains begun by then take every weight of the block
-            np.copyto(block[1:, lo:], -0.0,
-                      where=np.arange(lo, width) >= begun[m0:m1, None])
+            buffer[own[cut[i] : cut[i + 1]]] = -0.0  # a chain skips its own ballot
             np.add.reduce(block, axis=0, out=chains[:width])
-        tally[v[starts]] = chains[:-1]
+        tally[v[starts]] = chains[1:]
     return tally
 
 
@@ -389,32 +384,43 @@ ROLES = ("none", "standby", "witness", "leader")
 
 
 class _Run(NamedTuple):
-    """What stays fixed for a whole run, in node order."""
+    """What a run reads from its nodes, in node order."""
 
+    ids: list[int]
     index: np.ndarray  # id -> index in node order
-    alpha: np.ndarray  # +1 voted, -1 abstained
-    vote_term: np.ndarray  # w_vote * alpha
+    reputations: np.ndarray
+    votes: np.ndarray  # bool
+    low: np.ndarray  # bool: supports low reputation
     correct: np.ndarray  # +1 verifies correctly by behavior, -1 otherwise
     has_script: np.ndarray  # bool
 
 
-def _run_view(nodes: Sequence[FullNode], voted: frozenset[int], w_vote: float) -> _Run:
-    alpha = np.array([1 if n.id in voted else -1 for n in nodes])
-    index = np.empty(len(nodes), dtype=np.intp)
-    index[[n.id for n in nodes]] = np.arange(len(nodes))
-    return _Run(
-        index,
-        alpha,
-        w_vote * alpha,
-        np.where([n.behavior.verifies_correctly for n in nodes], 1, -1),
-        np.array([bool(n.script) for n in nodes], dtype=bool),
-    )
+def _read_nodes(nodes: Sequence[FullNode]) -> _Run:
+    """Read each node's id, reputation, behavior flags and script in one
+    pass. Ids must be dense 0..n-1 and reputations lie in [0, 1]; the
+    error names the first bad node in node order."""
+    rows = [(n.id, n.reputation, (b := n.behavior).votes, b.supports_low_reputation,
+             b.verifies_correctly, bool(n.script)) for n in nodes]
+    ids, reps, *flags = zip(*rows) if rows else [()] * 6
+    if sorted(ids) != list(range(len(ids))):
+        raise ValueError("node ids must be dense 0..n-1")
+    reputations = np.array(reps)
+    fine = (reputations >= 0.0) & (reputations <= 1.0)  # False at NaN
+    if not fine.all():
+        i = int(fine.argmin())
+        raise ValueError(f"node {ids[i]} reputation {reps[i]!r} is not in [0, 1]")
+    index = np.empty(len(ids), dtype=np.intp)
+    index[np.fromiter(ids, np.intp, len(ids))] = np.arange(len(ids))
+    votes, low, correct, has_script = (np.fromiter(f, bool, len(ids)) for f in flags)
+    return _Run(list(ids), index, reputations.astype(float),
+                votes, low, np.where(correct, 1, -1), has_script)
 
 
 class _Epoch(NamedTuple):
     """What stays fixed between the rounds of an epoch, in node order."""
 
     run: _Run
+    vote_term: np.ndarray  # w_vote * alpha
     roles: np.ndarray  # indexes into ROLES, leaders counted as witnesses
     seats: list[int]  # committee seats per node; forced committees may repeat ids
     verdict: np.ndarray  # +-1 per seated node by its behavior, 0 elsewhere
@@ -424,7 +430,7 @@ class _Epoch(NamedTuple):
 
 
 def _epoch_view(
-    committee: Committee, nodes: Sequence[FullNode], run: _Run, w_verify: float
+    committee: Committee, nodes: Sequence[FullNode], run: _Run, vote_term, w_verify: float
 ) -> _Epoch:
     def at(ids):
         return run.index[np.fromiter(ids, np.intp, len(ids))]
@@ -437,10 +443,11 @@ def _epoch_view(
     scripted = np.flatnonzero(run.has_script & (seats > 0)).tolist()
     return _Epoch(
         run,
+        vote_term,
         roles,
         seats.tolist(),
         verdict,
-        run.vote_term + w_verify * verdict,
+        vote_term + w_verify * verdict,
         {v: int(seats @ (verdict == v)) for v in (1, -1)},
         [(i, nodes[i]) for i in scripted],
     )
@@ -454,8 +461,9 @@ def _round(
     reputations: np.ndarray,
 ) -> tuple:
     """The body of ``run_round`` on an ``_epoch_view`` and the epoch's
-    reputation vector. Returns the round's columns in node order: beta,
-    gamma, delta, the new reputation vector and the role indexes."""
+    reputation vector. Returns the leader's index, whether its block was
+    accepted, the leader's and scripted verdicts (None without a block),
+    and the delta, new reputation and role columns in node order."""
     leader_id = state.next_leader()
     if leader_id is None:
         raise RuntimeError("leader order exhausted for this epoch")
@@ -464,12 +472,12 @@ def _round(
     leader = int(view.run.index[leader_id])
     leader_behavior = nodes[leader].behavior_at(rnd)
 
-    accepted = False
+    accepted, verdicts = False, None
     if not leader_behavior.produces_block:
         state.skipped.add(leader_id)
-        gamma, delta = np.zeros(len(nodes), dtype=np.int64), view.run.vote_term.copy()
+        delta = view.vote_term.copy()
     else:
-        gamma, delta = view.verdict.copy(), view.delta.copy()
+        delta = view.delta.copy()
         verdicts = {i: 1 if n.behavior_at(rnd).verifies_correctly else -1 for i, n in view.scripted}
         verdicts[leader] = 0  # the leader does not verify its own block
         # a seat confirms when its verdict matches the block's validity
@@ -477,8 +485,7 @@ def _round(
         confirmations = view.confirming[agree]
         for i, verdict in verdicts.items():
             confirmations += view.seats[i] * ((verdict == agree) - int(view.verdict[i] == agree))
-            gamma[i] = verdict
-            delta[i] = view.run.vote_term[i] + params.w_verify * verdict
+            delta[i] = view.vote_term[i] + params.w_verify * verdict
         accepted = confirmations > (2.0 / 3.0) * len(state.committee.members)
         if accepted:
             payload = f"{state.epoch}:{rnd}".encode()
@@ -492,13 +499,14 @@ def _round(
                 )
             )
 
-    beta = np.zeros(len(nodes), dtype=np.int64)
-    beta[leader] = 1 if accepted else -1
-    delta[leader] = view.run.vote_term[leader] + params.w_lead * beta[leader]
+    delta[leader] = view.vote_term[leader] + params.w_lead * (1 if accepted else -1)
     roles = view.roles.copy()
     roles[leader] = ROLES.index("leader")
     state.global_round += 1
-    return beta, gamma, delta, np.clip(reputations + delta, 0.0, 1.0), roles
+    reputations = reputations + delta
+    np.maximum(reputations, 0.0, out=reputations)
+    np.minimum(reputations, 1.0, out=reputations)
+    return leader, accepted, verdicts, delta, reputations, roles
 
 
 def run_round(
@@ -515,17 +523,21 @@ def run_round(
     """
     if state.committee is None:
         raise RuntimeError("no committee elected")
-    _check_nodes(nodes)
-    run = _run_view(nodes, state.voted, params.w_vote)
-    view = _epoch_view(state.committee, nodes, run, params.w_verify)
-    reputations = np.array([n.reputation for n in nodes], dtype=float)
-    beta, gamma, delta, reputations, roles = _round(state, nodes, params, view, reputations)
-    for node, rep in zip(nodes, reputations.tolist()):
+    run = _read_nodes(nodes)
+    alpha = np.array([1 if i in state.voted else -1 for i in run.ids])
+    view = _epoch_view(state.committee, nodes, run, params.w_vote * alpha, params.w_verify)
+    outcome = _round(state, nodes, params, view, run.reputations)
+    leader, accepted, verdicts, delta, reps, roles = outcome
+    for node, rep in zip(nodes, reps.tolist()):
         node.reputation = rep
-    columns = (run.alpha, beta, gamma, delta, reputations)
+    beta = np.zeros(len(nodes), dtype=np.int64)
+    beta[leader] = 1 if accepted else -1
+    gamma = np.zeros(len(nodes), dtype=np.int64) if verdicts is None else view.verdict.copy()
+    for i, verdict in (verdicts or {}).items():
+        gamma[i] = verdict
+    columns = (alpha, beta, gamma, delta, reps)
     roles = map(ROLES.__getitem__, roles.tolist())
-    ids = [n.id for n in nodes]
-    return list(map(BehaviorRecord, ids, *(c.tolist() for c in columns), roles))
+    return list(map(BehaviorRecord, run.ids, *(c.tolist() for c in columns), roles))
 
 
 class HistoryRow(NamedTuple):
@@ -595,21 +607,17 @@ def run_epochs(
         raise ValueError("n_epochs must be non-negative")
     _check_mode(mode)
     _check_sizes(committee_size, active_size, len(nodes))
-    _check_nodes(nodes)
-    ids = [n.id for n in nodes]
+    run = _read_nodes(nodes)
     if committee_schedule is not None:
         _check_schedule(committee_schedule, n_epochs, len(nodes))
     rng = np.random.default_rng(seed)
     state = ConsensusState()
-    history = ConsensusHistory(ids=ids, rounds=[], chain=state.chain, committees=[])
-    votes = np.array([n.behavior.votes for n in nodes], dtype=bool)
-    voters = np.array(ids, dtype=np.int64)[votes]
-    pool_of = np.array(
-        [n.behavior.supports_low_reputation for n in nodes], dtype=np.intp
-    )[votes]
+    history = ConsensusHistory(ids=run.ids, rounds=[], chain=state.chain, committees=[])
+    votes, reputations = run.votes, run.reputations
+    voters = np.array(run.ids, dtype=np.int64)[votes]
+    pool_of = run.low[votes].astype(np.intp)
     voted = frozenset(voters.tolist())
-    run = _run_view(nodes, voted, params.w_vote)
-    reputations = np.array([n.reputation for n in nodes], dtype=float)
+    vote_term = params.w_vote * np.where(votes, 1, -1)
     for epoch in range(n_epochs):
         forced = committee_schedule[epoch] if committee_schedule is not None else None
         if forced is not None:
@@ -622,10 +630,10 @@ def run_epochs(
             else:
                 weights = np.ones(len(voters))
             tally = _tally(voters, pool_of, home, weights)
-            committee = _seat(tally, ids, committee_size, active_size, rng)
+            committee = _seat(tally, run.ids, committee_size, active_size, rng)
         state.start_epoch(committee, voted)
         history.committees.append(committee)
-        view = _epoch_view(committee, nodes, run, params.w_verify)
+        view = _epoch_view(committee, nodes, run, vote_term, params.w_verify)
         for _ in range(len(committee.active_order)):
             if state.next_leader() is None:
                 break  # fully skipped epoch ends early

@@ -16,7 +16,8 @@ at every spend where a pick or a row stops fitting, and leftover rows, and
 check that such a fold builds no greedy state and that the mechanisms
 interleaved on one geometry match an emptied cache. Tie families with
 values across the whole float range keep the cut exact where a product
-leaves the normal range.
+leaves the normal range. The total bid, which ``tbsap`` reads off the
+trace, must have the bits of its winners' bids folded in pick order.
 
 A call on the ``(tasks, vehicles)`` pair the memo holds checks only its
 budget, so bad budgets, bad bids and bad subsets right after a cached call
@@ -52,7 +53,14 @@ from trafficmarket.auction import (
     tbsap_allocate,
     tbsap_payment,
 )
-from trafficmarket.model import AuctionOutcome, coverage_value, dumps_scenario, left_sum
+from trafficmarket.model import (
+    AuctionOutcome,
+    ScenarioConfig,
+    coverage_value,
+    dumps_scenario,
+    generate_scenario,
+    left_sum,
+)
 
 from conftest import build_instance, dense_scenario, random_synthetic_instance
 from oracles import exclusion_payment, slow_greedy
@@ -409,6 +417,32 @@ def test_budget_sweeps_match_an_emptied_cache(sweep):
         want, payments = cold(instance)
         assert exact(outcome) == exact(want)
         assert exact(outcome)[1] == [p.hex() for p in payments]
+
+
+def assert_total_bid_is_a_left_fold(instance, outcome):
+    """``tbsap`` reads its total bid off the trace, as the spend after the
+    last winner: the winners' bids added from 0.0 in pick order."""
+    assert type(outcome.total_bid) is float
+    want = left_sum(instance.vehicle(v).bid for v in outcome.winners)
+    assert outcome.total_bid.hex() == want.hex()
+
+
+@settings(max_examples=150)
+@given(sweep=budget_sweeps() | tie_families())
+def test_total_bid_is_the_left_fold_of_the_winning_bids(sweep):
+    for instance in sweep:
+        assert_total_bid_is_a_left_fold(instance, tbsap(instance))
+
+
+def test_total_bid_on_the_dense_map():
+    # the auction-dense map; rising budgets rebuild the trace uncapped,
+    # falling ones fold it as columns
+    instance = generate_scenario(
+        ScenarioConfig(n_tasks=200, n_vehicles=4000, budget=400.0, rng_seed=1009)
+    )
+    for budget in (25.0, 50.0, 100.0, 200.0, 400.0, 100.0, 25.0, 0.0):
+        case = instance.with_budget(budget)
+        assert_total_bid_is_a_left_fold(case, tbsap(case))
 
 
 def test_trace_is_capped_at_the_first_budget():

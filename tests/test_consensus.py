@@ -440,6 +440,49 @@ class TestEpochRuns:
             run_epochs(nodes, PARAMS, 2, 1, n_epochs=1)
 
 
+def call_run_epochs(nodes):
+    run_epochs(nodes, PARAMS, 2, 1, n_epochs=1)
+
+
+def call_elect_witnesses(nodes):
+    elect_witnesses([], nodes, 2, 1, VotingMode.EQUAL_WEIGHT, np.random.default_rng(0))
+
+
+def call_run_round(nodes):
+    state = ConsensusState()
+    state.start_epoch(forced([nodes[0].id], [nodes[0].id]), frozenset())
+    run_round(state, nodes, PARAMS)
+
+
+NODE_READERS = [call_run_epochs, call_elect_witnesses, call_run_round]
+
+
+@pytest.mark.parametrize("read", NODE_READERS)
+@pytest.mark.parametrize("ids", [(0, 2, 3, 4), (0, 1, 1, 3), (0, 1, 2, -1), (0, 1, 2, 100)],
+                         ids=["gap", "duplicate", "negative", "too large"])
+def test_every_node_reader_requires_dense_ids(read, ids):
+    # a negative id would wrap around if it were used as an index unchecked
+    nodes = [FullNode(id=i, reputation=0.25 * k, behavior=SABOTEUR if k % 2 else Behavior())
+             for k, i in enumerate(ids)]
+    before = repr(nodes)
+    with pytest.raises(ValueError, match=r"^node ids must be dense 0\.\.n-1$"):
+        read(nodes)
+    assert repr(nodes) == before
+
+
+@pytest.mark.parametrize("read", NODE_READERS)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1e-9, 1.0 + 1e-9])
+def test_every_node_reader_names_the_first_bad_reputation(read, bad):
+    # nodes 1 and 0 are both bad; node 1 comes first in node order
+    reputations = {3: 0.5, 1: bad, 0: -0.5, 2: 0.75}
+    nodes = [FullNode(id=i, reputation=reputations[i]) for i in (3, 1, 0, 2)]
+    before = repr(nodes)
+    message = f"^node 1 reputation {re.escape(repr(bad))} is not in \\[0, 1\\]$"
+    with pytest.raises(ValueError, match=message):
+        read(nodes)
+    assert repr(nodes) == before
+
+
 class TestTrajectories:
     def test_two_epochs_voter_then_leader(self):
         """A node voting through one epoch and leading once in the next ends
