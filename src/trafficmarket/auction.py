@@ -63,19 +63,22 @@ turns it into two flat columns, with per-pick offsets, and every later
 fold is a few array reductions with ``_fold``'s bits (``_Trace``).
 
 Task values, sorted subsets, member lists and initial gains depend only on
-the geometry, so the last geometry's set-up is kept and reused while the
-``tasks`` tuple and every ``task_subset`` are the very same objects. The
-key holds them alive, so a new geometry can never match it: the cache fails
-closed. Beside the set-up sits a memo (``_Memo``) for the last bid vector
-seen on it, compared by value: the bids, the greedy's start state (initial
-gains and the heapified keys, which the budget never touches), the order
-and ``tbsap``'s trace once each is built, and the ``vehicles`` tuple last
-validated with those bids. Every new ``(tasks, vehicles)`` pair is
-validated in full; a call on the very pair the memo holds, as each budget
-of a sweep made by ``with_budget`` is, checks only its budget (``_memo``).
-So a ``tbsap`` call that only folds, an allocation within the order's cap
-and a greedy call a complete order covers build no state; any other call
-forks the start state once.
+the geometry. A new geometry gathers every sorted subset behind a 0.0 slot
+and sums them all with one ``np.add.reduceat``: a segment led by 0.0 is
+numpy's pairwise sum from 0.0, the bits of ``values[subset].sum()``. The
+last geometry's set-up is kept and reused while the ``tasks`` tuple and
+every ``task_subset`` are the very same objects (``validate_instance``
+requires a tuple and frozensets). The key holds them alive, so a new
+geometry can never match it: the cache fails closed. Beside the set-up sits
+a memo (``_Memo``) for the last bid vector seen on it, compared by value:
+the bids, the greedy's start state (initial gains and the heapified keys,
+which the budget never touches), the order and ``tbsap``'s trace once each
+is built, and the ``vehicles`` tuple last validated with those bids. Every
+new ``(tasks, vehicles)`` pair is validated in full; a call on the very
+pair the memo holds, as each budget of a sweep made by ``with_budget`` is,
+checks only its budget (``_memo``). So a ``tbsap`` call that only folds, an
+allocation within the order's cap and a greedy call a complete order covers
+build no state; any other call forks the start state once.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -168,13 +171,11 @@ class _Memo:
 def _setup(instance: AuctionInstance) -> tuple[tuple, _Memo]:
     """``(values, sorted subsets, members, initial gains)`` of a validated
     instance, none of which depend on bids or the budget, and the memo kept
-    beside them.
-
-    Reused while the key holds: the same ``tasks`` tuple and, position by
-    position, the same ``task_subset`` frozensets, compared with ``is``.
-    The entry holds strong references to them, so no id is reused while it
-    lives, and anything not provably the same geometry misses and is built
-    afresh.
+    beside them. Only ``_memo`` calls it, after ``validate_instance``: the
+    one gather behind all initial gains reads ids as ``np.intp``, so 2.5 -> 2.
+    Reused while the same ``tasks`` tuple and, position by position, the
+    same ``task_subset`` frozensets (``is``) come back; the entry holds them
+    alive, so no id is reused and any other geometry misses.
     """
     global _last_geometry
     key = (instance.tasks, *(v.task_subset for v in instance.vehicles))
@@ -187,17 +188,12 @@ def _setup(instance: AuctionInstance) -> tuple[tuple, _Memo]:
     for v, subset in enumerate(ordered):
         for t in subset:
             members[t].append(v)
-    # initial marginal coverage = full subset value, with the bits of
-    # values[subset].sum(): numpy's pairwise order on a slice of one gather,
-    # and a single addition, which commutes, for rows of one or two
-    flat = values.take(np.fromiter(chain.from_iterable(ordered), np.intp))
-    items, gains, end = flat.tolist(), [], 0
-    for subset in ordered:
-        start, end = end, end + len(subset)
-        if end - start > 2:
-            gains.append(float(np.add.reduce(flat[start:end])))
-        else:
-            gains.append(sum(items[start:end], 0.0))
+    # initial gain = values[subset].sum(), numpy's pairwise sum from 0.0:
+    # one reduceat segment per row, led by a 0.0 slot (index m, no task's)
+    m = len(values)
+    led = chain.from_iterable(zip(repeat((m,)), ordered))  # (m,), row 0, (m,), row 1, ...
+    index = np.fromiter(chain.from_iterable(led), np.intp)
+    gains = np.add.reduceat(np.append(values, 0.0)[index], np.flatnonzero(index == m)).tolist()
     setup = (values.tolist(), ordered, members, gains)
     memo = _Memo()
     _last_geometry = (key, setup, memo)
@@ -257,10 +253,10 @@ def _memo(instance: AuctionInstance) -> _Memo:
     A new ``(tasks, vehicles)`` pair is validated in full and its bids
     checked. The memo then holds its ``vehicles`` tuple, and an instance
     whose ``tasks`` and ``vehicles`` are those very objects has only its
-    budget checked: both tuples and everything in them are immutable, so
-    the rest of the validation would read the same values again. A pair
-    whose bids reset the memo takes its place, so the tuple before it
-    misses and is validated again.
+    budget checked: ``validate_instance`` admits only tuples of frozen
+    records and frozenset subsets, so the rest of it would read the same
+    values again. A pair whose bids reset the memo takes its place, so the
+    tuple before it misses and is validated again.
     """
     key, _, memo = _last_geometry
     if memo is not None and memo.vehicles is instance.vehicles and key[0] is instance.tasks:

@@ -396,23 +396,26 @@ class _Run(NamedTuple):
 
 
 def _read_nodes(nodes: Sequence[FullNode]) -> _Run:
-    """Read each node's id, reputation, behavior flags and script in one
-    pass. Ids must be dense 0..n-1 and reputations lie in [0, 1]; the
-    error names the first bad node in node order."""
-    rows = [(n.id, n.reputation, (b := n.behavior).votes, b.supports_low_reputation,
-             b.verifies_correctly, bool(n.script)) for n in nodes]
-    ids, reps, *flags = zip(*rows) if rows else [()] * 6
-    if sorted(ids) != list(range(len(ids))):
+    """Read each node's id, reputation, behavior flags and script, one
+    column per pass. Ids must be dense 0..n-1 and reputations lie in
+    [0, 1]; the error names the first bad node in node order."""
+    ids, reps = [x.id for x in nodes], [x.reputation for x in nodes]
+    n = len(ids)
+    if sorted(ids) != list(range(n)):
         raise ValueError("node ids must be dense 0..n-1")
     reputations = np.array(reps)
     fine = (reputations >= 0.0) & (reputations <= 1.0)  # False at NaN
     if not fine.all():
         i = int(fine.argmin())
         raise ValueError(f"node {ids[i]} reputation {reps[i]!r} is not in [0, 1]")
-    index = np.empty(len(ids), dtype=np.intp)
-    index[np.fromiter(ids, np.intp, len(ids))] = np.arange(len(ids))
-    votes, low, correct, has_script = (np.fromiter(f, bool, len(ids)) for f in flags)
-    return _Run(list(ids), index, reputations.astype(float),
+    index = np.empty(n, dtype=np.intp)
+    index[np.fromiter(ids, np.intp, n)] = np.arange(n)
+    behaviors = [x.behavior for x in nodes]
+    votes = np.fromiter([b.votes for b in behaviors], bool, n)
+    low = np.fromiter([b.supports_low_reputation for b in behaviors], bool, n)
+    correct = np.fromiter([b.verifies_correctly for b in behaviors], bool, n)
+    has_script = np.fromiter([bool(x.script) for x in nodes], bool, n)
+    return _Run(ids, index, reputations.astype(float),
                 votes, low, np.where(correct, 1, -1), has_script)
 
 

@@ -257,8 +257,11 @@ def validate_budget(budget: float) -> None:
 
 
 def validate_instance(instance: AuctionInstance) -> None:
-    """Structural checks: dense ids in order, valid subsets, finite positive
-    values. Task values are read by position, so task j must sit at index j."""
+    """Structural checks: tuples and frozensets (the auction caches by
+    identity), dense ids in order, valid subsets, finite positive values.
+    Task values are read by position, so task j must sit at index j."""
+    if not (isinstance(instance.tasks, tuple) and isinstance(instance.vehicles, tuple)):
+        raise ValueError("tasks and vehicles must be tuples")
     if [t.id for t in instance.tasks] != list(range(len(instance.tasks))):
         raise ValueError("task ids must be dense 0..m-1, in order")
     task_ids = set(range(len(instance.tasks)))
@@ -273,6 +276,8 @@ def validate_instance(instance: AuctionInstance) -> None:
             raise ValueError(f"vehicle {v.id} cost and bid must be finite")
         if v.bid < 0 or v.true_cost < 0:
             raise ValueError(f"vehicle {v.id} cost and bid must be nonnegative")
+        if not isinstance(v.task_subset, frozenset):
+            raise ValueError(f"vehicle {v.id} task subset must be a frozenset")
         if not v.task_subset <= task_ids:
             raise ValueError(f"vehicle {v.id} references unknown tasks")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import chain
 from statistics import fmean
 from typing import Iterable, Sequence
 
@@ -108,6 +109,21 @@ def marginal_gain(
     added = left_sum(values[t] for t in vehicle.task_subset - covered)
     gain = added - vehicle.bid
     return MarginalGain(vehicle_id, gain, gain / vehicle.bid)
+
+
+def row_gains(values: np.ndarray, ordered: Sequence[Sequence[int]]) -> list[float]:
+    """Each vehicle's initial gain, ``values[subset].sum()``, one row at a
+    time: ``np.add.reduce`` on a slice of one gather, and ``sum`` from 0.0
+    for rows of up to two entries."""
+    flat = values.take(np.fromiter(chain.from_iterable(ordered), np.intp))
+    items, gains, end = flat.tolist(), [], 0
+    for subset in ordered:
+        start, end = end, end + len(subset)
+        if end - start > 2:
+            gains.append(float(np.add.reduce(flat[start:end])))
+        else:
+            gains.append(sum(items[start:end], 0.0))
+    return gains
 
 
 def union_coverage(winner_ids, instance: AuctionInstance) -> float:

@@ -48,18 +48,21 @@ from trafficmarket import auction
 from trafficmarket.auction import (
     _CoverageState,
     _critical_scans,
+    brute_force_optimum,
     greedy_heuristic,
     tbsap,
     tbsap_allocate,
     tbsap_payment,
 )
 from trafficmarket.model import (
+    AuctionInstance,
     AuctionOutcome,
     ScenarioConfig,
     coverage_value,
     dumps_scenario,
     generate_scenario,
     left_sum,
+    paper_example,
 )
 
 from conftest import build_instance, dense_scenario, random_synthetic_instance
@@ -610,6 +613,30 @@ def test_known_pair_still_fails_closed(mechanism):
     for budget in (math.nan, -1.0, math.inf):
         with pytest.raises(ValueError, match="^budget must be finite and nonnegative$"):
             mechanism(replace(instance, budget=budget))
+
+
+@pytest.mark.parametrize(
+    "mechanism", [greedy_heuristic, tbsap, tbsap_allocate, brute_force_optimum]
+)
+def test_mutable_containers_are_rejected(mechanism):
+    # the set-up cache and the memo match by identity, so a list or set
+    # changed in place between calls would be read as the geometry cached
+    # before it; every mechanism refuses them before any cache is read
+    instance = paper_example()
+    tasks, vehicles = instance.tasks, list(instance.vehicles)
+    with pytest.raises(ValueError, match="^tasks and vehicles must be tuples$"):
+        mechanism(AuctionInstance(tasks, vehicles, 10.0))
+    vehicles[1] = replace(vehicles[1], bid=4.0)
+    with pytest.raises(ValueError, match="^tasks and vehicles must be tuples$"):
+        mechanism(AuctionInstance(tasks, vehicles, 10.0))
+    with pytest.raises(ValueError, match="^tasks and vehicles must be tuples$"):
+        mechanism(AuctionInstance(list(tasks), instance.vehicles, 10.0))
+    loose = replace(instance.vehicles[2], task_subset=set(instance.vehicles[2].task_subset))
+    with pytest.raises(ValueError, match="^vehicle 2 task subset must be a frozenset$"):
+        mechanism(replace(instance, vehicles=(*instance.vehicles[:2], loose)))
+    # the same instance built from tuples and frozensets is accepted
+    fixed = AuctionInstance(tuple(tasks), tuple(vehicles), 10.0)
+    assert mechanism(fixed) == cold_call(mechanism, fixed)
 
 
 def test_bid_copies_interleaved_match_an_emptied_cache():

@@ -172,6 +172,22 @@ def test_validate_rejects_non_finite_numbers(value):
         validate_instance(replace(instance, vehicles=vehicles))
 
 
+def test_validate_rejects_mutable_containers():
+    instance = paper_example()
+    for tasks, vehicles in [
+        (list(instance.tasks), instance.vehicles),
+        (instance.tasks, list(instance.vehicles)),
+    ]:
+        with pytest.raises(ValueError, match="^tasks and vehicles must be tuples$"):
+            validate_instance(replace(instance, tasks=tasks, vehicles=vehicles))
+    for subset in [{0, 1}, [0, 1], (0, 1)]:
+        loose = replace(instance.vehicles[1], task_subset=subset)
+        vehicles = (instance.vehicles[0], loose, *instance.vehicles[2:])
+        with pytest.raises(ValueError, match="^vehicle 1 task subset must be a frozenset$"):
+            validate_instance(replace(instance, vehicles=vehicles))
+    validate_instance(instance)
+
+
 def test_scenario_with_nan_appraisement_rejected():
     text = dumps_scenario(paper_example()).replace("task 1 100.0 0.0 3.0", "task 1 100.0 0.0 nan")
     assert "nan" in text
