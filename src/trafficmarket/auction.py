@@ -35,17 +35,18 @@ bit for bit; ``tbsap_payment`` scans in full and is the reference.
 
 The budget never changes the pick order (argmax reads only gains and
 bids); it decides where each rule stops. So each bid vector keeps the break
-greedy's picks and the spend after each (``_order``), built at a call's
-budget up to its first misfit, which caps it, or complete (cap inf) if the
-run ends on its own; a call above the cap rebuilds it at its own budget.
-``tbsap_allocate`` at B takes the picks whose spend is at most B, and so
-does ``greedy_heuristic``, whose filter drops nothing before that misfit.
-Unless they are all of a complete order, it selects them into a fork and
-goes on over fresh keys for just the other bids with spend + bid <= B, a
-prefix of the ids by bid. That is exact: a misfit misfits for good, as
-spend only grows and rounding is monotone, and if the whole heap's top is
-negative so is every bid that fits. So the argmax over the bids that fit,
-by the same key, is the unfiltered loop's pick, bit for bit.
+greedy's picks, the spend after each and the tasks each newly covers
+(``_Order``), built at a call's budget up to its first misfit, which caps
+it, or complete (cap inf) if the run ends on its own; a call above the cap
+rebuilds it. ``tbsap_allocate`` at B takes the picks whose spend is at most
+B, and so does ``greedy_heuristic``, whose filter drops nothing before that
+misfit. Unless they are all of a complete order, it replays them into a
+fork, one loop over the tasks they cover, and goes on over fresh keys for
+just the other bids with spend + bid <= B, a prefix of the ids by bid. That
+is exact: a misfit misfits for good, as spend only grows and rounding is
+monotone, and if the whole heap's top is negative so is every bid that
+fits. So the argmax over the bids that fit, by the same key, is the
+unfiltered loop's pick, bit for bit.
 
 Payments enter each position as ``min(replacement bid, B - spend)``. So
 ``tbsap`` keeps one trace per bid vector: per pick, the spend before it and
@@ -53,32 +54,18 @@ its rows ``(candidate, replacement bid, spend)``, built by the break greedy
 at a cap (``_critical_scans``), and every payment folds its rows at the
 call's budget. Each suffix ends once no later position can raise the
 payment at any budget up to the cap. New bids build the trace capped at
-the call's budget, so a one-off call at a tight budget runs no suffix that
-budget never reaches; a call above the cap rebuilds it once with no cap.
-
-The call that builds a trace folds its row lists in Python (``_fold``);
-most traces, such as each instance of a property test, are never folded
-again. A budget sweep folds one trace call after call, so the next fold
-turns it into two flat columns, with per-pick offsets, and every later
-fold is a few array reductions with ``_fold``'s bits (``_Trace``).
+the call's budget; a call above the cap rebuilds it once with no cap. The
+building call folds the row lists in Python (``_fold``), as most traces are
+never folded again; the next fold turns them into two contiguous columns,
+and every later fold is a few array reductions with its bits (``_Trace``).
 
 Task values, sorted subsets, member lists and initial gains depend only on
-the geometry. A new geometry gathers every sorted subset behind a 0.0 slot
-and sums them all with one ``np.add.reduceat``: a segment led by 0.0 is
-numpy's pairwise sum from 0.0, the bits of ``values[subset].sum()``. The
-last geometry's set-up is kept and reused while the ``tasks`` tuple and
-every ``task_subset`` are the very same objects (``validate_instance``
-requires a tuple and frozensets). The key holds them alive, so a new
-geometry can never match it: the cache fails closed. Beside the set-up sits
-a memo (``_Memo``) for the last bid vector seen on it, compared by value:
-the bids, the greedy's start state (initial gains and the heapified keys,
-which the budget never touches), the order and ``tbsap``'s trace once each
-is built, and the ``vehicles`` tuple last validated with those bids. Every
-new ``(tasks, vehicles)`` pair is validated in full; a call on the very
-pair the memo holds, as each budget of a sweep made by ``with_budget`` is,
-checks only its budget (``_memo``). So a ``tbsap`` call that only folds, an
-allocation within the order's cap and a greedy call a complete order covers
-build no state; any other call forks the start state once.
+the geometry (``_setup``). The last geometry's set-up is reused while the
+``tasks`` tuple and every ``task_subset`` are the very same objects, and a
+memo beside it keeps what the last bids seen built (``_Memo``, ``_memo``).
+So a ``tbsap`` call that only folds, an allocation within the order's cap
+and a greedy call a complete order covers build no state; any other call
+forks the start state once.
 """
 
 from __future__ import annotations
@@ -90,6 +77,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,15 +145,18 @@ _last_geometry: tuple = ((), None, None)
 
 
 class _Memo:
-    """What the cached geometry keeps for the last bid vector seen on it:
-    the bids, the greedy's start state, the order (``_order``) and
-    ``tbsap``'s trace once each is built, and the ``vehicles`` tuple last
-    validated with those bids."""
+    """What the cached geometry keeps: the last winners tuple and its
+    coverage (``_coverage``), and for the last bid vector seen on it,
+    compared by value, the bids, the greedy's start state (initial gains
+    and heapified keys, which the budget never touches), the order
+    (``_order``) and ``tbsap``'s trace once each is built, and the
+    ``vehicles`` tuple last validated with those bids."""
 
-    __slots__ = ("bids", "start", "order", "trace", "vehicles")
+    __slots__ = ("bids", "start", "order", "trace", "vehicles", "coverage")
 
     def __init__(self):
         self.bids = self.start = self.order = self.trace = self.vehicles = None
+        self.coverage = ((), 0.0)
 
 
 def _setup(instance: AuctionInstance) -> tuple[tuple, _Memo]:
@@ -275,12 +266,15 @@ def _memo(instance: AuctionInstance) -> _Memo:
     return memo
 
 
-def _coverage(values: list[float], instance: AuctionInstance, winners) -> float:
+def _coverage(memo: _Memo, instance: AuctionInstance, winners: tuple) -> float:
     """``coverage_value`` read from the set-up's value list: the same set,
-    built by the same merges in the same order, folded in its iteration order."""
-    vehicles = instance.vehicles
-    covered = set().union(*[vehicles[v].task_subset for v in winners])
-    return left_sum(map(values.__getitem__, covered))
+    built by the same merges in the same order, folded in its iteration order.
+    Equal winners reuse the last value: it reads only the memo's geometry."""
+    if memo.coverage[0] != winners:
+        vehicles = instance.vehicles
+        covered = set().union(*[vehicles[v].task_subset for v in winners])
+        memo.coverage = winners, left_sum(map(memo.start.values.__getitem__, covered))
+    return memo.coverage[1]
 
 
 def _picks(state: _CoverageState, budget: float, drop_misfits: bool = False):
@@ -307,24 +301,49 @@ def _picks(state: _CoverageState, budget: float, drop_misfits: bool = False):
         state.select(k)
 
 
-def _order(memo: _Memo, budget: float) -> tuple[tuple, _CoverageState | None]:
-    """The memo's order ``(cap, picks, reach, by_bid)``: the break greedy's
-    picks up to its first misfit at ``cap`` (inf if none), the spend after
-    each and every id by bid. One missing or capped below ``budget`` is
-    rebuilt at it, and returned with the fork it ran on; else with None."""
+class _Order(NamedTuple):
+    """The break greedy's picks on one bid vector up to its first misfit at
+    ``cap`` (inf if none)."""
+
+    cap: float
+    picks: list[int]
+    reach: list[float]  # the spend after each pick
+    by_bid: list[int]  # every id, by bid
+    covers: list[int]  # the tasks each pick newly covers, in pick order, sorted per pick
+    ends: list[int]  # len(covers) after 0, 1, ... picks
+
+    def replay(self, start: _CoverageState, n: int) -> _CoverageState:
+        """A fork of ``start`` after the first n picks: ``select``'s steps in
+        its order, as one loop over the tasks they cover, and its spend."""
+        state = start.fork()
+        gain, covered, values, members = state.gain, state.covered, state.values, state.members
+        for t in self.covers[: self.ends[n]]:
+            covered[t], value = True, values[t]
+            for v in members[t]:
+                gain[v] -= value
+        state.spent = self.reach[n - 1] if n else 0.0
+        return state
+
+
+def _order(memo: _Memo, budget: float) -> tuple[_Order, _CoverageState | None]:
+    """The memo's order; one missing or capped below ``budget`` is rebuilt
+    at it, and returned with the fork it ran on; else with None."""
     order = memo.order
-    if order is not None and budget <= order[0]:
+    if order is not None and budget <= order.cap:
         return order, None
     state = memo.start.fork()
-    bids, cap, picks, reach = state.bids, math.inf, [], []
+    bids, covered, subsets = state.bids, state.covered, state.subsets
+    cap, picks, reach, covers, ends = math.inf, [], [], [], [0]
     for k, fits in _picks(state, budget):
         if not fits:
             cap = budget
             break
         picks.append(k)
         reach.append(state.spent + bids[k])
-    by_bid = order[3] if order else sorted(range(len(bids)), key=bids.__getitem__)
-    memo.order = (cap, picks, reach, by_bid)
+        covers += [t for t in subsets[k] if not covered[t]]
+        ends.append(len(covers))
+    by_bid = order.by_bid if order else sorted(range(len(bids)), key=bids.__getitem__)
+    memo.order = _Order(cap, picks, reach, by_bid, covers, ends)
     return memo.order, state
 
 
@@ -337,31 +356,28 @@ def greedy_heuristic(instance: AuctionInstance) -> AuctionOutcome:
     first drop are the memo's order (see the module docstring).
     """
     memo, budget = _memo(instance), instance.budget
-    (cap, picks, reach, by_bid), state = _order(memo, budget)
-    bids, n = memo.bids, bisect.bisect_right(reach, budget)
-    winners, total_bid = picks[:n], reach[n - 1] if n else 0.0
-    if n < len(picks) or cap < math.inf:  # the next pick misfits at B
+    order, state = _order(memo, budget)
+    bids, n = memo.bids, bisect.bisect_right(order.reach, budget)
+    winners, total_bid = order.picks[:n], order.reach[n - 1] if n else 0.0
+    if n < len(order.picks) or order.cap < math.inf:  # the next pick misfits at B
         if state is None:
-            state = memo.start.fork()
-            for k in winners:
-                state.select(k)
-        spent, gain, taken = state.spent, state.gain, set(winners)
+            state = order.replay(memo.start, n)
+        spent, gain, taken, by_bid = state.spent, state.gain, set(winners), order.by_bid
         fit = bisect.bisect_right(by_bid, budget, key=lambda v: spent + bids[v])
         state.heap = [(-((gain[v] - bids[v]) / bids[v]), v) for v in by_bid[:fit] if v not in taken]
         heapq.heapify(state.heap)
         winners += [k for k, _ in _picks(state, budget, drop_misfits=True)]
         total_bid = state.spent
+    winners = tuple(winners)
+    profit = _coverage(memo, instance, winners) - total_bid
     payments = {v: bids[v] for v in winners}
-    profit = _coverage(memo.start.values, instance, winners) - left_sum(payments.values())
-    return AuctionOutcome(
-        winners=tuple(winners), payments=payments, profit=profit, total_bid=total_bid
-    )
+    return AuctionOutcome(winners=winners, payments=payments, profit=profit, total_bid=total_bid)
 
 
 def tbsap_allocate(instance: AuctionInstance) -> list[int]:
     """Winner selection stage: greedy by unit gain, break on first stop."""
-    (_, picks, reach, _), _ = _order(_memo(instance), instance.budget)
-    return picks[: bisect.bisect_right(reach, instance.budget)]
+    order, _ = _order(_memo(instance), instance.budget)
+    return order.picks[: bisect.bisect_right(order.reach, instance.budget)]
 
 
 def _critical_scans(state: _CoverageState, cap: float, cut: bool, only: int | None = None):
@@ -460,7 +476,8 @@ def _fold(rows: list, bids: list[float], budget: float) -> float:
 class _Trace:
     """``tbsap``'s trace of one bid vector at a cap (see ``_critical_scans``):
     the picks in order, the spend after each, and each pick's rows, as row
-    lists until it is folded a second time and as columns after that.
+    lists until it is folded a second time and after that as ``columns``,
+    two contiguous arrays (replacement bids, spends) with per-pick offsets.
 
     A pick wins at budget B while its spend after is at most B; those
     spends never fall along the picks, so the winners are a prefix found by
@@ -507,7 +524,7 @@ class _Trace:
         if self.columns is None:
             self._to_columns()
         offsets = self.offsets[: n + 1]
-        raw, spend = self.columns[: offsets[-1]].T
+        raw, spend = (column[: offsets[-1]] for column in self.columns)
         entry = budget - spend
         np.copyto(entry, raw, where=entry >= raw)  # min(raw, slack), as _fold picks
         best = np.maximum.reduceat(entry, offsets[:-1])
@@ -517,15 +534,16 @@ class _Trace:
         return dict(zip(self.picks[:n], best.tolist()))
 
     def _to_columns(self) -> None:
-        """Turn the row lists into one array with a row per trace row, its
-        replacement bid and its spend. Each pick's list is dropped once
-        copied, last pick first, so the two forms never both hold all."""
+        """Turn the row lists into two contiguous arrays, the replacement
+        bids and the spends, with an entry per trace row. Each pick's list is
+        dropped once copied, last pick first, so the two forms never both
+        hold all."""
         self.offsets = np.cumsum([0] + [len(rows) for rows in self.rows])
-        self.columns = flat = np.empty((self.offsets[-1], 2))
+        self.columns = raw, spend = np.empty(self.offsets[-1]), np.empty(self.offsets[-1])
         for start in self.offsets[-2::-1]:
             rows = self.rows.pop()
-            triples = np.fromiter(chain.from_iterable(rows), float, 3 * len(rows))
-            flat[start : start + len(rows)] = triples.reshape(-1, 3)[:, 1:]  # no candidate
+            triples = np.fromiter(chain.from_iterable(rows), float, 3 * len(rows)).reshape(-1, 3)
+            raw[start : start + len(rows)], spend[start : start + len(rows)] = triples[:, 1:].T
         self.rows = None
 
 
@@ -565,12 +583,10 @@ def tbsap(instance: AuctionInstance) -> AuctionOutcome:
         memo.trace = trace = None  # freed before its successor is built
         memo.trace = trace = _Trace(cap, _critical_scans(start.fork(), cap, True), bids)
         payments = trace.fold_rows(bids, budget)
-    winners = list(payments)  # pick order
+    winners = tuple(payments)  # pick order
     total_bid = trace.reach[len(winners) - 1] if winners else 0.0
-    profit = _coverage(start.values, instance, winners) - left_sum(payments.values())
-    return AuctionOutcome(
-        winners=tuple(winners), payments=payments, profit=profit, total_bid=total_bid
-    )
+    profit = _coverage(memo, instance, winners) - left_sum(payments.values())
+    return AuctionOutcome(winners=winners, payments=payments, profit=profit, total_bid=total_bid)
 
 
 def brute_force_optimum(instance: AuctionInstance) -> AuctionOutcome:

@@ -57,7 +57,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from trafficmarket.model import write_rows
+from trafficmarket.model import validate_ids, write_rows
 
 __all__ = [
     "VotingMode",
@@ -397,9 +397,9 @@ class _Run(NamedTuple):
 
 def _read_nodes(nodes: Sequence[FullNode]) -> _Run:
     """Read each node's id, reputation, behavior flags and script, one
-    column per pass. Ids must be dense 0..n-1 and reputations lie in
-    [0, 1]; the error names the first bad node in node order."""
-    ids, reps = [x.id for x in nodes], [x.reputation for x in nodes]
+    column per pass. Ids must be ints (``validate_ids``), dense 0..n-1, and
+    reputations lie in [0, 1]; the error names the first bad node."""
+    ids, reps = validate_ids("node", nodes), [x.reputation for x in nodes]
     n = len(ids)
     if sorted(ids) != list(range(n)):
         raise ValueError("node ids must be dense 0..n-1")

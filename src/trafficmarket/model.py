@@ -28,6 +28,7 @@ __all__ = [
     "coverage_value",
     "left_sum",
     "validate_budget",
+    "validate_ids",
     "validate_instance",
     "paper_example",
     "dumps_scenario",
@@ -256,16 +257,27 @@ def validate_budget(budget: float) -> None:
         raise ValueError("budget must be finite and nonnegative")
 
 
+def validate_ids(kind: str, records) -> list[int]:
+    """The records' ids, each exactly an ``int``: a ``bool`` or ``1.0`` would
+    pass as one and reach the output as it is, and ``numpy.int64`` is refused
+    as every generator and loader makes plain ints. Errors name the position."""
+    ids = [r.id for r in records]
+    if not set(map(type, ids)) <= {int}:
+        i = next(i for i, x in enumerate(ids) if type(x) is not int)
+        raise ValueError(f"{kind} at position {i} has id {ids[i]!r}, not an int")
+    return ids
+
+
 def validate_instance(instance: AuctionInstance) -> None:
     """Structural checks: tuples and frozensets (the auction caches by
-    identity), dense ids in order, valid subsets, finite positive values.
+    identity), dense int ids in order, valid subsets, finite positive values.
     Task values are read by position, so task j must sit at index j."""
     if not (isinstance(instance.tasks, tuple) and isinstance(instance.vehicles, tuple)):
         raise ValueError("tasks and vehicles must be tuples")
-    if [t.id for t in instance.tasks] != list(range(len(instance.tasks))):
+    if validate_ids("task", instance.tasks) != list(range(len(instance.tasks))):
         raise ValueError("task ids must be dense 0..m-1, in order")
     task_ids = set(range(len(instance.tasks)))
-    if [v.id for v in instance.vehicles] != list(range(len(instance.vehicles))):
+    if validate_ids("vehicle", instance.vehicles) != list(range(len(instance.vehicles))):
         raise ValueError("vehicle ids must be dense 0..n-1")
     validate_budget(instance.budget)
     for t in instance.tasks:

@@ -27,12 +27,22 @@ uncapped ``tbsap`` trace. It reads the break greedy's pick order, which
 ``tbsap_allocate`` shares: budget sweeps in rising, falling and shuffled
 order, a capped, a complete, a rebuilt and a reset order, the fit test
 after the first drop, and a new interpreter check it against the oracle.
+
+The greedy rebuilds the state after its first n picks by replaying the
+tasks they cover; that state must have the bits of n ``select`` calls, on
+the seed-1009 auction-dense map and on smaller dense maps, and the greedy
+must match the oracle on their budget sweeps in any order. A trace folded
+as columns must have the bits of the same trace folded as rows at every
+budget of a sweep. The memo keeps the last winners' coverage across bid
+vectors and budgets, so those alternate against an emptied cache, empty
+winners included. Ids that equal an int but are not one are refused.
 """
 
 import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -639,6 +649,24 @@ def test_mutable_containers_are_rejected(mechanism):
     assert mechanism(fixed) == cold_call(mechanism, fixed)
 
 
+@pytest.mark.parametrize(
+    "mechanism", [greedy_heuristic, tbsap, tbsap_allocate, brute_force_optimum]
+)
+@pytest.mark.parametrize("bad", [False, 0.0, np.int64(0)], ids=["bool", "float", "numpy"])
+def test_ids_that_are_not_ints_are_rejected(mechanism, bad):
+    # after a call that leaves the example in the memo, its vehicle 0 and
+    # then its task 0 get an id that equals 0 but is not an int
+    instance = paper_example()
+    mechanism(instance)
+    message = f"at position 0 has id {re.escape(repr(bad))}, not an int$"
+    vehicles = (replace(instance.vehicles[0], id=bad), *instance.vehicles[1:])
+    with pytest.raises(ValueError, match="^vehicle " + message):
+        mechanism(replace(instance, vehicles=vehicles))
+    tasks = (replace(instance.tasks[0], id=bad), *instance.tasks[1:])
+    with pytest.raises(ValueError, match="^task " + message):
+        mechanism(replace(instance, tasks=tasks))
+
+
 def test_bid_copies_interleaved_match_an_emptied_cache():
     # main, a copy with one bid changed, and main again: each bid change
     # resets the memo, so the tuple held before it must miss. A budget
@@ -752,9 +780,10 @@ def sweep_budgets(instance, rng) -> list[float]:
 def test_greedy_sweeps_match_the_oracle_in_any_order():
     # The first call of each sweep builds the order at its budget, so an
     # ascending sweep rebuilds it above each cap, a descending one builds
-    # it once, and a shuffled one mixes the two.
+    # it once and replays its prefix, and a shuffled one mixes the two.
     rng = np.random.default_rng(38)
     instances = [priced_bids(rng) for _ in range(40)] + [small_geometric(rng) for _ in range(2)]
+    instances += dense_families()
     for instance in instances:
         budgets = sweep_budgets(instance, rng)
         want = {b: slow_heuristic(instance.with_budget(b)) for b in budgets}
@@ -781,17 +810,17 @@ def test_greedy_order_is_capped_rebuilt_and_reset():
     check(10.0)
     memo = auction._last_geometry[2]
     capped = memo.order
-    cap, picks, reach, _ = capped
+    cap, picks, reach = capped.cap, capped.picks, capped.reach
     assert cap == 10.0 and reach[-1] <= 10.0  # new bids: built at B, to a misfit
     for budget in (10.0, reach[-1], 4.0, 0.0):
         check(budget)
         assert memo.order is capped  # within the cap: read
     check(30.0)
-    assert memo.order[0] == 30.0  # above the cap: rebuilt at B
-    assert memo.order[1][: len(picks)] == picks
+    assert memo.order.cap == 30.0  # above the cap: rebuilt at B
+    assert memo.order.picks[: len(picks)] == picks
     check(1e9)
     complete = memo.order
-    cap, picks, reach, _ = complete
+    cap, picks, reach = complete.cap, complete.picks, complete.reach
     assert cap == math.inf  # the run ended on its own
     for budget in (reach[-1], math.nextafter(reach[-1], 0.0), 30.0, 5.0, 0.0):
         check(budget)
@@ -852,3 +881,111 @@ def test_greedy_sweeps_match_a_fresh_process():
     cases[10:10] = [copy.with_budget(b) for b in budgets[:5]]
     auction._last_geometry = ((), None, None)
     assert outcomes(cases, (greedy_heuristic,)) == fresh_outcomes(cases, (greedy_heuristic,))
+
+
+@pytest.fixture(scope="module")
+def dense_map():
+    """The auction-dense map at held-out seed 1009 (about 880 vehicles)."""
+    return generate_scenario(
+        ScenarioConfig(n_tasks=200, n_vehicles=4000, budget=400.0, rng_seed=1009)
+    )
+
+
+def dense_families():
+    """Dense maps of 60 tasks and 120 placements, and one of the default size."""
+    for seed in (6, 10, 11):
+        yield dense_scenario(seed, n_tasks=60, n_vehicles=120, side=300.0)
+    yield dense_scenario(12)
+
+
+def state_view(state):
+    return [g.hex() for g in state.gain], state.covered, state.spent.hex()
+
+
+def test_replay_matches_one_select_per_pick(dense_map):
+    # The state after n picks, rebuilt as one loop over the tasks they newly
+    # cover, has every gain, covered flag and the spend of n select calls,
+    # for every n, on a complete order and on one capped at a tight budget;
+    # the start state it forks is left as it was
+    for instance in (dense_map, *dense_families()):
+        for budget in (1e9, instance.budget / 8):
+            auction._last_geometry = ((), None, None)
+            memo = auction._memo(instance.with_budget(budget))
+            order, _ = auction._order(memo, budget)
+            assert order.cap == math.inf or budget < 1e9  # no budget stops a run at 1e9
+            start = state_view(memo.start)
+            selected = memo.start.fork()
+            for n in range(len(order.picks) + 1):
+                if n:
+                    selected.select(order.picks[n - 1])
+                assert state_view(order.replay(memo.start, n)) == state_view(selected), n
+            assert order.ends[-1] == len(set(order.covers)) == sum(selected.covered)
+            assert state_view(memo.start) == start
+
+
+def test_columns_fold_with_the_bits_of_the_rows(dense_map):
+    # Two traces built alike, one folded as rows and one as columns, at the
+    # benchmark's budgets, at a spend after a pick and one ulp either side
+    rng = np.random.default_rng(42)
+    for instance, cap in ((dense_map, 400.0), *((i, math.inf) for i in dense_families())):
+        memo = auction._memo(instance)
+        bids = memo.bids
+        rows, columns = (
+            auction._Trace(cap, _critical_scans(memo.start.fork(), cap, True), bids)
+            for _ in range(2)
+        )
+        spends = rng.choice(rows.reach, size=min(len(rows.reach), 30), replace=False)
+        nudged = [b for s in spends.tolist()
+                  for b in (s, math.nextafter(s, 0.0), math.nextafter(s, math.inf))]
+        for budget in [25.0, 50.0, 100.0, 200.0, 400.0, 0.0, *nudged]:
+            if budget > cap:
+                continue
+            want, got = rows.fold_rows(bids, budget), columns.fold_columns(budget)
+            assert list(got) == list(want), budget
+            assert [p.hex() for p in got.values()] == [p.hex() for p in want.values()], budget
+        assert columns.rows is None and rows.columns is None
+
+
+def test_reused_coverage_matches_an_emptied_cache():
+    # The memo keeps the last winners' coverage whatever the bids, so bid
+    # vectors and budgets alternate on one geometry, empty winners included,
+    # and every outcome still matches an emptied cache
+    rng = np.random.default_rng(43)
+    instance = dense_scenario(9, n_tasks=60, n_vehicles=120, side=300.0)
+    first = tbsap_allocate(instance.with_budget(1e9))[0]
+    bid = instance.vehicles[first].bid
+    variants = [instance, instance.with_bid(first, bid * 3), instance.with_bid(first, bid / 3)]
+    least = min(v.bid for v in instance.vehicles)
+    budgets = [0.0, least / 2, 5.0, 30.0, 1e9]
+    auction._last_geometry = ((), None, None)
+    reused = empty = 0
+    for _ in range(80):
+        variant, budget = variants[rng.integers(3)], budgets[rng.integers(len(budgets))]
+        mechanism = (greedy_heuristic, tbsap)[rng.integers(2)]
+        case = variant.with_budget(budget)
+        got = mechanism(case)
+        assert exact(got) == exact(cold_call(mechanism, case)), (mechanism, budget)
+        memo = auction._last_geometry[2]
+        assert memo.coverage[0] == got.winners
+        reused += memo.coverage[0] is not got.winners  # an equal tuple kept from before
+        empty += got.winners == ()
+        if got.winners == ():
+            assert got.profit == 0.0 and got.total_bid == 0.0
+    assert reused and empty
+
+
+def test_a_warm_dense_pass_reuses_coverage(dense_map):
+    # A call reuses the coverage kept by the call before it exactly when
+    # their winners are equal: on this map at B=100, 200 and 400, where
+    # both rules take the same picks, four of a warm pass's ten calls
+    cases = [dense_map.with_budget(b) for b in (25.0, 50.0, 100.0, 200.0, 400.0)]
+    calls = [(mechanism, case) for case in cases for mechanism in (greedy_heuristic, tbsap)]
+    for mechanism, case in calls:
+        mechanism(case)
+    memo = auction._last_geometry[2]
+    reused, winners = [], [memo.coverage[0]]
+    for mechanism, case in calls:
+        winners.append(mechanism(case).winners)
+        reused.append(memo.coverage[0] is not winners[-1])  # an equal tuple from before
+    assert reused == [a == b for a, b in zip(winners, winners[1:])]
+    assert sum(reused) == 4

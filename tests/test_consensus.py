@@ -471,6 +471,19 @@ def test_every_node_reader_requires_dense_ids(read, ids):
 
 
 @pytest.mark.parametrize("read", NODE_READERS)
+@pytest.mark.parametrize("bad", [True, 1.0, np.int64(1)], ids=["bool", "float", "numpy"])
+def test_every_node_reader_requires_int_ids(read, bad):
+    # each equals 1, so the dense-ids check alone passes it; a bool id
+    # would be written into the history rows as True
+    nodes = [FullNode(id=i, reputation=0.5) for i in (0, bad, 2, 3)]
+    before = repr(nodes)
+    message = f"^node at position 1 has id {re.escape(repr(bad))}, not an int$"
+    with pytest.raises(ValueError, match=message):
+        read(nodes)
+    assert repr(nodes) == before
+
+
+@pytest.mark.parametrize("read", NODE_READERS)
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1e-9, 1.0 + 1e-9])
 def test_every_node_reader_names_the_first_bad_reputation(read, bad):
     # nodes 1 and 0 are both bad; node 1 comes first in node order

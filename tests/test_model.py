@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -186,6 +187,26 @@ def test_validate_rejects_mutable_containers():
         with pytest.raises(ValueError, match="^vehicle 1 task subset must be a frozenset$"):
             validate_instance(replace(instance, vehicles=vehicles))
     validate_instance(instance)
+
+
+def with_id(records: tuple, position: int, new_id) -> tuple:
+    return (*records[:position], replace(records[position], id=new_id), *records[position + 1:])
+
+
+INEXACT_IDS = [(0, False), (1, True), (1, 1.0), (2, np.int64(2))]
+
+
+@pytest.mark.parametrize("position, bad", INEXACT_IDS)
+def test_validate_rejects_ids_that_are_not_ints(position, bad):
+    # each equals the int at its position, so the dense-ids check alone
+    # would pass it and it would reach the output as it is
+    instance = paper_example()
+    message = f"at position {position} has id {re.escape(repr(bad))}, not an int$"
+    with pytest.raises(ValueError, match="^task " + message):
+        validate_instance(replace(instance, tasks=with_id(instance.tasks, position, bad)))
+    with pytest.raises(ValueError, match="^vehicle " + message):
+        validate_instance(replace(instance, vehicles=with_id(instance.vehicles, position, bad)))
+    validate_instance(replace(instance, tasks=with_id(instance.tasks, position, int(bad))))
 
 
 def test_scenario_with_nan_appraisement_rejected():
