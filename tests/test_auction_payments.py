@@ -447,14 +447,19 @@ def test_total_bid_is_the_left_fold_of_the_winning_bids(sweep):
         assert_total_bid_is_a_left_fold(instance, tbsap(instance))
 
 
-def test_total_bid_on_the_dense_map():
-    # the auction-dense map; rising budgets rebuild the trace uncapped,
-    # falling ones fold it as columns
-    instance = generate_scenario(
+@pytest.fixture(scope="module")
+def dense_map():
+    """The auction-dense map at held-out seed 1009 (920 vehicles)."""
+    return generate_scenario(
         ScenarioConfig(n_tasks=200, n_vehicles=4000, budget=400.0, rng_seed=1009)
     )
+
+
+def test_total_bid_on_the_dense_map(dense_map):
+    # the auction-dense map; rising budgets rebuild the trace uncapped,
+    # falling ones fold it as columns
     for budget in (25.0, 50.0, 100.0, 200.0, 400.0, 100.0, 25.0, 0.0):
-        case = instance.with_budget(budget)
+        case = dense_map.with_budget(budget)
         assert_total_bid_is_a_left_fold(case, tbsap(case))
 
 
@@ -881,14 +886,6 @@ def test_greedy_sweeps_match_a_fresh_process():
     cases[10:10] = [copy.with_budget(b) for b in budgets[:5]]
     auction._last_geometry = ((), None, None)
     assert outcomes(cases, (greedy_heuristic,)) == fresh_outcomes(cases, (greedy_heuristic,))
-
-
-@pytest.fixture(scope="module")
-def dense_map():
-    """The auction-dense map at held-out seed 1009 (about 880 vehicles)."""
-    return generate_scenario(
-        ScenarioConfig(n_tasks=200, n_vehicles=4000, budget=400.0, rng_seed=1009)
-    )
 
 
 def dense_families():
