@@ -27,45 +27,42 @@ as vehicles are selected, so every float has the bits a full rescan gives.
 
 A critical bid comes from the greedy run over everyone but the winner. That
 run equals the main run up to the winner's pick: argmax never chose the
-winner before, and the lowest-id tie-break makes that strict. So the scans
-run the allocation once, keep the gains before each pick, read every prefix
-position from those, and run only the suffix from each winner's pick on a
-copy of the state. The payments equal those of one full re-run per winner,
-bit for bit; ``tbsap_payment`` scans in full and is the reference.
+winner before, and the lowest-id tie-break makes that strict. So the main
+run keeps the gains before each pick, reads every prefix position from
+those, and runs only the suffix from each winner's pick on a copy of the
+state. The payments equal those of one full re-run per winner, bit for
+bit; ``tbsap_payment`` scans in full and is the reference.
 
 The budget never changes the pick order (argmax reads only gains and
-bids); it decides where each rule stops. So each bid vector keeps the break
-greedy's picks, the spend after each and the tasks each newly covers
-(``_Order``), built at a call's budget up to its first misfit, which caps
-it, or complete (cap inf) if the run ends on its own; a call above the cap
-rebuilds it. ``tbsap_allocate`` at B takes the picks whose spend is at most
-B, and so does ``greedy_heuristic``, whose filter drops nothing before that
-misfit. Unless they are all of a complete order, it replays them into a
-fork, one loop over the tasks they cover, and goes on over fresh keys for
-just the other bids with spend + bid <= B, a prefix of the ids by bid. That
-is exact: a misfit misfits for good, as spend only grows and rounding is
+bids); it decides where each rule stops and enters each payment position
+as ``min(replacement bid, B - spend)``. So each bid vector keeps one record
+of the break greedy's walk (``_Record``): the picks up to its first misfit,
+the spend after each and, once ``tbsap`` asks, each pick's rows
+``(candidate, replacement bid, spend)`` (``_critical_scans``). One rule
+decides walks (``_record``): the first on a bid vector runs at the call's
+budget, every later one with no cap, and one is needed when a call's
+budget is above the cap or ``tbsap`` needs rows the record lacks. The cap
+is the walk's budget if it met a misfit or recorded rows, as each suffix
+ends once no later position can raise the payment at any budget up to it.
+
+``tbsap_allocate`` at B takes the picks whose spend is at most B, and so
+does ``greedy_heuristic``, whose filter drops nothing before that misfit.
+Unless they are all of a record with no cap, it replays them into a fork,
+one loop over the tasks they cover, and goes on over fresh keys for just
+the other bids with spend + bid <= B, a prefix of the ids by bid. That is
+exact: a misfit misfits for good, as spend only grows and rounding is
 monotone, and if the whole heap's top is negative so is every bid that
 fits. So the argmax over the bids that fit, by the same key, is the
-unfiltered loop's pick, bit for bit.
-
-Payments enter each position as ``min(replacement bid, B - spend)``. So
-``tbsap`` keeps one trace per bid vector: per pick, the spend before it and
-its rows ``(candidate, replacement bid, spend)``, built by the break greedy
-at a cap (``_critical_scans``), and every payment folds its rows at the
-call's budget. Each suffix ends once no later position can raise the
-payment at any budget up to the cap. New bids build the trace capped at
-the call's budget; a call above the cap rebuilds it once with no cap. The
-building call folds the row lists in Python (``_fold``), as most traces are
-never folded again; the next fold turns them into two contiguous columns,
-and every later fold is a few array reductions with its bits (``_Trace``).
+unfiltered loop's pick, bit for bit. ``tbsap`` folds each winner's rows at
+the call's budget: in Python on the walking call (``_fold``), then as two
+contiguous columns with a few array reductions that keep its bits.
 
 Task values, sorted subsets, member lists and initial gains depend only on
 the geometry (``_setup``). The last geometry's set-up is reused while the
 ``tasks`` tuple and every ``task_subset`` are the very same objects, and a
-memo beside it keeps what the last bids seen built (``_Memo``, ``_memo``).
-So a ``tbsap`` call that only folds, an allocation within the order's cap
-and a greedy call a complete order covers build no state; any other call
-forks the start state once.
+memo beside it keeps the record of the last bids seen (``_Memo``). So a
+``tbsap`` call that only folds and an allocation within the cap build no
+state; a greedy call within it forks the start state once at most.
 """
 
 from __future__ import annotations
@@ -77,7 +74,6 @@ import operator
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -148,14 +144,14 @@ class _Memo:
     """What the cached geometry keeps: the last winners tuple and its
     coverage (``_coverage``), and for the last bid vector seen on it,
     compared by value, the bids, the greedy's start state (initial gains
-    and heapified keys, which the budget never touches), the order
-    (``_order``) and ``tbsap``'s trace once each is built, and the
+    and heapified keys, which the budget never touches), the record of the
+    break greedy's walk (``_record``) once one is made, and the
     ``vehicles`` tuple last validated with those bids."""
 
-    __slots__ = ("bids", "start", "order", "trace", "vehicles", "coverage")
+    __slots__ = ("bids", "start", "record", "vehicles", "coverage")
 
     def __init__(self):
-        self.bids = self.start = self.order = self.trace = self.vehicles = None
+        self.bids = self.start = self.record = self.vehicles = None
         self.coverage = ((), 0.0)
 
 
@@ -261,7 +257,7 @@ def _memo(instance: AuctionInstance) -> _Memo:
     setup, memo = _setup(instance)
     if memo.bids != bids:
         memo.bids, memo.start = bids, _CoverageState(setup, bids)
-        memo.order = memo.trace = None
+        memo.record = None
     memo.vehicles = instance.vehicles
     return memo
 
@@ -301,20 +297,56 @@ def _picks(state: _CoverageState, budget: float, drop_misfits: bool = False):
         state.select(k)
 
 
-class _Order(NamedTuple):
-    """The break greedy's picks on one bid vector up to its first misfit at
-    ``cap`` (inf if none)."""
+class _Record:
+    """The break greedy's walk on one bid vector at budget ``cap``, on a
+    fork of the start state: the picks up to its first misfit, the spend
+    after each (``reach``) and, when priced, each pick's rows
+    (``_critical_scans``): lists until their second fold, then ``columns``,
+    two contiguous arrays (replacement bids, spends) and per-pick offsets.
+    The greedy's first replay adds the tasks each pick newly covers, sorted
+    per pick (``covers``, their count after 0, 1, ... picks in ``ends``),
+    and the ids by bid. A walk that ends on its own holds at every budget,
+    so its cap becomes inf, unless it is priced. With ``only`` just that
+    pick is priced, uncut, and the walk ends there. Winners at B are the
+    picks whose spend after is at most B, found by bisection.
+    """
 
-    cap: float
-    picks: list[int]
-    reach: list[float]  # the spend after each pick
-    by_bid: list[int]  # every id, by bid
-    covers: list[int]  # the tasks each pick newly covers, in pick order, sorted per pick
-    ends: list[int]  # len(covers) after 0, 1, ... picks
+    __slots__ = ("cap", "picks", "reach", "covers", "ends", "by_bid", "rows", "folded", "columns")
+
+    def __init__(self, start: _CoverageState, cap: float, price=False, only=None):
+        state = start.fork()
+        bids = state.bids
+        self.picks, self.reach, self.rows, self.folded = [], [], ([] if price else None), False
+        self.by_bid = self.covers = self.ends = self.columns = None
+        cut = price and only is None and bids and state.values  # see _critical_scans
+        if cut:
+            low = min(bids) * math.ulp(min(state.values))
+            cut = low > sys.float_info.min and max(bids) * max(state.gain) < sys.float_info.max
+        prefix: list[tuple[int, list[float], float]] = []  # (pick, gains, spend) before it
+        for k, fits in _picks(state, cap):
+            if not fits:
+                break
+            self.picks.append(k)
+            self.reach.append(state.spent + bids[k])
+            if price:
+                if only is None or k == only:
+                    self.rows.append(_critical_scans(state, k, prefix, cap, cut))
+                    if only is not None:
+                        break
+                prefix.append((k, state.gain[:], state.spent))
+        else:
+            cap = cap if price else math.inf
+        self.cap = cap
 
     def replay(self, start: _CoverageState, n: int) -> _CoverageState:
         """A fork of ``start`` after the first n picks: ``select``'s steps in
         its order, as one loop over the tasks they cover, and its spend."""
+        if self.covers is None:
+            seen, self.covers, self.ends = set(), [], [0]
+            for k in self.picks:
+                self.covers += [t for t in start.subsets[k] if t not in seen]
+                seen.update(start.subsets[k])
+                self.ends.append(len(self.covers))
         state = start.fork()
         gain, covered, values, members = state.gain, state.covered, state.values, state.members
         for t in self.covers[: self.ends[n]]:
@@ -324,179 +356,9 @@ class _Order(NamedTuple):
         state.spent = self.reach[n - 1] if n else 0.0
         return state
 
-
-def _order(memo: _Memo, budget: float) -> tuple[_Order, _CoverageState | None]:
-    """The memo's order; one missing or capped below ``budget`` is rebuilt
-    at it, and returned with the fork it ran on; else with None."""
-    order = memo.order
-    if order is not None and budget <= order.cap:
-        return order, None
-    state = memo.start.fork()
-    bids, covered, subsets = state.bids, state.covered, state.subsets
-    cap, picks, reach, covers, ends = math.inf, [], [], [], [0]
-    for k, fits in _picks(state, budget):
-        if not fits:
-            cap = budget
-            break
-        picks.append(k)
-        reach.append(state.spent + bids[k])
-        covers += [t for t in subsets[k] if not covered[t]]
-        ends.append(len(covers))
-    by_bid = order.by_bid if order else sorted(range(len(bids)), key=bids.__getitem__)
-    memo.order = _Order(cap, picks, reach, by_bid, covers, ends)
-    return memo.order, state
-
-
-def greedy_heuristic(instance: AuctionInstance) -> AuctionOutcome:
-    """Filter-and-continue greedy; winners are paid their bids.
-
-    Each iteration restricts candidates to bids that fit, spend + bid <= B,
-    picks the best unit gain among them, and stops only when the pool is
-    empty or the best remaining unit gain is negative. Its picks before the
-    first drop are the memo's order (see the module docstring).
-    """
-    memo, budget = _memo(instance), instance.budget
-    order, state = _order(memo, budget)
-    bids, n = memo.bids, bisect.bisect_right(order.reach, budget)
-    winners, total_bid = order.picks[:n], order.reach[n - 1] if n else 0.0
-    if n < len(order.picks) or order.cap < math.inf:  # the next pick misfits at B
-        if state is None:
-            state = order.replay(memo.start, n)
-        spent, gain, taken, by_bid = state.spent, state.gain, set(winners), order.by_bid
-        fit = bisect.bisect_right(by_bid, budget, key=lambda v: spent + bids[v])
-        state.heap = [(-((gain[v] - bids[v]) / bids[v]), v) for v in by_bid[:fit] if v not in taken]
-        heapq.heapify(state.heap)
-        winners += [k for k, _ in _picks(state, budget, drop_misfits=True)]
-        total_bid = state.spent
-    winners = tuple(winners)
-    profit = _coverage(memo, instance, winners) - total_bid
-    payments = {v: bids[v] for v in winners}
-    return AuctionOutcome(winners=winners, payments=payments, profit=profit, total_bid=total_bid)
-
-
-def tbsap_allocate(instance: AuctionInstance) -> list[int]:
-    """Winner selection stage: greedy by unit gain, break on first stop."""
-    order, _ = _order(_memo(instance), instance.budget)
-    return order.picks[: bisect.bisect_right(order.reach, instance.budget)]
-
-
-def _critical_scans(state: _CoverageState, cap: float, cut: bool, only: int | None = None):
-    """Yield ``(pick, spend before it, rows)`` for each pick of the break
-    greedy at budget ``cap``, in pick order, selecting into ``state``, a
-    fork of a start state.
-
-    A row is ``(candidate, replacement bid, spend before it)``: one position
-    at which the priced vehicle k could have been picked in the run over
-    everyone but k, supporting bids up to ``min(replacement bid, B - spend)``
-    at budget B. The replacement bid ties the candidate's unit gain there;
-    a bid above the slack breaks the loop on budget before k is in. Prefix
-    rows come from snapshots of the main run's gains, and only the suffix
-    is run, on a fork (see the module docstring). When the suffix ends with
-    no break, k could also append at the end with its leftover coverage, so
-    a last row ``(k, coverage, spend)`` carries that. With ``only`` set just
-    that pick has rows computed and is yielded.
-
-    With ``cut`` each suffix ends at the first position whose bound
-    ``min(gains[k], cap - spend)``, widened by m = 1 + 1e-12, is strictly
-    below k's best entry at ``win``, the least budget at which k wins. That
-    is exact at every budget from ``win`` to ``cap``. The best is
-    nonnegative: k's first row has slack at least 0 at ``win`` and a
-    replacement bid at least 0, as k's gain is at least its bid there. An
-    entry never falls as the budget rises, and the rows through the first
-    misfit only grow, so the best at ``win`` is a floor under the best at
-    any larger budget. The suffix folds it without the misfit test: entries
-    after the first misfit at ``win`` have spend above it and are negative.
-    Every later entry is at most its slack, which is at most ``cap -
-    spend`` here, and rounding is monotone, so the slack bound holds at any
-    magnitude. It is also at most its replacement bid ``fl(fl(bids[c] * g)
-    / gains[c])``, with g <= gains[k] here (gains never rise) and gains[c]
-    >= bids[c] (c has unit gain >= 0). If g <= 0 that is <= 0, never above
-    the best. If g > 0 and the product ``bids[c] * g`` is in the normal
-    range, its rounding adds a relative 2**-53 at most, the division by
-    gains[c] only lowers it, and so the replacement bid is at most ``fl(g *
-    (1 + 2**-53))``, below ``fl(gains[k] * m)``.
-
-    A product outside the normal range rounds by more, so the scans run
-    uncut whenever one can occur, which this checks once. Every gain is a
-    sum or difference of task values, so it is a multiple of q, the ulp of
-    the least value: a float at least that value is a multiple of its ulp,
-    which q divides, and a multiple of q below it is exact. So a positive
-    g is at least q, and every product with g > 0 lies in
-    ``[min(bids) * q, max(bids) * max(initial gains)]``. Both ends are
-    checked after rounding, which is monotone: strictly above the least
-    normal float and strictly below the largest.
-    """
-    bids = state.bids
-    if cut and bids and state.values:
-        low = min(bids) * math.ulp(min(state.values))
-        cut = low > sys.float_info.min and max(bids) * max(state.gain) < sys.float_info.max
-    prefix: list[tuple[int, list[float], float]] = []  # (pick, gains, spend) before it
-    for k, fits in _picks(state, cap):
-        if not fits:
-            return
-        if only is None or k == only:
-            rows = [(c, bids[c] * snap[k] / snap[c], spent) for c, snap, spent in prefix]
-            win = state.spent + bids[k]
-            best = _fold(rows, bids, win)  # every prefix row fits at win
-            suffix = state.fork()
-            gains = suffix.gain
-            fits = True
-            for c, fits in _picks(suffix, cap):
-                # the widened min(gain, cap - spent) against best, then one fold
-                # step at win, without calls: this loop is the hot one
-                spent, gain = suffix.spent, gains[k]
-                if cut and (gain * (1 + 1e-12) < best or (cap - spent) * (1 + 1e-12) < best):
-                    break
-                raw = bids[c] * gain / gains[c]
-                rows.append((c, raw, spent))
-                entry = win - spent if win - spent < raw else raw
-                best = entry if entry > best else best
-            else:
-                if fits:  # no budget break: k can append at the end
-                    rows.append((k, gains[k], suffix.spent))
-            yield k, state.spent, rows
-        prefix.append((k, state.gain[:], state.spent))
-
-
-def _fold(rows: list, bids: list[float], budget: float) -> float:
-    """The payment at ``budget``: ``min(raw, budget - spend)`` folded by
-    ``max`` over the rows through the first that does not fit. A leftover
-    row is last, so a break skips it. The conditionals pick as min and max
-    do, first of equals included, so the bits are theirs."""
-    best = -math.inf
-    for c, raw, spent in rows:
-        slack = budget - spent
-        entry = slack if slack < raw else raw
-        best = entry if entry > best else best
-        if spent + bids[c] > budget:
-            break
-    return best
-
-
-class _Trace:
-    """``tbsap``'s trace of one bid vector at a cap (see ``_critical_scans``):
-    the picks in order, the spend after each, and each pick's rows, as row
-    lists until it is folded a second time and after that as ``columns``,
-    two contiguous arrays (replacement bids, spends) with per-pick offsets.
-
-    A pick wins at budget B while its spend after is at most B; those
-    spends never fall along the picks, so the winners are a prefix found by
-    bisection.
-    """
-
-    __slots__ = ("cap", "picks", "reach", "rows", "columns", "offsets")
-
-    def __init__(self, cap: float, scans, bids: list[float]):
-        self.cap = cap
-        self.picks, self.reach, self.rows = [], [], []
-        for k, spent, rows in scans:
-            self.picks.append(k)
-            self.reach.append(spent + bids[k])
-            self.rows.append(rows)
-        self.columns = self.offsets = None
-
     def fold_rows(self, bids: list[float], budget: float) -> dict[int, float]:
-        """Payments at ``budget``, folded in Python from the row lists."""
+        """Payments at ``budget`` from the row lists, the walking call's fold."""
+        self.folded = True
         n = bisect.bisect_right(self.reach, budget)
         return {k: _fold(rows, bids, budget) for k, rows in zip(self.picks[:n], self.rows)}
 
@@ -523,8 +385,8 @@ class _Trace:
             return {}
         if self.columns is None:
             self._to_columns()
-        offsets = self.offsets[: n + 1]
-        raw, spend = (column[: offsets[-1]] for column in self.columns)
+        offsets = self.columns[2][: n + 1]
+        raw, spend = (column[: offsets[-1]] for column in self.columns[:2])
         entry = budget - spend
         np.copyto(entry, raw, where=entry >= raw)  # min(raw, slack), as _fold picks
         best = np.maximum.reduceat(entry, offsets[:-1])
@@ -534,17 +396,149 @@ class _Trace:
         return dict(zip(self.picks[:n], best.tolist()))
 
     def _to_columns(self) -> None:
-        """Turn the row lists into two contiguous arrays, the replacement
-        bids and the spends, with an entry per trace row. Each pick's list is
-        dropped once copied, last pick first, so the two forms never both
-        hold all."""
-        self.offsets = np.cumsum([0] + [len(rows) for rows in self.rows])
-        self.columns = raw, spend = np.empty(self.offsets[-1]), np.empty(self.offsets[-1])
-        for start in self.offsets[-2::-1]:
+        """The row lists as two contiguous arrays, replacement bids and
+        spends, and the offsets. Each pick's list is dropped once copied,
+        last pick first, so the two forms never both hold all."""
+        offsets = np.cumsum([0] + [len(rows) for rows in self.rows])
+        raw, spend = np.empty(offsets[-1]), np.empty(offsets[-1])
+        for start in offsets[-2::-1]:
             rows = self.rows.pop()
             triples = np.fromiter(chain.from_iterable(rows), float, 3 * len(rows)).reshape(-1, 3)
             raw[start : start + len(rows)], spend[start : start + len(rows)] = triples[:, 1:].T
-        self.rows = None
+        self.rows, self.columns = None, (raw, spend, offsets)
+
+
+def _record(memo: _Memo, budget: float, price: bool = False) -> _Record:
+    """The memo's record, walked again when ``budget`` is above its cap or
+    ``price`` asks for rows it lacks, as lists or columns: the first walk on
+    a bid vector runs at ``budget``, every later one with no cap."""
+    record = memo.record
+    lacks_rows = record is not None and record.rows is None and record.columns is None
+    if record is None or budget > record.cap or price and lacks_rows:
+        cap = budget if record is None else math.inf
+        memo.record = record = None  # freed before its successor is built
+        memo.record = record = _Record(memo.start, cap, price)
+    return record
+
+
+def greedy_heuristic(instance: AuctionInstance) -> AuctionOutcome:
+    """Filter-and-continue greedy; winners are paid their bids.
+
+    Each iteration restricts candidates to bids that fit, spend + bid <= B,
+    picks the best unit gain among them, and stops only when the pool is
+    empty or the best remaining unit gain is negative. Its picks before the
+    first drop are the memo's record (see the module docstring).
+    """
+    memo, budget = _memo(instance), instance.budget
+    record = _record(memo, budget)
+    bids, n = memo.bids, bisect.bisect_right(record.reach, budget)
+    winners, total_bid = record.picks[:n], record.reach[n - 1] if n else 0.0
+    if n < len(record.picks) or record.cap < math.inf:  # a misfit may stop the walk at B
+        by_bid = record.by_bid = record.by_bid or sorted(range(len(bids)), key=bids.__getitem__)
+        state, taken = record.replay(memo.start, n), set(winners)
+        spent, gain = state.spent, state.gain
+        fit = bisect.bisect_right(by_bid, budget, key=lambda v: spent + bids[v])
+        state.heap = [(-((gain[v] - bids[v]) / bids[v]), v) for v in by_bid[:fit] if v not in taken]
+        heapq.heapify(state.heap)
+        winners += [k for k, _ in _picks(state, budget, drop_misfits=True)]
+        total_bid = state.spent
+    winners = tuple(winners)
+    profit = _coverage(memo, instance, winners) - total_bid
+    payments = {v: bids[v] for v in winners}
+    return AuctionOutcome(winners=winners, payments=payments, profit=profit, total_bid=total_bid)
+
+
+def tbsap_allocate(instance: AuctionInstance) -> list[int]:
+    """Winner selection stage: greedy by unit gain, break on first stop.
+
+    No module of the package calls it, but ``perfbench/workloads.py``
+    imports it to time the allocation alone, so it stays public.
+    """
+    record = _record(_memo(instance), instance.budget)
+    return record.picks[: bisect.bisect_right(record.reach, instance.budget)]
+
+
+def _critical_scans(state: _CoverageState, k: int, prefix: list, cap: float, cut: bool) -> list:
+    """The rows of pick ``k`` of the break greedy at budget ``cap``, from
+    ``state`` as it is just before the pick and ``prefix``, the ``(pick,
+    gains, spend)`` before each earlier pick; ``_Record`` walks the picks.
+
+    A row is ``(candidate, replacement bid, spend before it)``: one position
+    at which the priced vehicle k could have been picked in the run over
+    everyone but k, supporting bids up to ``min(replacement bid, B - spend)``
+    at budget B. The replacement bid ties the candidate's unit gain there;
+    a bid above the slack breaks the loop on budget before k is in. Prefix
+    rows come from snapshots of the main run's gains, and only the suffix
+    is run, on a fork (see the module docstring). When the suffix ends with
+    no break, k could also append at the end with its leftover coverage, so
+    a last row ``(k, coverage, spend)`` carries that.
+
+    With ``cut`` the suffix ends at the first position whose bound
+    ``min(gains[k], cap - spend)``, widened by m = 1 + 1e-12, is strictly
+    below k's best entry at ``win``, the least budget at which k wins. That
+    is exact at every budget from ``win`` to ``cap``. The best is
+    nonnegative: k's first row has slack at least 0 at ``win`` and a
+    replacement bid at least 0, as k's gain is at least its bid there. An
+    entry never falls as the budget rises, and the rows through the first
+    misfit only grow, so the best at ``win`` is a floor under the best at
+    any larger budget. The suffix folds it without the misfit test: entries
+    after the first misfit at ``win`` have spend above it and are negative.
+    Every later entry is at most its slack, which is at most ``cap -
+    spend`` here, and rounding is monotone, so the slack bound holds at any
+    magnitude. It is also at most its replacement bid ``fl(fl(bids[c] * g)
+    / gains[c])``, with g <= gains[k] here (gains never rise) and gains[c]
+    >= bids[c] (c has unit gain >= 0). If g <= 0 that is <= 0, never above
+    the best. If g > 0 and the product ``bids[c] * g`` is in the normal
+    range, its rounding adds a relative 2**-53 at most, the division by
+    gains[c] only lowers it, and so the replacement bid is at most ``fl(g *
+    (1 + 2**-53))``, below ``fl(gains[k] * m)``.
+
+    A product outside the normal range rounds by more, so a walk runs its
+    scans uncut whenever one can occur, which it checks once. Every gain is
+    a sum or difference of task values, so it is a multiple of q, the ulp of
+    the least value: a float at least that value is a multiple of its ulp,
+    which q divides, and a multiple of q below it is exact. So a positive
+    g is at least q, and every product with g > 0 lies in
+    ``[min(bids) * q, max(bids) * max(initial gains)]``. Both ends are
+    checked after rounding, which is monotone: strictly above the least
+    normal float and strictly below the largest.
+    """
+    bids = state.bids
+    rows = [(c, bids[c] * snap[k] / snap[c], spent) for c, snap, spent in prefix]
+    win = state.spent + bids[k]
+    best = _fold(rows, bids, win)  # every prefix row fits at win
+    suffix = state.fork()
+    gains = suffix.gain
+    fits = True
+    for c, fits in _picks(suffix, cap):
+        # the widened min(gain, cap - spent) against best, then one fold
+        # step at win, without calls: this loop is the hot one
+        spent, gain = suffix.spent, gains[k]
+        if cut and (gain * (1 + 1e-12) < best or (cap - spent) * (1 + 1e-12) < best):
+            break
+        raw = bids[c] * gain / gains[c]
+        rows.append((c, raw, spent))
+        entry = win - spent if win - spent < raw else raw
+        best = entry if entry > best else best
+    else:
+        if fits:  # no budget break: k can append at the end
+            rows.append((k, gains[k], suffix.spent))
+    return rows
+
+
+def _fold(rows: list, bids: list[float], budget: float) -> float:
+    """The payment at ``budget``: ``min(raw, budget - spend)`` folded by
+    ``max`` over the rows through the first that does not fit. A leftover
+    row is last, so a break skips it. The conditionals pick as min and max
+    do, first of equals included, so the bits are theirs."""
+    best = -math.inf
+    for c, raw, spent in rows:
+        slack = budget - spent
+        entry = slack if slack < raw else raw
+        best = entry if entry > best else best
+        if spent + bids[c] > budget:
+            break
+    return best
 
 
 def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
@@ -561,10 +555,9 @@ def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
     """
     budget = instance.budget
     memo = _memo(instance)
-    bids, start = memo.bids, memo.start
-    for k, _, rows in _critical_scans(start.fork(), budget, False, vehicle_id):
-        payment = _fold(rows, bids, budget)
-        tail = rows.pop() if rows and rows[-1][0] == k else None  # only the leftover row is k
+    for rows in _Record(memo.start, budget, price=True, only=vehicle_id).rows:  # one at most
+        payment = _fold(rows, memo.bids, budget)
+        tail = rows.pop() if rows and rows[-1][0] == vehicle_id else None  # the leftover row
         steps = tuple(PaymentStep(c, r, budget - s, min(r, budget - s)) for c, r, s in rows)
         tail_value, tail_slack = (tail[1], budget - tail[2]) if tail else (None, None)
         return PaymentTrace(vehicle_id, steps, tail_value, tail_slack, payment)
@@ -573,18 +566,11 @@ def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
 
 def tbsap(instance: AuctionInstance) -> AuctionOutcome:
     """Truthful budgeted auction: break-greedy allocation, critical payments."""
-    memo = _memo(instance)
-    bids, start, trace = memo.bids, memo.start, memo.trace
-    budget = instance.budget
-    if trace is not None and budget <= trace.cap:
-        payments = trace.fold_columns(budget)
-    else:  # new bids build at B, a higher B without cap
-        cap = budget if trace is None else math.inf
-        memo.trace = trace = None  # freed before its successor is built
-        memo.trace = trace = _Trace(cap, _critical_scans(start.fork(), cap, True), bids)
-        payments = trace.fold_rows(bids, budget)
+    memo, budget = _memo(instance), instance.budget
+    record = _record(memo, budget, price=True)
+    payments = record.fold_columns(budget) if record.folded else record.fold_rows(memo.bids, budget)
     winners = tuple(payments)  # pick order
-    total_bid = trace.reach[len(winners) - 1] if winners else 0.0
+    total_bid = record.reach[len(winners) - 1] if winners else 0.0
     profit = _coverage(memo, instance, winners) - left_sum(payments.values())
     return AuctionOutcome(winners=winners, payments=payments, profit=profit, total_bid=total_bid)
 

@@ -5,7 +5,9 @@ list, vehicles answer with encrypted bid requests, the auction picks
 winners, each winner gets an order, delivers sensed data, is paid exactly
 once, and confirms, after which the confirmed trades are sealed into a
 hash-chained block. Balances are Fractions so money is conserved exactly;
-every verification failure aborts only the session it happened in.
+every verification failure aborts only the session it happened in, and so
+does a request or delivery that is signed correctly but does not parse to
+the fields its leg expects (``"<leg>: malformed payload"``).
 
 Request, order, delivery and confirm are one leg each, run by one helper.
 Its send half makes the message, lets ``tamper`` alter a request or a
@@ -407,6 +409,34 @@ def _default_data_check(vehicle_id: int, task_ids, readings) -> bool:
     return tuple(readings) == _sensor_readings(vehicle_id, task_ids)
 
 
+def _literal(plaintext: bytes):
+    """The Python literal a plaintext spells, or None if it spells none."""
+    try:
+        return ast.literal_eval(plaintext.decode())
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        return None
+
+
+def _parse_request(plaintext: bytes) -> tuple | None:
+    """``(tag, vehicle id, task ids, bid)`` from a request's plaintext, the
+    ``repr`` its sender signs: a tuple of a str, an int, a tuple of ints and
+    an int or float; else None."""
+    fields = _literal(plaintext)
+    if type(fields) is not tuple or len(fields) != 4:
+        return None
+    tag, vid, tasks, bid = fields
+    if type(tag) is str and type(vid) is int and type(bid) in (int, float):
+        return fields if type(tasks) is tuple and all(type(t) is int for t in tasks) else None
+    return None
+
+
+def _parse_data(plaintext: bytes) -> tuple | None:
+    """``(tag, vehicle id, readings)`` from a delivery's plaintext: a tuple
+    of a str, an int and a tuple; else None."""
+    fields = _literal(plaintext)
+    return fields if type(fields) is tuple and [*map(type, fields)] == [str, int, tuple] else None
+
+
 def _surviving_instance(
     instance: AuctionInstance, excluded: frozenset[int]
 ) -> tuple[AuctionInstance, dict[int, int]]:
@@ -521,8 +551,10 @@ def run_trading_round(
         )
         if plaintext is None:
             continue
-        tag, claimed_id, claimed_subset, _bid = ast.literal_eval(plaintext.decode())
-        if tag != "request" or claimed_id != vid or tuple(claimed_subset) != subset_of[vid]:
+        request = _parse_request(plaintext)
+        if request is None:
+            session.abort("request: malformed payload")
+        elif request[:3] != ("request", vid, subset_of[vid]):
             session.abort("request: inconsistent payload")
 
     excluded = frozenset(
@@ -565,8 +597,11 @@ def run_trading_round(
         plaintext = leg(session, MessageKind.DATA, vehicle, authority, delivery, rng)
         if plaintext is None:
             continue
-        _, _, delivered = ast.literal_eval(plaintext.decode())
-        if not data_check(vid, subset_of[vid], tuple(delivered)):
+        delivered = _parse_data(plaintext)
+        if delivered is None:
+            session.abort("data: malformed payload")
+            continue
+        if not data_check(vid, subset_of[vid], delivered[2]):
             session.abort("data rejected")
             continue
         session.data_digest = hashlib.sha256(plaintext).hexdigest()

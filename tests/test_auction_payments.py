@@ -5,34 +5,37 @@ is exact and unit-gain ties are real, so the fast path must reproduce the
 oracle's positions bit for bit. Float instances are held to 1e-9. A golden
 digest pins the exact bits of both mechanisms on geometric instances.
 
-``tbsap`` folds every payment from a trace whose suffixes end once no later
-position can raise the payment, while ``tbsap_payment`` scans in full, so
-the two are compared bit for bit. The set-up cache is checked against
-outcomes from a new interpreter, budget sweeps that fold a cached trace
-against ``tbsap_payment`` and ``tbsap`` on an emptied cache, and the rule
-that caps a trace at the first call's budget directly. A trace folded again
-is folded as arrays: tests pin a zero payment beside a -0.0 entry, budgets
-at every spend where a pick or a row stops fitting, and leftover rows, and
-check that such a fold builds no greedy state and that the mechanisms
-interleaved on one geometry match an emptied cache. Tie families with
-values across the whole float range keep the cut exact where a product
-leaves the normal range. The total bid, which ``tbsap`` reads off the
-trace, must have the bits of its winners' bids folded in pick order.
+``tbsap`` folds every payment from the rows of one record per bid vector,
+whose suffixes end once no later position can raise the payment, while
+``tbsap_payment`` scans in full, so the two are compared bit for bit. The
+set-up cache is checked against outcomes from a new interpreter, budget
+sweeps that fold a cached record against ``tbsap_payment`` and ``tbsap``
+on an emptied cache (also after a greedy call made the record without
+rows), and the rule that walks at the first call's budget and then with no
+cap, directly. A record folded again is folded as arrays: tests pin a zero
+payment beside a -0.0 entry, budgets at every spend where a pick or a row
+stops fitting, and leftover rows, and check that such a fold builds no
+greedy state, that a greedy, an allocation or ``tbsap`` call at or below
+the walk's budget walks no more, and that the mechanisms interleaved on
+one geometry match an emptied cache. Tie families with values across the
+whole float range keep the cut exact where a product leaves the normal
+range. The total bid, which ``tbsap`` reads off the record, must have the
+bits of its winners' bids folded in pick order.
 
 A call on the ``(tasks, vehicles)`` pair the memo holds checks only its
 budget, so bad budgets, bad bids and bad subsets right after a cached call
 must still raise. ``greedy_heuristic`` is checked against ``slow_greedy``
 at every boundary budget, on fresh bids and beside a capped and an
-uncapped ``tbsap`` trace. It reads the break greedy's pick order, which
-``tbsap_allocate`` shares: budget sweeps in rising, falling and shuffled
-order, a capped, a complete, a rebuilt and a reset order, the fit test
+uncapped priced record. It reads the break greedy's picks from the same
+record as ``tbsap_allocate``: budget sweeps in rising, falling and
+shuffled order, a capped, a complete and a reset record, the fit test
 after the first drop, and a new interpreter check it against the oracle.
 
 The greedy rebuilds the state after its first n picks by replaying the
 tasks they cover; that state must have the bits of n ``select`` calls, on
 the seed-1009 auction-dense map and on smaller dense maps, and the greedy
-must match the oracle on their budget sweeps in any order. A trace folded
-as columns must have the bits of the same trace folded as rows at every
+must match the oracle on their budget sweeps in any order. Rows folded
+as columns must have the bits of the same rows folded as lists at every
 budget of a sweep. The memo keeps the last winners' coverage across bid
 vectors and budgets, so those alternate against an emptied cache, empty
 winners included. Ids that equal an int but are not one are refused.
@@ -57,7 +60,7 @@ import trafficmarket
 from trafficmarket import auction
 from trafficmarket.auction import (
     _CoverageState,
-    _critical_scans,
+    _Record,
     brute_force_optimum,
     greedy_heuristic,
     tbsap,
@@ -192,8 +195,8 @@ def assert_payments_match_full_scans(instance):
         trace = tbsap_payment(w, instance)
         assert outcome.payments[w].hex() == trace.payment.hex(), w
         full += len(trace.candidates) + (trace.tail_value is not None)
-    state = auction._memo(instance).start.fork()
-    cut = sum(len(rows) for _, _, rows in _critical_scans(state, instance.budget, True))
+    start = auction._memo(instance).start
+    cut = sum(len(rows) for rows in _Record(start, instance.budget, price=True).rows)
     return cut, full
 
 
@@ -374,7 +377,7 @@ def cold(instance):
     auction._last_geometry = ((), None, None)
     try:
         outcome = tbsap(instance)
-        assert auction._last_geometry[2].trace.cap == instance.budget
+        assert auction._last_geometry[2].record.cap == instance.budget
         return outcome, [tbsap_payment(w, instance).payment for w in outcome.winners]
     finally:
         auction._last_geometry = saved
@@ -421,10 +424,15 @@ def budget_sweeps(draw):
 
 
 @settings(max_examples=200)
-@given(sweep=budget_sweeps())
-def test_budget_sweeps_match_an_emptied_cache(sweep):
-    # tbsap_payment scans in full with no trace, so it is the independent
-    # reference; the cold call checks the outcome's other fields
+@given(sweep=budget_sweeps(), lead=st.sampled_from([None, 0.5, 1.0, 2.0]))
+def test_budget_sweeps_match_an_emptied_cache(sweep, lead):
+    # tbsap_payment scans in full with no record, so it is the independent
+    # reference; the cold call checks the outcome's other fields. With a
+    # lead the sweep starts on an emptied cache after a greedy call at a
+    # lower, the same or a higher budget, whose record holds no rows.
+    if lead is not None:
+        auction._last_geometry = ((), None, None)
+        greedy_heuristic(sweep[0].with_budget(sweep[0].budget * lead))
     for instance in sweep:
         outcome = tbsap(instance)
         want, payments = cold(instance)
@@ -467,24 +475,50 @@ def test_trace_is_capped_at_the_first_budget():
     instance = dense_scenario(6, n_tasks=60, n_vehicles=120, side=300.0)
     tbsap(instance.with_budget(10.0))
     memo = auction._last_geometry[2]
-    trace = memo.trace
+    trace = memo.record
     assert trace.cap == 10.0  # new bids: built at this budget
     assert trace.rows is not None and trace.columns is None  # folded as rows
     for budget in (10.0, 4.0, 0.0):
         tbsap(instance.with_budget(budget))
-        assert trace.cap == 10.0 and memo.trace is trace  # within the cap: folded
+        assert trace.cap == 10.0 and memo.record is trace  # within the cap: folded
         assert trace.rows is None and trace.columns is not None  # as columns
     tbsap(instance.with_bid(0, instance.vehicles[0].bid).with_budget(10.0))  # same bids
-    assert memo.trace is trace
+    assert memo.record is trace
     tbsap(instance.with_budget(30.0))
-    assert memo.trace.cap == math.inf and memo.trace is not trace  # above the cap: rebuilt
-    uncapped = memo.trace
+    assert memo.record.cap == math.inf and memo.record is not trace  # above the cap: rebuilt
+    uncapped = memo.record
     assert len(uncapped.picks) > len(trace.picks)  # the cap left picks out
     for budget in (1e9, 5.0):
         tbsap(instance.with_budget(budget))
-        assert memo.trace is uncapped  # rebuilt once only
+        assert memo.record is uncapped  # rebuilt once only
     tbsap(instance.with_bid(0, instance.vehicles[0].bid * 2).with_budget(5.0))
-    assert memo.trace.cap == 5.0 and memo.trace is not uncapped  # new bids: built again
+    assert memo.record.cap == 5.0 and memo.record is not uncapped  # new bids: built again
+
+
+def test_one_walk_serves_every_budget_below_it(monkeypatch):
+    # tbsap at B on new bids walks once, with rows; the greedy, the
+    # allocation and tbsap at any budget up to B read that record
+    rng = np.random.default_rng(44)
+    instances = [priced_bids(rng) for _ in range(20)] + list(dense_families())
+    walks = []
+    init = _Record.__init__
+    monkeypatch.setattr(
+        _Record, "__init__", lambda self, *args: walks.append(args[1:]) or init(self, *args)
+    )
+    for instance in instances:
+        budgets = sorted(boundary_budgets(instance))
+        top = budgets[len(budgets) // 2]
+        auction._last_geometry = ((), None, None)
+        walks.clear()
+        tbsap(instance.with_budget(top))
+        assert walks == [(top, True)]
+        walks.clear()
+        for budget in [b for b in budgets if b <= top] + [top / 3, 0.0]:
+            for mechanism in (greedy_heuristic, tbsap_allocate, tbsap):
+                mechanism(instance.with_budget(budget))
+        assert walks == [], instance
+        tbsap(instance.with_budget(math.nextafter(top, math.inf)))  # above the cap
+        assert walks == [(math.inf, True)]
 
 
 def test_zero_payment_keeps_the_first_zero():
@@ -510,11 +544,10 @@ def row_sums(instance) -> list[float]:
     """The spend after each pick and after each row's candidate in an
     uncapped trace: the budgets at which a pick or a row stops fitting."""
     memo = auction._memo(instance)
-    bids, start = memo.bids, memo.start
-    sums = set()
-    for k, spent, rows in _critical_scans(start.fork(), math.inf, True):
-        sums.add(spent + bids[k])
-        sums.update(spend + bids[c] for c, _, spend in rows)
+    record = _Record(memo.start, math.inf, price=True)
+    sums = set(record.reach)
+    for rows in record.rows:
+        sums.update(spend + memo.bids[c] for c, _, spend in rows)
     return sorted(sums)
 
 
@@ -570,8 +603,8 @@ def test_a_fold_builds_no_state(monkeypatch):
     assert built == []
     greedy_heuristic(instance)
     tbsap_allocate(instance)
-    # the greedy builds the order on one fork of the cached start state, and
-    # the allocation at the same budget reads it
+    # the greedy replays tbsap's record on one fork of the cached start
+    # state, and the allocation at the same budget reads the record
     assert built == ["fork"]
     for _ in range(2):  # beside the trace capped at 40, then beside an uncapped one
         for mechanism in (greedy_heuristic, tbsap_allocate, tbsap):
@@ -580,7 +613,7 @@ def test_a_fold_builds_no_state(monkeypatch):
                 mechanism(instance.with_budget(budget))  # the pair the memo holds
                 assert built in ([], ["fork"]), (mechanism, budget)
         tbsap(instance.with_budget(1e9))  # above the cap: rebuilt with no cap
-    assert auction._last_geometry[2].trace.cap == math.inf
+    assert auction._last_geometry[2].record.cap == math.inf
     built.clear()
     tbsap(instance.with_bid(0, instance.vehicles[0].bid * 2))
     assert built.count("validate") == built.count("init") == 1  # a new pair, new bids
@@ -723,8 +756,8 @@ def test_greedy_matches_the_oracle_beside_any_trace():
             auction._last_geometry = ((), None, None)
             for budget in before:
                 tbsap(instance.with_budget(budget))
-            trace = getattr(auction._last_geometry[2], "trace", None)  # no memo yet
-            assert (trace is not None and trace.cap == math.inf) == (len(before) == 2)
+            record = getattr(auction._last_geometry[2], "record", None)  # no memo yet
+            assert (record is not None and record.cap == math.inf) == (len(before) == 2)
             for budget in budgets:
                 got = heuristic_view(greedy_heuristic(instance.with_budget(budget)))
                 assert got == want[budget], (before, budget)
@@ -756,7 +789,7 @@ def test_greedy_keeps_its_own_fit_test(bids, budget, takes_vehicle_1):
     tbsap(instance)  # capped at B
     assert heuristic_view(greedy_heuristic(instance)) == fresh
     tbsap(instance.with_budget(10.0))  # rebuilt with no cap
-    assert auction._last_geometry[2].trace.picks == [0, 1, 2]
+    assert auction._last_geometry[2].record.picks == [0, 1, 2]
     assert heuristic_view(greedy_heuristic(instance)) == fresh
 
 
@@ -814,22 +847,20 @@ def test_greedy_order_is_capped_rebuilt_and_reset():
 
     check(10.0)
     memo = auction._last_geometry[2]
-    capped = memo.order
+    capped = memo.record
     cap, picks, reach = capped.cap, capped.picks, capped.reach
-    assert cap == 10.0 and reach[-1] <= 10.0  # new bids: built at B, to a misfit
+    assert cap == 10.0 and reach[-1] <= 10.0  # new bids: walked at B, to a misfit
     for budget in (10.0, reach[-1], 4.0, 0.0):
         check(budget)
-        assert memo.order is capped  # within the cap: read
+        assert memo.record is capped  # within the cap: read
     check(30.0)
-    assert memo.order.cap == 30.0  # above the cap: rebuilt at B
-    assert memo.order.picks[: len(picks)] == picks
-    check(1e9)
-    complete = memo.order
+    complete = memo.record
+    assert complete.cap == math.inf  # above the cap: walked again with no cap, to its end
+    assert complete.picks[: len(picks)] == picks and len(complete.picks) > len(picks)
     cap, picks, reach = complete.cap, complete.picks, complete.reach
-    assert cap == math.inf  # the run ended on its own
-    for budget in (reach[-1], math.nextafter(reach[-1], 0.0), 30.0, 5.0, 0.0):
+    for budget in (1e9, reach[-1], math.nextafter(reach[-1], 0.0), 30.0, 5.0, 0.0):
         check(budget)
-        assert memo.order is complete
+        assert memo.record is complete
     raised = instance.with_bid(picks[0], instance.vehicles[picks[0]].bid * 4)
     assert check(1e9, raised) != check(1e9)  # new bids, a new order
     for budget in (30.0, 10.0, 1e9):
@@ -908,7 +939,7 @@ def test_replay_matches_one_select_per_pick(dense_map):
         for budget in (1e9, instance.budget / 8):
             auction._last_geometry = ((), None, None)
             memo = auction._memo(instance.with_budget(budget))
-            order, _ = auction._order(memo, budget)
+            order = auction._record(memo, budget)
             assert order.cap == math.inf or budget < 1e9  # no budget stops a run at 1e9
             start = state_view(memo.start)
             selected = memo.start.fork()
@@ -927,10 +958,7 @@ def test_columns_fold_with_the_bits_of_the_rows(dense_map):
     for instance, cap in ((dense_map, 400.0), *((i, math.inf) for i in dense_families())):
         memo = auction._memo(instance)
         bids = memo.bids
-        rows, columns = (
-            auction._Trace(cap, _critical_scans(memo.start.fork(), cap, True), bids)
-            for _ in range(2)
-        )
+        rows, columns = (_Record(memo.start, cap, price=True) for _ in range(2))
         spends = rng.choice(rows.reach, size=min(len(rows.reach), 30), replace=False)
         nudged = [b for s in spends.tolist()
                   for b in (s, math.nextafter(s, 0.0), math.nextafter(s, math.inf))]

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trafficmarket import trading
 from trafficmarket.crypto import (
     DecryptionError,
     Ed25519X25519Scheme,
@@ -279,6 +282,106 @@ class TestFailureModes:
         assert all(
             p.account.balance == Fraction(0) for p in world.vehicles.values()
         )
+
+
+# Payloads no leg accepts, each spelled as its sender's ``repr`` would be
+# or as raw bytes: a literal of the wrong shape, a right-shaped tuple with
+# one field of the wrong type (nested literals included), text that is no
+# literal, and bytes that are no UTF-8. The fields a leg expects are
+# (str, int, tuple of ints, int or float) for a request and (str, int,
+# tuple) for a delivery.
+_LITERALS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.integers(), inner, max_size=2)
+    ),
+    max_leaves=6,
+)
+_FIELD_OK = {
+    MessageKind.REQUEST: (
+        lambda v: type(v) is str,
+        lambda v: type(v) is int,
+        lambda v: type(v) is tuple and all(type(t) is int for t in v),
+        lambda v: type(v) in (int, float),
+    ),
+    MessageKind.DATA: (
+        lambda v: type(v) is str,
+        lambda v: type(v) is int,
+        lambda v: type(v) is tuple,
+    ),
+}
+_NOT_LITERALS = [
+    b"", b"\x00", b"(", b"nan", b"print(1)", b"('data', 1, readings)", b"__import__('os')",
+    b"[" * 300 + b"]" * 300, b"1" * 5000, b"('data', 1, ())[0]", b"{[1]: 2}",
+    b"-" * 3000 + b"1", b"-" * 20000 + b"1",  # too deep: RecursionError, MemoryError
+]
+
+
+@st.composite
+def malformed_payloads(draw):
+    """(leg, plaintext) of a request or a delivery that no leg accepts."""
+    kind = draw(st.sampled_from([MessageKind.REQUEST, MessageKind.DATA]))
+    checks = _FIELD_OK[kind]
+    honest = (kind.name.lower(), 1, (0, 1), 3.0)[: len(checks)]
+    form = draw(st.sampled_from(["arity", "type", "not a literal", "not utf-8"]))
+    if form == "arity":
+        fields = draw(st.lists(_LITERALS, max_size=6).filter(lambda f: len(f) != len(checks)))
+        value = draw(st.sampled_from([tuple(fields), fields, draw(_LITERALS)]))
+        if type(value) is tuple and len(value) == len(checks):
+            value = (*value, None)
+        return kind, repr(value).encode()
+    if form == "type":
+        i = draw(st.integers(0, len(checks) - 1))
+        wrong = draw(_LITERALS.filter(lambda v: not checks[i](v)))
+        return kind, repr((*honest[:i], wrong, *honest[i + 1 :])).encode()
+    if form == "not a literal":
+        return kind, draw(st.sampled_from(_NOT_LITERALS))
+    return kind, draw(st.binary(max_size=8)) + b"\xff" + draw(st.binary(max_size=8))
+
+
+def _signed_as_sent(world, message, plaintext):
+    """``message`` carrying ``plaintext``, encrypted for the authority and
+    signed by its own sender, so only the payload is wrong."""
+    body = world.scheme.encrypt(world.authority.keys.public, plaintext, np.random.default_rng(0))
+    signed = trading._signing_bytes(
+        message.kind, message.sender, message.session_id, message.timestamp, body
+    )
+    sender = next(p for p in world.vehicles.values() if p.name == message.sender)
+    return replace(message, body=body, signature=world.scheme.sign(sender.keys.private, signed))
+
+
+@settings(max_examples=150)
+@given(case=malformed_payloads())
+def test_a_malformed_payload_aborts_only_its_session(case):
+    kind, plaintext = case
+    instance = paper_example()
+    world = build_world(instance, HashStubScheme(), seed=7, authority_balance=Fraction(50))
+    start = world.total_balance()
+
+    def tamper(message):
+        if message.kind is kind and message.sender == "vehicle-1":
+            return _signed_as_sent(world, message, plaintext)
+        return message
+
+    result = run_trading_round(world, instance, tamper=tamper)
+    bad = result.sessions[1]
+    assert bad.state is SessionState.ABORTED
+    assert bad.failure == f"{kind.name.lower()}: malformed payload"
+    assert bad.transcript[-1].kind is kind and bad.paid_amount is None
+    assert world.vehicles[1].account.balance == 0
+    assert (1 in result.excluded) is (kind is MessageKind.REQUEST)
+    for vid, session in result.sessions.items():
+        if vid == 1:
+            continue
+        won = vid in result.outcome.winners
+        assert session.failure == (None if won else "lost auction")
+        assert (session.state is SessionState.CONFIRMED) is won
+    confirmed = [v for v, s in result.sessions.items() if s.state is SessionState.CONFIRMED]
+    assert confirmed  # vehicle 0 wins with or without vehicle 1
+    assert [r.vehicle_id for r in result.block.records] == confirmed
+    assert world.total_balance() == start
 
 
 class TestCryptoSchemes:
