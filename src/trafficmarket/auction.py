@@ -31,7 +31,7 @@ winner before, and the lowest-id tie-break makes that strict. So the main
 run keeps the gains before each pick, reads every prefix position from
 those, and runs only the suffix from each winner's pick on a copy of the
 state. The payments equal those of one full re-run per winner, bit for
-bit; ``tbsap_payment`` scans in full and is the reference.
+bit; ``tbsap_payment`` makes that re-run and is the reference.
 
 The budget never changes the pick order (argmax reads only gains and
 bids); it decides where each rule stops and enters each payment position
@@ -306,19 +306,18 @@ class _Record:
     The greedy's first replay adds the tasks each pick newly covers, sorted
     per pick (``covers``, their count after 0, 1, ... picks in ``ends``),
     and the ids by bid. A walk that ends on its own holds at every budget,
-    so its cap becomes inf, unless it is priced. With ``only`` just that
-    pick is priced, uncut, and the walk ends there. Winners at B are the
-    picks whose spend after is at most B, found by bisection.
+    so its cap becomes inf, unless it is priced. Winners at B are the picks
+    whose spend after is at most B, found by bisection.
     """
 
     __slots__ = ("cap", "picks", "reach", "covers", "ends", "by_bid", "rows", "folded", "columns")
 
-    def __init__(self, start: _CoverageState, cap: float, price=False, only=None):
+    def __init__(self, start: _CoverageState, cap: float, price=False):
         state = start.fork()
         bids = state.bids
         self.picks, self.reach, self.rows, self.folded = [], [], ([] if price else None), False
         self.by_bid = self.covers = self.ends = self.columns = None
-        cut = price and only is None and bids and state.values  # see _critical_scans
+        cut = price and bids and state.values  # see _critical_scans
         if cut:
             low = min(bids) * math.ulp(min(state.values))
             cut = low > sys.float_info.min and max(bids) * max(state.gain) < sys.float_info.max
@@ -329,10 +328,7 @@ class _Record:
             self.picks.append(k)
             self.reach.append(state.spent + bids[k])
             if price:
-                if only is None or k == only:
-                    self.rows.append(_critical_scans(state, k, prefix, cap, cut))
-                    if only is not None:
-                        break
+                self.rows.append(_critical_scans(state, k, prefix, cap, cut))
                 prefix.append((k, state.gain[:], state.spent))
         else:
             cap = cap if price else math.inf
@@ -544,24 +540,34 @@ def _fold(rows: list, bids: list[float], budget: float) -> float:
 def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
     """Critical bid for a winner: the threshold above which it loses.
 
-    Scans the selection order over the other vehicles in full, with no cut,
-    and is the reference for ``tbsap``'s payments. Position by position it
-    records the bid that would tie the candidate picked there, clamped by
-    the budget slack at that point; when the scan ends for a reason other
-    than a budget break, the vehicle could also be appended at the end, so
-    its leftover marginal coverage (clamped the same way) joins the pool.
-    The payment is the maximum over these feasible positions. It never
-    depends on the winner's own bid.
+    The reference for ``tbsap``'s payments, sharing with it only the greedy
+    loop (``_picks``), the fold (``_fold``) and the memo's start state: one
+    walk on a fork checks that the vehicle wins, and the break greedy over
+    everyone else runs in full, with no cut, on a second fork whose heap
+    leaves the vehicle out. Position by position it records the bid that
+    would tie the candidate picked there, clamped by the budget slack at
+    that point; when the scan ends for a reason other than a budget break,
+    the vehicle could also be appended at the end, so its leftover marginal
+    coverage (clamped the same way) joins the pool. The payment is the
+    maximum over these feasible positions. It never depends on the winner's
+    own bid. The id must be exactly an ``int``, as ``validate_ids`` asks.
     """
-    budget = instance.budget
-    memo = _memo(instance)
-    for rows in _Record(memo.start, budget, price=True, only=vehicle_id).rows:  # one at most
-        payment = _fold(rows, memo.bids, budget)
-        tail = rows.pop() if rows and rows[-1][0] == vehicle_id else None  # the leftover row
-        steps = tuple(PaymentStep(c, r, budget - s, min(r, budget - s)) for c, r, s in rows)
-        tail_value, tail_slack = (tail[1], budget - tail[2]) if tail else (None, None)
-        return PaymentTrace(vehicle_id, steps, tail_value, tail_slack, payment)
-    raise NotWinnerError(f"vehicle {vehicle_id} is not a winner")
+    if type(vehicle_id) is not int:
+        raise ValueError(f"vehicle id {vehicle_id!r} is not an int")
+    memo, budget = _memo(instance), instance.budget
+    if vehicle_id not in (k for k, fits in _picks(memo.start.fork(), budget) if fits):
+        raise NotWinnerError(f"vehicle {vehicle_id} is not a winner")
+    state, rows, fits = memo.start.fork(), [], True
+    state.heap = [key for key in state.heap if key[1] != vehicle_id]
+    heapq.heapify(state.heap)
+    bids, gain = state.bids, state.gain
+    for c, fits in _picks(state, budget):
+        rows.append((c, bids[c] * gain[vehicle_id] / gain[c], state.spent))
+    tail = (vehicle_id, gain[vehicle_id], state.spent) if fits else None  # no budget break
+    payment = _fold(rows + [tail] if tail else rows, bids, budget)
+    steps = tuple(PaymentStep(c, r, budget - s, min(r, budget - s)) for c, r, s in rows)
+    tail_value, tail_slack = (tail[1], budget - tail[2]) if tail else (None, None)
+    return PaymentTrace(vehicle_id, steps, tail_value, tail_slack, payment)
 
 
 def tbsap(instance: AuctionInstance) -> AuctionOutcome:

@@ -15,24 +15,25 @@ and the result clamped to [0, 1].
 
 The hot path works on arrays, from one pass over the nodes that reads their
 ids, reputations, behavior flags and scripts and checks ids and reputations.
-``run_epochs`` builds no ballots: its ballots are fixed arrays of voter ids
-and pools (high or low) in node order, and each epoch rebuilds the pools
-from ``reputations >= theta``. ``elect_witnesses`` turns a ballot list into
-the same arrays, and both call one tally, ``_tally``, on pools that share
-no id and at most one ballot per voter. A node's voting result is the
-weights of the ballots into its pool, its own skipped, added in ballot
-order: the sum a ballot-by-ballot count makes, whose other terms add 0.0
-and change no bit. A pool's members share its running sum; one that casts
-a ballot into it is a chain that takes every weight but its own, ``_BLOCK``
-ballots per ``np.add.reduce(axis=0)`` of a float64 block: row 0 holds the
-chains, each other row a ballot's weight. A chain that begins inside a
-block starts from the running sum at the block's first ballot and takes
-the block's weights in order, -0.0 (x + -0.0 is x) in its own ballot's
-cell: ``np.cumsum`` is the same left fold, so the bits match a chain
-started just before its ballot. A block holds a spare column, as numpy
-sums a one-column block pairwise, then only the chains begun by its last
-ballot. The closed form (total weight less own weight) rounds differently
-and can reorder ties.
+One election, ``_elect``, builds no ballots: its ballots are arrays of voter
+ids and pools (high or low) in node order, read once per run, and each call
+draws the pools from ``reputations < theta``. ``run_epochs`` elects with it
+every epoch, and the ``rnw-vs-rafn`` study elects the same way.
+``elect_witnesses`` turns a ballot list into the same arrays, and both call
+one tally, ``_tally``, on pools that share no id and at most one ballot per
+voter. A node's voting result is the weights of the ballots into its pool,
+its own skipped, added in ballot order: the sum a ballot-by-ballot count
+makes, whose other terms add 0.0 and change no bit. A pool's members share
+its running sum; one that casts a ballot into it is a chain that takes every
+weight but its own, ``_BLOCK`` ballots per ``np.add.reduce(axis=0)`` of a
+float64 block: row 0 holds the chains, each other row a ballot's weight. A
+chain that begins inside a block starts from the running sum at the block's
+first ballot and takes the block's weights in order, -0.0 (x + -0.0 is x) in
+its own ballot's cell: ``np.cumsum`` is the same left fold, so the bits
+match a chain started just before its ballot. A block holds a spare column,
+as numpy sums a one-column block pairwise, then only the chains begun by its
+last ballot. The closed form (total weight less own weight) rounds
+differently and can reorder ties.
 
 The reputations, w_vote * alpha and each node's verdict (+-1 by its
 behavior) are vectors built once per run; the roles, the seats, the deltas
@@ -390,7 +391,8 @@ class _Run(NamedTuple):
     index: np.ndarray  # id -> index in node order
     reputations: np.ndarray
     votes: np.ndarray  # bool
-    low: np.ndarray  # bool: supports low reputation
+    voters: np.ndarray  # ids of the voting nodes
+    pool_of: np.ndarray  # per voter: 0 supports the high pool, 1 the low
     correct: np.ndarray  # +1 verifies correctly by behavior, -1 otherwise
     has_script: np.ndarray  # bool
 
@@ -415,8 +417,20 @@ def _read_nodes(nodes: Sequence[FullNode]) -> _Run:
     low = np.fromiter([b.supports_low_reputation for b in behaviors], bool, n)
     correct = np.fromiter([b.verifies_correctly for b in behaviors], bool, n)
     has_script = np.fromiter([bool(x.script) for x in nodes], bool, n)
-    return _Run(ids, index, reputations.astype(float),
-                votes, low, np.where(correct, 1, -1), has_script)
+    return _Run(ids, index, reputations.astype(float), votes, np.array(ids)[votes],
+                low[votes].astype(np.intp), np.where(correct, 1, -1), has_script)
+
+
+def _elect(run: _Run, reputations: np.ndarray, params: ReputationParams, committee_size: int,
+           active_size: int, mode: VotingMode, rng: np.random.Generator) -> Committee:
+    """The election ``run_epochs`` holds each epoch, on a run's arrays: one
+    ballot per voting node in node order, into the pool its behavior
+    supports, with pools from ``reputations < theta`` (0 high, 1 low by
+    id), then ``_tally`` and ``_seat``. These are ``cast_votes``' ballots."""
+    weighted = mode is VotingMode.REPUTATION_WEIGHTED
+    weights = reputations[run.votes] if weighted else np.ones(len(run.voters))
+    tally = _tally(run.voters, run.pool_of, (reputations < params.theta)[run.index], weights)
+    return _seat(tally, run.ids, committee_size, active_size, rng)
 
 
 class _Epoch(NamedTuple):
@@ -568,6 +582,8 @@ class ConsensusHistory:
         return list(map(HistoryRow._make, self._tuples()))
 
     def rows_for(self, node_id: int) -> list[HistoryRow]:
+        if type(node_id) is not int:  # as validate_ids: True would read node 1
+            raise ValueError(f"node id {node_id!r} is not an int")
         if node_id not in self.ids:
             return []
         i = self.ids.index(node_id)
@@ -603,8 +619,9 @@ def run_epochs(
     draw its leaders from its members; repeated member ids are allowed.
     An epoch ends early only if every remaining leader was skipped.
 
-    The ballots are ``cast_votes``' as arrays: one per voting node, in node
-    order, into pool 0 (high) or 1 (low), rebuilt each epoch.
+    Each epoch not forced elects with ``_elect``: ``cast_votes``' ballots as
+    arrays, one per voting node in node order, into pool 0 (high) or 1
+    (low), with the pools drawn from that epoch's reputations.
     """
     if n_epochs < 0:
         raise ValueError("n_epochs must be non-negative")
@@ -616,24 +633,15 @@ def run_epochs(
     rng = np.random.default_rng(seed)
     state = ConsensusState()
     history = ConsensusHistory(ids=run.ids, rounds=[], chain=state.chain, committees=[])
-    votes, reputations = run.votes, run.reputations
-    voters = np.array(run.ids, dtype=np.int64)[votes]
-    pool_of = run.low[votes].astype(np.intp)
-    voted = frozenset(voters.tolist())
-    vote_term = params.w_vote * np.where(votes, 1, -1)
+    reputations, voted = run.reputations, frozenset(run.voters.tolist())
+    vote_term = params.w_vote * np.where(run.votes, 1, -1)
     for epoch in range(n_epochs):
         forced = committee_schedule[epoch] if committee_schedule is not None else None
         if forced is not None:
             committee = forced
             rng.permutation(active_size)  # keep the stream aligned
         else:
-            home = (reputations < params.theta)[run.index]  # by id: 0 high, 1 low
-            if mode is VotingMode.REPUTATION_WEIGHTED:
-                weights = reputations[votes]
-            else:
-                weights = np.ones(len(voters))
-            tally = _tally(voters, pool_of, home, weights)
-            committee = _seat(tally, run.ids, committee_size, active_size, rng)
+            committee = _elect(run, reputations, params, committee_size, active_size, mode, rng)
         state.start_epoch(committee, voted)
         history.committees.append(committee)
         view = _epoch_view(committee, nodes, run, vote_term, params.w_verify)

@@ -39,8 +39,8 @@ from trafficmarket.consensus import (
     ReputationParams,
     VotingMode,
     _check_sizes,
-    cast_votes,
-    elect_witnesses,
+    _elect,
+    _read_nodes,
     run_epochs,
     sample_population,
 )
@@ -145,19 +145,14 @@ def rnw_vs_rafn_rows(
         rng = np.random.default_rng([seed, 10, grid_index])
         nodes = sample_population(population, rafn, rng)
         _check_sizes(committee_size, active_size, population)  # before the ideal divides
-        params = ReputationParams()
-        ballots = cast_votes(nodes, params)
+        run, params = _read_nodes(nodes), ReputationParams()
         ideal = ideal_normal_fraction(population, committee_size, rafn)
         for mode_index, mode in enumerate(
             (VotingMode.REPUTATION_WEIGHTED, VotingMode.EQUAL_WEIGHT)
         ):
-            committee = elect_witnesses(
-                ballots,
-                nodes,
-                committee_size,
-                active_size,
-                mode,
-                np.random.default_rng([seed, 11, grid_index, mode_index]),
+            seat_rng = np.random.default_rng([seed, 11, grid_index, mode_index])
+            committee = _elect(
+                run, run.reputations, params, committee_size, active_size, mode, seat_rng
             )
             normal_seats = sum(
                 1 for m in committee.members if nodes[m].behavior is NORMAL_BEHAVIOR

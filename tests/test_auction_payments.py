@@ -7,7 +7,9 @@ digest pins the exact bits of both mechanisms on geometric instances.
 
 ``tbsap`` folds every payment from the rows of one record per bid vector,
 whose suffixes end once no later position can raise the payment, while
-``tbsap_payment`` scans in full, so the two are compared bit for bit. The
+``tbsap_payment`` runs the greedy over everyone but the winner in full on
+its own fork of the start state, with no record, so the two are compared
+bit for bit, and a test checks that it makes no record. The
 set-up cache is checked against outcomes from a new interpreter, budget
 sweeps that fold a cached record against ``tbsap_payment`` and ``tbsap``
 on an emptied cache (also after a greedy call made the record without
@@ -426,10 +428,11 @@ def budget_sweeps(draw):
 @settings(max_examples=200)
 @given(sweep=budget_sweeps(), lead=st.sampled_from([None, 0.5, 1.0, 2.0]))
 def test_budget_sweeps_match_an_emptied_cache(sweep, lead):
-    # tbsap_payment scans in full with no record, so it is the independent
-    # reference; the cold call checks the outcome's other fields. With a
-    # lead the sweep starts on an emptied cache after a greedy call at a
-    # lower, the same or a higher budget, whose record holds no rows.
+    # tbsap_payment runs its own full scan on a fork of the start state and
+    # never reads the record, so it is the independent reference; the cold
+    # call checks the outcome's other fields. With a lead the sweep starts
+    # on an emptied cache after a greedy call at a lower, the same or a
+    # higher budget, whose record holds no rows.
     if lead is not None:
         auction._last_geometry = ((), None, None)
         greedy_heuristic(sweep[0].with_budget(sweep[0].budget * lead))
@@ -519,6 +522,28 @@ def test_one_walk_serves_every_budget_below_it(monkeypatch):
         assert walks == [], instance
         tbsap(instance.with_budget(math.nextafter(top, math.inf)))  # above the cap
         assert walks == [(math.inf, True)]
+
+
+def test_the_reference_builds_no_record(monkeypatch, dense_map):
+    # tbsap_payment runs its own greedy walks on forks of the start state: it
+    # makes no record, and leaves the one tbsap made in the memo
+    walks = []
+    init = _Record.__init__
+
+    def counted(self, *args, **kwargs):
+        walks.append(args[1:])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Record, "__init__", counted)
+    for instance in (paper_example(), dense_map):
+        outcome = tbsap(instance)
+        memo = auction._last_geometry[2]
+        record = memo.record
+        walks.clear()
+        for w in outcome.winners:
+            assert tbsap_payment(w, instance).payment.hex() == outcome.payments[w].hex()
+        assert walks == []
+        assert auction._last_geometry[2] is memo and memo.record is record
 
 
 def test_zero_payment_keeps_the_first_zero():

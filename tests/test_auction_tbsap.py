@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,14 @@ def test_single_winner_trivial():
 def test_non_winner_payment_rejected(example_instance):
     with pytest.raises(NotWinnerError):
         tbsap_payment(2, example_instance)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, np.int64(1)])
+def test_payment_refuses_an_id_that_is_not_an_int(example_instance, bad):
+    # each equals winner 1, whose trace it would return under its own label
+    with pytest.raises(ValueError, match=re.escape(f"vehicle id {bad!r} is not an int")):
+        tbsap_payment(bad, example_instance)
+    assert tbsap_payment(1, example_instance).vehicle_id == 1
 
 
 def test_selection_unit_gains_non_increasing():

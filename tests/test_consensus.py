@@ -371,6 +371,14 @@ class TestEpochRuns:
             run_round(state, nodes, PARAMS)
         assert [n.reputation for n in nodes] == [0.5, 0.5]
 
+    @pytest.mark.parametrize("bad", [True, 1.0, np.int64(1)])
+    def test_rows_for_refuses_an_id_that_is_not_an_int(self, bad):
+        # each equals node 1, whose rows it would return under its own label
+        history = run_epochs(make_nodes([0.6, 0.7, 0.8]), PARAMS, 2, 1, n_epochs=1)
+        assert {r.node_id for r in history.rows_for(1)} == {1}
+        with pytest.raises(ValueError, match=re.escape(f"node id {bad!r} is not an int")):
+            history.rows_for(bad)
+
     def test_rejects_negative_epochs(self):
         nodes = make_nodes([0.3, 0.7])
         with pytest.raises(ValueError, match="n_epochs"):

@@ -35,8 +35,10 @@ from trafficmarket.consensus import (
     elect_witnesses,
     run_epochs,
     run_round,
+    sample_population,
     write_history_csv,
 )
+from trafficmarket.experiments import HOSTILE_FRACTION_GRID
 from trafficmarket.model import left_sum, write_rows
 
 from oracles import slow_cast_votes, slow_run_epochs, slow_seat, slow_tally
@@ -336,6 +338,32 @@ def test_run_epochs_builds_no_ballots(tmp_path, monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert main([*argv, "--out", str(tmp_path / "after.csv")]) == 0
     assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+
+
+@pytest.mark.parametrize("population", [100, 1000])
+def test_study_election_matches_the_ballot_path(population):
+    """The rnw-vs-rafn study elects with ``_elect`` on the run's arrays; the
+    ballot path must seat the same committee with the same bits, for the
+    study's populations at every grid point. 1000 nodes give the pools more
+    than one ``_BLOCK`` of ballots."""
+    committee_size = population * 7 // 10
+    for seed in range(5):
+        for grid_index, rafn in enumerate(HOSTILE_FRACTION_GRID):
+            rng = np.random.default_rng([seed, 10, grid_index])
+            nodes = sample_population(population, rafn, rng)
+            run, ballots = consensus._read_nodes(nodes), cast_votes(nodes, PARAMS)
+            for mode_index, mode in enumerate(MODES):
+                stream = [seed, 11, grid_index, mode_index]  # the study's, one generator each
+                fast = consensus._elect(run, run.reputations, PARAMS, committee_size, 10, mode,
+                                        np.random.default_rng(stream))
+                slow = elect_witnesses(ballots, nodes, committee_size, 10, mode,
+                                       np.random.default_rng(stream))
+                assert (fast.members, fast.active_order, fast.standby) == (
+                    slow.members, slow.active_order, slow.standby
+                )
+                assert [(k, v.hex()) for k, v in fast.voting_result.items()] == [
+                    (k, v.hex()) for k, v in slow.voting_result.items()
+                ]
 
 
 def drive_rounds(nodes, committee_size, active_size, n_epochs, mode, seed, schedule):
