@@ -38,24 +38,27 @@ bids); it decides where each rule stops and enters each payment position
 as ``min(replacement bid, B - spend)``. So each bid vector keeps one record
 of the break greedy's walk (``_Record``): the picks up to its first misfit,
 the spend after each and, once ``tbsap`` asks, each pick's rows
-``(candidate, replacement bid, spend)`` (``_critical_scans``). One rule
-decides walks (``_record``): the first on a bid vector runs at the call's
-budget, every later one with no cap, and one is needed when a call's
-budget is above the cap or ``tbsap`` needs rows the record lacks. The cap
-is the walk's budget if it met a misfit or recorded rows, as each suffix
-ends once no later position can raise the payment at any budget up to it.
+``replacement bid, spend`` and its payment at the walk's budget
+(``_critical_scans``). One rule decides walks (``_record``): the first on
+a bid vector runs at the call's budget, every later one with no cap and
+with rows if the record it replaces had them, and one is needed when a
+call's budget is above the cap or ``tbsap`` needs rows the record lacks.
+The cap is the walk's budget if it met a misfit or recorded rows, as each
+suffix ends once no later position can raise the payment at any budget up
+to it.
 
 ``tbsap_allocate`` at B takes the picks whose spend is at most B, and so
 does ``greedy_heuristic``, whose filter drops nothing before that misfit.
-Unless they are all of a record with no cap, it replays them into a fork,
+Unless they are all of a walk that met no misfit, it replays them into a fork,
 one loop over the tasks they cover, and goes on over fresh keys for just
 the other bids with spend + bid <= B, a prefix of the ids by bid. That is
 exact: a misfit misfits for good, as spend only grows and rounding is
 monotone, and if the whole heap's top is negative so is every bid that
 fits. So the argmax over the bids that fit, by the same key, is the
-unfiltered loop's pick, bit for bit. ``tbsap`` folds each winner's rows at
-the call's budget: in Python on the walking call (``_fold``), then as two
-contiguous columns with a few array reductions that keep its bits.
+unfiltered loop's pick, bit for bit. ``tbsap`` at the cap reads the
+walk's payments; at a lower budget it folds each winner's rows as two
+contiguous columns with a few array reductions that keep their bits
+(``_Record.fold``).
 
 Task values, sorted subsets, member lists and initial gains depend only on
 the geometry (``_setup``). The last geometry's set-up is reused while the
@@ -300,22 +303,26 @@ def _picks(state: _CoverageState, budget: float, drop_misfits: bool = False):
 class _Record:
     """The break greedy's walk on one bid vector at budget ``cap``, on a
     fork of the start state: the picks up to its first misfit, the spend
-    after each (``reach``) and, when priced, each pick's rows
-    (``_critical_scans``): lists until their second fold, then ``columns``,
-    two contiguous arrays (replacement bids, spends) and per-pick offsets.
-    The greedy's first replay adds the tasks each pick newly covers, sorted
-    per pick (``covers``, their count after 0, 1, ... picks in ``ends``),
-    and the ids by bid. A walk that ends on its own holds at every budget,
-    so its cap becomes inf, unless it is priced. Winners at B are the picks
-    whose spend after is at most B, found by bisection.
+    after each (``reach``), whether it met that misfit, and, when priced,
+    one flat list of rows, ``replacement bid, spend`` pairs that
+    ``_critical_scans`` appends pick by pick, ``offsets`` to each pick's
+    first row, and each pick's payment at ``cap`` (``paid``). The first fold
+    at another budget turns the rows into ``columns``, two contiguous
+    arrays. The greedy's first replay adds the tasks each pick newly covers,
+    sorted per pick (``covers``, their count after 0, 1, ... picks in
+    ``ends``), and the ids by bid. A walk that ends on its own holds at
+    every budget, so its cap becomes inf, unless it is priced. Winners at B
+    are the picks whose spend after is at most B, found by bisection.
     """
 
-    __slots__ = ("cap", "picks", "reach", "covers", "ends", "by_bid", "rows", "folded", "columns")
+    __slots__ = ("cap", "picks", "reach", "misfit", "covers", "ends", "by_bid",
+                 "rows", "offsets", "paid", "columns")
 
     def __init__(self, start: _CoverageState, cap: float, price=False):
         state = start.fork()
         bids = state.bids
-        self.picks, self.reach, self.rows, self.folded = [], [], ([] if price else None), False
+        self.picks, self.reach, fits = [], [], True
+        self.rows, self.offsets, self.paid = ([], [0], []) if price else (None, None, None)
         self.by_bid = self.covers = self.ends = self.columns = None
         cut = price and bids and state.values  # see _critical_scans
         if cut:
@@ -328,11 +335,11 @@ class _Record:
             self.picks.append(k)
             self.reach.append(state.spent + bids[k])
             if price:
-                self.rows.append(_critical_scans(state, k, prefix, cap, cut))
+                self.paid.append(_critical_scans(state, k, prefix, cap, cut, self.rows))
+                self.offsets.append(len(self.rows) // 2)
                 prefix.append((k, state.gain[:], state.spent))
-        else:
-            cap = cap if price else math.inf
-        self.cap = cap
+        self.misfit = not fits
+        self.cap = cap if price or self.misfit else math.inf
 
     def replay(self, start: _CoverageState, n: int) -> _CoverageState:
         """A fork of ``start`` after the first n picks: ``select``'s steps in
@@ -352,66 +359,53 @@ class _Record:
         state.spent = self.reach[n - 1] if n else 0.0
         return state
 
-    def fold_rows(self, bids: list[float], budget: float) -> dict[int, float]:
-        """Payments at ``budget`` from the row lists, the walking call's fold."""
-        self.folded = True
-        n = bisect.bisect_right(self.reach, budget)
-        return {k: _fold(rows, bids, budget) for k, rows in zip(self.picks[:n], self.rows)}
-
-    def fold_columns(self, budget: float) -> dict[int, float]:
-        """Payments at ``budget``, with the bits of ``fold_rows``, folded by
+    def fold(self, budget: float) -> dict[int, float]:
+        """Payments at ``budget``: at the cap, the walk's own; below it,
+        ``min(raw, budget - spend)`` folded by ``max`` per pick with a few
         array reductions over the columns, made from the rows on first use.
 
-        ``_fold`` stops at a pick's first misfit, but the rows after it
-        cannot count, so this folds every row. The misfit's candidate is
-        picked next in that run, so the next row's spend is the misfit's
-        spend plus its bid, above the budget, and every later row has a
-        negative slack and entry. A winner's first row has spend 0.0, so
-        its slack is the budget, and a replacement bid of at least 0 (the
-        winner's gain is at least its bid there): its entry is at least 0.
-        Every pick has that first row: a suffix the cut ends has a row
-        before it, and one it does not end has a row for its first pick or
-        for the leftover coverage. ``min`` and ``max`` are selections, and
-        ``np.maximum`` keeps the last of equal operands where ``_fold`` keeps
-        the first: they differ only for +0.0 and -0.0, so a zero maximum
-        takes its pick's first zero entry.
+        A pick's payment at B folds its rows through the first that does
+        not fit, but the rows after it cannot count, so this folds every
+        row. The misfit's candidate is picked next in that run, so the next
+        row's spend is the misfit's spend plus its bid, above the budget,
+        and every later row has a negative slack and entry. A winner's first
+        row has spend 0.0, so its slack is the budget, and a replacement bid
+        of at least 0 (the winner's gain is at least its bid there): its
+        entry is at least 0. Every pick has that first row: a suffix the cut
+        ends has a row before it, and one it does not end has a row for its
+        first pick or for the leftover coverage. ``min`` and ``max`` are
+        selections, and ``np.maximum`` keeps the last of equal operands
+        where the walk keeps the first: they differ only for +0.0 and -0.0,
+        so a zero maximum takes its pick's first zero entry.
         """
+        if budget == self.cap:
+            return dict(zip(self.picks, self.paid))
         n = bisect.bisect_right(self.reach, budget)
         if not n:
             return {}
-        if self.columns is None:
-            self._to_columns()
+        if self.columns is None:  # each half of the rows contiguous, then the offsets
+            self.columns = (*np.array(self.rows).reshape(-1, 2).T.copy(), np.array(self.offsets))
+            self.rows = None
         offsets = self.columns[2][: n + 1]
         raw, spend = (column[: offsets[-1]] for column in self.columns[:2])
         entry = budget - spend
-        np.copyto(entry, raw, where=entry >= raw)  # min(raw, slack), as _fold picks
+        np.copyto(entry, raw, where=entry >= raw)  # min(raw, slack), as the walk picks
         best = np.maximum.reduceat(entry, offsets[:-1])
-        for j in np.flatnonzero(best == 0):  # the first of +-0.0, as _fold keeps
+        for j in np.flatnonzero(best == 0):  # the first of +-0.0, as the walk keeps
             rows = entry[offsets[j] : offsets[j + 1]]
             best[j] = rows[np.argmax(rows == 0)]
         return dict(zip(self.picks[:n], best.tolist()))
 
-    def _to_columns(self) -> None:
-        """The row lists as two contiguous arrays, replacement bids and
-        spends, and the offsets. Each pick's list is dropped once copied,
-        last pick first, so the two forms never both hold all."""
-        offsets = np.cumsum([0] + [len(rows) for rows in self.rows])
-        raw, spend = np.empty(offsets[-1]), np.empty(offsets[-1])
-        for start in offsets[-2::-1]:
-            rows = self.rows.pop()
-            triples = np.fromiter(chain.from_iterable(rows), float, 3 * len(rows)).reshape(-1, 3)
-            raw[start : start + len(rows)], spend[start : start + len(rows)] = triples[:, 1:].T
-        self.rows, self.columns = None, (raw, spend, offsets)
-
 
 def _record(memo: _Memo, budget: float, price: bool = False) -> _Record:
     """The memo's record, walked again when ``budget`` is above its cap or
-    ``price`` asks for rows it lacks, as lists or columns: the first walk on
-    a bid vector runs at ``budget``, every later one with no cap."""
+    ``price`` asks for rows it lacks: the first walk on a bid vector runs at
+    ``budget``, every later one with no cap, and keeps rows if the record it
+    replaces held them."""
     record = memo.record
-    lacks_rows = record is not None and record.rows is None and record.columns is None
-    if record is None or budget > record.cap or price and lacks_rows:
+    if record is None or budget > record.cap or price and record.paid is None:
         cap = budget if record is None else math.inf
+        price = price or record is not None and record.paid is not None
         memo.record = record = None  # freed before its successor is built
         memo.record = record = _Record(memo.start, cap, price)
     return record
@@ -429,7 +423,7 @@ def greedy_heuristic(instance: AuctionInstance) -> AuctionOutcome:
     record = _record(memo, budget)
     bids, n = memo.bids, bisect.bisect_right(record.reach, budget)
     winners, total_bid = record.picks[:n], record.reach[n - 1] if n else 0.0
-    if n < len(record.picks) or record.cap < math.inf:  # a misfit may stop the walk at B
+    if n < len(record.picks) or record.misfit:  # a misfit may stop the walk at B
         by_bid = record.by_bid = record.by_bid or sorted(range(len(bids)), key=bids.__getitem__)
         state, taken = record.replay(memo.start, n), set(winners)
         spent, gain = state.spent, state.gain
@@ -454,40 +448,47 @@ def tbsap_allocate(instance: AuctionInstance) -> list[int]:
     return record.picks[: bisect.bisect_right(record.reach, instance.budget)]
 
 
-def _critical_scans(state: _CoverageState, k: int, prefix: list, cap: float, cut: bool) -> list:
-    """The rows of pick ``k`` of the break greedy at budget ``cap``, from
-    ``state`` as it is just before the pick and ``prefix``, the ``(pick,
-    gains, spend)`` before each earlier pick; ``_Record`` walks the picks.
+def _critical_scans(state: _CoverageState, k: int, prefix: list, cap: float, cut: bool,
+                    rows: list) -> float:
+    """Appends the rows of pick ``k`` of the break greedy at budget ``cap``
+    to ``rows`` and returns k's payment at ``cap``, from ``state`` as it is
+    just before the pick and ``prefix``, the ``(pick, gains, spend)`` before
+    each earlier pick; ``_Record`` walks the picks.
 
-    A row is ``(candidate, replacement bid, spend before it)``: one position
-    at which the priced vehicle k could have been picked in the run over
-    everyone but k, supporting bids up to ``min(replacement bid, B - spend)``
-    at budget B. The replacement bid ties the candidate's unit gain there;
-    a bid above the slack breaks the loop on budget before k is in. Prefix
-    rows come from snapshots of the main run's gains, and only the suffix
-    is run, on a fork (see the module docstring). When the suffix ends with
-    no break, k could also append at the end with its leftover coverage, so
-    a last row ``(k, coverage, spend)`` carries that.
+    A row is ``replacement bid, spend before it``: one position at which
+    the priced vehicle k could have been picked in the run over everyone but
+    k, supporting bids up to ``min(replacement bid, B - spend)`` at budget
+    B. The replacement bid ties the candidate's unit gain there; a bid
+    above the slack breaks the loop on budget before k is in. Prefix rows
+    come from snapshots of the main run's gains, and only the suffix is
+    run, on a fork (see the module docstring). When the suffix ends with no
+    break, k could also append at the end with its leftover coverage, so a
+    last row ``coverage, spend`` carries that. The payment at ``cap`` is the
+    running max of ``min(raw, cap - spend)`` over the rows, first of equals
+    kept: only the last row can misfit at ``cap``, as the suffix stops
+    there.
 
-    With ``cut`` the suffix ends at the first position whose bound
+    With ``cut`` the suffix ends at the first position j whose bound
     ``min(gains[k], cap - spend)``, widened by m = 1 + 1e-12, is strictly
-    below k's best entry at ``win``, the least budget at which k wins. That
-    is exact at every budget from ``win`` to ``cap``. The best is
-    nonnegative: k's first row has slack at least 0 at ``win`` and a
-    replacement bid at least 0, as k's gain is at least its bid there. An
-    entry never falls as the budget rises, and the rows through the first
-    misfit only grow, so the best at ``win`` is a floor under the best at
-    any larger budget. The suffix folds it without the misfit test: entries
-    after the first misfit at ``win`` have spend above it and are negative.
-    Every later entry is at most its slack, which is at most ``cap -
-    spend`` here, and rounding is monotone, so the slack bound holds at any
-    magnitude. It is also at most its replacement bid ``fl(fl(bids[c] * g)
-    / gains[c])``, with g <= gains[k] here (gains never rise) and gains[c]
-    >= bids[c] (c has unit gain >= 0). If g <= 0 that is <= 0, never above
-    the best. If g > 0 and the product ``bids[c] * g`` is in the normal
-    range, its rounding adds a relative 2**-53 at most, the division by
-    gains[c] only lowers it, and so the replacement bid is at most ``fl(g *
-    (1 + 2**-53))``, below ``fl(gains[k] * m)``.
+    below that running max, first set by row r. The kept rows are a prefix
+    of the full ones, and every later row l has an entry at most r's at
+    every budget B up to ``cap``, so a fold at B, which keeps the first of
+    equals, reads the same bits from the kept rows. The slack of l at B is
+    at most r's, as l's spend is not below r's and rounding is monotone. If
+    the slack bound fired, it is also at most ``cap - spend_j`` (at least 0,
+    so widening only raises it), below the max and so below r's replacement
+    bid, which is at least the max. If the coverage bound fired, l's
+    replacement bid is below ``fl(gains[k] * m)`` (below), so below the max
+    and r's replacement bid. Either way l's entry at B is at most r's.
+
+    The max is nonnegative: k's first row has slack ``cap`` and a
+    replacement bid at least 0, as k's gain is at least its bid there. A
+    later replacement bid ``fl(fl(bids[c] * g) / gains[c])`` has g <=
+    gains[k] here (gains never rise) and gains[c] >= bids[c] (c has unit
+    gain >= 0). If g <= 0 it is <= 0, never above the max. If g > 0 and the
+    product ``bids[c] * g`` is in the normal range, its rounding adds a
+    relative 2**-53 at most, the division by gains[c] only lowers it, and
+    so it is at most ``fl(g * (1 + 2**-53))``, below ``fl(gains[k] * m)``.
 
     A product outside the normal range rounds by more, so a walk runs its
     scans uncut whenever one can occur, which it checks once. Every gain is
@@ -500,40 +501,29 @@ def _critical_scans(state: _CoverageState, k: int, prefix: list, cap: float, cut
     normal float and strictly below the largest.
     """
     bids = state.bids
-    rows = [(c, bids[c] * snap[k] / snap[c], spent) for c, snap, spent in prefix]
-    win = state.spent + bids[k]
-    best = _fold(rows, bids, win)  # every prefix row fits at win
+    best = -math.inf  # the running max of min(raw, cap - spend), first of equals kept
+    for c, snap, spent in prefix:  # every prefix row fits at cap
+        raw = bids[c] * snap[k] / snap[c]
+        rows += raw, spent
+        best = max(best, min(raw, cap - spent))
     suffix = state.fork()
     gains = suffix.gain
     fits = True
     for c, fits in _picks(suffix, cap):
-        # the widened min(gain, cap - spent) against best, then one fold
-        # step at win, without calls: this loop is the hot one
+        # the widened min(gain, slack) against best, then one step of the
+        # running max, without calls: this loop is the hot one
         spent, gain = suffix.spent, gains[k]
-        if cut and (gain * (1 + 1e-12) < best or (cap - spent) * (1 + 1e-12) < best):
+        slack = cap - spent
+        if cut and (gain * (1 + 1e-12) < best or slack * (1 + 1e-12) < best):
             break
         raw = bids[c] * gain / gains[c]
-        rows.append((c, raw, spent))
-        entry = win - spent if win - spent < raw else raw
+        rows += raw, spent
+        entry = slack if slack < raw else raw
         best = entry if entry > best else best
     else:
         if fits:  # no budget break: k can append at the end
-            rows.append((k, gains[k], suffix.spent))
-    return rows
-
-
-def _fold(rows: list, bids: list[float], budget: float) -> float:
-    """The payment at ``budget``: ``min(raw, budget - spend)`` folded by
-    ``max`` over the rows through the first that does not fit. A leftover
-    row is last, so a break skips it. The conditionals pick as min and max
-    do, first of equals included, so the bits are theirs."""
-    best = -math.inf
-    for c, raw, spent in rows:
-        slack = budget - spent
-        entry = slack if slack < raw else raw
-        best = entry if entry > best else best
-        if spent + bids[c] > budget:
-            break
+            rows += gains[k], suffix.spent
+            best = max(best, min(gains[k], cap - suffix.spent))
     return best
 
 
@@ -541,16 +531,17 @@ def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
     """Critical bid for a winner: the threshold above which it loses.
 
     The reference for ``tbsap``'s payments, sharing with it only the greedy
-    loop (``_picks``), the fold (``_fold``) and the memo's start state: one
-    walk on a fork checks that the vehicle wins, and the break greedy over
-    everyone else runs in full, with no cut, on a second fork whose heap
-    leaves the vehicle out. Position by position it records the bid that
-    would tie the candidate picked there, clamped by the budget slack at
-    that point; when the scan ends for a reason other than a budget break,
-    the vehicle could also be appended at the end, so its leftover marginal
-    coverage (clamped the same way) joins the pool. The payment is the
-    maximum over these feasible positions. It never depends on the winner's
-    own bid. The id must be exactly an ``int``, as ``validate_ids`` asks.
+    loop (``_picks``) and the memo's start state: one walk on a fork checks
+    that the vehicle wins, and the break greedy over everyone else runs in
+    full, with no cut, on a second fork whose heap leaves the vehicle out.
+    Position by position it records the bid that would tie the candidate
+    picked there, clamped by the budget slack at that point; when the scan
+    ends for a reason other than a budget break, the vehicle could also be
+    appended at the end, so its leftover marginal coverage (clamped the
+    same way) joins the pool. The payment is the builtin ``max`` over these
+    positions: the scan stops at the first misfit, so every one counts. It
+    never depends on the winner's own bid. The id must be exactly an
+    ``int``, as ``validate_ids`` asks.
     """
     if type(vehicle_id) is not int:
         raise ValueError(f"vehicle id {vehicle_id!r} is not an int")
@@ -563,18 +554,17 @@ def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
     bids, gain = state.bids, state.gain
     for c, fits in _picks(state, budget):
         rows.append((c, bids[c] * gain[vehicle_id] / gain[c], state.spent))
-    tail = (vehicle_id, gain[vehicle_id], state.spent) if fits else None  # no budget break
-    payment = _fold(rows + [tail] if tail else rows, bids, budget)
     steps = tuple(PaymentStep(c, r, budget - s, min(r, budget - s)) for c, r, s in rows)
-    tail_value, tail_slack = (tail[1], budget - tail[2]) if tail else (None, None)
-    return PaymentTrace(vehicle_id, steps, tail_value, tail_slack, payment)
+    tail = (gain[vehicle_id], budget - state.spent) if fits else (None, None)  # no budget break
+    payment = max([step.contribution for step in steps] + ([min(tail)] if fits else []))
+    return PaymentTrace(vehicle_id, steps, *tail, payment)
 
 
 def tbsap(instance: AuctionInstance) -> AuctionOutcome:
     """Truthful budgeted auction: break-greedy allocation, critical payments."""
     memo, budget = _memo(instance), instance.budget
     record = _record(memo, budget, price=True)
-    payments = record.fold_columns(budget) if record.folded else record.fold_rows(memo.bids, budget)
+    payments = record.fold(budget)
     winners = tuple(payments)  # pick order
     total_bid = record.reach[len(winners) - 1] if winners else 0.0
     profit = _coverage(memo, instance, winners) - left_sum(payments.values())

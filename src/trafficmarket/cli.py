@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     consensus.add_argument("--epochs", type=int, default=5)
     consensus.add_argument("--abnormal-frac", type=float, default=0.0)
     consensus.add_argument(
-        "--mode", choices=["reputation", "equal"], default="reputation"
+        "--mode", choices=[mode.value for mode in VotingMode], default="reputation"
     )
     consensus.add_argument("--seed", type=int, default=0)
     consensus.add_argument("--out", default=None, help="write history CSV")
@@ -180,18 +180,13 @@ def _cmd_auction(args) -> int:
 def _cmd_consensus(args) -> int:
     rng = np.random.default_rng([args.seed, 20])
     nodes = sample_population(args.nodes, args.abnormal_frac, rng)
-    mode = (
-        VotingMode.REPUTATION_WEIGHTED
-        if args.mode == "reputation"
-        else VotingMode.EQUAL_WEIGHT
-    )
     history = run_epochs(
         nodes,
         ReputationParams(),
         committee_size=args.committee,
         active_size=args.active,
         n_epochs=args.epochs,
-        mode=mode,
+        mode=VotingMode(args.mode),
         seed=args.seed,
     )
     rounds = len(history.rounds)

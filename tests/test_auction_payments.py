@@ -5,16 +5,17 @@ is exact and unit-gain ties are real, so the fast path must reproduce the
 oracle's positions bit for bit. Float instances are held to 1e-9. A golden
 digest pins the exact bits of both mechanisms on geometric instances.
 
-``tbsap`` folds every payment from the rows of one record per bid vector,
-whose suffixes end once no later position can raise the payment, while
-``tbsap_payment`` runs the greedy over everyone but the winner in full on
-its own fork of the start state, with no record, so the two are compared
-bit for bit, and a test checks that it makes no record. The
-set-up cache is checked against outcomes from a new interpreter, budget
-sweeps that fold a cached record against ``tbsap_payment`` and ``tbsap``
-on an emptied cache (also after a greedy call made the record without
+``tbsap`` reads every payment from one record per bid vector, whose walk
+prices its own budget and whose suffixes end once no later position can
+raise the payment, while ``tbsap_payment`` runs the greedy over everyone
+but the winner in full on its own fork of the start state, with no record,
+so the two are compared bit for bit, and a test checks that it makes no
+record. The set-up cache is checked against outcomes from a new
+interpreter, budget sweeps that fold a cached record against
+``tbsap_payment`` and ``tbsap`` on an emptied cache (also after a greedy call made the record without
 rows), and the rule that walks at the first call's budget and then with no
-cap, directly. A record folded again is folded as arrays: tests pin a zero
+cap, directly; a later walk keeps the rows of the record it replaces. A
+record read below its cap is folded as arrays: tests pin a zero
 payment beside a -0.0 entry, budgets at every spend where a pick or a row
 stops fitting, and leftover rows, and check that such a fold builds no
 greedy state, that a greedy, an allocation or ``tbsap`` call at or below
@@ -31,19 +32,21 @@ at every boundary budget, on fresh bids and beside a capped and an
 uncapped priced record. It reads the break greedy's picks from the same
 record as ``tbsap_allocate``: budget sweeps in rising, falling and
 shuffled order, a capped, a complete and a reset record, the fit test
-after the first drop, and a new interpreter check it against the oracle.
+after the first drop, and a new interpreter check it against the oracle;
+beside a walk that met no misfit it forks nothing.
 
 The greedy rebuilds the state after its first n picks by replaying the
 tasks they cover; that state must have the bits of n ``select`` calls, on
 the seed-1009 auction-dense map and on smaller dense maps, and the greedy
-must match the oracle on their budget sweeps in any order. Rows folded
-as columns must have the bits of the same rows folded as lists at every
-budget of a sweep. The memo keeps the last winners' coverage across bid
+must match the oracle on their budget sweeps in any order. A walk's own
+payments at its cap must have the bits of its rows folded as columns and
+of the full scans. The memo keeps the last winners' coverage across bid
 vectors and budgets, so those alternate against an emptied cache, empty
 winners included. Ids that equal an int but are not one are refused.
 """
 
 import hashlib
+import heapq
 import itertools
 import math
 import os
@@ -198,7 +201,7 @@ def assert_payments_match_full_scans(instance):
         assert outcome.payments[w].hex() == trace.payment.hex(), w
         full += len(trace.candidates) + (trace.tail_value is not None)
     start = auction._memo(instance).start
-    cut = sum(len(rows) for rows in _Record(start, instance.budget, price=True).rows)
+    cut = len(_Record(start, instance.budget, price=True).rows) // 2  # two floats a row
     return cut, full
 
 
@@ -480,11 +483,12 @@ def test_trace_is_capped_at_the_first_budget():
     memo = auction._last_geometry[2]
     trace = memo.record
     assert trace.cap == 10.0  # new bids: built at this budget
-    assert trace.rows is not None and trace.columns is None  # folded as rows
+    assert trace.columns is None  # the walk priced its own budget
     for budget in (10.0, 4.0, 0.0):
         tbsap(instance.with_budget(budget))
         assert trace.cap == 10.0 and memo.record is trace  # within the cap: folded
-        assert trace.rows is None and trace.columns is not None  # as columns
+        # the walk's payments at the cap, then columns from the first fold below it
+        assert (trace.columns is None) == (budget == 10.0)
     tbsap(instance.with_bid(0, instance.vehicles[0].bid).with_budget(10.0))  # same bids
     assert memo.record is trace
     tbsap(instance.with_budget(30.0))
@@ -522,6 +526,38 @@ def test_one_walk_serves_every_budget_below_it(monkeypatch):
         assert walks == [], instance
         tbsap(instance.with_budget(math.nextafter(top, math.inf)))  # above the cap
         assert walks == [(math.inf, True)]
+
+
+def test_a_later_walk_keeps_the_rows(monkeypatch):
+    # a greedy call above a priced record's cap walks again with rows, so
+    # tbsap back at the first budget reads that record and walks no more
+    instance = dense_scenario(6, n_tasks=60, n_vehicles=120, side=300.0)
+    walks = []
+    init = _Record.__init__
+    monkeypatch.setattr(
+        _Record, "__init__", lambda self, *args: walks.append(args[1:]) or init(self, *args)
+    )
+    auction._last_geometry = ((), None, None)
+    steps = [(tbsap, 10.0), (greedy_heuristic, 30.0), (tbsap, 10.0)]
+    got = [exact(mechanism(instance.with_budget(budget))) for mechanism, budget in steps]
+    assert walks == [(10.0, True), (math.inf, True)]
+    assert got == [exact(cold_call(m, instance.with_budget(b))) for m, b in steps]
+
+
+def test_a_walk_that_ends_on_its_own_leaves_the_greedy_nothing_to_fork(monkeypatch):
+    # tbsap's walk at 1e6 ends with no misfit, so the greedy at 1e6 takes
+    # its picks and is done, as beside an unpriced record of that walk
+    instance = dense_scenario(6, n_tasks=60, n_vehicles=120, side=300.0).with_budget(1e6)
+    auction._last_geometry = ((), None, None)
+    tbsap(instance)
+    record = auction._last_geometry[2].record
+    assert not record.misfit and record.cap == 1e6 and record.reach[-1] < 1e6
+    forks = []
+    fork = _CoverageState.fork
+    monkeypatch.setattr(_CoverageState, "fork", lambda self: forks.append(1) or fork(self))
+    got = greedy_heuristic(instance)
+    assert forks == []
+    assert exact(got) == exact(cold_call(greedy_heuristic, instance))
 
 
 def test_the_reference_builds_no_record(monkeypatch, dense_map):
@@ -566,13 +602,19 @@ def test_zero_payment_keeps_the_first_zero():
 
 
 def row_sums(instance) -> list[float]:
-    """The spend after each pick and after each row's candidate in an
-    uncapped trace: the budgets at which a pick or a row stops fitting."""
+    """The spend after each pick of an uncapped walk, and after each
+    candidate of the run without each pick at an unlimited budget, as
+    ``tbsap_payment`` runs it: the budgets at which a pick or a row stops
+    fitting."""
     memo = auction._memo(instance)
-    record = _Record(memo.start, math.inf, price=True)
+    record = _Record(memo.start, math.inf)
     sums = set(record.reach)
-    for rows in record.rows:
-        sums.update(spend + memo.bids[c] for c, _, spend in rows)
+    for k in record.picks:
+        state = memo.start.fork()
+        state.heap = [key for key in state.heap if key[1] != k]
+        heapq.heapify(state.heap)
+        sums.update(state.spent + memo.bids[c] for c, _ in auction._picks(state, math.inf))
+        sums.add(state.spent + memo.bids[k])  # the leftover row
     return sorted(sums)
 
 
@@ -976,24 +1018,27 @@ def test_replay_matches_one_select_per_pick(dense_map):
             assert state_view(memo.start) == start
 
 
-def test_columns_fold_with_the_bits_of_the_rows(dense_map):
-    # Two traces built alike, one folded as rows and one as columns, at the
-    # benchmark's budgets, at a spend after a pick and one ulp either side
+def test_the_walk_prices_its_cap_with_the_bits_of_the_fold(dense_map):
+    # A walk's own payments at its cap against the column fold of its rows
+    # at that budget and against the full scans, at the benchmark's budgets
+    # and at a spend after a pick and one ulp either side
     rng = np.random.default_rng(42)
-    for instance, cap in ((dense_map, 400.0), *((i, math.inf) for i in dense_families())):
+    for instance in (dense_map, *dense_families()):
         memo = auction._memo(instance)
-        bids = memo.bids
-        rows, columns = (_Record(memo.start, cap, price=True) for _ in range(2))
-        spends = rng.choice(rows.reach, size=min(len(rows.reach), 30), replace=False)
-        nudged = [b for s in spends.tolist()
+        spends = rng.choice(_Record(memo.start, math.inf).reach, size=4).tolist()
+        nudged = [b for s in spends
                   for b in (s, math.nextafter(s, 0.0), math.nextafter(s, math.inf))]
-        for budget in [25.0, 50.0, 100.0, 200.0, 400.0, 0.0, *nudged]:
-            if budget > cap:
-                continue
-            want, got = rows.fold_rows(bids, budget), columns.fold_columns(budget)
-            assert list(got) == list(want), budget
-            assert [p.hex() for p in got.values()] == [p.hex() for p in want.values()], budget
-        assert columns.rows is None and rows.columns is None
+        for cap in [25.0, 50.0, 100.0, 200.0, 400.0, *nudged]:
+            record = _Record(memo.start, cap, price=True)
+            got = record.fold(cap)
+            assert record.columns is None  # the walk's own payments
+            record.cap = math.inf  # the same rows, folded as columns
+            want = record.fold(cap)
+            assert list(got) == list(want) == record.picks, cap
+            paid = [p.hex() for p in got.values()]
+            assert paid == [p.hex() for p in want.values()], cap
+            case = instance.with_budget(cap)
+            assert paid == [tbsap_payment(w, case).payment.hex() for w in got], cap
 
 
 def test_reused_coverage_matches_an_emptied_cache():
