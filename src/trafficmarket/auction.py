@@ -40,9 +40,9 @@ of the break greedy's walk (``_Record``): the picks up to its first misfit,
 the spend after each and, once ``tbsap`` asks, each pick's rows
 ``replacement bid, spend`` and its payment at the walk's budget
 (``_critical_scans``). One rule decides walks (``_record``): the first on
-a bid vector runs at the call's budget, every later one with no cap and
-with rows if the record it replaces had them, and one is needed when a
-call's budget is above the cap or ``tbsap`` needs rows the record lacks.
+a bid vector runs at the call's budget, every later one with no cap, and
+one is needed when a call's budget is above the cap or ``tbsap`` needs
+rows the record lacks.
 The cap is the walk's budget if it met a misfit or recorded rows, as each
 suffix ends once no later position can raise the payment at any budget up
 to it.
@@ -400,12 +400,10 @@ class _Record:
 def _record(memo: _Memo, budget: float, price: bool = False) -> _Record:
     """The memo's record, walked again when ``budget`` is above its cap or
     ``price`` asks for rows it lacks: the first walk on a bid vector runs at
-    ``budget``, every later one with no cap, and keeps rows if the record it
-    replaces held them."""
+    ``budget``, every later one with no cap."""
     record = memo.record
     if record is None or budget > record.cap or price and record.paid is None:
         cap = budget if record is None else math.inf
-        price = price or record is not None and record.paid is not None
         memo.record = record = None  # freed before its successor is built
         memo.record = record = _Record(memo.start, cap, price)
     return record

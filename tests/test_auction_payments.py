@@ -12,18 +12,18 @@ but the winner in full on its own fork of the start state, with no record,
 so the two are compared bit for bit, and a test checks that it makes no
 record. The set-up cache is checked against outcomes from a new
 interpreter, budget sweeps that fold a cached record against
-``tbsap_payment`` and ``tbsap`` on an emptied cache (also after a greedy call made the record without
-rows), and the rule that walks at the first call's budget and then with no
-cap, directly; a later walk keeps the rows of the record it replaces. A
-record read below its cap is folded as arrays: tests pin a zero
-payment beside a -0.0 entry, budgets at every spend where a pick or a row
-stops fitting, and leftover rows, and check that such a fold builds no
-greedy state, that a greedy, an allocation or ``tbsap`` call at or below
-the walk's budget walks no more, and that the mechanisms interleaved on
-one geometry match an emptied cache. Tie families with values across the
-whole float range keep the cut exact where a product leaves the normal
-range. The total bid, which ``tbsap`` reads off the record, must have the
-bits of its winners' bids folded in pick order.
+``tbsap_payment`` and ``tbsap`` on an emptied cache (also after a greedy
+call made the record without rows), and the rule that walks at the first
+call's budget and then with no cap, directly. A record read below its cap
+is folded as arrays, against the full scans below a dense map's cap, and
+tests pin a zero payment beside a -0.0 entry, budgets at every spend where
+a pick or a row stops fitting, and leftover rows, and check that such a
+fold builds no greedy state, that a greedy, an allocation or ``tbsap``
+call at or below the walk's budget walks no more, and that the mechanisms
+interleaved on one geometry match an emptied cache. Tie families with
+values across the whole float range keep the cut exact where a product
+leaves the normal range. The total bid, which ``tbsap`` reads off the
+record, must have the bits of its winners' bids folded in pick order.
 
 A call on the ``(tasks, vehicles)`` pair the memo holds checks only its
 budget, so bad budgets, bad bids and bad subsets right after a cached call
@@ -528,22 +528,6 @@ def test_one_walk_serves_every_budget_below_it(monkeypatch):
         assert walks == [(math.inf, True)]
 
 
-def test_a_later_walk_keeps_the_rows(monkeypatch):
-    # a greedy call above a priced record's cap walks again with rows, so
-    # tbsap back at the first budget reads that record and walks no more
-    instance = dense_scenario(6, n_tasks=60, n_vehicles=120, side=300.0)
-    walks = []
-    init = _Record.__init__
-    monkeypatch.setattr(
-        _Record, "__init__", lambda self, *args: walks.append(args[1:]) or init(self, *args)
-    )
-    auction._last_geometry = ((), None, None)
-    steps = [(tbsap, 10.0), (greedy_heuristic, 30.0), (tbsap, 10.0)]
-    got = [exact(mechanism(instance.with_budget(budget))) for mechanism, budget in steps]
-    assert walks == [(10.0, True), (math.inf, True)]
-    assert got == [exact(cold_call(m, instance.with_budget(b))) for m, b in steps]
-
-
 def test_a_walk_that_ends_on_its_own_leaves_the_greedy_nothing_to_fork(monkeypatch):
     # tbsap's walk at 1e6 ends with no misfit, so the greedy at 1e6 takes
     # its picks and is done, as beside an unpriced record of that walk
@@ -1018,17 +1002,22 @@ def test_replay_matches_one_select_per_pick(dense_map):
             assert state_view(memo.start) == start
 
 
+def nudged_spends(rng, reach, size):
+    """``size`` spends after a pick, drawn without replacement, each with
+    one ulp either side: the budgets at which a pick starts or stops fitting."""
+    spends = rng.choice(reach, size=min(len(reach), size), replace=False).tolist()
+    return [b for s in spends for b in (s, math.nextafter(s, 0.0), math.nextafter(s, math.inf))]
+
+
 def test_the_walk_prices_its_cap_with_the_bits_of_the_fold(dense_map):
     # A walk's own payments at its cap against the column fold of its rows
     # at that budget and against the full scans, at the benchmark's budgets
-    # and at a spend after a pick and one ulp either side
+    # and at spends after a pick and one ulp either side
     rng = np.random.default_rng(42)
     for instance in (dense_map, *dense_families()):
         memo = auction._memo(instance)
-        spends = rng.choice(_Record(memo.start, math.inf).reach, size=4).tolist()
-        nudged = [b for s in spends
-                  for b in (s, math.nextafter(s, 0.0), math.nextafter(s, math.inf))]
-        for cap in [25.0, 50.0, 100.0, 200.0, 400.0, *nudged]:
+        for cap in [25.0, 50.0, 100.0, 200.0, 400.0,
+                    *nudged_spends(rng, _Record(memo.start, math.inf).reach, 4)]:
             record = _Record(memo.start, cap, price=True)
             got = record.fold(cap)
             assert record.columns is None  # the walk's own payments
@@ -1039,6 +1028,25 @@ def test_the_walk_prices_its_cap_with_the_bits_of_the_fold(dense_map):
             assert paid == [p.hex() for p in want.values()], cap
             case = instance.with_budget(cap)
             assert paid == [tbsap_payment(w, case).payment.hex() for w in got], cap
+
+
+def test_a_walk_cut_at_its_cap_folds_every_budget_below_it(dense_map):
+    # The walk at 400 on the dense map cuts each suffix against the running
+    # max at 400; folded at the benchmark's lower budgets, at 30 spends after
+    # a pick and one ulp either side and at zero, its winners are those of a
+    # walk at that budget and its payments the full scans' bit for bit
+    rng = np.random.default_rng(44)
+    memo = auction._memo(dense_map)
+    record = _Record(memo.start, 400.0, price=True)
+    budgets = [25.0, 50.0, 100.0, 200.0, 0.0, *nudged_spends(rng, record.reach, 30)]
+    assert sum(b < 400.0 for b in budgets) > 90
+    for budget in (b for b in budgets if b < 400.0):
+        got = record.fold(budget)
+        assert list(got) == _Record(memo.start, budget).picks, budget
+        case = dense_map.with_budget(budget)
+        paid = [tbsap_payment(w, case).payment.hex() for w in got]
+        assert [p.hex() for p in got.values()] == paid, budget
+    assert record.columns is not None
 
 
 def test_reused_coverage_matches_an_emptied_cache():
