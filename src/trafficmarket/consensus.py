@@ -18,7 +18,9 @@ ids, reputations, behavior flags and scripts and checks ids and reputations.
 One election, ``_elect``, builds no ballots: its ballots are arrays of voter
 ids and pools (high or low) in node order, read once per run, and each call
 draws the pools from ``reputations < theta``. ``run_epochs`` elects with it
-every epoch, and the ``rnw-vs-rafn`` study elects the same way.
+every epoch, and the ``rnw-vs-rafn`` study elects the same way. The
+committee it seats keeps its voting result as a read-only mapping over a
+copy of the tally, built into a dict on first read: no election reads it.
 ``elect_witnesses`` turns a ballot list into the same arrays, and both call
 one tally, ``_tally``, on pools that share no id and at most one ballot per
 voter. A node's voting result is the weights of the ballots into its pool,
@@ -52,6 +54,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple, Sequence
@@ -126,6 +129,12 @@ class FullNode:
         return self.behavior
 
 
+def _is_int(x) -> bool:
+    """An exact integer for a size or a count: an ``int`` or a
+    ``numpy.integer``, but not a ``bool``."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def sample_population(
     n: int, hostile_frac: float, rng: np.random.Generator
 ) -> list[FullNode]:
@@ -135,7 +144,7 @@ def sample_population(
     interleave with the others; then each node in id order draws its
     reputation, in [0, 0.5) if hostile and in [0.5, 1) if well-behaved.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError(f"population size {n!r} is not a nonnegative integer")
     if not 0.0 <= hostile_frac <= 1.0:
         raise ValueError(f"hostile fraction {hostile_frac!r} is not in [0, 1]")
@@ -185,12 +194,46 @@ class VotingBallot:
 
 @dataclass(frozen=True)
 class Committee:
-    """One epoch's witness assignment, ranked by voting result."""
+    """One epoch's witness assignment, ranked by voting result.
+
+    An elected committee's ``voting_result`` maps each node id, in node
+    order, to its tally. It is read-only and builds its dict on first read,
+    as no election reads it; a forced committee may pass any mapping.
+    """
 
     members: tuple[int, ...]  # M, rank order
     active_order: tuple[int, ...]  # D, shuffled leader order
     standby: tuple[int, ...]  # E = M minus D, rank order
-    voting_result: dict[int, float]
+    voting_result: Mapping[int, float]
+
+
+class _VotingResult(Mapping):
+    """Node id -> tally, keys in the node order of ``ids`` and values as
+    Python floats with the tally's bits: a dict built on first read and
+    kept. It holds its own copies of the ids and the tally, so no later
+    write by the caller changes it."""
+
+    __slots__ = ("_ids", "_tally", "_dict")
+
+    def __init__(self, ids: Sequence[int], tally: np.ndarray) -> None:
+        self._ids, self._tally, self._dict = tuple(ids), tally.copy(), None
+
+    def _read(self) -> dict[int, float]:
+        if self._dict is None:
+            self._dict = dict(zip(self._ids, map(self._tally.tolist().__getitem__, self._ids)))
+        return self._dict
+
+    def __getitem__(self, node_id: int) -> float:
+        return self._read()[node_id]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self) -> int:
+        return len(self._read())
+
+    def __repr__(self) -> str:
+        return repr(self._read())
 
 
 @dataclass(frozen=True)
@@ -264,6 +307,11 @@ def cast_votes(nodes: Sequence[FullNode], params: ReputationParams) -> list[Voti
 
 
 def _check_sizes(committee_size: int, active_size: int, population: int) -> None:
+    """Sizes are ints or ``numpy.integer``s, not ``bool``s, with
+    0 < active_size <= committee_size <= population."""
+    for name, size in (("committee_size", committee_size), ("active_size", active_size)):
+        if not _is_int(size):
+            raise ValueError(f"{name} {size!r} is not an integer")
     if not (0 < active_size <= committee_size <= population):
         raise ValueError("need 0 < active_size <= committee_size <= population")
 
@@ -368,7 +416,8 @@ def _seat(
 ) -> Committee:
     """Rank by (-tally, id), seat the top ``committee_size`` and shuffle the
     top ``active_size`` into leader order; the voting result follows the
-    node order ``ids``. The stable sort ranks ties, +-0.0 alike, by id."""
+    node order ``ids`` and is built on first read. The stable sort ranks
+    ties, +-0.0 alike, by id."""
     ranking = np.argsort(-tally, kind="stable")[:committee_size].tolist()
     active = ranking[:active_size]
     order = tuple(active[i] for i in rng.permutation(len(active)))
@@ -376,7 +425,7 @@ def _seat(
         members=tuple(ranking),
         active_order=order,
         standby=tuple(ranking[active_size:]),
-        voting_result=dict(zip(ids, map(tally.tolist().__getitem__, ids))),
+        voting_result=_VotingResult(ids, tally),
     )
 
 
@@ -622,7 +671,12 @@ def run_epochs(
     Each epoch not forced elects with ``_elect``: ``cast_votes``' ballots as
     arrays, one per voting node in node order, into pool 0 (high) or 1
     (low), with the pools drawn from that epoch's reputations.
+
+    The sizes and ``n_epochs`` must be ``int``s or ``numpy.integer``s; a
+    ``bool``, a float or anything else is refused with a ``ValueError``.
     """
+    if not _is_int(n_epochs):
+        raise ValueError(f"n_epochs {n_epochs!r} is not an integer")
     if n_epochs < 0:
         raise ValueError("n_epochs must be non-negative")
     _check_mode(mode)
@@ -660,7 +714,8 @@ def _check_schedule(
     schedule: Sequence[Committee | None], n_epochs: int, n: int
 ) -> None:
     """Refuse, before any epoch runs, a schedule that is too short, seats an
-    unknown id, or names a leader outside its members."""
+    unknown id or one that is not exactly an ``int``, or names a leader
+    outside its members."""
     if len(schedule) < n_epochs:
         raise ValueError(
             f"committee_schedule has {len(schedule)} entries for {n_epochs} epochs"
@@ -671,7 +726,7 @@ def _check_schedule(
         if committee is None:
             continue
         for i in (*committee.members, *committee.active_order, *committee.standby):
-            if i not in population:
+            if type(i) is not int or i not in population:  # as validate_ids
                 raise ValueError(f"epoch {epoch} committee seats unknown id {i!r}")
         members = set(committee.members)
         for i in committee.active_order:

@@ -2,6 +2,7 @@
 
 import csv
 import re
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from trafficmarket.consensus import (
     ReputationParams,
     VotingBallot,
     VotingMode,
+    _seat,
     cast_votes,
     elect_witnesses,
     run_epochs,
@@ -413,6 +415,10 @@ class TestEpochRuns:
     @pytest.mark.parametrize("seated", [
         forced([0, 1, 2, 5], [0, 1], [2, 5]),  # a member
         forced([0, 1, 2, 3], [0, 1], [2, -1]),  # a standby
+        # ids that are not exactly ints: 1.0 and True equal ids of the population
+        forced([0, 1.0, 2, 3], [0, 1.0], [2, 3]),
+        forced([0, True, 2, 3], [0, True], [2, 3]),
+        forced([0, 1, 2, 3], [0, 1], [2, np.int64(3)]),
     ])
     def test_rejects_schedule_seating_unknown_id(self, seated):
         nodes = make_nodes([0.3, 0.5, 0.7, 0.9, 0.6])
@@ -446,6 +452,67 @@ class TestEpochRuns:
         nodes = make_nodes([0.5, 0.6, bad])
         with pytest.raises(ValueError, match="reputation"):
             run_epochs(nodes, PARAMS, 2, 1, n_epochs=1)
+
+
+class TestVotingResult:
+    """An elected committee's voting result is a read-only mapping that
+    reads as the dict a seating used to build."""
+
+    def elect(self):
+        nodes = make_nodes([0.9, 0.8, 0.1, 0.7], behaviors={2: ABNORMAL_BEHAVIOR})
+        return elect_witnesses(cast_votes(nodes, PARAMS), nodes, 3, 2,
+                               VotingMode.REPUTATION_WEIGHTED, np.random.default_rng(0))
+
+    def test_compares_with_a_dict_both_ways(self):
+        result = self.elect().voting_result
+        wanted = {0: 0.8 + 0.7, 1: 0.9 + 0.7, 2: 0.0, 3: 0.9 + 0.8}
+        assert isinstance(result, Mapping)
+        assert result == wanted and wanted == result
+        assert not (result != wanted) and not (wanted != result)
+        for other in ({**wanted, 2: 1.0}, {k: wanted[k] for k in (0, 1, 2)}, {}):
+            assert result != other and other != result
+            assert not (result == other) and not (other == result)
+        assert result == self.elect().voting_result
+        assert [(k, v.hex()) for k, v in result.items()] == [
+            (k, v.hex()) for k, v in wanted.items()
+        ]
+
+    def test_repr_is_the_dicts(self):
+        committee = self.elect()
+        as_dict = Committee(committee.members, committee.active_order, committee.standby,
+                            voting_result=dict(committee.voting_result))
+        assert repr(committee) == repr(as_dict)
+        assert repr(committee.voting_result) == repr(dict(committee.voting_result))
+        assert committee == as_dict and as_dict == committee
+
+    def test_reads_like_a_dict_but_refuses_writes(self):
+        result = self.elect().voting_result
+        assert len(result) == 4 and list(result) == [0, 1, 2, 3]
+        assert 3 in result and 4 not in result and "0" not in result
+        assert result.get(4) is None
+        with pytest.raises(KeyError):
+            result[4]
+        with pytest.raises(TypeError):
+            result[0] = 1.0
+        with pytest.raises(TypeError):
+            del result[0]
+        assert all(type(v) is float for v in result.values())
+
+    def test_an_election_builds_no_dict_until_read(self):
+        result = self.elect().voting_result
+        assert result._dict is None
+        assert result[0] == 0.8 + 0.7 and result._dict is not None
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_a_later_write_to_the_tally_changes_nothing(self, read_first):
+        tally = np.array([1.5, 0.25, 0.0, 3.0])
+        wanted = dict(enumerate(tally.tolist()))
+        committee = _seat(tally, [0, 1, 2, 3], 2, 1, np.random.default_rng(0))
+        if read_first:
+            assert committee.voting_result == wanted
+        tally[:] = 9.0
+        assert committee.voting_result == wanted
+        assert committee.members == (3, 0)
 
 
 def call_run_epochs(nodes):
@@ -584,3 +651,41 @@ def test_sample_population_rejects_a_bad_size(n):
 def test_sample_population_takes_numpy_and_zero_sizes():
     assert len(sample_population(np.int64(3), 0.5, np.random.default_rng(0))) == 3
     assert sample_population(0, 0.5, np.random.default_rng(0)) == []
+
+
+def population():
+    return sample_population(20, 0.2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("committee, active", [
+    (True, 1), (5, True), (5.0, 2), (5, 2.0), ("5", 2), (None, 2), (np.float64(5), 2),
+], ids=["bool committee", "bool active", "float committee", "float active", "str", "None",
+        "numpy float"])
+def test_sizes_that_are_not_integers_are_refused(committee, active):
+    nodes = population()
+    before = [n.reputation for n in nodes]
+    with pytest.raises(ValueError, match=r"_size .* is not an integer"):
+        run_epochs(nodes, PARAMS, committee, active, 2)
+    with pytest.raises(ValueError, match=r"_size .* is not an integer"):
+        elect_witnesses(cast_votes(nodes, PARAMS), nodes, committee, active,
+                        VotingMode.EQUAL_WEIGHT, np.random.default_rng(0))
+    assert [n.reputation for n in nodes] == before
+
+
+@pytest.mark.parametrize("epochs", [True, False, 2.0, "2", None])
+def test_epoch_counts_that_are_not_integers_are_refused(epochs):
+    nodes = population()
+    before = [n.reputation for n in nodes]
+    with pytest.raises(ValueError, match=f"^n_epochs {re.escape(repr(epochs))} is not an integer"):
+        run_epochs(nodes, PARAMS, 5, 2, epochs)
+    assert [n.reputation for n in nodes] == before
+
+
+def test_numpy_integer_sizes_and_counts_run_as_ints():
+    runs = [
+        run_epochs(population(), PARAMS, *sizes, seed=3)
+        for sizes in ((5, 2, 3), (np.int64(5), np.int32(2), np.uint8(3)))
+    ]
+    assert runs[0].rows == runs[1].rows
+    assert runs[0].chain == runs[1].chain
+    assert runs[0].committees == runs[1].committees
