@@ -13,6 +13,11 @@ whose block was accepted/rejected (0 for everyone else), gamma = +-1 for a
 committee verifier judging the block correctly/incorrectly (0 otherwise),
 and the result clamped to [0, 1].
 
+Scalar inputs follow the rules in ``model``: committee and active sizes,
+epoch counts, population sizes and seeds are counts (``as_count``), and
+the weights, theta and the hostile fraction are reals (``as_real``), each
+refused with its own message.
+
 The hot path works on arrays, from one pass over the nodes that reads their
 ids, reputations, behavior flags and scripts and checks ids and reputations.
 One election, ``_elect``, builds no ballots: its ballots are arrays of voter
@@ -53,7 +58,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -61,7 +65,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from trafficmarket.model import validate_ids, write_rows
+from trafficmarket.model import as_count, as_real, validate_count, validate_ids, write_rows
 
 __all__ = [
     "VotingMode",
@@ -129,12 +133,6 @@ class FullNode:
         return self.behavior
 
 
-def _is_int(x) -> bool:
-    """An exact integer for a size or a count: an ``int`` or a
-    ``numpy.integer``, but not a ``bool``."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def sample_population(
     n: int, hostile_frac: float, rng: np.random.Generator
 ) -> list[FullNode]:
@@ -143,34 +141,39 @@ def sample_population(
     The hostile ids are drawn first, without replacement, so they
     interleave with the others; then each node in id order draws its
     reputation, in [0, 0.5) if hostile and in [0.5, 1) if well-behaved.
+    The size is a count and the fraction a real (``model.as_count``,
+    ``model.as_real``): a ``bool`` is refused as either.
     """
-    if not _is_int(n) or n < 0:
-        raise ValueError(f"population size {n!r} is not a nonnegative integer")
-    if not 0.0 <= hostile_frac <= 1.0:
+    count = validate_count(n, "population size")
+    if (frac := as_real(hostile_frac)) is None or not 0.0 <= frac <= 1.0:
         raise ValueError(f"hostile fraction {hostile_frac!r} is not in [0, 1]")
-    hostile = set(rng.choice(n, size=round(hostile_frac * n), replace=False).tolist())
+    hostile = set(rng.choice(count, size=round(frac * count), replace=False).tolist())
     return [
         FullNode(id=i, reputation=rng.uniform(0.0, 0.5), behavior=ABNORMAL_BEHAVIOR)
         if i in hostile
         else FullNode(id=i, reputation=rng.uniform(0.5, 1.0))
-        for i in range(n)
+        for i in range(count)
     ]
 
 
 @dataclass(frozen=True)
 class ReputationParams:
+    """The weights and theta are reals (``model.as_real``), stored as plain
+    floats."""
+
     w_vote: float = 0.005
     w_lead: float = 0.05
     w_verify: float = 0.01
     theta: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("w_vote", "w_lead", "w_verify"):
-            if not math.isfinite(getattr(self, name)):
+        for name in ("w_vote", "w_lead", "w_verify", "theta"):  # theta: refused below
+            if (value := as_real(getattr(self, name))) is None and name != "theta":
                 raise ValueError(f"weight {name} must be finite, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if not (self.w_lead > self.w_verify > self.w_vote > 0):
             raise ValueError("weights must satisfy w_lead > w_verify > w_vote > 0")
-        if not (0 < self.theta < 1):
+        if self.theta is None or not (0 < self.theta < 1):
             raise ValueError("theta must lie strictly between 0 and 1")
 
 
@@ -306,14 +309,15 @@ def cast_votes(nodes: Sequence[FullNode], params: ReputationParams) -> list[Voti
     ]
 
 
-def _check_sizes(committee_size: int, active_size: int, population: int) -> None:
-    """Sizes are ints or ``numpy.integer``s, not ``bool``s, with
-    0 < active_size <= committee_size <= population."""
+def _check_sizes(committee_size: int, active_size: int, population: int) -> tuple[int, int]:
+    """Sizes are counts (``model.as_count``) with 0 < active_size <=
+    committee_size <= population; returns them as plain ints."""
     for name, size in (("committee_size", committee_size), ("active_size", active_size)):
-        if not _is_int(size):
+        if as_count(size) is None:
             raise ValueError(f"{name} {size!r} is not an integer")
     if not (0 < active_size <= committee_size <= population):
         raise ValueError("need 0 < active_size <= committee_size <= population")
+    return as_count(committee_size), as_count(active_size)
 
 
 def _check_mode(mode) -> None:
@@ -339,7 +343,7 @@ def elect_witnesses(
     pool) arrays for ``_tally``, the routine ``run_epochs`` elects with.
     """
     _check_mode(mode)
-    _check_sizes(committee_size, active_size, len(nodes))
+    committee_size, active_size = _check_sizes(committee_size, active_size, len(nodes))
     run = _read_nodes(nodes)
     n = len(nodes)
     rows: dict[frozenset[int], int] = {}
@@ -672,19 +676,20 @@ def run_epochs(
     arrays, one per voting node in node order, into pool 0 (high) or 1
     (low), with the pools drawn from that epoch's reputations.
 
-    The sizes and ``n_epochs`` must be ``int``s or ``numpy.integer``s; a
-    ``bool``, a float or anything else is refused with a ``ValueError``.
+    The sizes, ``n_epochs`` and ``seed`` are counts (``model.as_count``,
+    the seed through ``model.validate_count``); a ``bool``, a float or
+    anything else is refused with a ``ValueError`` that names the field.
     """
-    if not _is_int(n_epochs):
+    if as_count(n_epochs) is None:
         raise ValueError(f"n_epochs {n_epochs!r} is not an integer")
     if n_epochs < 0:
         raise ValueError("n_epochs must be non-negative")
     _check_mode(mode)
-    _check_sizes(committee_size, active_size, len(nodes))
+    committee_size, active_size = _check_sizes(committee_size, active_size, len(nodes))
     run = _read_nodes(nodes)
     if committee_schedule is not None:
         _check_schedule(committee_schedule, n_epochs, len(nodes))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(validate_count(seed, "seed"))
     state = ConsensusState()
     history = ConsensusHistory(ids=run.ids, rounds=[], chain=state.chain, committees=[])
     reputations, voted = run.reputations, frozenset(run.voters.tolist())

@@ -15,9 +15,12 @@ Four studies ship with the package:
 ``<out_dir>/<study>/<seed>.csv`` per seed. Overrides are the row
 function's keyword parameters. Rows come in a fixed order and
 ``model.write_rows`` writes them, so identical seeds give byte-identical
-files. Trial seeds never feed one shared stream: anything random inside a
-trial derives its generator from ``[seed, tag, ...]`` so results do not
-depend on the order trials run in.
+files. Every seed passes ``model.validate_count`` before anything is
+written, and a row holds the plain ``int``s and ``float``s that the rules
+in ``model`` return, never a ``bool`` or a numpy scalar. Trial seeds never
+feed one shared stream: anything random inside a trial derives its
+generator from ``[seed, tag, ...]`` so results do not depend on the order
+trials run in.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from trafficmarket.model import (
     AuctionInstance,
     ScenarioConfig,
     generate_scenario,
+    validate_count,
     write_rows,
 )
 
@@ -143,10 +147,11 @@ def rnw_vs_rafn_rows(
     rows = []
     for grid_index, rafn in enumerate(grid):
         rng = np.random.default_rng([seed, 10, grid_index])
-        nodes = sample_population(population, rafn, rng)
-        _check_sizes(committee_size, active_size, population)  # before the ideal divides
+        nodes = sample_population(population, rafn, rng)  # refuses a rafn float() would coerce
+        # the sizes are checked before the ideal divides by one
+        committee_size, active_size = _check_sizes(committee_size, active_size, population)
         run, params = _read_nodes(nodes), ReputationParams()
-        ideal = ideal_normal_fraction(population, committee_size, rafn)
+        ideal = ideal_normal_fraction(len(nodes), committee_size, float(rafn))
         for mode_index, mode in enumerate(
             (VotingMode.REPUTATION_WEIGHTED, VotingMode.EQUAL_WEIGHT)
         ):
@@ -157,7 +162,7 @@ def rnw_vs_rafn_rows(
             normal_seats = sum(
                 1 for m in committee.members if nodes[m].behavior is NORMAL_BEHAVIOR
             )
-            rows.append((rafn, mode.value, normal_seats / committee_size, ideal))
+            rows.append((float(rafn), mode.value, normal_seats / committee_size, ideal))
     return rows
 
 
@@ -198,10 +203,10 @@ def profit_vs_budget_rows(
             greedy = greedy_heuristic(instance)
             truthful = tbsap(instance)
             rows.append(
-                (count, budget, "greedy", greedy.profit, len(greedy.winners))
+                (count, instance.budget, "greedy", greedy.profit, len(greedy.winners))
             )
             rows.append(
-                (count, budget, "tbsap", truthful.profit, len(truthful.winners))
+                (count, instance.budget, "tbsap", truthful.profit, len(truthful.winners))
             )
     return rows
 
@@ -258,6 +263,7 @@ def run_experiment(
 
     ``params`` overrides keyword parameters of the study's row function
     (population sizes, sweep grids, task counts); a grid must be nonempty.
+    Every seed is checked before the first file is written.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
@@ -271,7 +277,7 @@ def run_experiment(
             raise ValueError(f"sweep grid {key!r} must be nonempty")
     rows, header = EXPERIMENTS[name]
     paths = []
-    for seed in seeds:
+    for seed in [validate_count(s, "seed") for s in seeds]:
         # rows first, so a grid the row function rejects leaves no directory
         table = rows(seed, **params)
         paths.append(Path(out_dir) / name / f"{seed}.csv")

@@ -5,6 +5,14 @@ and vehicles that can each observe the tasks inside their detection circle.
 Vehicles sell their observations to the traffic authority through a budgeted
 reverse auction, so every vehicle carries a task subset, a true cost, and a
 bid (equal to the cost unless a test deviates it).
+
+Scalars at a public boundary follow one rule per kind, all defined here.
+Ids are exactly ``int`` (``validate_ids``). Counts, sizes and seeds follow
+``as_count``, and budgets, bounds, weights and fractions follow ``as_real``.
+Each caller keeps its own error text, so the rule is shared and the message
+names the field. The per-record numbers that ``validate_instance`` reads
+(bids, true costs, appraisements) and subset members are left out: a typed
+pass over them costs about a tenth of a small auction call.
 """
 
 from __future__ import annotations
@@ -27,7 +35,10 @@ __all__ = [
     "generate_scenario",
     "coverage_value",
     "left_sum",
+    "as_count",
+    "as_real",
     "validate_budget",
+    "validate_count",
     "validate_ids",
     "validate_instance",
     "paper_example",
@@ -86,8 +97,7 @@ class AuctionInstance:
 
     def with_budget(self, budget: float) -> "AuctionInstance":
         # zero is allowed and buys nothing
-        validate_budget(budget)
-        return replace(self, budget=budget)
+        return replace(self, budget=validate_budget(budget))
 
     def with_bid(self, vehicle_id: int, bid: float) -> "AuctionInstance":
         """Copy of the instance with one vehicle's bid replaced."""
@@ -128,30 +138,28 @@ class ScenarioConfig:
     kappa_max: float = 5.0
 
     def __post_init__(self) -> None:
-        # Counts and the seed must be true integers (numpy ones included):
-        # True would mean 1, and a float fails later inside numpy.
+        # Each field is stored as the plain value its rule returns, so a
+        # scenario file writes numbers that load back.
         for name in ("n_tasks", "n_vehicles", "rng_seed"):
             value = getattr(self, name)
-            try:
-                index = None if isinstance(value, bool) else operator.index(value)
-            except TypeError:
-                index = None
-            if index is None:
+            if (count := as_count(value)) is None:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if index < 0:
+            if count < 0:
                 raise ValueError(f"{name} must be nonnegative")
-            object.__setattr__(self, name, index)
-        if len(self.detection_range) != 2:
+            object.__setattr__(self, name, count)
+        if not isinstance(self.detection_range, (tuple, list)) or len(self.detection_range) != 2:
             raise ValueError("detection_range must be a (lo, hi) pair")
-        bounds = (self.budget, self.city_side, *self.detection_range,
-                  self.appraisement_max, self.kappa_max)
-        if not all(map(math.isfinite, bounds)):
+        names = ("budget", "city_side", "appraisement_max", "kappa_max")
+        reals = {name: as_real(getattr(self, name)) for name in names}
+        reals["detection_range"] = lo, hi = tuple(map(as_real, self.detection_range))
+        if None in (*reals.values(), lo, hi):
             raise ValueError("budget, city_side and sampling bounds must be finite")
+        for name, value in reals.items():
+            object.__setattr__(self, name, value)
         if self.budget <= 0:
             raise ValueError("budget must be positive")
         if self.city_side <= 0:
             raise ValueError("city_side must be positive")
-        lo, hi = self.detection_range
         if not (0 < lo <= hi):
             raise ValueError("detection_range must satisfy 0 < lo <= hi")
         if self.appraisement_max <= 0 or self.kappa_max <= 0:
@@ -251,10 +259,39 @@ def coverage_value(winners: Iterable[int], instance: AuctionInstance) -> float:
     return left_sum(values[t] for t in covered)
 
 
-def validate_budget(budget: float) -> None:
-    """A budget is finite and nonnegative; zero buys nothing."""
-    if not math.isfinite(budget) or budget < 0:
+def as_count(x) -> int | None:
+    """The count rule, for sizes, counts and seeds: an ``int`` or a
+    ``numpy.integer``, as a plain ``int``; None for anything else. A
+    ``bool`` is refused, as ``True`` would count as 1, and so is a float,
+    even an integral one, which numpy would refuse later without a name."""
+    return int(x) if isinstance(x, (int, np.integer)) and not isinstance(x, bool) else None
+
+
+def as_real(x) -> float | None:
+    """The real rule, for budgets, bounds, weights and fractions: a finite
+    ``int``, ``float`` or numpy real, as a plain ``float``; None for
+    anything else. A ``bool`` is refused, as it would pass as 0 or 1 and be
+    written as ``True``, and a numpy scalar comes back plain, as ``repr``
+    writes it ``np.float64(3.0)``, which no loader reads."""
+    real = isinstance(x, (float, int, np.floating, np.integer)) and not isinstance(x, bool)
+    return float(x) if real and math.isfinite(x) else None
+
+
+def validate_budget(budget: float) -> float:
+    """A budget is a real (``as_real``) and nonnegative; zero buys nothing.
+    Returns it as a plain ``float``."""
+    if (value := as_real(budget)) is None or value < 0:
         raise ValueError("budget must be finite and nonnegative")
+    return value
+
+
+def validate_count(value, what: str) -> int:
+    """A population size or a seed: a count (``as_count``) and nonnegative,
+    as plain ``int``. numpy would refuse a negative seed without naming it.
+    The error names ``what``."""
+    if (count := as_count(value)) is None or count < 0:
+        raise ValueError(f"{what} {value!r} is not a nonnegative integer")
+    return count
 
 
 def validate_ids(kind: str, records) -> list[int]:

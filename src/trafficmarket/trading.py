@@ -19,7 +19,9 @@ any is received, so the authority vets them together.
 Message security rides on a pluggable scheme from :mod:`trafficmarket.crypto`.
 Randomness for each participant's key material and ciphertexts comes from
 generators derived from (seed, role, vehicle id), which keeps a round's
-bytes independent of processing order and reproducible end to end.
+bytes independent of processing order and reproducible end to end. The
+seed is a count (``model.validate_count``): a ``bool`` or a float is
+refused.
 
 A round repeats no crypto work whose answer it already has, and every check
 still runs in full on anything new:
@@ -59,7 +61,7 @@ from trafficmarket.crypto import (
     KeyPair,
     SignatureScheme,
 )
-from trafficmarket.model import AuctionInstance, AuctionOutcome, write_rows
+from trafficmarket.model import AuctionInstance, AuctionOutcome, validate_count, write_rows
 
 __all__ = [
     "ProtocolError",
@@ -237,8 +239,10 @@ def build_world(
     """Mint keys, certificates, and accounts for one authority and all vehicles.
 
     The authority's account is funded with the auction budget unless told
-    otherwise; vehicles start empty.
+    otherwise; vehicles start empty. The seed goes through
+    ``model.validate_count`` and is kept as a plain ``int``.
     """
+    seed = validate_count(seed, "seed")
     ca = CertificateAuthority(scheme, np.random.default_rng([seed, 0]))
     authority_keys = scheme.generate_keypair(np.random.default_rng([seed, 1]))
     if authority_balance is None:
