@@ -65,7 +65,9 @@ the geometry (``_setup``). The last geometry's set-up is reused while the
 ``tasks`` tuple and every ``task_subset`` are the very same objects, and a
 memo beside it keeps the record of the last bids seen (``_Memo``). So a
 ``tbsap`` call that only folds and an allocation within the cap build no
-state; a greedy call within it forks the start state once at most.
+state; a greedy call within it forks the start state once at most. No
+mechanism checks its instance: an ``AuctionInstance`` is checked once,
+when it is built, and the auctions add only that every bid is positive.
 """
 
 from __future__ import annotations
@@ -83,9 +85,8 @@ import numpy as np
 from trafficmarket.model import (
     AuctionInstance,
     AuctionOutcome,
+    as_id,
     left_sum,
-    validate_budget,
-    validate_instance,
     write_rows,
 )
 
@@ -149,7 +150,7 @@ class _Memo:
     compared by value, the bids, the greedy's start state (initial gains
     and heapified keys, which the budget never touches), the record of the
     break greedy's walk (``_record``) once one is made, and the
-    ``vehicles`` tuple last validated with those bids."""
+    ``vehicles`` tuple those bids were last read from."""
 
     __slots__ = ("bids", "start", "record", "vehicles", "coverage")
 
@@ -159,10 +160,12 @@ class _Memo:
 
 
 def _setup(instance: AuctionInstance) -> tuple[tuple, _Memo]:
-    """``(values, sorted subsets, members, initial gains)`` of a validated
-    instance, none of which depend on bids or the budget, and the memo kept
-    beside them. Only ``_memo`` calls it, after ``validate_instance``: the
-    one gather behind all initial gains reads ids as ``np.intp``, so 2.5 -> 2.
+    """``(values, sorted subsets, members, initial gains)`` of an instance,
+    none of which depend on bids or the budget, and the memo kept beside
+    them. Only ``_memo`` calls it. The instance was checked when it was
+    built, which matters here: the one gather behind all initial gains reads
+    ids as ``np.intp``, so 2.5 -> 2, and the cache matches tuples and
+    frozensets by identity.
     Reused while the same ``tasks`` tuple and, position by position, the
     same ``task_subset`` frozensets (``is``) come back; the entry holds them
     alive, so no id is reused and any other geometry misses.
@@ -240,19 +243,18 @@ def _memo(instance: AuctionInstance) -> _Memo:
     """The cached geometry's memo for this instance's bids, made afresh
     when the bids differ from the last ones seen on it.
 
-    A new ``(tasks, vehicles)`` pair is validated in full and its bids
-    checked. The memo then holds its ``vehicles`` tuple, and an instance
-    whose ``tasks`` and ``vehicles`` are those very objects has only its
-    budget checked: ``validate_instance`` admits only tuples of frozen
-    records and frozenset subsets, so the rest of it would read the same
-    values again. A pair whose bids reset the memo takes its place, so the
-    tuple before it misses and is validated again.
+    The instance was checked when it was built, so only the auctions' own
+    rule is checked here: the bids of a new ``(tasks, vehicles)`` pair are
+    read, and each must be positive. The memo then holds its ``vehicles``
+    tuple, and an instance whose ``tasks`` and ``vehicles`` are those very
+    objects has the same bids as last time (a checked instance holds only
+    tuples of frozen records), so they are not read again. A pair whose
+    bids reset the memo takes its place, so the tuple before it misses and
+    is read again.
     """
     key, _, memo = _last_geometry
     if memo is not None and memo.vehicles is instance.vehicles and key[0] is instance.tasks:
-        validate_budget(instance.budget)
         return memo
-    validate_instance(instance)
     bids = [float(v.bid) for v in instance.vehicles]
     for v, bid in enumerate(bids):
         if bid <= 0:
@@ -538,10 +540,10 @@ def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:
     appended at the end, so its leftover marginal coverage (clamped the
     same way) joins the pool. The payment is the builtin ``max`` over these
     positions: the scan stops at the first misfit, so every one counts. It
-    never depends on the winner's own bid. The id must be exactly an
-    ``int``, as ``validate_ids`` asks.
+    never depends on the winner's own bid. The id must be an id
+    (``model.as_id``).
     """
-    if type(vehicle_id) is not int:
+    if as_id(vehicle_id) is None:
         raise ValueError(f"vehicle id {vehicle_id!r} is not an int")
     memo, budget = _memo(instance), instance.budget
     if vehicle_id not in (k for k, fits in _picks(memo.start.fork(), budget) if fits):
@@ -577,7 +579,6 @@ def brute_force_optimum(instance: AuctionInstance) -> AuctionOutcome:
     the first maximum found with vehicles considered in id order,
     include-branch first, so tied optima resolve toward lower ids.
     """
-    validate_instance(instance)
     n = len(instance.vehicles)
     if n > BRUTE_FORCE_MAX_VEHICLES:
         raise SizeLimitError(

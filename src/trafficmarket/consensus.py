@@ -65,7 +65,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from trafficmarket.model import as_count, as_real, validate_count, validate_ids, write_rows
+from trafficmarket.model import as_count, as_id, as_real, validate_count, validate_ids, write_rows
 
 __all__ = [
     "VotingMode",
@@ -635,7 +635,7 @@ class ConsensusHistory:
         return list(map(HistoryRow._make, self._tuples()))
 
     def rows_for(self, node_id: int) -> list[HistoryRow]:
-        if type(node_id) is not int:  # as validate_ids: True would read node 1
+        if as_id(node_id) is None:  # True would read node 1
             raise ValueError(f"node id {node_id!r} is not an int")
         if node_id not in self.ids:
             return []
@@ -731,7 +731,7 @@ def _check_schedule(
         if committee is None:
             continue
         for i in (*committee.members, *committee.active_order, *committee.standby):
-            if type(i) is not int or i not in population:  # as validate_ids
+            if as_id(i) is None or i not in population:
                 raise ValueError(f"epoch {epoch} committee seats unknown id {i!r}")
         members = set(committee.members)
         for i in committee.active_order:

@@ -7,16 +7,22 @@ reverse auction, so every vehicle carries a task subset, a true cost, and a
 bid (equal to the cost unless a test deviates it).
 
 Scalars at a public boundary follow one rule per kind, all defined here.
-Ids are exactly ``int`` (``validate_ids``). Counts, sizes and seeds follow
+Ids are exactly ``int`` (``as_id``). Counts, sizes and seeds follow
 ``as_count``, and budgets, bounds, weights and fractions follow ``as_real``.
 Each caller keeps its own error text, so the rule is shared and the message
 names the field. The per-record numbers that ``validate_instance`` reads
-(bids, true costs, appraisements) and subset members are left out: a typed
-pass over them costs about a tenth of a small auction call.
+(bids, true costs, appraisements) and subset members are not typed yet;
+such a pass would cost construction time only.
+
+An ``AuctionInstance`` is checked once, when it is built: its constructor
+is the one caller of ``validate_instance``. ``with_budget`` copies it and
+checks only the new budget, and nothing that reads an instance (the
+auctions, the oracle, ``coverage_value``) checks it again.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import math
@@ -37,6 +43,7 @@ __all__ = [
     "left_sum",
     "as_count",
     "as_real",
+    "as_id",
     "validate_budget",
     "validate_count",
     "validate_ids",
@@ -79,33 +86,43 @@ class Vehicle:
 
 @dataclass(frozen=True)
 class AuctionInstance:
-    """Immutable auction input: tasks, vehicles, and the buyer's budget."""
+    """Immutable auction input: tasks, vehicles, and the buyer's budget.
+
+    Checked once, when built (``validate_instance``), and the budget stored
+    as the plain ``float`` of the real rule. Nothing that reads an instance
+    checks it again."""
 
     tasks: tuple[Task, ...]
     vehicles: tuple[Vehicle, ...]
     budget: float
     city_side: float = 1000.0
 
+    def __post_init__(self) -> None:
+        validate_instance(self)
+        object.__setattr__(self, "budget", float(self.budget))
+
     def task_values(self) -> np.ndarray:
         return np.array([t.appraisement for t in self.tasks], dtype=float)
 
     def vehicle(self, vehicle_id: int) -> Vehicle:
-        v = self.vehicles[vehicle_id]
-        if v.id != vehicle_id:
-            raise KeyError(f"vehicle ids are not dense: {vehicle_id}")
-        return v
+        """The vehicle with this id, exactly an ``int`` (``as_id``): ids are
+        dense, so it sits at that index."""
+        if as_id(vehicle_id) is None or not 0 <= vehicle_id < len(self.vehicles):
+            raise KeyError(f"no vehicle with id {vehicle_id!r}")
+        return self.vehicles[vehicle_id]
 
     def with_budget(self, budget: float) -> "AuctionInstance":
-        # zero is allowed and buys nothing
-        return replace(self, budget=validate_budget(budget))
+        """A copy at another budget; zero is allowed and buys nothing. Only
+        the budget is checked: the tasks and vehicles are the same, checked
+        objects, so a budget sweep checks them once."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "budget", validate_budget(budget))
+        return twin
 
     def with_bid(self, vehicle_id: int, bid: float) -> "AuctionInstance":
         """Copy of the instance with one vehicle's bid replaced."""
-        vehicles = tuple(
-            replace(v, bid=bid) if v.id == vehicle_id else v for v in self.vehicles
-        )
-        if not any(v.id == vehicle_id for v in self.vehicles):
-            raise KeyError(f"no vehicle with id {vehicle_id}")
+        changed = replace(self.vehicle(vehicle_id), bid=bid)
+        vehicles = (*self.vehicles[:vehicle_id], changed, *self.vehicles[vehicle_id + 1:])
         return replace(self, vehicles=vehicles)
 
 
@@ -252,11 +269,7 @@ def coverage_value(winners: Iterable[int], instance: AuctionInstance) -> float:
     covered: set[int] = set()
     for vid in winners:
         covered.update(instance.vehicle(vid).task_subset)
-    values = {t.id: t.appraisement for t in instance.tasks}
-    unknown = covered - values.keys()
-    if unknown:
-        raise ValueError(f"task ids not in instance: {sorted(unknown)}")
-    return left_sum(values[t] for t in covered)
+    return left_sum(instance.tasks[t].appraisement for t in covered)
 
 
 def as_count(x) -> int | None:
@@ -274,7 +287,18 @@ def as_real(x) -> float | None:
     written as ``True``, and a numpy scalar comes back plain, as ``repr``
     writes it ``np.float64(3.0)``, which no loader reads."""
     real = isinstance(x, (float, int, np.floating, np.integer)) and not isinstance(x, bool)
-    return float(x) if real and math.isfinite(x) else None
+    try:
+        return float(x) if real and math.isfinite(x) else None
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
+def as_id(x) -> int | None:
+    """The id rule: ``x`` if it is exactly an ``int``, else None. A ``bool``
+    or ``1.0`` would pass as an id and reach the output as it is, and
+    ``numpy.int64`` is refused as every generator and loader makes plain
+    ints. Each caller keeps its own message."""
+    return x if type(x) is int else None
 
 
 def validate_budget(budget: float) -> float:
@@ -295,20 +319,19 @@ def validate_count(value, what: str) -> int:
 
 
 def validate_ids(kind: str, records) -> list[int]:
-    """The records' ids, each exactly an ``int``: a ``bool`` or ``1.0`` would
-    pass as one and reach the output as it is, and ``numpy.int64`` is refused
-    as every generator and loader makes plain ints. Errors name the position."""
+    """The records' ids, each an id (``as_id``). Errors name the position."""
     ids = [r.id for r in records]
-    if not set(map(type, ids)) <= {int}:
-        i = next(i for i, x in enumerate(ids) if type(x) is not int)
+    if None in (checked := list(map(as_id, ids))):
+        i = checked.index(None)
         raise ValueError(f"{kind} at position {i} has id {ids[i]!r}, not an int")
     return ids
 
 
 def validate_instance(instance: AuctionInstance) -> None:
-    """Structural checks: tuples and frozensets (the auction caches by
-    identity), dense int ids in order, valid subsets, finite positive values.
-    Task values are read by position, so task j must sit at index j."""
+    """Structural checks, made once by ``AuctionInstance``'s constructor:
+    tuples and frozensets (the auction caches by identity), dense int ids in
+    order, valid subsets, finite positive values. Task values are read by
+    position, so task j must sit at index j."""
     if not (isinstance(instance.tasks, tuple) and isinstance(instance.vehicles, tuple)):
         raise ValueError("tasks and vehicles must be tuples")
     if validate_ids("task", instance.tasks) != list(range(len(instance.tasks))):
@@ -441,14 +464,12 @@ def loads_scenario(text: str) -> AuctionInstance:
     places += [v.detection_distance for v in vehicles]
     if not all(map(math.isfinite, places)):
         raise ValueError("positions and detection distances must be finite")
-    instance = AuctionInstance(
+    return AuctionInstance(
         tasks=tuple(tasks),
         vehicles=tuple(vehicles),
         budget=singles["budget"],
         city_side=city_side,
     )
-    validate_instance(instance)
-    return instance
 
 
 def save_scenario(instance: AuctionInstance, path) -> None:

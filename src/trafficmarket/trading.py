@@ -61,7 +61,7 @@ from trafficmarket.crypto import (
     KeyPair,
     SignatureScheme,
 )
-from trafficmarket.model import AuctionInstance, AuctionOutcome, validate_count, write_rows
+from trafficmarket.model import AuctionInstance, AuctionOutcome, as_id, validate_count, write_rows
 
 __all__ = [
     "ProtocolError",
@@ -424,21 +424,24 @@ def _literal(plaintext: bytes):
 def _parse_request(plaintext: bytes) -> tuple | None:
     """``(tag, vehicle id, task ids, bid)`` from a request's plaintext, the
     ``repr`` its sender signs: a tuple of a str, an int, a tuple of ints and
-    an int or float; else None."""
+    an int or float; else None. Ids follow ``model.as_id``."""
     fields = _literal(plaintext)
     if type(fields) is not tuple or len(fields) != 4:
         return None
     tag, vid, tasks, bid = fields
-    if type(tag) is str and type(vid) is int and type(bid) in (int, float):
-        return fields if type(tasks) is tuple and all(type(t) is int for t in tasks) else None
+    number = isinstance(bid, (int, float)) and not isinstance(bid, bool)
+    if type(tag) is str and as_id(vid) is not None and number:
+        return fields if type(tasks) is tuple and None not in map(as_id, tasks) else None
     return None
 
 
 def _parse_data(plaintext: bytes) -> tuple | None:
     """``(tag, vehicle id, readings)`` from a delivery's plaintext: a tuple
-    of a str, an int and a tuple; else None."""
+    of a str, an id (``model.as_id``) and a tuple; else None."""
     fields = _literal(plaintext)
-    return fields if type(fields) is tuple and [*map(type, fields)] == [str, int, tuple] else None
+    if type(fields) is not tuple or len(fields) != 3 or as_id(fields[1]) is None:
+        return None
+    return fields if type(fields[0]) is str and type(fields[2]) is tuple else None
 
 
 def _surviving_instance(

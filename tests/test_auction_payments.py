@@ -45,6 +45,7 @@ vectors and budgets, so those alternate against an emptied cache, empty
 winners included. Ids that equal an int but are not one are refused.
 """
 
+import functools
 import hashlib
 import heapq
 import itertools
@@ -62,7 +63,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trafficmarket
-from trafficmarket import auction
+from trafficmarket import auction, model
 from trafficmarket.auction import (
     _CoverageState,
     _Record,
@@ -641,13 +642,13 @@ def test_a_fold_builds_no_state(monkeypatch):
     instance = dense_scenario(7, n_tasks=60, n_vehicles=120, side=300.0)
     tbsap(instance.with_budget(40.0))
     built = []
-    init, fork, validate = _CoverageState.__init__, _CoverageState.fork, auction.validate_instance
+    init, fork, validate = _CoverageState.__init__, _CoverageState.fork, model.validate_instance
     monkeypatch.setattr(
         _CoverageState, "__init__", lambda self, *args: built.append("init") or init(self, *args)
     )
     monkeypatch.setattr(_CoverageState, "fork", lambda self: built.append("fork") or fork(self))
     monkeypatch.setattr(
-        auction, "validate_instance", lambda i: built.append("validate") or validate(i)
+        model, "validate_instance", lambda i: built.append("validate") or validate(i)
     )
     for budget in (40.0, 10.0, 25.0):
         tbsap(instance.with_budget(budget))
@@ -667,7 +668,8 @@ def test_a_fold_builds_no_state(monkeypatch):
     assert auction._last_geometry[2].record.cap == math.inf
     built.clear()
     tbsap(instance.with_bid(0, instance.vehicles[0].bid * 2))
-    assert built.count("validate") == built.count("init") == 1  # a new pair, new bids
+    # a new pair, new bids: checked once, by the copy's constructor
+    assert built.count("validate") == built.count("init") == 1
 
 
 def cold_call(mechanism, instance):
@@ -678,6 +680,24 @@ def cold_call(mechanism, instance):
         return mechanism(instance)
     finally:
         auction._last_geometry = saved
+
+
+def test_an_instance_is_checked_once_when_built(monkeypatch):
+    example, checks, validate = paper_example(), [], model.validate_instance
+    monkeypatch.setattr(model, "validate_instance", lambda i: checks.append(i) or validate(i))
+    instance = AuctionInstance(example.tasks, example.vehicles, 5.0)
+    assert len(checks) == 1
+    for mechanism in (tbsap, greedy_heuristic, tbsap_allocate, brute_force_optimum,
+                      functools.partial(tbsap_payment, 0)):
+        cold_call(mechanism, instance)
+    for budget in (0.0, 3.0, 1e9):
+        twin = instance.with_budget(budget)
+        assert twin.budget == budget and twin.tasks is instance.tasks
+        assert twin.vehicles is instance.vehicles
+    for bad in (math.nan, math.inf, -math.inf, -1, True):
+        with pytest.raises(ValueError, match="^budget must be finite and nonnegative$"):
+            instance.with_budget(bad)
+    assert checks == [instance]
 
 
 def sensed_last_task(seed):
@@ -693,22 +713,23 @@ def test_known_pair_still_fails_closed(mechanism):
     vehicles, last = instance.vehicles, len(instance.tasks)
     # a subset naming a task the instance does not have
     bad = replace(vehicles[1], task_subset=vehicles[1].task_subset | {last})
+    # each case is built inside pytest.raises: its constructor refuses it
     cases = [
-        replace(instance, budget=math.nan),
-        replace(instance, budget=-1.0),
-        replace(instance, budget=math.inf),
-        instance.with_bid(1, math.nan),
+        lambda: replace(instance, budget=math.nan),
+        lambda: replace(instance, budget=-1.0),
+        lambda: replace(instance, budget=math.inf),
+        lambda: instance.with_bid(1, math.nan),
         # the same tasks tuple, a distinct vehicles tuple holding a bad subset
-        replace(instance, vehicles=(vehicles[0], bad, *vehicles[2:])),
+        lambda: replace(instance, vehicles=(vehicles[0], bad, *vehicles[2:])),
         # an equal but distinct vehicles tuple, and the last task dropped
-        replace(instance, vehicles=tuple(list(vehicles)), tasks=instance.tasks[:-1]),
+        lambda: replace(instance, vehicles=tuple(list(vehicles)), tasks=instance.tasks[:-1]),
         # the very vehicles tuple, and the last task dropped
-        replace(instance, tasks=instance.tasks[:-1]),
+        lambda: replace(instance, tasks=instance.tasks[:-1]),
     ]
     for case in cases:
         mechanism(instance)  # the memo now holds this pair
         with pytest.raises(ValueError):
-            mechanism(case)
+            mechanism(case())
     for budget in (math.nan, -1.0, math.inf):
         with pytest.raises(ValueError, match="^budget must be finite and nonnegative$"):
             mechanism(replace(instance, budget=budget))

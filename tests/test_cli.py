@@ -54,6 +54,15 @@ class TestAuction:
         assert code == 0
         assert "winners: 0\n" in out
 
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_bad_budget_override_exits_1(self, budget):
+        # the override is checked by with_budget, which copies the instance
+        code, out, err = run_cli(
+            ["auction", "--scenario", "paper-example", "--budget", budget]
+        )
+        assert code == 1 and out == ""
+        assert err == "error: budget must be finite and nonnegative\n"
+
     def test_outcome_csv(self, tmp_path):
         out_file = tmp_path / "outcome.csv"
         code, _, _ = run_cli(

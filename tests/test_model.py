@@ -343,6 +343,18 @@ def test_with_bid_and_with_budget():
         # a scenario file could not hold the result: load_scenario rejects it
         with pytest.raises(ValueError, match="^budget must be finite and nonnegative$"):
             instance.with_budget(budget)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, np.int64(1), 3, -1],
+                         ids=["bool", "float", "numpy", "past the end", "negative"])
+def test_a_vehicle_id_that_is_not_an_id_is_unknown(bad):
+    # True and 1.0 equal vehicle 1's id; as_id refuses them, as validate_ids does
+    instance = paper_example()
+    with pytest.raises(KeyError, match="no vehicle with id"):
+        instance.vehicle(bad)
+    with pytest.raises(KeyError, match="no vehicle with id"):
+        instance.with_bid(bad, 9.0)
+    assert instance.with_bid(1, 9.0).vehicles[1].bid == 9.0
     with pytest.raises(KeyError):
         instance.with_bid(99, 1.0)
 

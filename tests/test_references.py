@@ -7,8 +7,13 @@ benchmark probe do. Once the probe stops importing them, they can move to
 ``tests/oracles.py``.
 
 The scalar rules stay in ``model.py`` too: counts, sizes and seeds go
-through ``model.as_count`` and reals through ``model.as_real``, so no other
-module reads ``math.isfinite``, ``np.integer`` or ``operator.index``.
+through ``model.as_count``, reals through ``model.as_real`` and ids through
+``model.as_id``, so no other module reads ``math.isfinite``, ``np.integer``
+or ``operator.index``, or compares a ``type(...)`` with ``int``.
+
+An ``AuctionInstance`` is checked once, by its constructor: no other code
+in the package calls ``validate_instance``, and ``auction.py`` names no
+validator.
 """
 
 import ast
@@ -68,3 +73,60 @@ def test_the_rule_scan_sees_attributes_and_imports():
     tree = ast.parse(source)
     assert sorted(rule_parts(tree)) == [("math.isfinite", 3), ("numpy.integer", 2),
                                         ("operator.index", 4)]
+
+
+def int_type_tests(tree: ast.AST):
+    """Line of every comparison of a ``type(...)`` call with ``int``, alone
+    or in a tuple, list or set."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        if not any(isinstance(s, ast.Call) and getattr(s.func, "id", None) == "type"
+                   for s in sides):
+            continue
+        parts = [e for s in sides for e in getattr(s, "elts", [s])]
+        if any(isinstance(e, ast.Name) and e.id == "int" for e in parts):
+            yield node.lineno
+
+
+def test_only_model_holds_the_id_rule():
+    paths = {p.name: p for p in sorted(PACKAGE.glob("*.py"))}
+    found = {name: list(int_type_tests(ast.parse(p.read_text()))) for name, p in paths.items()}
+    assert found.pop("model.py")  # as_id itself
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_id_scan_sees_each_form():
+    source = ("type(a) is int\ntype(b) is not int\nint == type(c)\ntype(d) in (float, int)\n"
+              "type(e) is str\nisinstance(f, int)\na is int\n")
+    assert list(int_type_tests(ast.parse(source))) == [1, 2, 3, 4]
+
+
+def calls(tree: ast.AST, name: str, inside: tuple = ()):
+    """The dotted enclosing definition of every call of ``name``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from calls(node, name, (*inside, node.name))
+            continue
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            yield ".".join(inside)
+        yield from calls(node, name, inside)
+
+
+def test_an_instance_is_checked_only_by_its_constructor():
+    paths = sorted(PACKAGE.glob("*.py"))
+    found = [(p.name, where) for p in paths
+             for where in calls(ast.parse(p.read_text()), "validate_instance")]
+    assert found == [("model.py", "AuctionInstance.__post_init__")]
+    tree = ast.parse((PACKAGE / "auction.py").read_text())
+    named = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(tree)}
+    named |= {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+              for alias in n.names}
+    assert named & {"validate_instance", "validate_budget"} == set()
+
+
+def test_the_call_scan_names_the_enclosing_definition():
+    source = "f()\nclass A:\n    def g(self):\n        m.f(1)\ndef h():\n    f\n"
+    assert list(calls(ast.parse(source), "f")) == ["", "A.g"]

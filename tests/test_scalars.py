@@ -11,7 +11,7 @@ error or result, compared as bytes or ``repr``.
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -22,6 +22,7 @@ from trafficmarket.consensus import ReputationParams, run_epochs, sample_populat
 from trafficmarket.crypto import HashStubScheme
 from trafficmarket.experiments import run_experiment
 from trafficmarket.model import (
+    AuctionInstance,
     ScenarioConfig,
     as_count,
     as_real,
@@ -72,6 +73,9 @@ def outcome(call, value):
         return "ok", call(value)
     except ValueError as exc:
         return "error", str(exc)
+
+
+EXAMPLE = paper_example()
 
 
 def config_bytes(**fields):
@@ -131,6 +135,11 @@ def fields(tmp_path: Path) -> dict[str, Field]:
         Field("with_budget", "real", 4.5,
               lambda v: dumps_scenario(paper_example().with_budget(v)), "budget"),
         Field("validate_budget", "real", 4.5, lambda v: repr(validate_budget(v)), "budget"),
+        Field("AuctionInstance budget", "real", 4.5,
+              lambda v: dumps_scenario(AuctionInstance(EXAMPLE.tasks, EXAMPLE.vehicles, v)),
+              "budget"),
+        Field("replace budget", "real", 4.5,
+              lambda v: dumps_scenario(replace(EXAMPLE, budget=v)), "budget"),
         *(Field(f"params {name}", "real", base,
                 lambda v, name=name: repr(ReputationParams(**{name: v})), name)
           for name, base in (("w_vote", 0.005), ("w_lead", 0.05), ("w_verify", 0.01),
@@ -180,6 +189,28 @@ def test_a_hostile_scalar_is_refused_by_name_or_runs_as_its_plain_value(
         assert not any(tmp_path.iterdir())  # nothing written
     else:
         assert outcome(field.call, value) == outcome(field.call, plain(value))
+
+
+REAL_FIELDS = [name for name, field in fields(Path(".")).items() if field.kind == "real"]
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["1e400", "-1e400"])
+@pytest.mark.parametrize("name", REAL_FIELDS)
+def test_an_int_beyond_the_float_range_is_refused_by_name(name, value, tmp_path):
+    # float() overflows on it, so it is no real. Counts are left out: a
+    # count's plain value is itself, so the sweep would compare a call with
+    # itself, and 10**400 epochs is a request for endless work.
+    field = fields(tmp_path)[name]
+    with pytest.raises(ValueError, match=field.names):
+        field.call(value)
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_built_instance_stores_a_plain_budget():
+    instance = AuctionInstance(EXAMPLE.tasks, EXAMPLE.vehicles, np.float64(5))
+    assert instance.budget == 5.0 and type(instance.budget) is float
+    assert loads_scenario(dumps_scenario(instance)) == instance
+    assert "\nbudget 5.0\n" in dumps_scenario(instance)
 
 
 @pytest.mark.parametrize("name", FIELD_NAMES)
