@@ -37,25 +37,27 @@ The budget never changes the pick order (argmax reads only gains and
 bids); it decides where each rule stops and enters each payment position
 as ``min(replacement bid, B - spend)``. So each bid vector keeps one record
 of the break greedy's walk (``_Record``): the picks up to its first misfit,
-the spend after each and, once ``tbsap`` asks, each pick's rows
-``replacement bid, spend`` and its payment at the walk's budget
-(``_critical_scans``). One rule decides walks (``_record``): the first on
-a bid vector runs at the call's budget, every later one with no cap, and
-one is needed when a call's budget is above the cap or ``tbsap`` needs
-rows the record lacks.
+the spend after each, every vehicle's gain after each number of picks
+and, once ``tbsap`` asks, each pick's rows ``replacement bid, spend`` and
+its payment at the walk's budget (``_critical_scans``). One rule decides
+walks (``_record``): the first on a bid vector runs at the call's budget,
+every later one with no cap, and one is needed when a call's budget is
+above the cap or ``tbsap`` needs rows the record lacks.
 The cap is the walk's budget if it met a misfit or recorded rows, as each
 suffix ends once no later position can raise the payment at any budget up
 to it.
 
 ``tbsap_allocate`` at B takes the picks whose spend is at most B, and so
 does ``greedy_heuristic``, whose filter drops nothing before that misfit.
-Unless they are all of a walk that met no misfit, it replays them into a fork,
-one loop over the tasks they cover, and goes on over fresh keys for just
-the other bids with spend + bid <= B, a prefix of the ids by bid. That is
-exact: a misfit misfits for good, as spend only grows and rounding is
-monotone, and if the whole heap's top is negative so is every bid that
-fits. So the argmax over the bids that fit, by the same key, is the
-unfiltered loop's pick, bit for bit. ``tbsap`` at the cap reads the
+Unless they are all of a walk that met no misfit, it forks the state the
+walk had after its n picks: a copy of the gains the walk kept, the tasks
+first covered before pick n, and the spend after pick n - 1, all as
+``select`` left them. It goes on over fresh keys for just the other bids
+with spend + bid <= B, a prefix of the ids by bid. That is exact: a
+misfit misfits for good, as spend only grows and rounding is monotone,
+and if the whole heap's top is negative so is every bid that fits. So the
+argmax over the bids that fit, by the same key, is the unfiltered loop's
+pick, bit for bit. ``tbsap`` at the cap reads the
 walk's payments; at a lower budget it folds each winner's rows as two
 contiguous columns with a few array reductions that keep their bits
 (``_Record.fold``).
@@ -305,59 +307,58 @@ def _picks(state: _CoverageState, budget: float, drop_misfits: bool = False):
 class _Record:
     """The break greedy's walk on one bid vector at budget ``cap``, on a
     fork of the start state: the picks up to its first misfit, the spend
-    after each (``reach``), whether it met that misfit, and, when priced,
-    one flat list of rows, ``replacement bid, spend`` pairs that
+    after each (``reach``), whether it met that misfit, and ``gains[n]``,
+    every vehicle's marginal coverage after n picks, for n from 0 to the
+    number of picks. Each is the list ``select`` left: a copy taken before
+    a pick, and the walk's own list after the last. When priced it also
+    holds one flat list of rows, ``replacement bid, spend`` pairs that
     ``_critical_scans`` appends pick by pick, ``offsets`` to each pick's
-    first row, and each pick's payment at ``cap`` (``paid``). The first fold
-    at another budget turns the rows into ``columns``, two contiguous
-    arrays. The greedy's first replay adds the tasks each pick newly covers,
-    sorted per pick (``covers``, their count after 0, 1, ... picks in
-    ``ends``), and the ids by bid. A walk that ends on its own holds at
-    every budget, so its cap becomes inf, unless it is priced. Winners at B
-    are the picks whose spend after is at most B, found by bisection.
+    first row, and each pick's payment at ``cap`` (``paid``). The first
+    fold at another budget turns the rows into ``columns``, two contiguous
+    arrays. The greedy's first replay adds, per task, the index of the
+    first pick that covers it (``first``, the number of picks if none
+    does), and the ids by bid. A walk that ends on its own holds at every
+    budget, so its cap becomes inf, unless it is priced. Winners at B are
+    the picks whose spend after is at most B, found by bisection.
     """
 
-    __slots__ = ("cap", "picks", "reach", "misfit", "covers", "ends", "by_bid",
+    __slots__ = ("cap", "picks", "reach", "misfit", "gains", "first", "by_bid",
                  "rows", "offsets", "paid", "columns")
 
     def __init__(self, start: _CoverageState, cap: float, price=False):
         state = start.fork()
         bids = state.bids
-        self.picks, self.reach, fits = [], [], True
+        self.picks, self.reach, self.gains, fits = [], [], [], True
         self.rows, self.offsets, self.paid = ([], [0], []) if price else (None, None, None)
-        self.by_bid = self.covers = self.ends = self.columns = None
+        self.by_bid = self.first = self.columns = None
         cut = price and bids and state.values  # see _critical_scans
         if cut:
             low = min(bids) * math.ulp(min(state.values))
             cut = low > sys.float_info.min and max(bids) * max(state.gain) < sys.float_info.max
-        prefix: list[tuple[int, list[float], float]] = []  # (pick, gains, spend) before it
         for k, fits in _picks(state, cap):
             if not fits:
                 break
+            self.gains.append(state.gain[:])
+            if price:
+                self.paid.append(_critical_scans(state, k, self, cap, cut))
+                self.offsets.append(len(self.rows) // 2)
             self.picks.append(k)
             self.reach.append(state.spent + bids[k])
-            if price:
-                self.paid.append(_critical_scans(state, k, prefix, cap, cut, self.rows))
-                self.offsets.append(len(self.rows) // 2)
-                prefix.append((k, state.gain[:], state.spent))
+        self.gains.append(state.gain)
         self.misfit = not fits
         self.cap = cap if price or self.misfit else math.inf
 
     def replay(self, start: _CoverageState, n: int) -> _CoverageState:
-        """A fork of ``start`` after the first n picks: ``select``'s steps in
-        its order, as one loop over the tasks they cover, and its spend."""
-        if self.covers is None:
-            seen, self.covers, self.ends = set(), [], [0]
-            for k in self.picks:
-                self.covers += [t for t in start.subsets[k] if t not in seen]
-                seen.update(start.subsets[k])
-                self.ends.append(len(self.covers))
+        """A fork of ``start`` as the walk left it after its first n picks:
+        a copy of ``gains[n]``, the tasks first covered before pick n, and
+        the spend after pick n - 1."""
+        if self.first is None:
+            self.first = [len(self.picks)] * len(start.values)
+            for i in reversed(range(len(self.picks))):
+                for t in start.subsets[self.picks[i]]:
+                    self.first[t] = i
         state = start.fork()
-        gain, covered, values, members = state.gain, state.covered, state.values, state.members
-        for t in self.covers[: self.ends[n]]:
-            covered[t], value = True, values[t]
-            for v in members[t]:
-                gain[v] -= value
+        state.gain, state.covered = self.gains[n][:], [i < n for i in self.first]
         state.spent = self.reach[n - 1] if n else 0.0
         return state
 
@@ -448,12 +449,12 @@ def tbsap_allocate(instance: AuctionInstance) -> list[int]:
     return record.picks[: bisect.bisect_right(record.reach, instance.budget)]
 
 
-def _critical_scans(state: _CoverageState, k: int, prefix: list, cap: float, cut: bool,
-                    rows: list) -> float:
+def _critical_scans(state: _CoverageState, k: int, record: _Record, cap: float,
+                    cut: bool) -> float:
     """Appends the rows of pick ``k`` of the break greedy at budget ``cap``
-    to ``rows`` and returns k's payment at ``cap``, from ``state`` as it is
-    just before the pick and ``prefix``, the ``(pick, gains, spend)`` before
-    each earlier pick; ``_Record`` walks the picks.
+    to the record's ``rows`` and returns k's payment at ``cap``, from
+    ``state`` as it is just before the pick and, for each earlier pick, the
+    record's gains before it and its spend; ``_Record`` walks the picks.
 
     A row is ``replacement bid, spend before it``: one position at which
     the priced vehicle k could have been picked in the run over everyone but
@@ -500,9 +501,10 @@ def _critical_scans(state: _CoverageState, k: int, prefix: list, cap: float, cut
     checked after rounding, which is monotone: strictly above the least
     normal float and strictly below the largest.
     """
-    bids = state.bids
+    bids, rows = state.bids, record.rows
     best = -math.inf  # the running max of min(raw, cap - spend), first of equals kept
-    for c, snap, spent in prefix:  # every prefix row fits at cap
+    for c, snap, spent in zip(record.picks, record.gains, chain((0.0,), record.reach)):
+        # a prefix row: the gains before pick c and the spend then; it fits at cap
         raw = bids[c] * snap[k] / snap[c]
         rows += raw, spent
         best = max(best, min(raw, cap - spent))

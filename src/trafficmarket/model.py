@@ -88,9 +88,9 @@ class Vehicle:
 class AuctionInstance:
     """Immutable auction input: tasks, vehicles, and the buyer's budget.
 
-    Checked once, when built (``validate_instance``), and the budget stored
-    as the plain ``float`` of the real rule. Nothing that reads an instance
-    checks it again."""
+    Checked once, when built (``validate_instance``), and the budget and
+    the city side stored as the plain ``float`` of the real rule. Nothing
+    that reads an instance checks it again."""
 
     tasks: tuple[Task, ...]
     vehicles: tuple[Vehicle, ...]
@@ -100,6 +100,7 @@ class AuctionInstance:
     def __post_init__(self) -> None:
         validate_instance(self)
         object.__setattr__(self, "budget", float(self.budget))
+        object.__setattr__(self, "city_side", float(self.city_side))
 
     def task_values(self) -> np.ndarray:
         return np.array([t.appraisement for t in self.tasks], dtype=float)
@@ -272,12 +273,20 @@ def coverage_value(winners: Iterable[int], instance: AuctionInstance) -> float:
     return left_sum(instance.tasks[t].appraisement for t in covered)
 
 
+#: The largest count: numpy takes no larger size or seed.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def as_count(x) -> int | None:
     """The count rule, for sizes, counts and seeds: an ``int`` or a
-    ``numpy.integer``, as a plain ``int``; None for anything else. A
-    ``bool`` is refused, as ``True`` would count as 1, and so is a float,
-    even an integral one, which numpy would refuse later without a name."""
-    return int(x) if isinstance(x, (int, np.integer)) and not isinstance(x, bool) else None
+    ``numpy.integer`` no larger than numpy's largest ``int64``, as a plain
+    ``int``; None for anything else. A ``bool`` is refused, as ``True``
+    would count as 1, and so is a float, even an integral one, which numpy
+    would refuse later without a name. numpy takes no larger size or
+    seed: it would raise a raw ``OverflowError``, or a seed would first
+    name a file too long to write."""
+    count = isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return int(x) if count and x <= _INT64_MAX else None
 
 
 def as_real(x) -> float | None:
@@ -330,8 +339,9 @@ def validate_ids(kind: str, records) -> list[int]:
 def validate_instance(instance: AuctionInstance) -> None:
     """Structural checks, made once by ``AuctionInstance``'s constructor:
     tuples and frozensets (the auction caches by identity), dense int ids in
-    order, valid subsets, finite positive values. Task values are read by
-    position, so task j must sit at index j."""
+    order, valid subsets, finite positive values, and a city side that is a
+    positive real (``as_real``). Task values are read by position, so task j
+    must sit at index j."""
     if not (isinstance(instance.tasks, tuple) and isinstance(instance.vehicles, tuple)):
         raise ValueError("tasks and vehicles must be tuples")
     if validate_ids("task", instance.tasks) != list(range(len(instance.tasks))):
@@ -340,6 +350,8 @@ def validate_instance(instance: AuctionInstance) -> None:
     if validate_ids("vehicle", instance.vehicles) != list(range(len(instance.vehicles))):
         raise ValueError("vehicle ids must be dense 0..n-1")
     validate_budget(instance.budget)
+    if (side := as_real(instance.city_side)) is None or side <= 0:
+        raise ValueError("city side must be finite and positive")
     for t in instance.tasks:
         if not math.isfinite(t.appraisement) or t.appraisement <= 0:
             raise ValueError(f"task {t.id} appraisement must be finite and positive")
@@ -457,9 +469,6 @@ def loads_scenario(text: str) -> AuctionInstance:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if "budget" not in singles:
         raise ValueError("missing budget record")
-    city_side = singles.get("city", 1000.0)
-    if not (math.isfinite(city_side) and city_side > 0):
-        raise ValueError("city side must be finite and positive")
     places = [c for record in (*tasks, *vehicles) for c in (record.x, record.y)]
     places += [v.detection_distance for v in vehicles]
     if not all(map(math.isfinite, places)):
@@ -468,7 +477,7 @@ def loads_scenario(text: str) -> AuctionInstance:
         tasks=tuple(tasks),
         vehicles=tuple(vehicles),
         budget=singles["budget"],
-        city_side=city_side,
+        city_side=singles.get("city", 1000.0),
     )
 
 

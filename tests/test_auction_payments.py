@@ -35,8 +35,8 @@ shuffled order, a capped, a complete and a reset record, the fit test
 after the first drop, and a new interpreter check it against the oracle;
 beside a walk that met no misfit it forks nothing.
 
-The greedy rebuilds the state after its first n picks by replaying the
-tasks they cover; that state must have the bits of n ``select`` calls, on
+The greedy rebuilds the state after its first n picks from the walk's
+gains after them; that state must have the bits of n ``select`` calls, on
 the seed-1009 auction-dense map and on smaller dense maps, and the greedy
 must match the oracle on their budget sweeps in any order. A walk's own
 payments at its cap must have the bits of its rows folded as columns and
@@ -1003,10 +1003,11 @@ def state_view(state):
 
 
 def test_replay_matches_one_select_per_pick(dense_map):
-    # The state after n picks, rebuilt as one loop over the tasks they newly
-    # cover, has every gain, covered flag and the spend of n select calls,
-    # for every n, on a complete order and on one capped at a tight budget;
-    # the start state it forks is left as it was
+    # The state after n picks, forked from the walk's gains after n picks,
+    # has every gain, covered flag and the spend of n select calls, for
+    # every n, on a complete order and on one capped at a tight budget; the
+    # walk keeps one gain list per n, and the start state it forks is left
+    # as it was
     for instance in (dense_map, *dense_families()):
         for budget in (1e9, instance.budget / 8):
             auction._last_geometry = ((), None, None)
@@ -1019,7 +1020,7 @@ def test_replay_matches_one_select_per_pick(dense_map):
                 if n:
                     selected.select(order.picks[n - 1])
                 assert state_view(order.replay(memo.start, n)) == state_view(selected), n
-            assert order.ends[-1] == len(set(order.covers)) == sum(selected.covered)
+            assert len(order.gains) == len(order.picks) + 1
             assert state_view(memo.start) == start
 
 

@@ -6,7 +6,9 @@ and fractions follow ``model.as_real``. Each entry point below is fed a
 -0.0 in one field at a time. A value its rule refuses must raise a
 ``ValueError`` that names the field; any other must give exactly what the
 same call gives on the plain Python value (``numpy`` scalars unwrapped),
-error or result, compared as bytes or ``repr``.
+error or result, compared as bytes or ``repr``. A real beyond the float
+range and a count beyond numpy's ``int64`` (10**400, 2**63) are refused by
+name in every field of their kind, with nothing written.
 """
 
 import math
@@ -140,6 +142,11 @@ def fields(tmp_path: Path) -> dict[str, Field]:
               "budget"),
         Field("replace budget", "real", 4.5,
               lambda v: dumps_scenario(replace(EXAMPLE, budget=v)), "budget"),
+        Field("AuctionInstance city_side", "real", 50.0,
+              lambda v: dumps_scenario(AuctionInstance(EXAMPLE.tasks, EXAMPLE.vehicles, 4.5,
+                                                       city_side=v)), "city side"),
+        Field("replace city_side", "real", 50.0,
+              lambda v: dumps_scenario(replace(EXAMPLE, city_side=v)), "city side"),
         *(Field(f"params {name}", "real", base,
                 lambda v, name=name: repr(ReputationParams(**{name: v})), name)
           for name, base in (("w_vote", 0.005), ("w_lead", 0.05), ("w_verify", 0.01),
@@ -197,13 +204,32 @@ REAL_FIELDS = [name for name, field in fields(Path(".")).items() if field.kind =
 @pytest.mark.parametrize("value", [10**400, -10**400], ids=["1e400", "-1e400"])
 @pytest.mark.parametrize("name", REAL_FIELDS)
 def test_an_int_beyond_the_float_range_is_refused_by_name(name, value, tmp_path):
-    # float() overflows on it, so it is no real. Counts are left out: a
-    # count's plain value is itself, so the sweep would compare a call with
-    # itself, and 10**400 epochs is a request for endless work.
+    # float() overflows on it, so it is no real
     field = fields(tmp_path)[name]
     with pytest.raises(ValueError, match=field.names):
         field.call(value)
     assert not any(tmp_path.iterdir())
+
+
+COUNT_FIELDS = [name for name, field in fields(Path(".")).items() if field.kind == "count"]
+
+
+@pytest.mark.parametrize("value", [10**400, 2**63], ids=["1e400", "2**63"])
+@pytest.mark.parametrize("name", COUNT_FIELDS)
+def test_a_count_beyond_int64_is_refused_by_name(name, value, tmp_path):
+    # numpy takes no such size or seed: it raised a raw OverflowError, or a
+    # seed named a file too long to write, and 10**400 epochs never end
+    field = fields(tmp_path)[name]
+    with pytest.raises(ValueError, match=field.names):
+        field.call(value)
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_built_instance_stores_a_plain_city_side():
+    instance = AuctionInstance(EXAMPLE.tasks, EXAMPLE.vehicles, 5.0, city_side=np.float64(3))
+    assert instance.city_side == 3.0 and type(instance.city_side) is float
+    assert loads_scenario(dumps_scenario(instance)) == instance
+    assert "\ncity 3.0\n" in dumps_scenario(instance)
 
 
 def test_a_built_instance_stores_a_plain_budget():
@@ -223,7 +249,8 @@ def test_every_field_takes_its_plain_base(name, tmp_path):
 def test_the_rules_return_plain_scalars():
     assert [as_count(x) for x in (3, np.int64(3), np.uint8(3))] == [3, 3, 3]
     assert {type(as_count(x)) for x in (3, np.int64(3), np.uint8(3))} == {int}
-    for x in (True, False, np.True_, 3.0, np.float64(3.0), "3", None):
+    assert as_count(2**63 - 1) == as_count(np.uint64(2**63 - 1)) == 2**63 - 1
+    for x in (True, False, np.True_, 3.0, np.float64(3.0), "3", None, 2**63, np.uint64(2**63)):
         assert as_count(x) is None
     reals = (2, 2.5, np.int32(2), np.float32(2.5), np.float64(-0.0))
     assert [as_real(x) for x in reals] == [2.0, 2.5, 2.0, 2.5, -0.0]
