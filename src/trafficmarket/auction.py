@@ -44,16 +44,18 @@ walks (``_record``): the first on a bid vector runs at the call's budget,
 every later one with no cap, and one is needed when a call's budget is
 above the cap or ``tbsap`` needs rows the record lacks.
 The cap is the walk's budget if it met a misfit or recorded rows, as each
-suffix ends once no later position can raise the payment at any budget up
+suffix stops on the first state, before it pops, from which neither a later
+position nor the leftover coverage can raise the payment at any budget up
 to it.
 
 ``tbsap_allocate`` at B takes the picks whose spend is at most B, and so
 does ``greedy_heuristic``, whose filter drops nothing before that misfit.
 Unless they are all of a walk that met no misfit, it forks the state the
-walk had after its n picks: a copy of the gains the walk kept, the tasks
-first covered before pick n, and the spend after pick n - 1, all as
-``select`` left them. It goes on over fresh keys for just the other bids
-with spend + bid <= B, a prefix of the ids by bid. That is exact: a
+walk had after its n picks from a copy of the gains the walk kept, the
+tasks first covered before pick n, and the spend after pick n - 1, all as
+``select`` left them, and copies nothing else. It goes on over a heap of
+fresh keys for just the other bids with spend + bid <= B, a prefix of the
+ids by bid, the one heap the call builds. That is exact: a
 misfit misfits for good, as spend only grows and rounding is monotone,
 and if the whole heap's top is negative so is every bid that fits. So the
 argmax over the bids that fit, by the same key, is the unfiltered loop's
@@ -166,8 +168,8 @@ def _setup(instance: AuctionInstance) -> tuple[tuple, _Memo]:
     none of which depend on bids or the budget, and the memo kept beside
     them. Only ``_memo`` calls it. The instance was checked when it was
     built, which matters here: the one gather behind all initial gains reads
-    ids as ``np.intp``, so 2.5 -> 2, and the cache matches tuples and
-    frozensets by identity.
+    ids as ``np.intp``, so 2.5 -> 2 and ``True`` -> 1, and the cache
+    matches tuples and frozensets by identity.
     Reused while the same ``tasks`` tuple and, position by position, the
     same ``task_subset`` frozensets (``is``) come back; the entry holds them
     alive, so no id is reused and any other geometry misses.
@@ -211,11 +213,15 @@ class _CoverageState:
         heapq.heapify(self.heap)
         self.spent = 0.0
 
-    def fork(self) -> _CoverageState:
+    def fork(self, gain=None, covered=None, spent=0.0) -> _CoverageState:
+        """A copy of this state; or, given ``gain`` and ``covered``, a state
+        on those very lists, with ``spent`` and an empty heap to fill."""
         twin = _CoverageState.__new__(_CoverageState)
         twin.values, twin.subsets, twin.members = self.values, self.subsets, self.members
-        twin.bids, twin.spent = self.bids, self.spent
-        twin.gain, twin.covered, twin.heap = self.gain[:], self.covered[:], self.heap[:]
+        twin.bids, twin.heap = self.bids, []
+        if gain is None:
+            gain, covered, spent, twin.heap = self.gain[:], self.covered[:], self.spent, self.heap[:]
+        twin.gain, twin.covered, twin.spent = gain, covered, spent
         return twin
 
     def pop_best(self) -> tuple[float, int] | None:
@@ -349,18 +355,17 @@ class _Record:
         self.cap = cap if price or self.misfit else math.inf
 
     def replay(self, start: _CoverageState, n: int) -> _CoverageState:
-        """A fork of ``start`` as the walk left it after its first n picks:
-        a copy of ``gains[n]``, the tasks first covered before pick n, and
-        the spend after pick n - 1."""
+        """A fork of ``start`` as the walk left it after its first n picks,
+        built from a copy of ``gains[n]``, the tasks first covered before
+        pick n and the spend after pick n - 1 alone: it copies no other
+        list, and its heap is empty, for the greedy's filtered one."""
         if self.first is None:
             self.first = [len(self.picks)] * len(start.values)
             for i in reversed(range(len(self.picks))):
                 for t in start.subsets[self.picks[i]]:
                     self.first[t] = i
-        state = start.fork()
-        state.gain, state.covered = self.gains[n][:], [i < n for i in self.first]
-        state.spent = self.reach[n - 1] if n else 0.0
-        return state
+        covered = [i < n for i in self.first]
+        return start.fork(self.gains[n][:], covered, self.reach[n - 1] if n else 0.0)
 
     def fold(self, budget: float) -> dict[int, float]:
         """Payments at ``budget``: at the cap, the walk's own; below it,
@@ -462,24 +467,29 @@ def _critical_scans(state: _CoverageState, k: int, record: _Record, cap: float,
     B. The replacement bid ties the candidate's unit gain there; a bid
     above the slack breaks the loop on budget before k is in. Prefix rows
     come from snapshots of the main run's gains, and only the suffix is
-    run, on a fork (see the module docstring). When the suffix ends with no
-    break, k could also append at the end with its leftover coverage, so a
-    last row ``coverage, spend`` carries that. The payment at ``cap`` is the
-    running max of ``min(raw, cap - spend)`` over the rows, first of equals
-    kept: only the last row can misfit at ``cap``, as the suffix stops
-    there.
+    run, on a fork (see the module docstring). When the heap runs out or
+    turns negative with no break, k could also append at the end with its
+    leftover coverage, so a last row ``coverage, spend`` carries that. The
+    payment at ``cap`` is the running max of ``min(raw, cap - spend)`` over
+    the rows, first of equals kept: only the last row can misfit at
+    ``cap``, as the suffix stops there.
 
-    With ``cut`` the suffix ends at the first position j whose bound
-    ``min(gains[k], cap - spend)``, widened by m = 1 + 1e-12, is strictly
-    below that running max, first set by row r. The kept rows are a prefix
-    of the full ones, and every later row l has an entry at most r's at
-    every budget B up to ``cap``, so a fold at B, which keeps the first of
-    equals, reads the same bits from the kept rows. The slack of l at B is
-    at most r's, as l's spend is not below r's and rounding is monotone. If
-    the slack bound fired, it is also at most ``cap - spend_j`` (at least 0,
-    so widening only raises it), below the max and so below r's replacement
-    bid, which is at least the max. If the coverage bound fired, l's
-    replacement bid is below ``fl(gains[k] * m)`` (below), so below the max
+    With ``cut`` the suffix is tested on every state, the first included,
+    before any heap work on it, and it stops on the first state j whose
+    bound ``min(gains[k], cap - spend)``, widened by m = 1 + 1e-12, is
+    strictly below that running max, first set by row r: no pop, no row and
+    no leftover row. The kept rows are a prefix of the full ones, and every
+    dropped row l, a later position or the leftover coverage, has an entry
+    at most r's at every budget B up to ``cap``, so a fold at B, which
+    keeps the first of equals, reads the same bits from the kept rows. The
+    slack of l at B is at most r's, as l's spend is at least j's, which is
+    not below r's, and rounding is monotone. If the slack bound fired, l's
+    slack is also at most ``cap - spend_j`` (at least 0, so widening only
+    raises it), below the max and so below r's replacement bid, which is at
+    least the max. If the coverage bound fired, gains[k] at j is below the
+    max. A later position's replacement bid is below ``fl(gains[k] * m)``
+    (below), and the leftover row's raw value is gains[k] on a later state,
+    at most the one at j, as gains never rise. So either is below the max
     and r's replacement bid. Either way l's entry at B is at most r's.
 
     The max is nonnegative: k's first row has slack ``cap`` and a
@@ -510,23 +520,26 @@ def _critical_scans(state: _CoverageState, k: int, record: _Record, cap: float,
         best = max(best, min(raw, cap - spent))
     suffix = state.fork()
     gains = suffix.gain
-    fits = True
-    for c, fits in _picks(suffix, cap):
-        # the widened min(gain, slack) against best, then one step of the
-        # running max, without calls: this loop is the hot one
+    while True:
+        # the widened min(gain, slack) against best on the state before a
+        # pop, then one step of the running max, without calls: this loop
+        # is the hot one
         spent, gain = suffix.spent, gains[k]
         slack = cap - spent
-        if cut and (gain * (1 + 1e-12) < best or slack * (1 + 1e-12) < best):
-            break
+        bound = slack if slack < gain else gain
+        if cut and bound * (1 + 1e-12) < best:
+            return best
+        if (top := suffix.pop_best()) is None or top[0] < 0:  # no break: k appends at the end
+            rows += gain, spent
+            return bound if bound > best else best
+        c = top[1]
         raw = bids[c] * gain / gains[c]
         rows += raw, spent
         entry = slack if slack < raw else raw
         best = entry if entry > best else best
-    else:
-        if fits:  # no budget break: k can append at the end
-            rows += gains[k], suffix.spent
-            best = max(best, min(gains[k], cap - suffix.spent))
-    return best
+        if spent + bids[c] > cap:  # the misfit's row is the last
+            return best
+        suffix.select(c)
 
 
 def tbsap_payment(vehicle_id: int, instance: AuctionInstance) -> PaymentTrace:

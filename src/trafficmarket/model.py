@@ -10,9 +10,10 @@ Scalars at a public boundary follow one rule per kind, all defined here.
 Ids are exactly ``int`` (``as_id``). Counts, sizes and seeds follow
 ``as_count``, and budgets, bounds, weights and fractions follow ``as_real``.
 Each caller keeps its own error text, so the rule is shared and the message
-names the field. The per-record numbers that ``validate_instance`` reads
-(bids, true costs, appraisements) and subset members are not typed yet;
-such a pass would cost construction time only.
+names the field. Subset members are ids too: ``validate_instance`` checks
+them all in one type pass. The per-record numbers it reads (bids, true
+costs, appraisements) are not typed yet; such a pass would cost
+construction time only.
 
 An ``AuctionInstance`` is checked once, when it is built: its constructor
 is the one caller of ``validate_instance``. ``with_budget`` copies it and
@@ -28,6 +29,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -336,12 +338,23 @@ def validate_ids(kind: str, records) -> list[int]:
     return ids
 
 
+def _city_side(side) -> float:
+    """The city side rule, which ``validate_instance`` and the loader share:
+    a real (``as_real``) and positive, returned as a plain ``float``."""
+    if (value := as_real(side)) is None or value <= 0:
+        raise ValueError("city side must be finite and positive")
+    return value
+
+
 def validate_instance(instance: AuctionInstance) -> None:
     """Structural checks, made once by ``AuctionInstance``'s constructor:
     tuples and frozensets (the auction caches by identity), dense int ids in
-    order, valid subsets, finite positive values, and a city side that is a
-    positive real (``as_real``). Task values are read by position, so task j
-    must sit at index j."""
+    order, valid subsets whose members are exactly ``int``, finite positive
+    values, and a city side that is a positive real (``as_real``). Task
+    values are read by position, so task j must sit at index j. ``True`` or
+    ``1.0`` would pass the range test as task 1, and reach the auction's
+    set-up as it is, so one type pass over all members follows; only when it
+    fails is the vehicle looked up, to name it."""
     if not (isinstance(instance.tasks, tuple) and isinstance(instance.vehicles, tuple)):
         raise ValueError("tasks and vehicles must be tuples")
     if validate_ids("task", instance.tasks) != list(range(len(instance.tasks))):
@@ -350,8 +363,7 @@ def validate_instance(instance: AuctionInstance) -> None:
     if validate_ids("vehicle", instance.vehicles) != list(range(len(instance.vehicles))):
         raise ValueError("vehicle ids must be dense 0..n-1")
     validate_budget(instance.budget)
-    if (side := as_real(instance.city_side)) is None or side <= 0:
-        raise ValueError("city side must be finite and positive")
+    _city_side(instance.city_side)
     for t in instance.tasks:
         if not math.isfinite(t.appraisement) or t.appraisement <= 0:
             raise ValueError(f"task {t.id} appraisement must be finite and positive")
@@ -364,6 +376,10 @@ def validate_instance(instance: AuctionInstance) -> None:
             raise ValueError(f"vehicle {v.id} task subset must be a frozenset")
         if not v.task_subset <= task_ids:
             raise ValueError(f"vehicle {v.id} references unknown tasks")
+    # one type pass over every member; True and 1.0 are in range(m) as 1
+    if not set(map(type, chain.from_iterable(v.task_subset for v in instance.vehicles))) <= {int}:
+        v, t = next((v, t) for v in instance.vehicles for t in v.task_subset if as_id(t) is None)
+        raise ValueError(f"vehicle {v.id} task subset has member {t!r}, not an int")
 
 
 def paper_example() -> AuctionInstance:
@@ -469,6 +485,7 @@ def loads_scenario(text: str) -> AuctionInstance:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if "budget" not in singles:
         raise ValueError("missing budget record")
+    city_side = _city_side(singles.get("city", 1000.0))  # reported before positions
     places = [c for record in (*tasks, *vehicles) for c in (record.x, record.y)]
     places += [v.detection_distance for v in vehicles]
     if not all(map(math.isfinite, places)):
@@ -477,7 +494,7 @@ def loads_scenario(text: str) -> AuctionInstance:
         tasks=tuple(tasks),
         vehicles=tuple(vehicles),
         budget=singles["budget"],
-        city_side=singles.get("city", 1000.0),
+        city_side=city_side,
     )
 
 

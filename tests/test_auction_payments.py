@@ -15,15 +15,18 @@ interpreter, budget sweeps that fold a cached record against
 ``tbsap_payment`` and ``tbsap`` on an emptied cache (also after a greedy
 call made the record without rows), and the rule that walks at the first
 call's budget and then with no cap, directly. A record read below its cap
-is folded as arrays, against the full scans below a dense map's cap, and
+is folded as arrays, against the full scans below the cap of a dense map
+and of overlapping synthetic instances, where the cut drops rows, and
 tests pin a zero payment beside a -0.0 entry, budgets at every spend where
 a pick or a row stops fitting, and leftover rows, and check that such a
 fold builds no greedy state, that a greedy, an allocation or ``tbsap``
 call at or below the walk's budget walks no more, and that the mechanisms
 interleaved on one geometry match an emptied cache. Tie families with
 values across the whole float range keep the cut exact where a product
-leaves the normal range. The total bid, which ``tbsap`` reads off the
-record, must have the bits of its winners' bids folded in pick order.
+leaves the normal range. A suffix whose bound holds on the state a pick
+leaves ends there, with no further pop and no leftover row. The total
+bid, which ``tbsap`` reads off the record, must have the bits of its
+winners' bids folded in pick order.
 
 A call on the ``(tasks, vehicles)`` pair the memo holds checks only its
 budget, so bad budgets, bad bids and bad subsets right after a cached call
@@ -226,6 +229,57 @@ def test_cut_scans_match_full_scans_on_float_instances():
         )
         cut, full = cut + c, full + f
     assert cut < full
+
+
+def test_cut_records_fold_below_their_cap_on_float_instances():
+    # A record priced at B, folded at 0, at every spend after a pick and
+    # one ulp either side, up to B: the cut drops about a quarter of the
+    # rows on these overlapping instances (2,734 kept of 3,618 at B), and
+    # each fold must have the bits of the full scans at its budget
+    rng = np.random.default_rng(35)
+    folds = below = cut = full = 0
+    for _ in range(300):
+        instance = random_synthetic_instance(rng, max_n=50, max_m=100)
+        cap = instance.budget
+        record = _Record(auction._memo(instance).start, cap, price=True)
+        cut += len(record.rows) // 2
+        for w in record.picks:
+            trace = tbsap_payment(w, instance)
+            full += len(trace.candidates) + (trace.tail_value is not None)
+        spends = [b for s in record.reach
+                  for b in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf))]
+        for budget in [0.0] + [b for b in spends if b <= cap]:
+            case = instance.with_budget(budget)
+            got = record.fold(budget)
+            assert list(got) == tbsap_allocate(case), budget
+            want = [tbsap_payment(w, case).payment.hex() for w in got]
+            assert [p.hex() for p in got.values()] == want, budget
+            folds += 1
+            below += budget < cap and bool(got)
+    assert below > folds // 2  # most folds read the columns, with winners
+    assert cut < full
+
+
+def test_a_suffix_stops_on_the_state_its_bound_rules_out(monkeypatch):
+    # Vehicle 0 is picked first, then vehicle 1. In the run without 1, its
+    # prefix row ties vehicle 0 at 1 * 12 / 10, and the suffix picks vehicle
+    # 2, whose row raises the max to 5 * 12 / 10. Vehicle 2 covers task 2,
+    # which leaves vehicle 1 a gain of 2, below that max: the scan ends on
+    # that state, with no pop (vehicle 3 is left, at a negative unit gain)
+    # and no leftover row
+    instance = build_instance([10.0, 2.0, 10.0, 1.0], [[0], [1, 2], [2], [3]],
+                              [1.0, 2.0, 5.0, 2.0], 100.0)
+    popped, pop_best = [], _CoverageState.pop_best
+    monkeypatch.setattr(
+        _CoverageState, "pop_best", lambda self: popped.append(self.spent) or pop_best(self)
+    )
+    record = _Record(auction._memo(instance).start, instance.budget, price=True)
+    monkeypatch.undo()
+    assert record.picks == [0, 1]
+    start, end = record.offsets[1:3]
+    assert record.rows[2 * start : 2 * end] == [1.0 * 12.0 / 10.0, 0.0, 5.0 * 12.0 / 10.0, 1.0]
+    assert 1.0 + 5.0 not in popped  # the spend once vehicle 2 is in, without vehicle 1
+    assert record.paid[1] == tbsap_payment(1, instance).payment == 6.0
 
 
 def test_replacement_bid_rounded_above_the_gain_still_counts():
@@ -646,7 +700,9 @@ def test_a_fold_builds_no_state(monkeypatch):
     monkeypatch.setattr(
         _CoverageState, "__init__", lambda self, *args: built.append("init") or init(self, *args)
     )
-    monkeypatch.setattr(_CoverageState, "fork", lambda self: built.append("fork") or fork(self))
+    monkeypatch.setattr(
+        _CoverageState, "fork", lambda self, *parts: built.append("fork") or fork(self, *parts)
+    )
     monkeypatch.setattr(
         model, "validate_instance", lambda i: built.append("validate") or validate(i)
     )

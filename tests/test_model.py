@@ -229,6 +229,16 @@ def test_scenario_with_bad_place_rejected(old, new):
         loads_scenario(text.replace(old, new))
 
 
+def test_a_bad_city_is_reported_before_bad_positions():
+    # the loader applies the city rule that the constructor shares before
+    # its own positions check, so this file names its city
+    text = dumps_scenario(paper_example())
+    assert "city 1000.0" in text and "task 1 100.0 0.0 3.0" in text
+    text = text.replace("city 1000.0", "city nan").replace("task 1 100.0", "task 1 nan")
+    with pytest.raises(ValueError, match="^city side must be finite and positive$"):
+        loads_scenario(text)
+
+
 def test_scenario_with_tasks_out_of_order_rejected():
     # task values are read by position, so a reordered file would silently
     # change the auction: tbsap picked (0, 2) instead of (0, 1)

@@ -1,7 +1,9 @@
 """One hostile-value sweep over every public scalar boundary.
 
 Counts, sizes and seeds follow ``model.as_count``; budgets, bounds, weights
-and fractions follow ``model.as_real``. Each entry point below is fed a
+and fractions follow ``model.as_real``; subset members are ids, exactly
+``int``, each equal to a task id unless it is NaN or infinite, so only the
+type refuses most of them. Each entry point below is fed a
 ``bool``, an integral float, a numpy int, a numpy float, NaN, +-inf and
 -0.0 in one field at a time. A value its rule refuses must raise a
 ``ValueError`` that names the field; any other must give exactly what the
@@ -51,7 +53,7 @@ HOSTILE = {
 @dataclass(frozen=True)
 class Field:
     name: str  # the test id
-    kind: str  # "count" or "real"
+    kind: str  # "count", "real" or "id"
     base: float  # a plain value the field takes
     call: Callable  # value -> something comparable by ==
     names: str  # regex the refusal must match
@@ -59,6 +61,8 @@ class Field:
 
 def refused(kind: str, value) -> bool:
     """What the field's rule must refuse, whatever the range checks say."""
+    if kind == "id":
+        return type(value) is not int
     if isinstance(value, (bool, np.bool_)):
         return True
     if kind == "count":
@@ -78,6 +82,14 @@ def outcome(call, value):
 
 
 EXAMPLE = paper_example()
+
+
+def with_member(value):
+    """The example with ``value`` first in vehicle 1's subset in place of
+    task 1, so that -0.0 is not dropped as a duplicate of task 0."""
+    vehicles = list(EXAMPLE.vehicles)
+    vehicles[1] = replace(vehicles[1], task_subset=frozenset({value, 0, 4}))
+    return dumps_scenario(replace(EXAMPLE, vehicles=tuple(vehicles)))
 
 
 def config_bytes(**fields):
@@ -147,6 +159,7 @@ def fields(tmp_path: Path) -> dict[str, Field]:
                                                        city_side=v)), "city side"),
         Field("replace city_side", "real", 50.0,
               lambda v: dumps_scenario(replace(EXAMPLE, city_side=v)), "city side"),
+        Field("vehicle subset member", "id", 1, with_member, "^vehicle 1 "),
         *(Field(f"params {name}", "real", base,
                 lambda v, name=name: repr(ReputationParams(**{name: v})), name)
           for name, base in (("w_vote", 0.005), ("w_lead", 0.05), ("w_verify", 0.01),
