@@ -20,27 +20,39 @@ refused with its own message.
 
 The hot path works on arrays, from one pass over the nodes that reads their
 ids, reputations, behavior flags and scripts and checks ids and reputations.
-One election, ``_elect``, builds no ballots: its ballots are arrays of voter
-ids and pools (high or low) in node order, read once per run, and each call
-draws the pools from ``reputations < theta``. ``run_epochs`` elects with it
-every epoch, and the ``rnw-vs-rafn`` study elects the same way. The
-committee it seats keeps its voting result as a read-only mapping over a
-copy of the tally, built into a dict on first read: no election reads it.
-``elect_witnesses`` turns a ballot list into the same arrays, and both call
-one tally, ``_tally``, on pools that share no id and at most one ballot per
-voter. A node's voting result is the weights of the ballots into its pool,
-its own skipped, added in ballot order: the sum a ballot-by-ballot count
-makes, whose other terms add 0.0 and change no bit. A pool's members share
-its running sum; one that casts a ballot into it is a chain that takes every
-weight but its own, ``_BLOCK`` ballots per ``np.add.reduce(axis=0)`` of a
-float64 block: row 0 holds the chains, each other row a ballot's weight. A
-chain that begins inside a block starts from the running sum at the block's
-first ballot and takes the block's weights in order, -0.0 (x + -0.0 is x) in
-its own ballot's cell: ``np.cumsum`` is the same left fold, so the bits
-match a chain started just before its ballot. A block holds a spare column,
-as numpy sums a one-column block pairwise, then only the chains begun by its
-last ballot. The closed form (total weight less own weight) rounds
-differently and can reorder ties.
+That pass also groups the voting nodes by the pool (high or low) their
+behavior supports, into one ``_Pool`` each: the voters' ids in node order,
+with their positions kept beside them. One election, ``_elect``, builds no
+ballots: it gathers both pools' weights from the epoch's reputations in one
+step and draws the members from ``reputations < theta``. ``run_epochs``
+elects with it every epoch, and the ``rnw-vs-rafn`` study elects the same
+way. The committee it seats keeps its voting result as a read-only mapping
+over a copy of the tally, built into a dict on first read: no election
+reads it. ``elect_witnesses`` turns a ballot list into one-shot pools, and
+both call one tally, ``_tally``, on pools that share no id and at most one
+ballot per voter. A node's voting result is the weights of the ballots into
+its pool, its own skipped, added in ballot order: the sum a
+ballot-by-ballot count makes, whose other terms add 0.0 and change no bit.
+
+A pool's members share its running sum; one that casts a ballot into it is
+a chain that takes every weight but its own. Where every weight of the
+pool is an integer and the total is below 2**53, each partial sum is an
+exact integer (weights are never negative), so the chain is the total less
+its own weight, bit for bit, +0.0 included: the pool costs O(ballots).
+Equal weights always take this closed form, and so does a reputation pool
+whose weights are all 1.0 or 0.0, as clamped reputations make them. Any
+other pool folds its chains ``_BLOCK`` ballots per ``np.add.reduce(axis=0)``
+of a float64 block: row 0 holds the chains, each other row a ballot's
+weight. A chain that begins inside a block starts from the running sum at
+the block's first ballot and takes the block's weights in order, -0.0
+(x + -0.0 is x) in its own ballot's cell: ``np.cumsum`` is the same left
+fold, so the bits match a chain started just before its ballot. A block
+holds a spare column, as numpy sums a one-column block pairwise, then only
+the chains begun by its last ballot. On weights that are not all integers
+the closed form rounds differently and can reorder ties. The block plan
+(bounds, scratch views, own cells, chain heads) depends only on the
+ballots at which chains begin, so a run's pool keeps it and rebuilds it
+only when those change, as when a node crosses theta.
 
 The reputations, w_vote * alpha and each node's verdict (+-1 by its
 behavior) are vectors built once per run; the roles, the seats, the deltas
@@ -60,7 +72,7 @@ import enum
 import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -346,68 +358,104 @@ def elect_witnesses(
     committee_size, active_size = _check_sizes(committee_size, active_size, len(nodes))
     run = _read_nodes(nodes)
     n = len(nodes)
-    rows: dict[frozenset[int], int] = {}
-    voters, pool_of = [], []
+    cast: dict[frozenset[int], list[int]] = {}  # pool -> its voters in ballot order
     for ballot in ballots:
         if not 0 <= ballot.voter_id < n:
             raise ValueError(f"ballot from unknown voter {ballot.voter_id!r}")
-        voters.append(ballot.voter_id)
-        pool_of.append(rows.setdefault(ballot.pool, len(rows)))
-    if len(set(voters)) < len(voters):
+        cast.setdefault(ballot.pool, []).append(ballot.voter_id)
+    if len(set().union(*cast.values())) < len(ballots):
         raise ValueError("a voter casts more than one ballot")
     home = np.full(n, -1, dtype=np.intp)  # id -> its pool's row, -1 for none
-    for pool, row in rows.items():
+    for row, pool in enumerate(cast):
         members = np.fromiter(pool, dtype=np.int64, count=len(pool))
         if members.size and not (0 <= members.min() and members.max() < n):
             raise ValueError("ballot supports an id outside 0..n-1")
         if (home[members] >= 0).any():
             raise ValueError("two ballot pools share an id")
         home[members] = row
-    voters = np.array(voters, dtype=np.int64)
+    pools = [_Pool(np.array(voters, dtype=np.int64)) for voters in cast.values()]
     if mode is VotingMode.REPUTATION_WEIGHTED:
-        weights = run.reputations[run.index[voters]]
+        weights = [run.reputations[run.index[pool.voters]] for pool in pools]
     else:
-        weights = np.ones(len(voters))
-    tally = _tally(voters, np.array(pool_of, dtype=np.intp), home, weights)
-    return _seat(tally, run.ids, committee_size, active_size, rng)
+        weights = [np.ones(len(pool.voters)) for pool in pools]
+    return _seat(_tally(pools, weights, home), run.ids, committee_size, active_size, rng)
 
 
 _BLOCK = 64  # ballots folded into the chains per axis-0 reduction
 
 
-def _tally(
-    voters: np.ndarray, pool_of: np.ndarray, home: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Voting result per id, as the module docstring sets out: ballot ``b``
-    of voter ``voters[b]`` adds ``weights[b]`` to every id ``i`` with
-    ``home[i] == pool_of[b]`` but the voter. A voter casts at most one
-    ballot, and ``home`` puts each id in at most one pool (-1 for none).
-    Chain ``j`` is column ``j + 1`` of a block; column 0 is spare."""
-    tally = np.zeros(len(home))
-    for pool in range(pool_of.max(initial=-1) + 1):
-        cast = pool_of == pool  # the ballots this pool's members see
-        w, v = weights[cast], voters[cast]
-        running = np.cumsum(np.concatenate(([0.0], w)))
-        members = home == pool
-        tally[members] = running[-1]
-        starts = np.flatnonzero(members[v])  # a chain per ballot cast by a member
-        if not starts.size:
-            continue
-        m0s = np.arange(starts[0] + 1, len(w), _BLOCK)  # each block's first ballot
-        m1s = np.minimum(m0s + _BLOCK, len(w))
+class _Pool:
+    """The ballots cast into one pool, by voter id in ballot order, and the
+    block plan of the chains that its members' ballots begin: the blocks'
+    bounds, scratch views and own cells, and the running-sum index that
+    heads each chain. The plan is kept, and ``_tally`` reuses it while the
+    chains begin at the same ballots."""
+
+    __slots__ = ("voters", "starts", "targets", "heads", "chains", "blocks")
+
+    def __init__(self, voters: np.ndarray) -> None:
+        self.voters, self.starts = voters, None
+
+    def plan(self, starts: np.ndarray) -> None:
+        """Lay the blocks out for chains begun at ballots ``starts``, unless
+        they are laid out for those already. Chain ``j`` is column ``j + 1``
+        of a block; column 0 is spare."""
+        if self.starts is not None and np.array_equal(starts, self.starts):
+            return
+        n = len(self.voters)
+        m0s = np.arange(starts[0] + 1, n, _BLOCK)  # each block's first ballot
+        m1s = np.minimum(m0s + _BLOCK, n)
         widths = 1 + np.searchsorted(starts, m1s)  # a spare column, then the chains begun
         k = (starts[1:] - starts[0] - 1) // _BLOCK  # the block each later chain begins in
-        chains = np.concatenate(([-0.0], running[starts[:1]], running[m0s[k]]))
-        own = (1 + starts[1:] - m0s[k]) * widths[k] + np.arange(2, len(chains))  # flat cell
+        own = (1 + starts[1:] - m0s[k]) * widths[k] + np.arange(2, len(starts) + 1)  # flat cell
         cut = np.searchsorted(k, np.arange(len(m0s) + 1)).tolist()  # own's slice per block
-        buffer = np.empty((min(_BLOCK, len(w)) + 1) * len(chains))
+        buffer = np.empty((min(_BLOCK, n) + 1) * (len(starts) + 1))
+        self.chains = np.empty(len(starts) + 1)
+        self.blocks = []
         for i, (m0, m1, width) in enumerate(zip(m0s.tolist(), m1s.tolist(), widths.tolist())):
-            block = buffer[: (m1 - m0 + 1) * width].reshape(m1 - m0 + 1, width)
-            block[0] = chains[:width]
-            block[1:] = w[m0:m1, None]  # row 1 + m - m0: ballot m's weight
-            buffer[own[cut[i] : cut[i + 1]]] = -0.0  # a chain skips its own ballot
-            np.add.reduce(block, axis=0, out=chains[:width])
-        tally[v[starts]] = chains[1:]
+            flat = buffer[: (m1 - m0 + 1) * width]
+            block = flat.reshape(m1 - m0 + 1, width)  # row 1 + m - m0: ballot m's weight
+            self.blocks.append((m0, m1, flat, block, own[cut[i] : cut[i + 1]], self.chains[:width]))
+        # the spare column starts from running[0]; a chain from the running
+        # sum at its own ballot, or at the first ballot of its block
+        self.heads = np.concatenate(([0], starts[:1], m0s[k]))
+        self.starts, self.targets = starts, self.voters[starts]
+
+
+def _tally(pools: Sequence[_Pool], weights: Sequence[np.ndarray], home: np.ndarray) -> np.ndarray:
+    """Voting result per id, as the module docstring sets out: ballot ``b``
+    into ``pools[p]`` adds ``weights[p][b]`` to every id ``i`` with
+    ``home[i] == p`` but its voter. A voter casts at most one ballot, and
+    ``home`` puts each id in at most one pool (-1 for none).
+
+    Weights are never negative, so running sums never fall. When a pool's
+    weights are all integers and its total is below 2**53, no partial sum
+    rounded: a sum that rounds lands at 2**53 or above, and no later sum
+    comes back below. Each chain is then the exact total less its own
+    weight, an exact difference, and +0.0 where it is zero, as a fold from
+    +0.0 is (+0.0 + -0.0 is +0.0). A total of exactly 2**53 may itself be
+    rounded (2**53 - 1 + 2 rounds to it), so such a pool takes the blocks.
+    A pool on the blocks asks for its plan (``_Pool.plan``), which is kept
+    while its chains begin at the same ballots."""
+    tally = np.zeros(len(home))
+    for p, (pool, w) in enumerate(zip(pools, weights)):
+        running = np.cumsum(np.concatenate(([0.0], w)))
+        members = home == p
+        tally[members] = running[-1]
+        starts = np.flatnonzero(members[pool.voters])  # a chain per ballot cast by a member
+        if not starts.size:
+            continue
+        if running[-1] < 2.0**53 and (w == np.trunc(w)).all():
+            tally[pool.voters[starts]] = running[-1] - w[starts]
+            continue
+        pool.plan(starts)
+        np.take(running, pool.heads, out=pool.chains)
+        for m0, m1, flat, block, own, chains in pool.blocks:
+            block[0] = chains
+            block[1:] = w[m0:m1, None]
+            flat[own] = -0.0  # a chain skips its own ballot
+            np.add.reduce(block, axis=0, out=chains)
+        tally[pool.targets] = pool.chains[1:]
     return tally
 
 
@@ -438,25 +486,32 @@ ROLES = ("none", "standby", "witness", "leader")
 
 
 class _Run(NamedTuple):
-    """What a run reads from its nodes, in node order."""
+    """What a run reads from its nodes, in node order, and its two pools:
+    the ballots into the high pool (0) and into the low pool (1), each in
+    node order. ``ballots`` holds the voters' indexes, pool 0's first."""
 
     ids: list[int]
     index: np.ndarray  # id -> index in node order
     reputations: np.ndarray
     votes: np.ndarray  # bool
-    voters: np.ndarray  # ids of the voting nodes
-    pool_of: np.ndarray  # per voter: 0 supports the high pool, 1 the low
+    ballots: np.ndarray
+    pools: tuple[_Pool, _Pool]
     correct: np.ndarray  # +1 verifies correctly by behavior, -1 otherwise
     has_script: np.ndarray  # bool
 
 
 def _read_nodes(nodes: Sequence[FullNode]) -> _Run:
     """Read each node's id, reputation, behavior flags and script, one
-    column per pass. Ids must be ints (``validate_ids``), dense 0..n-1, and
-    reputations lie in [0, 1]; the error names the first bad node."""
+    column per pass. Ids must be ints (``validate_ids``) and dense 0..n-1,
+    checked on the id array that then indexes the nodes, and reputations
+    lie in [0, 1]; the error names the first bad node."""
     ids, reps = validate_ids("node", nodes), [x.reputation for x in nodes]
     n = len(ids)
-    if sorted(ids) != list(range(n)):
+    try:
+        order = np.fromiter(ids, np.intp, n)
+    except OverflowError:  # an id beyond intp is not in 0..n-1
+        order = None
+    if order is None or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("node ids must be dense 0..n-1")
     reputations = np.array(reps)
     fine = (reputations >= 0.0) & (reputations <= 1.0)  # False at NaN
@@ -464,14 +519,16 @@ def _read_nodes(nodes: Sequence[FullNode]) -> _Run:
         i = int(fine.argmin())
         raise ValueError(f"node {ids[i]} reputation {reps[i]!r} is not in [0, 1]")
     index = np.empty(n, dtype=np.intp)
-    index[np.fromiter(ids, np.intp, n)] = np.arange(n)
+    index[order] = np.arange(n)
     behaviors = [x.behavior for x in nodes]
     votes = np.fromiter([b.votes for b in behaviors], bool, n)
     low = np.fromiter([b.supports_low_reputation for b in behaviors], bool, n)
     correct = np.fromiter([b.verifies_correctly for b in behaviors], bool, n)
     has_script = np.fromiter([bool(x.script) for x in nodes], bool, n)
-    return _Run(ids, index, reputations.astype(float), votes, np.array(ids)[votes],
-                low[votes].astype(np.intp), np.where(correct, 1, -1), has_script)
+    cast = [np.flatnonzero(votes & ~low), np.flatnonzero(votes & low)]
+    return _Run(ids, index, reputations.astype(float), votes, np.concatenate(cast),
+                (_Pool(order[cast[0]]), _Pool(order[cast[1]])), np.where(correct, 1, -1),
+                has_script)
 
 
 def _elect(run: _Run, reputations: np.ndarray, params: ReputationParams, committee_size: int,
@@ -479,10 +536,16 @@ def _elect(run: _Run, reputations: np.ndarray, params: ReputationParams, committ
     """The election ``run_epochs`` holds each epoch, on a run's arrays: one
     ballot per voting node in node order, into the pool its behavior
     supports, with pools from ``reputations < theta`` (0 high, 1 low by
-    id), then ``_tally`` and ``_seat``. These are ``cast_votes``' ballots."""
-    weighted = mode is VotingMode.REPUTATION_WEIGHTED
-    weights = reputations[run.votes] if weighted else np.ones(len(run.voters))
-    tally = _tally(run.voters, run.pool_of, (reputations < params.theta)[run.index], weights)
+    id), then ``_tally`` and ``_seat``. These are ``cast_votes``' ballots.
+    The weights of both pools are gathered in one step; the pools are the
+    run's own, so each keeps its block plan from one election to the next."""
+    if mode is VotingMode.REPUTATION_WEIGHTED:
+        weights = reputations[run.ballots]
+    else:
+        weights = np.ones(len(run.ballots))
+    split = len(run.pools[0].voters)
+    home = (reputations < params.theta)[run.index]
+    tally = _tally(run.pools, (weights[:split], weights[split:]), home)
     return _seat(tally, run.ids, committee_size, active_size, rng)
 
 
@@ -692,7 +755,7 @@ def run_epochs(
     rng = np.random.default_rng(validate_count(seed, "seed"))
     state = ConsensusState()
     history = ConsensusHistory(ids=run.ids, rounds=[], chain=state.chain, committees=[])
-    reputations, voted = run.reputations, frozenset(run.voters.tolist())
+    reputations, voted = run.reputations, frozenset(compress(run.ids, run.votes.tolist()))
     vote_term = params.w_vote * np.where(run.votes, 1, -1)
     for epoch in range(n_epochs):
         forced = committee_schedule[epoch] if committee_schedule is not None else None

@@ -12,8 +12,8 @@ Ids are exactly ``int`` (``as_id``). Counts, sizes and seeds follow
 Each caller keeps its own error text, so the rule is shared and the message
 names the field. Subset members are ids too: ``validate_instance`` checks
 them all in one type pass. The per-record numbers it reads (bids, true
-costs, appraisements) are not typed yet; such a pass would cost
-construction time only.
+costs, appraisements) are reals, read in the same passes that check their
+ranges, and stored as plain floats.
 
 An ``AuctionInstance`` is checked once, when it is built: its constructor
 is the one caller of ``validate_instance``. ``with_budget`` copies it and
@@ -90,9 +90,10 @@ class Vehicle:
 class AuctionInstance:
     """Immutable auction input: tasks, vehicles, and the buyer's budget.
 
-    Checked once, when built (``validate_instance``), and the budget and
-    the city side stored as the plain ``float`` of the real rule. Nothing
-    that reads an instance checks it again."""
+    Checked once, when built (``validate_instance``), and the budget, the
+    city side and every bid, true cost and appraisement stored as the plain
+    ``float`` of the real rule. Nothing that reads an instance checks it
+    again."""
 
     tasks: tuple[Task, ...]
     vehicles: tuple[Vehicle, ...]
@@ -330,10 +331,12 @@ def validate_count(value, what: str) -> int:
 
 
 def validate_ids(kind: str, records) -> list[int]:
-    """The records' ids, each an id (``as_id``). Errors name the position."""
+    """The records' ids, each an id (``as_id``). All ids are checked in one
+    type pass, which holds when their types are ``int`` alone; only when it
+    fails is the first bad id looked up, to name its position."""
     ids = [r.id for r in records]
-    if None in (checked := list(map(as_id, ids))):
-        i = checked.index(None)
+    if not set(map(type, ids)) <= {int}:
+        i = next(i for i, x in enumerate(ids) if as_id(x) is None)
         raise ValueError(f"{kind} at position {i} has id {ids[i]!r}, not an int")
     return ids
 
@@ -349,8 +352,13 @@ def _city_side(side) -> float:
 def validate_instance(instance: AuctionInstance) -> None:
     """Structural checks, made once by ``AuctionInstance``'s constructor:
     tuples and frozensets (the auction caches by identity), dense int ids in
-    order, valid subsets whose members are exactly ``int``, finite positive
-    values, and a city side that is a positive real (``as_real``). Task
+    order, valid subsets whose members are exactly ``int``, and a city side
+    that is a positive real (``as_real``). Appraisements are positive reals,
+    and bids and true costs nonnegative reals, each read by the real rule in
+    its record's pass: a ``bool`` is refused, and a numpy or ``int`` value
+    is written back into its record as the plain ``float`` the rule returns,
+    so ``dumps_scenario`` writes a number that ``loads_scenario`` reads. The
+    value is equal, so the record's hash and equality do not change. Task
     values are read by position, so task j must sit at index j. ``True`` or
     ``1.0`` would pass the range test as task 1, and reach the auction's
     set-up as it is, so one type pass over all members follows; only when it
@@ -365,13 +373,18 @@ def validate_instance(instance: AuctionInstance) -> None:
     validate_budget(instance.budget)
     _city_side(instance.city_side)
     for t in instance.tasks:
-        if not math.isfinite(t.appraisement) or t.appraisement <= 0:
+        if (value := as_real(t.appraisement)) is None or value <= 0:
             raise ValueError(f"task {t.id} appraisement must be finite and positive")
+        if type(t.appraisement) is not float:
+            object.__setattr__(t, "appraisement", value)
     for v in instance.vehicles:
-        if not (math.isfinite(v.bid) and math.isfinite(v.true_cost)):
+        if (bid := as_real(v.bid)) is None or (cost := as_real(v.true_cost)) is None:
             raise ValueError(f"vehicle {v.id} cost and bid must be finite")
-        if v.bid < 0 or v.true_cost < 0:
+        if bid < 0 or cost < 0:
             raise ValueError(f"vehicle {v.id} cost and bid must be nonnegative")
+        if type(v.bid) is not float or type(v.true_cost) is not float:
+            object.__setattr__(v, "bid", bid)
+            object.__setattr__(v, "true_cost", cost)
         if not isinstance(v.task_subset, frozenset):
             raise ValueError(f"vehicle {v.id} task subset must be a frozenset")
         if not v.task_subset <= task_ids:

@@ -5,7 +5,10 @@ file, so its values are equal but its objects new), changes one bid with
 ``with_bid`` or restores the map's own bids, or calls ``tbsap``,
 ``greedy_heuristic`` or ``tbsap_allocate``. A call's budget is 0, one of
 the benchmark's budgets, or the spend after a pick of the current record
-with one ulp either side of it, where picks start or stop fitting. Every
+with one ulp either side of it, where picks start or stop fitting. One
+rule calls ``tbsap`` or ``greedy_heuristic`` twice at one of the
+benchmark's budgets, around one bid change; whether the winners then
+number the same but differ is a statistic. Every
 call is made again on an emptied cache and must give the same winners,
 payments, total bid and profit, bit for bit; the warm cache is then put
 back, so a record can serve a long run of calls. After a call the cache
@@ -95,6 +98,11 @@ class AuctionMemoMachine(RuleBasedStateMachine):
             budget = record.reach[pick % len(record.reach)]
             if side:
                 budget = math.nextafter(budget, side * math.inf)
+        self.checked(mechanism, budget)
+
+    def checked(self, mechanism, budget):
+        """The call, warm, then again on an emptied cache; returns the warm
+        outcome."""
         instance = self.instance.with_budget(budget)
         memo = auction._last_geometry[2]
         record = memo and memo.record
@@ -108,6 +116,22 @@ class AuctionMemoMachine(RuleBasedStateMachine):
         fresh = MECHANISMS[mechanism](instance)
         auction._last_geometry = cached
         assert bits(warm) == bits(fresh)
+        return warm
+
+    @rule(mechanism=st.sampled_from(("tbsap", "greedy")),
+          budget=st.sampled_from(BENCHMARK_BUDGETS), vehicle=st.integers(0, 10**6),
+          factor=st.sampled_from((0.5, 2.0, 8.0)))
+    def call_around_a_bid_change(self, mechanism, budget, vehicle, factor):
+        # about a quarter of these changes keep the number of winners but
+        # change who they are, so a coverage kept by its count alone would
+        # price the second call's winners with the first call's value
+        first = self.checked(mechanism, budget)
+        vehicles = self.instance.vehicles
+        changed = vehicle % len(vehicles)
+        self.instance = self.instance.with_bid(changed, vehicles[changed].bid * factor)
+        second = self.checked(mechanism, budget)
+        swapped = len(first.winners) == len(second.winners) and first.winners != second.winners
+        event("same count, other winners" if swapped else "winners kept or count changed")
 
     @invariant()
     def kept_states_are_never_mutated(self):

@@ -650,3 +650,125 @@ def test_golden_histories():
         for name, (make, committee, active, epochs, mode, seed) in CONFIGS.items()
     }
     assert digests == GOLDEN
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """Per ``_tally`` call, the ``(pool index, built)`` pair of each block
+    plan it asks for; ``built`` is False when the pool reuses its kept
+    plan. A pool that tallies in closed form asks for none."""
+    elections = []
+    tally, plan = consensus._tally, consensus._Pool.plan
+
+    def counted_tally(pools, weights, home):
+        elections.append((pools, []))
+        return tally(pools, weights, home)
+
+    def counted_plan(self, starts):
+        blocks = getattr(self, "blocks", None)
+        plan(self, starts)
+        pools, asked = elections[-1]
+        asked.append((pools.index(self), self.blocks is not blocks))
+
+    monkeypatch.setattr(consensus, "_tally", counted_tally)
+    monkeypatch.setattr(consensus._Pool, "plan", counted_plan)
+    return lambda: [asked for _, asked in elections]
+
+
+def check_epochs(nodes, committee_size, active_size, n_epochs, weighted, seed):
+    """``run_epochs`` against ``slow_run_epochs``, bit for bit."""
+    fast_nodes, slow_nodes = clone(nodes), clone(nodes)
+    mode = MODES[0] if weighted else MODES[1]
+    history = run_epochs(fast_nodes, PARAMS, committee_size, active_size, n_epochs,
+                         mode=mode, seed=seed)
+    rows, chain, committees = slow_run_epochs(
+        slow_nodes, PARAMS, committee_size, active_size, n_epochs, weighted, seed
+    )
+    assert hexed(history.rows) == hexed(rows)
+    assert [
+        (b.epoch, b.round_index, b.producer_id, b.payload_hash, b.confirmations)
+        for b in history.chain
+    ] == chain
+    assert seating(history.committees) == [
+        (members, order, standby, [(k, v.hex()) for k, v in result.items()])
+        for result, members, order, standby in committees
+    ]
+    assert [n.reputation.hex() for n in fast_nodes] == [n.reputation.hex() for n in slow_nodes]
+
+
+def test_zero_and_one_weights_tally_in_closed_form(plans):
+    """Reputations of 1.0, 0.0 and -0.0 weigh integers, so every pool takes
+    the closed form: no block plan is asked for, and each chain, the -0.0
+    voter's and the lone voters' of one-voter pools among them, has the
+    ballot-by-ballot count's bits, +0.0 where it is zero."""
+    reps = [1.0, 0.0, -0.0, 1.0, 1.0, 0.0, 1.0, -0.0, 1.0]
+    nodes = [FullNode(id=i, reputation=reps[i]) for i in (4, 0, 7, 2, 8, 1, 6, 3, 5)]
+    mixed, lone, zero = frozenset({0, 1, 2, 3, 5}), frozenset({6}), frozenset({7})
+    ballots = [
+        VotingBallot(2, mixed),  # reputation -0.0, inside its pool
+        VotingBallot(0, mixed),
+        VotingBallot(4, mixed),  # from outside the pool
+        VotingBallot(5, mixed),
+        VotingBallot(3, mixed),
+        VotingBallot(6, lone),  # alone in a pool of its own: 1.0 less 1.0
+        VotingBallot(7, zero),  # reputation -0.0, alone in its pool
+    ]
+    check_election(ballots, nodes, 6, 2, seed=4)
+    committee = elect_witnesses(ballots, nodes, 6, 2, VotingMode.REPUTATION_WEIGHTED,
+                                np.random.default_rng(4))
+    assert [committee.voting_result[i].hex() for i in (6, 7, 8)] == ["0x0.0p+0"] * 3
+    assert [committee.voting_result[i] for i in (0, 1, 2, 3, 5)] == [2.0, 3.0, 3.0, 2.0, 3.0]
+    assert plans() == [[]] * 3  # both modes, then reputation weights again
+    population = [FullNode(id=i, reputation=[1.0, 0.0, -0.0][i % 3],
+                           behavior=ABNORMAL_BEHAVIOR if i % 5 == 0 else Behavior())
+                  for i in range(150)]
+    for weighted in (True, False):
+        check_epochs(population, 100, 6, 2, weighted, seed=9)
+    assert plans()[3] == [] and plans()[5:] == [[], []]  # the first election; every equal one
+
+
+def test_a_non_integer_weight_keeps_the_block_path(plans):
+    """Weights 0.7, 1.0 and 1.0: the total less 1.0 is 1.7000000000000002,
+    while the count that skips that ballot reads 1.7. One such weight among
+    integers keeps its pool on the blocks."""
+    total = np.cumsum([0.0, 0.7, 1.0, 1.0])[-1]
+    assert (total - 1.0).hex() != (0.0 + 0.7 + 1.0).hex()
+    nodes = [FullNode(id=i, reputation=r) for i, r in enumerate([0.7, 1.0, 1.0, 0.2])]
+    check_election(cast_votes(nodes, PARAMS), nodes, 3, 1, seed=2)
+    # reputation weights: the high pool plans, and the low one has no chain;
+    # equal weights take the closed form
+    assert plans() == [[(0, True)], []]
+    population = [FullNode(id=i, reputation=1.0) for i in range(200)]
+    population[57].reputation = 0.7
+    check_epochs(population, 150, 5, 1, True, seed=3)
+    assert plans()[-1] == [(0, True)]
+
+
+def test_a_node_crossing_theta_rebuilds_its_pools_plan(plans):
+    """Well-behaved voters at 0.4975 sit in the low pool until their vote
+    carries them past theta in the first epoch's rounds. The high pool's
+    chains then begin at more ballots, so its kept plan is rebuilt."""
+    rng = np.random.default_rng(11)
+    nodes = [FullNode(id=i, reputation=float(rng.uniform(0.5, 1.0))) for i in range(160)]
+    for i in range(3, 160, 9):
+        nodes[i].reputation = 0.4975
+    for i in range(5, 160, 6):
+        nodes[i].behavior = ABNORMAL_BEHAVIOR
+    check_epochs(nodes, 120, 4, 3, True, seed=5)
+    high = [[built for pool, built in asked if pool == 0] for asked in plans()]
+    assert high[:2] == [[True], [True]]
+
+
+def test_the_benchmark_run_plans_its_high_pool_once(plans):
+    """The benchmark's run at seed 0: 1,000 nodes drawn as its population,
+    committee 700, 10 active, 5 epochs. No node crosses into or out of the
+    high pool (0), so its chains begin at the same ballots every epoch and
+    it is planned once. By the last epoch every reputation in it is clamped
+    at 1.0, so it tallies in closed form there. Equal weights take the
+    closed form in every election."""
+    for mode, high in ((MODES[0], [[True], [False], [False], [False], []]), (MODES[1], [[]] * 5)):
+        nodes = sample_population(1000, 0.2, np.random.default_rng([0, 20]))
+        start = len(plans())
+        run_epochs(nodes, PARAMS, 700, 10, 5, mode=mode, seed=0)
+        assert [[built for pool, built in asked if pool == 0]
+                for asked in plans()[start:]] == high

@@ -1,16 +1,18 @@
 """One hostile-value sweep over every public scalar boundary.
 
-Counts, sizes and seeds follow ``model.as_count``; budgets, bounds, weights
-and fractions follow ``model.as_real``; subset members are ids, exactly
-``int``, each equal to a task id unless it is NaN or infinite, so only the
-type refuses most of them. Each entry point below is fed a
-``bool``, an integral float, a numpy int, a numpy float, NaN, +-inf and
+Counts, sizes and seeds follow ``model.as_count``; budgets, bounds, weights,
+fractions, bids, true costs and appraisements follow ``model.as_real``;
+subset members are ids, exactly ``int``, each equal to a task id unless it
+is NaN or infinite, so only the type refuses most of them. Each entry point
+below is fed a ``bool``, an integral float, a numpy int, a numpy float, NaN, +-inf and
 -0.0 in one field at a time. A value its rule refuses must raise a
 ``ValueError`` that names the field; any other must give exactly what the
 same call gives on the plain Python value (``numpy`` scalars unwrapped),
 error or result, compared as bytes or ``repr``. A real beyond the float
 range and a count beyond numpy's ``int64`` (10**400, 2**63) are refused by
-name in every field of their kind, with nothing written.
+name in every field of their kind, with nothing written. Every auction
+instance the sweep builds must write a scenario file that loads back to an
+equal instance, which writes the same file again.
 """
 
 import math
@@ -84,18 +86,38 @@ def outcome(call, value):
 EXAMPLE = paper_example()
 
 
+def round_trip(instance):
+    """The instance's scenario text, which must load back to an equal
+    instance that writes the same text."""
+    text = dumps_scenario(instance)
+    loaded = loads_scenario(text)
+    assert loaded == instance and dumps_scenario(loaded) == text
+    return text
+
+
+def with_vehicle(**changes):
+    """The example with vehicle 1's fields changed, rebuilt."""
+    vehicles = list(EXAMPLE.vehicles)
+    vehicles[1] = replace(vehicles[1], **changes)
+    return round_trip(replace(EXAMPLE, vehicles=tuple(vehicles)))
+
+
 def with_member(value):
     """The example with ``value`` first in vehicle 1's subset in place of
     task 1, so that -0.0 is not dropped as a duplicate of task 0."""
-    vehicles = list(EXAMPLE.vehicles)
-    vehicles[1] = replace(vehicles[1], task_subset=frozenset({value, 0, 4}))
-    return dumps_scenario(replace(EXAMPLE, vehicles=tuple(vehicles)))
+    return with_vehicle(task_subset=frozenset({value, 0, 4}))
+
+
+def with_appraisement(value):
+    tasks = list(EXAMPLE.tasks)
+    tasks[1] = replace(tasks[1], appraisement=value)
+    return round_trip(replace(EXAMPLE, tasks=tuple(tasks)))
 
 
 def config_bytes(**fields):
     config = ScenarioConfig(**{**dict(n_tasks=4, n_vehicles=6, budget=5.5,
                                       city_side=50.0), **fields})
-    return repr(config), dumps_scenario(generate_scenario(config))
+    return repr(config), round_trip(generate_scenario(config))
 
 
 def nodes():
@@ -147,19 +169,26 @@ def fields(tmp_path: Path) -> dict[str, Field]:
               lambda v: config_bytes(appraisement_max=v), "sampling"),
         Field("config kappa_max", "real", 2.5, lambda v: config_bytes(kappa_max=v), "sampling"),
         Field("with_budget", "real", 4.5,
-              lambda v: dumps_scenario(paper_example().with_budget(v)), "budget"),
+              lambda v: round_trip(paper_example().with_budget(v)), "budget"),
         Field("validate_budget", "real", 4.5, lambda v: repr(validate_budget(v)), "budget"),
         Field("AuctionInstance budget", "real", 4.5,
-              lambda v: dumps_scenario(AuctionInstance(EXAMPLE.tasks, EXAMPLE.vehicles, v)),
+              lambda v: round_trip(AuctionInstance(EXAMPLE.tasks, EXAMPLE.vehicles, v)),
               "budget"),
         Field("replace budget", "real", 4.5,
-              lambda v: dumps_scenario(replace(EXAMPLE, budget=v)), "budget"),
+              lambda v: round_trip(replace(EXAMPLE, budget=v)), "budget"),
         Field("AuctionInstance city_side", "real", 50.0,
-              lambda v: dumps_scenario(AuctionInstance(EXAMPLE.tasks, EXAMPLE.vehicles, 4.5,
-                                                       city_side=v)), "city side"),
+              lambda v: round_trip(AuctionInstance(EXAMPLE.tasks, EXAMPLE.vehicles, 4.5,
+                                                   city_side=v)), "city side"),
         Field("replace city_side", "real", 50.0,
-              lambda v: dumps_scenario(replace(EXAMPLE, city_side=v)), "city side"),
+              lambda v: round_trip(replace(EXAMPLE, city_side=v)), "city side"),
         Field("vehicle subset member", "id", 1, with_member, "^vehicle 1 "),
+        Field("with_bid", "real", 2.5, lambda v: round_trip(EXAMPLE.with_bid(1, v)),
+              "^vehicle 1 cost and bid"),
+        Field("replace bid", "real", 2.5, lambda v: with_vehicle(bid=v),
+              "^vehicle 1 cost and bid"),
+        Field("replace true_cost", "real", 2.5, lambda v: with_vehicle(true_cost=v),
+              "^vehicle 1 cost and bid"),
+        Field("replace appraisement", "real", 3.5, with_appraisement, "^task 1 appraisement"),
         *(Field(f"params {name}", "real", base,
                 lambda v, name=name: repr(ReputationParams(**{name: v})), name)
           for name, base in (("w_vote", 0.005), ("w_lead", 0.05), ("w_verify", 0.01),
@@ -250,6 +279,25 @@ def test_a_built_instance_stores_a_plain_budget():
     assert instance.budget == 5.0 and type(instance.budget) is float
     assert loads_scenario(dumps_scenario(instance)) == instance
     assert "\nbudget 5.0\n" in dumps_scenario(instance)
+
+
+@pytest.mark.parametrize("value", [np.float64(2.5), np.int64(2), np.float32(0.1), 2],
+                         ids=["numpy float64", "numpy int64", "numpy float32", "int"])
+def test_a_built_instance_stores_plain_record_reals(value):
+    """Bids, true costs and appraisements are stored as the plain floats of
+    the real rule, equal to what was given, so the file writes numbers."""
+    tasks = list(EXAMPLE.tasks)
+    tasks[1] = replace(tasks[1], appraisement=value)
+    vehicles = list(EXAMPLE.vehicles)
+    vehicles[1] = replace(vehicles[1], bid=value, true_cost=value)
+    instance = AuctionInstance(tuple(tasks), tuple(vehicles), 5.0)
+    read = (instance.tasks[1].appraisement, instance.vehicles[1].bid,
+            instance.vehicles[1].true_cost)
+    assert read == (value,) * 3 and {type(x) for x in read} == {float}
+    line = f"\nvehicle 1 100.0 50.0 0.0 {float(value)!r} {float(value)!r} 0,1,4\n"
+    assert line in round_trip(instance)
+    with pytest.raises(ValueError, match="^vehicle 1 cost and bid must be finite"):
+        EXAMPLE.with_bid(1, True)
 
 
 @pytest.mark.parametrize("name", FIELD_NAMES)
