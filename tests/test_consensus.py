@@ -533,8 +533,9 @@ NODE_READERS = [call_run_epochs, call_elect_witnesses, call_run_round]
 
 
 @pytest.mark.parametrize("read", NODE_READERS)
-@pytest.mark.parametrize("ids", [(0, 2, 3, 4), (0, 1, 1, 3), (0, 1, 2, -1), (0, 1, 2, 100)],
-                         ids=["gap", "duplicate", "negative", "too large"])
+@pytest.mark.parametrize("ids", [(0, 2, 3, 4), (0, 1, 1, 3), (0, 1, 2, -1), (0, 1, 2, 100),
+                                 (0, 1, 2, 2**70)],
+                         ids=["gap", "duplicate", "negative", "too large", "beyond int64"])
 def test_every_node_reader_requires_dense_ids(read, ids):
     # a negative id would wrap around if it were used as an index unchecked
     nodes = [FullNode(id=i, reputation=0.25 * k, behavior=SABOTEUR if k % 2 else Behavior())
