@@ -21,8 +21,8 @@ refused with its own message.
 The hot path works on arrays, from one pass over the nodes that reads their
 ids, reputations, behavior flags and scripts and checks ids and reputations.
 That pass also groups the voting nodes by the pool (high or low) their
-behavior supports, into one ``_Pool`` each: the voters' ids in node order,
-with their positions kept beside them. One election, ``_elect``, builds no
+behavior supports: one array each of the voters' ids in node order, with
+their positions kept beside them. One election, ``_elect``, builds no
 ballots: it gathers both pools' weights from the epoch's reputations in one
 step and draws the members from ``reputations < theta``. ``run_epochs``
 elects with it every epoch, and the ``rnw-vs-rafn`` study elects the same
@@ -41,18 +41,20 @@ exact integer (weights are never negative), so the chain is the total less
 its own weight, bit for bit, +0.0 included: the pool costs O(ballots).
 Equal weights always take this closed form, and so does a reputation pool
 whose weights are all 1.0 or 0.0, as clamped reputations make them. Any
-other pool folds its chains ``_BLOCK`` ballots per ``np.add.reduce(axis=0)``
-of a float64 block: row 0 holds the chains, each other row a ballot's
-weight. A chain that begins inside a block starts from the running sum at
-the block's first ballot and takes the block's weights in order, -0.0
-(x + -0.0 is x) in its own ballot's cell: ``np.cumsum`` is the same left
-fold, so the bits match a chain started just before its ballot. A block
-holds a spare column, as numpy sums a one-column block pairwise, then only
-the chains begun by its last ballot. On weights that are not all integers
-the closed form rounds differently and can reorder ties. The block plan
-(bounds, scratch views, own cells, chain heads) depends only on the
-ballots at which chains begin, so a run's pool keeps it and rebuilds it
-only when those change, as when a node crosses theta.
+other pool folds its chains only where rounding can tell them apart from
+the running sum. A chain trails the running sum by less than twice the
+largest weight, so once the sum is that far into its binade, a ballot
+whose weight is no tie on that binade's grid and whose sum stays inside it
+is quiet: every chain rounds by the same step as the sum (the proof is in
+``_tally``). Each maximal stretch of quiet ballots becomes one row, the
+exact difference of the running sums at its ends (Sterbenz's lemma); every
+other ballot is a row of its own weight. The chains fold that compressed
+column, ``_BLOCK`` rows per ``np.add.reduce(axis=0)``: a few dozen rows
+for the benchmark's 800-ballot pool. A chain's own ballot puts -0.0 in its
+row (x + -0.0 is x), or, inside a stretch, takes the stretch less its own
+step. On weights that are not all integers the closed form rounds
+differently and can reorder ties, and a ballot-by-ballot fold of every
+chain is O(ballots**2).
 
 The reputations, w_vote * alpha and each node's verdict (+-1 by its
 behavior) are vectors built once per run; the roles, the seats, the deltas
@@ -373,60 +375,42 @@ def elect_witnesses(
         if (home[members] >= 0).any():
             raise ValueError("two ballot pools share an id")
         home[members] = row
-    pools = [_Pool(np.array(voters, dtype=np.int64)) for voters in cast.values()]
+    pools = [np.array(voters, dtype=np.int64) for voters in cast.values()]
     if mode is VotingMode.REPUTATION_WEIGHTED:
-        weights = [run.reputations[run.index[pool.voters]] for pool in pools]
+        weights = [run.reputations[run.index[pool]] for pool in pools]
     else:
-        weights = [np.ones(len(pool.voters)) for pool in pools]
+        weights = [np.ones(len(pool)) for pool in pools]
     return _seat(_tally(pools, weights, home), run.ids, committee_size, active_size, rng)
 
 
-_BLOCK = 64  # ballots folded into the chains per axis-0 reduction
+_BLOCK = 64  # rows folded into the chains per axis-0 reduction
 
 
-class _Pool:
-    """The ballots cast into one pool, by voter id in ballot order, and the
-    block plan of the chains that its members' ballots begin: the blocks'
-    bounds, scratch views and own cells, and the running-sum index that
-    heads each chain. The plan is kept, and ``_tally`` reuses it while the
-    chains begin at the same ballots."""
-
-    __slots__ = ("voters", "starts", "targets", "heads", "chains", "blocks")
-
-    def __init__(self, voters: np.ndarray) -> None:
-        self.voters, self.starts = voters, None
-
-    def plan(self, starts: np.ndarray) -> None:
-        """Lay the blocks out for chains begun at ballots ``starts``, unless
-        they are laid out for those already. Chain ``j`` is column ``j + 1``
-        of a block; column 0 is spare."""
-        if self.starts is not None and np.array_equal(starts, self.starts):
-            return
-        n = len(self.voters)
-        m0s = np.arange(starts[0] + 1, n, _BLOCK)  # each block's first ballot
-        m1s = np.minimum(m0s + _BLOCK, n)
-        widths = 1 + np.searchsorted(starts, m1s)  # a spare column, then the chains begun
-        k = (starts[1:] - starts[0] - 1) // _BLOCK  # the block each later chain begins in
-        own = (1 + starts[1:] - m0s[k]) * widths[k] + np.arange(2, len(starts) + 1)  # flat cell
-        cut = np.searchsorted(k, np.arange(len(m0s) + 1)).tolist()  # own's slice per block
-        buffer = np.empty((min(_BLOCK, n) + 1) * (len(starts) + 1))
-        self.chains = np.empty(len(starts) + 1)
-        self.blocks = []
-        for i, (m0, m1, width) in enumerate(zip(m0s.tolist(), m1s.tolist(), widths.tolist())):
-            flat = buffer[: (m1 - m0 + 1) * width]
-            block = flat.reshape(m1 - m0 + 1, width)  # row 1 + m - m0: ballot m's weight
-            self.blocks.append((m0, m1, flat, block, own[cut[i] : cut[i + 1]], self.chains[:width]))
-        # the spare column starts from running[0]; a chain from the running
-        # sum at its own ballot, or at the first ballot of its block
-        self.heads = np.concatenate(([0], starts[:1], m0s[k]))
-        self.starts, self.targets = starts, self.voters[starts]
+def _column(running: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A pool's compressed weight column, from its running sums and
+    weights: the rows, the first ballot of each row followed by the ballot
+    count, and which ballots are quiet (see ``_tally``). A maximal stretch
+    of quiet ballots is one row, the exact difference of the running sums
+    at its ends; every other ballot is a row of its own weight."""
+    r = running[:-1]
+    e = np.frexp(r)[1]  # 2**(e - 1) <= r < 2**e: the binade, where u = 2**(e - 53)
+    floor = np.ldexp(0.5, e)
+    halves = np.ldexp(np.minimum(w, r), 54 - e)  # w in units of u / 2, where it can be quiet
+    tie = halves - 2.0 * np.trunc(0.5 * halves) == 1.0  # an odd multiple of u / 2
+    quiet = (r >= 2.0**-960) & (running[1:] < 2.0 * floor) & (r - floor >= 2.0 * w.max()) & ~tie
+    quiet &= len(w) < 2**25
+    bounds = np.flatnonzero(np.concatenate(([True], ~(quiet[1:] & quiet[:-1]), [True])))
+    lo, hi = bounds[:-1], bounds[1:]
+    return np.where(quiet[lo], running[hi] - running[lo], w[lo]), bounds, quiet
 
 
-def _tally(pools: Sequence[_Pool], weights: Sequence[np.ndarray], home: np.ndarray) -> np.ndarray:
+def _tally(pools: Sequence[np.ndarray], weights: Sequence[np.ndarray],
+           home: np.ndarray) -> np.ndarray:
     """Voting result per id, as the module docstring sets out: ballot ``b``
-    into ``pools[p]`` adds ``weights[p][b]`` to every id ``i`` with
-    ``home[i] == p`` but its voter. A voter casts at most one ballot, and
-    ``home`` puts each id in at most one pool (-1 for none).
+    into ``pools[p]`` (voter ids in ballot order) adds ``weights[p][b]`` to
+    every id ``i`` with ``home[i] == p`` but its voter. A voter casts at
+    most one ballot, and ``home`` puts each id in at most one pool (-1 for
+    none).
 
     Weights are never negative, so running sums never fall. When a pool's
     weights are all integers and its total is below 2**53, no partial sum
@@ -434,28 +418,82 @@ def _tally(pools: Sequence[_Pool], weights: Sequence[np.ndarray], home: np.ndarr
     comes back below. Each chain is then the exact total less its own
     weight, an exact difference, and +0.0 where it is zero, as a fold from
     +0.0 is (+0.0 + -0.0 is +0.0). A total of exactly 2**53 may itself be
-    rounded (2**53 - 1 + 2 rounds to it), so such a pool takes the blocks.
-    A pool on the blocks asks for its plan (``_Pool.plan``), which is kept
-    while its chains begin at the same ballots."""
+    rounded (2**53 - 1 + 2 rounds to it), so such a pool folds.
+
+    Any other pool folds its chains over a compressed column (``_column``).
+    Let r[0] = +0.0 and r[m + 1] = fl(r[m] + w[m]) be the running sum, W
+    the largest weight and B the ballot count; a chain's partial sum x
+    trails r by its offset d = r - x, and u = 2**(k - 52) is the spacing
+    of the floats in r[m]'s binade [2**k, 2**(k + 1)). Ballot m is quiet
+    when (a) r[m] >= 2**-960, (b) r[m + 1] < 2**(k + 1), (c) r[m] - 2**k
+    >= 2W and (d) w[m] is no odd multiple of u / 2; the rest are special.
+
+    Offset bound. fl is monotone and no weight is negative, so x <= r and
+    d >= 0. A chain follows r bit for bit up to its own ballot s, where d
+    becomes fl(r[s] + w[s]) - r[s] <= W + 2**-53 (r[s] + W). After it each
+    step moves d by at most the two rounding errors, 2**-53 (r[m] + W)
+    each (a sum among the subnormals is exact). With r[m] <= m W (1 +
+    2**-53)**m <= m W (1 + 2**-27) for B < 2**25, summing over the steps
+    gives d <= W (1 + 2**-52 (1 + 2**-27) B (B + 1) / 2) <= W (1 + B (B +
+    1) 2**-52) < 2W, as B (B + 1) < 2**50. A pool of 2**25 ballots or more
+    marks every ballot special, which is the plain fold.
+
+    A quiet ballot moves no offset. By (c) every chain's x = r[m] - d lies
+    in [2**k, r[m]], so in r's binade and on its grid; by (b) and
+    monotony fl(x + w[m]) lies in it too. On one grid rounding commutes
+    with a shift by a grid step, so fl(x + w[m]) - x = fl(r[m] + w[m]) -
+    r[m] unless x + w[m] is a tie, which (d) rules out. (a) keeps r[m] a
+    normal float, whose spacing is u (a subnormal's is 2**-1074), and u
+    normal too. The tie test scales w[m] to units of u / 2 by 2**(54 - e),
+    with ``np.frexp``'s e = k + 1, and checks for an odd integer; a weight
+    above r[m] cannot be quiet (c), so it is capped at r[m] there and the
+    scaled value stays below 2**54.
+
+    So folding the column from +0.0 gives exactly r at every row boundary:
+    by (b) a stretch [b, a) stays in one binade, so its row r[a] - r[b] is
+    exact by Sterbenz's lemma (r[b] <= r[a] < 2 r[b]), and adding it back
+    is exact. A chain that enters a stretch at offset d leaves it at r[a] -
+    d, the float its ballot-by-ballot fold reaches, so that sum is exact
+    too. A chain whose own ballot s is special takes -0.0 in that row (x +
+    -0.0 is x); one whose own ballot is quiet takes the row less its own
+    step, (r[a] - r[b]) - (r[s + 1] - r[s]), exact as the step is
+    (Sterbenz) and both are multiples of u below 2**k, and leaves at r[a]
+    less that step, as its own fold does. Rows before the first chain's own
+    row fold nowhere. Chains begin where r is theirs: the first at its own
+    row, each later one at the first row of its block, as at most
+    ``_BLOCK`` rows fold per ``np.add.reduce(axis=0)`` into a block holding
+    a spare column (numpy sums a one-column block pairwise), then the
+    chains begun before its end."""
     tally = np.zeros(len(home))
-    for p, (pool, w) in enumerate(zip(pools, weights)):
+    for p, (voters, w) in enumerate(zip(pools, weights)):
         running = np.cumsum(np.concatenate(([0.0], w)))
         members = home == p
         tally[members] = running[-1]
-        starts = np.flatnonzero(members[pool.voters])  # a chain per ballot cast by a member
+        starts = np.flatnonzero(members[voters])  # a chain per ballot cast by a member
         if not starts.size:
             continue
         if running[-1] < 2.0**53 and (w == np.trunc(w)).all():
-            tally[pool.voters[starts]] = running[-1] - w[starts]
+            tally[voters[starts]] = running[-1] - w[starts]
             continue
-        pool.plan(starts)
-        np.take(running, pool.heads, out=pool.chains)
-        for m0, m1, flat, block, own, chains in pool.blocks:
-            block[0] = chains
-            block[1:] = w[m0:m1, None]
-            flat[own] = -0.0  # a chain skips its own ballot
-            np.add.reduce(block, axis=0, out=chains)
-        tally[pool.targets] = pool.chains[1:]
+        rows, bounds, quiet = _column(running, w)
+        at = np.searchsorted(bounds, starts, "right") - 1  # each chain's own row
+        own = np.where(quiet[starts], rows[at] - (running[starts + 1] - running[starts]), -0.0)
+        q0s = np.arange(at[0], len(rows), _BLOCK)  # each block's first row
+        q1s = np.minimum(q0s + _BLOCK, len(rows))
+        widths = 1 + np.searchsorted(at, q1s)  # a spare column, then the chains begun
+        k = (at - at[0]) // _BLOCK  # the block each chain begins in
+        cells = (1 + at - q0s[k]) * widths[k] + np.arange(1, len(at) + 1)  # own cell, flat
+        cut = np.searchsorted(k, np.arange(len(q0s) + 1)).tolist()  # cells' slice per block
+        chains = np.concatenate(([0.0], running[bounds[q0s[k]]]))  # r where each chain begins
+        buffer = np.empty((min(_BLOCK, len(rows) - at[0]) + 1) * len(chains))
+        for i, (q0, q1, width) in enumerate(zip(q0s.tolist(), q1s.tolist(), widths.tolist())):
+            flat = buffer[: (q1 - q0 + 1) * width]
+            block = flat.reshape(q1 - q0 + 1, width)  # row 1 + q - q0: row q of the column
+            block[0] = chains[:width]
+            block[1:] = rows[q0:q1, None]
+            flat[cells[cut[i] : cut[i + 1]]] = own[cut[i] : cut[i + 1]]
+            np.add.reduce(block, axis=0, out=chains[:width])
+        tally[voters[starts]] = chains[1:]
     return tally
 
 
@@ -487,15 +525,16 @@ ROLES = ("none", "standby", "witness", "leader")
 
 class _Run(NamedTuple):
     """What a run reads from its nodes, in node order, and its two pools:
-    the ballots into the high pool (0) and into the low pool (1), each in
-    node order. ``ballots`` holds the voters' indexes, pool 0's first."""
+    the voter ids of the ballots into the high pool (0) and into the low
+    pool (1), each in node order. ``ballots`` holds the voters' indexes,
+    pool 0's first."""
 
     ids: list[int]
     index: np.ndarray  # id -> index in node order
     reputations: np.ndarray
     votes: np.ndarray  # bool
     ballots: np.ndarray
-    pools: tuple[_Pool, _Pool]
+    pools: tuple[np.ndarray, np.ndarray]  # voter ids
     correct: np.ndarray  # +1 verifies correctly by behavior, -1 otherwise
     has_script: np.ndarray  # bool
 
@@ -527,7 +566,7 @@ def _read_nodes(nodes: Sequence[FullNode]) -> _Run:
     has_script = np.fromiter([bool(x.script) for x in nodes], bool, n)
     cast = [np.flatnonzero(votes & ~low), np.flatnonzero(votes & low)]
     return _Run(ids, index, reputations.astype(float), votes, np.concatenate(cast),
-                (_Pool(order[cast[0]]), _Pool(order[cast[1]])), np.where(correct, 1, -1),
+                (order[cast[0]], order[cast[1]]), np.where(correct, 1, -1),
                 has_script)
 
 
@@ -537,13 +576,13 @@ def _elect(run: _Run, reputations: np.ndarray, params: ReputationParams, committ
     ballot per voting node in node order, into the pool its behavior
     supports, with pools from ``reputations < theta`` (0 high, 1 low by
     id), then ``_tally`` and ``_seat``. These are ``cast_votes``' ballots.
-    The weights of both pools are gathered in one step; the pools are the
-    run's own, so each keeps its block plan from one election to the next."""
+    The weights of both pools are gathered in one step; the pools' voters
+    are the run's own arrays, read once from the nodes."""
     if mode is VotingMode.REPUTATION_WEIGHTED:
         weights = reputations[run.ballots]
     else:
         weights = np.ones(len(run.ballots))
-    split = len(run.pools[0].voters)
+    split = len(run.pools[0])
     home = (reputations < params.theta)[run.index]
     tally = _tally(run.pools, (weights[:split], weights[split:]), home)
     return _seat(tally, run.ids, committee_size, active_size, rng)

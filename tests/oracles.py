@@ -282,6 +282,23 @@ def slow_tally(ballots, nodes, weighted: bool) -> dict[int, float]:
     return result
 
 
+def slow_pool_tally(pools, weights, home) -> list[float]:
+    """Per id, a left fold from 0.0 of the weights of the ballots into its
+    pool, one at a time in ballot order, skipping its own; 0.0 for an id in
+    no pool. ``pools[p]`` lists pool ``p``'s voters in ballot order,
+    ``weights[p]`` their weights, and ``home[i]`` id ``i``'s pool (-1 for
+    none)."""
+    result = []
+    for node_id, pool in enumerate(home):
+        total = 0.0
+        if pool >= 0:
+            for voter, weight in zip(pools[pool], weights[pool]):
+                if voter != node_id:
+                    total = total + weight
+        result.append(total)
+    return result
+
+
 def slow_seat(result, committee_size, active_size, rng):
     """(members, active_order, standby) from a voting result: rank by
     (-result, id), shuffle the top ``active_size`` with ``rng``."""

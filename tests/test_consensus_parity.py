@@ -9,6 +9,7 @@ frozensets and a dict tally.
 
 import hashlib
 import io
+import math
 from contextlib import redirect_stdout
 from dataclasses import replace
 
@@ -41,7 +42,7 @@ from trafficmarket.consensus import (
 from trafficmarket.experiments import HOSTILE_FRACTION_GRID
 from trafficmarket.model import left_sum, write_rows
 
-from oracles import slow_cast_votes, slow_run_epochs, slow_seat, slow_tally
+from oracles import slow_cast_votes, slow_pool_tally, slow_run_epochs, slow_seat, slow_tally
 
 PARAMS = ReputationParams()
 MODES = (VotingMode.REPUTATION_WEIGHTED, VotingMode.EQUAL_WEIGHT)
@@ -288,6 +289,87 @@ def test_numpy_axis0_reduce_folds_row_by_row(width):
             fold = fold + row
         reduced = np.add.reduce(block, axis=0)
         assert reduced.view(np.int64).tolist() == fold.view(np.int64).tolist(), height
+
+
+def _runs(values):
+    """Runs of 1-30 copies of each drawn value."""
+    return st.lists(st.tuples(st.sampled_from(values), st.integers(1, 30)), min_size=1,
+                    max_size=6).map(lambda runs: [v for v, n in runs for _ in range(n)])
+
+
+def _mantissas(exponents):
+    """Floats in [2**(e - 1), 2**e) for a drawn e from ``exponents``."""
+    return st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), exponents)
+
+
+@st.composite
+def grid_ties(draw):
+    """Ballots of one base weight, some of them (from a running sum of 1.0
+    on) plus an odd multiple of half the float spacing at the running sum:
+    an exact tie on its grid, which rounds by the parity of what it adds
+    to, so a chain that skipped such a ballot can round the other way."""
+    base = draw(st.sampled_from([0.75, 0.625, 0.5 + 2.0**-20]))
+    weights, running = [], 0.0
+    for tie in draw(st.lists(st.booleans(), min_size=1, max_size=150)):
+        k = math.frexp(running)[1] - 1  # running is in [2**k, 2**(k + 1))
+        odd = 2 * draw(st.integers(0, 3)) + 1
+        weights.append(base + odd * 2.0 ** (k - 53) if tie and running >= 1.0 else base)
+        running += weights[-1]
+    return weights
+
+
+#: Weight families for the tally's differential test, each a strategy for
+#: one pool's weights in ballot order.
+WEIGHT_FAMILIES = {
+    "grid ties": grid_ties(),
+    # exact powers of two land sums on a binade's edge; weights of many
+    # magnitudes carry sums across many binades
+    "powers of two": st.lists(st.one_of(
+        st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0]), st.floats(0.0, 2.0),
+        _mantissas(st.integers(-30, 7)),
+    ), min_size=1, max_size=150),
+    "runs": _runs([1.0, 0.0, -0.0, 0.7, 0.1]),
+    # below 2**-960 and across it, subnormals included
+    "tiny": st.lists(st.one_of(st.floats(0.0, 2.0**-960), _mantissas(st.integers(-1074, -955))),
+                     min_size=1, max_size=150),
+    "one voter": st.lists(st.floats(0.0, 2.0), min_size=1, max_size=1),
+    # sums that never reach 2**-960 leave every ballot a row of its own
+    "more than a block of rows": st.lists(st.floats(0.0, 2.0**-970), min_size=65, max_size=150),
+    "long stretches": st.lists(st.floats(0.5, 1.0), min_size=40, max_size=150),
+}
+
+
+@st.composite
+def tally_inputs(draw):
+    """One to three pools, each with weights from one family; every voter
+    casts one ballot, mostly from inside the pool it votes into, and a few
+    ids cast none. Returns (pools, weights, home) for ``_tally``."""
+    columns = draw(st.lists(st.one_of(*WEIGHT_FAMILIES.values()), min_size=1, max_size=3))
+    n = sum(map(len, columns)) + draw(st.integers(0, 4))
+    order = iter(draw(st.permutations(range(n))))
+    pools = [[next(order) for _ in column] for column in columns]
+    home = [draw(st.integers(-1, len(columns) - 1)) for _ in range(n)]
+    for p, voters in enumerate(pools):
+        for voter in voters:
+            if draw(st.integers(0, 9)):  # a member's ballot begins a chain
+                home[voter] = p
+    return pools, columns, home
+
+
+@settings(max_examples=120, deadline=None)
+@given(inputs=tally_inputs())
+def test_tally_matches_a_left_fold(inputs):
+    """``_tally`` against a left fold per id that skips the id's own ballot,
+    by float.hex, on each of ``WEIGHT_FAMILIES``: grid ties, sums across
+    powers of two, runs of 1.0, 0.0 and -0.0, weights below 2**-960,
+    one-voter pools, pools of more than ``_BLOCK`` rows and long quiet
+    stretches."""
+    pools, columns, home = inputs
+    tally = consensus._tally([np.array(v, dtype=np.int64) for v in pools],
+                             [np.array(c) for c in columns], np.array(home, dtype=np.intp))
+    assert [x.hex() for x in tally.tolist()] == [
+        x.hex() for x in slow_pool_tally(pools, columns, home)
+    ]
 
 
 @settings(max_examples=30, deadline=None)
@@ -653,26 +735,27 @@ def test_golden_histories():
 
 
 @pytest.fixture
-def plans(monkeypatch):
-    """Per ``_tally`` call, the ``(pool index, built)`` pair of each block
-    plan it asks for; ``built`` is False when the pool reuses its kept
-    plan. A pool that tallies in closed form asks for none."""
+def columns(monkeypatch):
+    """Per ``_tally`` call, the ``(pool index, rows)`` pair of each pool
+    that folds its chains: how many rows its compressed weight column has
+    (``consensus._column``). A pool that tallies in closed form, or that
+    has no chain, folds none."""
     elections = []
-    tally, plan = consensus._tally, consensus._Pool.plan
+    tally, column = consensus._tally, consensus._column
 
     def counted_tally(pools, weights, home):
-        elections.append((pools, []))
+        elections.append((weights, []))
         return tally(pools, weights, home)
 
-    def counted_plan(self, starts):
-        blocks = getattr(self, "blocks", None)
-        plan(self, starts)
-        pools, asked = elections[-1]
-        asked.append((pools.index(self), self.blocks is not blocks))
+    def counted_column(running, w):
+        rows, bounds, quiet = column(running, w)
+        weights, folded = elections[-1]
+        folded.append((next(p for p, x in enumerate(weights) if x is w), len(rows)))
+        return rows, bounds, quiet
 
     monkeypatch.setattr(consensus, "_tally", counted_tally)
-    monkeypatch.setattr(consensus._Pool, "plan", counted_plan)
-    return lambda: [asked for _, asked in elections]
+    monkeypatch.setattr(consensus, "_column", counted_column)
+    return lambda: [folded for _, folded in elections]
 
 
 def check_epochs(nodes, committee_size, active_size, n_epochs, weighted, seed):
@@ -696,11 +779,11 @@ def check_epochs(nodes, committee_size, active_size, n_epochs, weighted, seed):
     assert [n.reputation.hex() for n in fast_nodes] == [n.reputation.hex() for n in slow_nodes]
 
 
-def test_zero_and_one_weights_tally_in_closed_form(plans):
+def test_zero_and_one_weights_tally_in_closed_form(columns):
     """Reputations of 1.0, 0.0 and -0.0 weigh integers, so every pool takes
-    the closed form: no block plan is asked for, and each chain, the -0.0
-    voter's and the lone voters' of one-voter pools among them, has the
-    ballot-by-ballot count's bits, +0.0 where it is zero."""
+    the closed form: no pool folds, and each chain, the -0.0 voter's and the
+    lone voters' of one-voter pools among them, has the ballot-by-ballot
+    count's bits, +0.0 where it is zero."""
     reps = [1.0, 0.0, -0.0, 1.0, 1.0, 0.0, 1.0, -0.0, 1.0]
     nodes = [FullNode(id=i, reputation=reps[i]) for i in (4, 0, 7, 2, 8, 1, 6, 3, 5)]
     mixed, lone, zero = frozenset({0, 1, 2, 3, 5}), frozenset({6}), frozenset({7})
@@ -718,36 +801,39 @@ def test_zero_and_one_weights_tally_in_closed_form(plans):
                                 np.random.default_rng(4))
     assert [committee.voting_result[i].hex() for i in (6, 7, 8)] == ["0x0.0p+0"] * 3
     assert [committee.voting_result[i] for i in (0, 1, 2, 3, 5)] == [2.0, 3.0, 3.0, 2.0, 3.0]
-    assert plans() == [[]] * 3  # both modes, then reputation weights again
+    assert columns() == [[]] * 3  # both modes, then reputation weights again
     population = [FullNode(id=i, reputation=[1.0, 0.0, -0.0][i % 3],
                            behavior=ABNORMAL_BEHAVIOR if i % 5 == 0 else Behavior())
                   for i in range(150)]
     for weighted in (True, False):
         check_epochs(population, 100, 6, 2, weighted, seed=9)
-    assert plans()[3] == [] and plans()[5:] == [[], []]  # the first election; every equal one
+    assert columns()[3] == [] and columns()[5:] == [[], []]  # the first election; every equal one
 
 
-def test_a_non_integer_weight_keeps_the_block_path(plans):
+def test_a_non_integer_weight_keeps_the_fold(columns):
     """Weights 0.7, 1.0 and 1.0: the total less 1.0 is 1.7000000000000002,
     while the count that skips that ballot reads 1.7. One such weight among
-    integers keeps its pool on the blocks."""
+    integers keeps its pool on the fold. Below 4.0 no ballot is quiet (no
+    running sum lies twice the largest weight into its binade), so the
+    four-ballot pool folds all four; 200 ballots fold in 27 rows."""
     total = np.cumsum([0.0, 0.7, 1.0, 1.0])[-1]
     assert (total - 1.0).hex() != (0.0 + 0.7 + 1.0).hex()
     nodes = [FullNode(id=i, reputation=r) for i, r in enumerate([0.7, 1.0, 1.0, 0.2])]
     check_election(cast_votes(nodes, PARAMS), nodes, 3, 1, seed=2)
-    # reputation weights: the high pool plans, and the low one has no chain;
+    # reputation weights: the high pool folds, and the low one has no chain;
     # equal weights take the closed form
-    assert plans() == [[(0, True)], []]
+    assert columns() == [[(0, 4)], []]
     population = [FullNode(id=i, reputation=1.0) for i in range(200)]
     population[57].reputation = 0.7
     check_epochs(population, 150, 5, 1, True, seed=3)
-    assert plans()[-1] == [(0, True)]
+    assert columns()[-1] == [(0, 27)]
 
 
-def test_a_node_crossing_theta_rebuilds_its_pools_plan(plans):
+def test_a_node_crossing_theta_moves_the_chains_and_still_folds_few_rows(columns):
     """Well-behaved voters at 0.4975 sit in the low pool until their vote
     carries them past theta in the first epoch's rounds. The high pool's
-    chains then begin at more ballots, so its kept plan is rebuilt."""
+    chains then begin at more ballots; every election builds its columns
+    afresh, and the high pool's 130-odd ballots fold in 30-35 rows."""
     rng = np.random.default_rng(11)
     nodes = [FullNode(id=i, reputation=float(rng.uniform(0.5, 1.0))) for i in range(160)]
     for i in range(3, 160, 9):
@@ -755,20 +841,44 @@ def test_a_node_crossing_theta_rebuilds_its_pools_plan(plans):
     for i in range(5, 160, 6):
         nodes[i].behavior = ABNORMAL_BEHAVIOR
     check_epochs(nodes, 120, 4, 3, True, seed=5)
-    high = [[built for pool, built in asked if pool == 0] for asked in plans()]
-    assert high[:2] == [[True], [True]]
+    assert columns() == [[(0, 34)], [(0, 30), (1, 20)], [(0, 35), (1, 18)]]
 
 
-def test_the_benchmark_run_plans_its_high_pool_once(plans):
+def test_the_benchmark_run_folds_few_rows(columns):
     """The benchmark's run at seed 0: 1,000 nodes drawn as its population,
-    committee 700, 10 active, 5 epochs. No node crosses into or out of the
-    high pool (0), so its chains begin at the same ballots every epoch and
-    it is planned once. By the last epoch every reputation in it is clamped
-    at 1.0, so it tallies in closed form there. Equal weights take the
-    closed form in every election."""
-    for mode, high in ((MODES[0], [[True], [False], [False], [False], []]), (MODES[1], [[]] * 5)):
+    committee 700, 10 active, 5 epochs. Its high pool (0) has 800 ballots
+    and its low pool (1) about 200; each folds 36-49 rows. By the last
+    epoch every reputation in the high pool is clamped at 1.0, so it
+    tallies in closed form there. Equal weights take the closed form in
+    every election."""
+    expected = {
+        MODES[0]: [[(0, 46), (1, 49)], [(0, 44), (1, 49)], [(0, 38), (1, 38)],
+                   [(0, 36), (1, 47)], [(1, 42)]],
+        MODES[1]: [[]] * 5,
+    }
+    for mode, folded in expected.items():
         nodes = sample_population(1000, 0.2, np.random.default_rng([0, 20]))
-        start = len(plans())
+        start = len(columns())
         run_epochs(nodes, PARAMS, 700, 10, 5, mode=mode, seed=0)
-        assert [[built for pool, built in asked if pool == 0]
-                for asked in plans()[start:]] == high
+        assert columns()[start:] == folded
+
+
+def test_a_pool_of_several_blocks_of_rows_matches_a_left_fold(columns):
+    """400 ballots of 0.75, every fourth from 1.0 on a tie on its running
+    sum's grid: each tie is a row of its own, so the column has more than
+    three ``_BLOCK``s of rows, with quiet stretches between. Every voter
+    but a few outsiders is a member, so chains begin in every block, at
+    special and at quiet ballots."""
+    weights, running = [], 0.0
+    for m in range(400):
+        k = math.frexp(running)[1] - 1  # running is in [2**k, 2**(k + 1))
+        weights.append(0.75 + 2.0 ** (k - 53) if m % 4 == 3 and running >= 1.0 else 0.75)
+        running += weights[-1]
+    voters = np.random.default_rng(3).permutation(410)[:400].tolist()
+    home = [-1 if i % 37 == 0 else 0 for i in range(410)]
+    tally = consensus._tally([np.array(voters)], [np.array(weights)], np.array(home))
+    assert [x.hex() for x in tally.tolist()] == [
+        x.hex() for x in slow_pool_tally([voters], [weights], home)
+    ]
+    (((pool, rows),),) = columns()
+    assert pool == 0 and 3 * consensus._BLOCK < rows < 300
