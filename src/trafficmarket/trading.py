@@ -4,17 +4,37 @@ One round walks the eight-step exchange: the authority publishes its task
 list, vehicles answer with encrypted bid requests, the auction picks
 winners, each winner gets an order, delivers sensed data, is paid exactly
 once, and confirms, after which the confirmed trades are sealed into a
-hash-chained block. Balances are Fractions so money is conserved exactly;
-every verification failure aborts only the session it happened in, and so
-does a request or delivery that is signed correctly but does not parse to
-the fields its leg expects (``"<leg>: malformed payload"``).
+hash-chained block. Balances are Fractions so money is conserved exactly.
+The authority's balance is a nonnegative ``Fraction`` or real
+(``model.as_real``), and anything else is refused by name.
 
-Request, order, delivery and confirm are one leg each, run by one helper.
-Its send half makes the message, lets ``tamper`` alter a request or a
-delivery, and appends it to the transcript; its receive half verifies it
-and either aborts the session with ``"<leg>: <reason>"`` or advances the
-session's clock and returns the plaintext. Every request is sent before
-any is received, so the authority vets them together.
+``run_trading_round`` drives one round context (``_Round``) through five
+steps, each run in full before the next starts:
+
+1. publish and request: the signed broadcast, then one encrypted request
+   from each vehicle that accepts it;
+2. vet: the authority verifies and parses every request;
+3. allocate: the mechanism runs on the vehicles still in the round;
+4. fund: the quoted total is checked against the authority's balance
+   before anything moves;
+5. serve, per funded winner in id order: order, delivery, data check,
+   payment and confirm, which yields the trade's record.
+
+A failure aborts only its own session, with one ``(stage, cause)`` pair
+from the closed set ``FAILURES``, and ``TradingSession.failure`` reads that
+pair's text. The stages are, in round order, ``broadcast``, ``request``,
+``auction``, ``funding``, ``order``, ``data`` and ``confirm``. A broadcast
+or leg that fails verification aborts with the ``verify_message`` reason
+as its cause (``"<stage>: <reason>"``), and so does a request or delivery
+that is signed correctly but does not parse to the fields its leg expects
+(``"<stage>: malformed payload"``).
+
+Request, order, delivery and confirm are one leg each. Its send half makes
+the message, lets ``tamper`` alter a request or a delivery, and appends it
+to the transcript; its receive half verifies it and either aborts the
+session or advances the session's clock and returns the plaintext. Every
+request is sent before any is received, so the authority vets them
+together.
 
 Message security rides on a pluggable scheme from :mod:`trafficmarket.crypto`.
 Randomness for each participant's key material and ciphertexts comes from
@@ -56,15 +76,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from trafficmarket.auction import tbsap
-from trafficmarket.crypto import (
-    DecryptionError,
-    KeyPair,
-    SignatureScheme,
+from trafficmarket.crypto import DecryptionError, KeyPair, SignatureScheme
+from trafficmarket.model import (
+    AuctionInstance, AuctionOutcome, as_id, as_real, validate_count, write_rows
 )
-from trafficmarket.model import AuctionInstance, AuctionOutcome, as_id, validate_count, write_rows
 
 __all__ = [
     "ProtocolError",
+    "FAILURES",
     "MessageKind",
     "ProtocolMessage",
     "Certificate",
@@ -239,19 +258,25 @@ def build_world(
     """Mint keys, certificates, and accounts for one authority and all vehicles.
 
     The authority's account is funded with the auction budget unless told
-    otherwise; vehicles start empty. The seed goes through
+    otherwise; vehicles start empty. A balance is a nonnegative ``Fraction``,
+    or a nonnegative real (``model.as_real``) taken as its plain float; a
+    ``bool``, a string, NaN, an infinity or a negative value is refused with
+    a ``ValueError`` that names ``authority_balance``. The seed goes through
     ``model.validate_count`` and is kept as a plain ``int``.
     """
     seed = validate_count(seed, "seed")
+    balance = instance.budget if authority_balance is None else authority_balance
+    if not isinstance(balance, Fraction):
+        balance = as_real(balance)
+    if balance is None or balance < 0:
+        raise ValueError(f"authority_balance {authority_balance!r} is not a nonnegative real")
     ca = CertificateAuthority(scheme, np.random.default_rng([seed, 0]))
     authority_keys = scheme.generate_keypair(np.random.default_rng([seed, 1]))
-    if authority_balance is None:
-        authority_balance = instance.budget
     authority = Participant(
         name="authority",
         keys=authority_keys,
         certificate=ca.issue("authority", authority_keys.public),
-        account=Account(owner="authority", balance=Fraction(authority_balance)),
+        account=Account(owner="authority", balance=Fraction(balance)),
     )
     vehicles = {}
     for vehicle in instance.vehicles:
@@ -279,20 +304,49 @@ class SessionState(enum.Enum):
     ABORTED = "aborted"
 
 
+#: What ``verify_message`` can report, in the order it checks.
+_VERIFY_REASONS = ("bad certificate", "certificate subject mismatch", "bad signature",
+                   "no decryption key", "undecryptable", "stale timestamp")
+
+#: Every way a session can abort: ``(stage, cause)`` to the text that
+#: ``TradingSession.failure`` reads. The broadcast and each leg fail with a
+#: ``verify_message`` reason; three failures keep a bare text of their own.
+FAILURES: dict[tuple[str, str], str] = {
+    **{(stage, cause): f"{stage}: {cause}"
+       for stage in ("broadcast", "request", "order", "data", "confirm")
+       for cause in _VERIFY_REASONS},
+    ("request", "malformed payload"): "request: malformed payload",
+    ("request", "inconsistent payload"): "request: inconsistent payload",
+    ("data", "malformed payload"): "data: malformed payload",
+    ("auction", "lost"): "lost auction",
+    ("funding", "insufficient"): "authority balance insufficient",
+    ("data", "rejected"): "data rejected",
+}
+
+
 @dataclass
 class TradingSession:
     vehicle_id: int
     state: SessionState = SessionState.PUBLISHED
     transcript: list[ProtocolMessage] = field(default_factory=list)
     last_timestamp: int = 0
-    failure: str | None = None
+    cause: tuple[str, str] | None = None  # a key of FAILURES once aborted
     paid_amount: Fraction | None = None
     data_digest: str | None = None
     confirmed_at: int | None = None
 
-    def abort(self, reason: str) -> None:
+    @property
+    def failure(self) -> str | None:
+        """The text of the session's failure (``FAILURES``), or None."""
+        return None if self.cause is None else FAILURES[self.cause]
+
+    def abort(self, stage: str, cause: str) -> None:
+        """End the session with a pair from ``FAILURES``. Any other pair
+        raises ``ValueError`` and leaves the session as it was."""
+        if (stage, cause) not in FAILURES:
+            raise ValueError(f"no failure {cause!r} at stage {stage!r}")
         self.state = SessionState.ABORTED
-        self.failure = reason
+        self.cause = (stage, cause)
 
 
 def _signing_bytes(
@@ -462,6 +516,153 @@ class RoundResult:
     block: TradeBlock | None
 
 
+class _Round:
+    """One round's context: the world, the instance, ``tamper``, the round
+    index, the sessions, each vehicle's sorted subset and generator, and
+    the steps that ``run_trading_round`` drives."""
+
+    def __init__(self, world: TradingWorld, instance: AuctionInstance, tamper) -> None:
+        self.world, self.instance, self.tamper = world, instance, tamper
+        self.index = len(world.ledger)
+        self.sessions = {v.id: TradingSession(v.id) for v in instance.vehicles}
+        self.subset_of = {v.id: tuple(sorted(v.task_subset)) for v in instance.vehicles}
+        self.rng = {v.id: np.random.default_rng([world.seed, 3, self.index, v.id])
+                    for v in instance.vehicles}
+
+    def ends(self, vid: int, kind: MessageKind) -> tuple[Participant, Participant]:
+        """A leg's sender and recipient: the authority sends the order, and
+        the vehicle every other leg."""
+        vehicle, authority = self.world.vehicles[vid], self.world.authority
+        return (authority, vehicle) if kind is MessageKind.ORDER else (vehicle, authority)
+
+    def send(self, session: TradingSession, kind: MessageKind, payload: tuple) -> ProtocolMessage:
+        """A leg's send half: make the message, let ``tamper`` see a request
+        or a delivery in flight, and append it to the transcript."""
+        vid = session.vehicle_id
+        sender, recipient = self.ends(vid, kind)
+        rng = self.rng[vid]
+        if kind is MessageKind.ORDER:  # the authority encrypts each order afresh
+            rng = np.random.default_rng([self.world.seed, 4, self.index, vid])
+        message = _make_message(self.world, kind, sender, f"round-{self.index}/vehicle-{vid}",
+                                payload, recipient=recipient, rng=rng)
+        if self.tamper is not None and kind in (MessageKind.REQUEST, MessageKind.DATA):
+            message = self.tamper(message)
+        session.transcript.append(message)
+        return message
+
+    def receive(self, session: TradingSession, kind: MessageKind, message) -> bytes | None:
+        """A leg's receive half: verify, then abort the session or advance
+        its clock and return the plaintext."""
+        sender, recipient = self.ends(session.vehicle_id, kind)
+        plaintext, reason = verify_message(self.world, message, sender.certificate,
+                                           recipient.keys.private, session.last_timestamp)
+        if reason:
+            session.abort(kind.name.lower(), reason)
+            return None
+        session.last_timestamp = message.timestamp
+        return plaintext
+
+    def leg(self, session: TradingSession, kind: MessageKind, payload: tuple) -> bytes | None:
+        return self.receive(session, kind, self.send(session, kind, payload))
+
+    def publish_and_request(self) -> dict[int, ProtocolMessage]:
+        """Steps 1-2: the signed broadcast of the task catalogue, then an
+        encrypted request from each vehicle that accepts it. Every vehicle
+        gets the same broadcast, so it is authenticated once."""
+        world, instance, authority = self.world, self.instance, self.world.authority
+        catalogue = tuple((t.id, t.x, t.y, t.appraisement) for t in instance.tasks)
+        publish = _make_message(world, MessageKind.PUBLISH, authority, f"round-{self.index}",
+                                ("publish", catalogue, instance.budget))
+        _, broadcast_failure = _authenticate(world, publish, authority.certificate, None)
+        requests = {}
+        for vid in sorted(self.sessions):
+            session = self.sessions[vid]
+            reason = broadcast_failure or _staleness(publish, session.last_timestamp)
+            if reason:
+                session.abort("broadcast", reason)
+                continue
+            session.last_timestamp = publish.timestamp
+            session.transcript.append(publish)
+            request = ("request", vid, self.subset_of[vid], instance.vehicle(vid).bid)
+            requests[vid] = self.send(session, MessageKind.REQUEST, request)
+            session.state = SessionState.REQUESTED
+        return requests
+
+    def vet(self, requests: dict[int, ProtocolMessage]) -> None:
+        """Step 3: the authority verifies and parses every request."""
+        for vid in sorted(requests):
+            session = self.sessions[vid]
+            plaintext = self.receive(session, MessageKind.REQUEST, requests[vid])
+            if plaintext is None:
+                continue
+            request = _parse_request(plaintext)
+            if request is None:
+                session.abort("request", "malformed payload")
+            elif request[:3] != ("request", vid, self.subset_of[vid]):
+                session.abort("request", "inconsistent payload")
+
+    def allocate(self, mechanism) -> tuple[AuctionOutcome, frozenset[int]]:
+        """The mechanism's outcome on the vehicles no request excluded, in
+        the round's ids, and the excluded ids. A requester without a
+        payment lost the auction."""
+        excluded = frozenset(vid for vid, s in self.sessions.items()
+                             if s.state is SessionState.ABORTED)
+        survivors, remap = _surviving_instance(self.instance, excluded)
+        sub_outcome = mechanism(survivors)
+        winners = tuple(remap[w] for w in sub_outcome.winners)
+        payments = {remap[w]: p for w, p in sub_outcome.payments.items()}
+        for vid, session in self.sessions.items():
+            if session.state is SessionState.REQUESTED:
+                if vid in payments:
+                    session.state = SessionState.ALLOCATED
+                else:
+                    session.abort("auction", "lost")
+        return replace(sub_outcome, winners=winners, payments=payments), excluded
+
+    def fund(self, outcome: AuctionOutcome) -> list[int]:
+        """The winners to serve, in id order: all of them if the authority
+        can cover every quoted payment, else none, each aborted before
+        anything moves."""
+        served = sorted(outcome.winners)
+        total_due = sum((Fraction(outcome.payments[w]) for w in served), Fraction(0))
+        if self.world.authority.account.balance >= total_due:
+            return served
+        for vid in served:
+            self.sessions[vid].abort("funding", "insufficient")
+        return []
+
+    def serve(self, vid: int, payment, data_check) -> TransactionRecord | None:
+        """Steps 4-8 for one funded winner: order, delivery, data check,
+        payment and confirm. The confirmed trade's record, or None if the
+        session aborted."""
+        session, subset = self.sessions[vid], self.subset_of[vid]
+        if self.leg(session, MessageKind.ORDER, ("order", vid, subset, repr(payment))) is None:
+            return None
+        session.state = SessionState.ORDERED
+        plaintext = self.leg(session, MessageKind.DATA,
+                             ("data", vid, _sensor_readings(vid, subset)))
+        if plaintext is None:
+            return None
+        delivered = _parse_data(plaintext)
+        if delivered is None or not data_check(vid, subset, delivered[2]):
+            session.abort("data", "rejected" if delivered else "malformed payload")
+            return None
+        session.data_digest = hashlib.sha256(plaintext).hexdigest()
+        session.state = SessionState.DATA_DELIVERED
+
+        pay_winner(self.world, session, Fraction(payment))
+
+        confirm = ("confirm", vid, str(session.paid_amount))
+        if self.leg(session, MessageKind.CONFIRM, confirm) is None:
+            return None
+        confirmed = session.transcript[-1]
+        session.state = SessionState.CONFIRMED
+        session.confirmed_at = confirmed.timestamp
+        return TransactionRecord(confirmed.session_id, self.world.authority.name, vid,
+                                 str(session.paid_amount), session.data_digest,
+                                 confirmed.timestamp)
+
+
 def run_trading_round(
     world: TradingWorld,
     instance: AuctionInstance,
@@ -479,168 +680,13 @@ def run_trading_round(
     """
     if data_check is None:
         data_check = _default_data_check
-    authority = world.authority
-    round_index = len(world.ledger)
-    sessions = {v.id: TradingSession(v.id) for v in instance.vehicles}
-    subset_of = {v.id: tuple(sorted(v.task_subset)) for v in instance.vehicles}
-    vehicle_rng = {
-        v.id: np.random.default_rng([world.seed, 3, round_index, v.id])
-        for v in instance.vehicles
-    }
-
-    def send(session, kind, sender, recipient, payload, rng) -> ProtocolMessage:
-        # the send half of a leg: make the message, let tamper see requests
-        # and deliveries in flight, append it to the transcript
-        message = _make_message(
-            world,
-            kind,
-            sender,
-            f"round-{round_index}/vehicle-{session.vehicle_id}",
-            payload,
-            recipient=recipient,
-            rng=rng,
-        )
-        if tamper is not None and kind in (MessageKind.REQUEST, MessageKind.DATA):
-            message = tamper(message)
-        session.transcript.append(message)
-        return message
-
-    def receive(session, kind, message, sender, recipient) -> bytes | None:
-        # the receive half: verify, then abort or advance the session's clock
-        plaintext, reason = verify_message(
-            world, message, sender.certificate, recipient.keys.private,
-            session.last_timestamp,
-        )
-        if reason:
-            session.abort(f"{kind.name.lower()}: {reason}")
-            return None
-        session.last_timestamp = message.timestamp
-        return plaintext
-
-    def leg(session, kind, sender, recipient, payload, rng) -> bytes | None:
-        message = send(session, kind, sender, recipient, payload, rng)
-        return receive(session, kind, message, sender, recipient)
-
-    # step 1: signed broadcast of the task catalogue
-    catalogue = tuple((t.id, t.x, t.y, t.appraisement) for t in instance.tasks)
-    publish = _make_message(
-        world, MessageKind.PUBLISH, authority, f"round-{round_index}",
-        ("publish", catalogue, instance.budget),
-    )
-
-    # step 2: vehicles validate the broadcast and submit encrypted requests;
-    # every vehicle gets the same message, so it is authenticated once
-    _, broadcast_failure = _authenticate(world, publish, authority.certificate, None)
-    requests: dict[int, ProtocolMessage] = {}
-    for vid in sorted(sessions):
-        session = sessions[vid]
-        reason = broadcast_failure or _staleness(publish, session.last_timestamp)
-        if reason:
-            session.abort(f"broadcast: {reason}")
-            continue
-        session.last_timestamp = publish.timestamp
-        session.transcript.append(publish)
-        requests[vid] = send(
-            session,
-            MessageKind.REQUEST,
-            world.vehicles[vid],
-            authority,
-            ("request", vid, subset_of[vid], instance.vehicle(vid).bid),
-            vehicle_rng[vid],
-        )
-        session.state = SessionState.REQUESTED
-
-    # step 3: the authority vets every request before allocating
-    for vid in sorted(requests):
-        session = sessions[vid]
-        plaintext = receive(
-            session, MessageKind.REQUEST, requests[vid], world.vehicles[vid], authority
-        )
-        if plaintext is None:
-            continue
-        request = _parse_request(plaintext)
-        if request is None:
-            session.abort("request: malformed payload")
-        elif request[:3] != ("request", vid, subset_of[vid]):
-            session.abort("request: inconsistent payload")
-
-    excluded = frozenset(
-        vid for vid, s in sessions.items() if s.state is SessionState.ABORTED
-    )
-    survivors, remap = _surviving_instance(instance, excluded)
-    sub_outcome = mechanism(survivors)
-    winners = tuple(remap[w] for w in sub_outcome.winners)
-    payments = {remap[w]: p for w, p in sub_outcome.payments.items()}
-    outcome = replace(sub_outcome, winners=winners, payments=payments)
-    for vid, session in sessions.items():
-        if session.state is SessionState.REQUESTED:
-            if vid in payments:
-                session.state = SessionState.ALLOCATED
-            else:
-                session.abort("lost auction")
-
-    # the authority must be able to cover every quoted payment before
-    # anything moves
-    served = sorted(winners)
-    total_due = sum((Fraction(payments[w]) for w in winners), Fraction(0))
-    if authority.account.balance < total_due:
-        for vid in served:
-            sessions[vid].abort("authority balance insufficient")
-        served = []
-
-    # steps 4-8 per winner: order, deliver, check, pay, confirm
-    records = []
-    for vid in served:
-        session = sessions[vid]
-        vehicle = world.vehicles[vid]
-        rng = vehicle_rng[vid]
-        order = ("order", vid, subset_of[vid], repr(payments[vid]))
-        authority_rng = np.random.default_rng([world.seed, 4, round_index, vid])
-        if leg(session, MessageKind.ORDER, authority, vehicle, order, authority_rng) is None:
-            continue
-        session.state = SessionState.ORDERED
-
-        delivery = ("data", vid, _sensor_readings(vid, subset_of[vid]))
-        plaintext = leg(session, MessageKind.DATA, vehicle, authority, delivery, rng)
-        if plaintext is None:
-            continue
-        delivered = _parse_data(plaintext)
-        if delivered is None:
-            session.abort("data: malformed payload")
-            continue
-        if not data_check(vid, subset_of[vid], delivered[2]):
-            session.abort("data rejected")
-            continue
-        session.data_digest = hashlib.sha256(plaintext).hexdigest()
-        session.state = SessionState.DATA_DELIVERED
-
-        pay_winner(world, session, Fraction(payments[vid]))
-
-        confirm = ("confirm", vid, str(session.paid_amount))
-        if leg(session, MessageKind.CONFIRM, vehicle, authority, confirm, rng) is None:
-            continue
-        confirmed = session.transcript[-1]
-        session.state = SessionState.CONFIRMED
-        session.confirmed_at = confirmed.timestamp
-        records.append(
-            TransactionRecord(
-                session_id=confirmed.session_id,
-                authority=authority.name,
-                vehicle_id=vid,
-                amount=str(session.paid_amount),
-                data_digest=session.data_digest,
-                confirmed_at=confirmed.timestamp,
-            )
-        )
-
+    round_ = _Round(world, instance, tamper)
+    round_.vet(round_.publish_and_request())
+    outcome, excluded = round_.allocate(mechanism)
+    trades = (round_.serve(vid, outcome.payments[vid], data_check) for vid in round_.fund(outcome))
+    records = tuple(record for record in trades if record is not None)
     block = world.append_block(records) if records else None
-    return RoundResult(
-        outcome=outcome,
-        sessions=sessions,
-        excluded=excluded,
-        records=tuple(records),
-        block=block,
-    )
+    return RoundResult(outcome, round_.sessions, excluded, records, block)
 
 
 def write_ledger_csv(world: TradingWorld, path) -> None:

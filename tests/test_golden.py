@@ -35,6 +35,12 @@ GEN_GOLDENS = {
         5,
         "63f838a2b070c6424761fd9c915f2ed9b9092411b3de75b7062e6ac1198d90da",
     ),
+    # the trade-round map at B=100, where tbsap quotes more than the budget
+    "trade-round-b100": (
+        ["--seed", "1", "--n-tasks", "200", "--n-vehicles", "1000", "--budget", "100"],
+        215,
+        "280c6efb9baf8ec7436a8171beed3180b0a1bac89bac90aed988301190a184aa",
+    ),
     # the studies' default size (200 tasks, 1000 placements) at the default
     # city side
     "default-size": (
@@ -243,3 +249,30 @@ def test_trade_greedy_on_a_generated_map(tmp_path, monkeypatch):
     assert "block: -" not in out
     assert sha256(tmp_path / "ledger.csv") == TRADE_GREEDY_GOLDEN[0]
     assert hashlib.sha256(out.encode()).hexdigest() == TRADE_GREEDY_GOLDEN[1]
+
+
+# `trade --scheme stub` with tbsap on the trade-round map at B=100: the quoted
+# total is above the authority's balance of 100, so all 72 winners abort with
+# "authority balance insufficient", every other vehicle with "lost auction",
+# no block is written and the run exits 1. (stdout digest, stderr), recorded
+# before the trading round was split into steps.
+TRADE_UNFUNDED_GOLDEN = (
+    "e1c1114e4908680643b93318b5f728b7c123f6569fe692cf2fdaca45a2421e35",
+    "error: no block written: 72 of 72 winners aborted\n",
+)
+
+
+def test_trade_that_cannot_fund_its_winners(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags, _, digest = GEN_GOLDENS["trade-round-b100"]
+    run_cli(["gen", *flags, "--out", "map.scn"])
+    assert sha256(tmp_path / "map.scn") == digest
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["trade", "--scenario", "map.scn", "--scheme", "stub"])
+    assert code == 1
+    assert "aborted(authority balance insufficient)" in out.getvalue()
+    assert "aborted(lost auction)" in out.getvalue()
+    assert "block: -" in out.getvalue()
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == TRADE_UNFUNDED_GOLDEN[0]
+    assert err.getvalue() == TRADE_UNFUNDED_GOLDEN[1]

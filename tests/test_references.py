@@ -14,10 +14,17 @@ or ``operator.index``, or compares a ``type(...)`` with ``int``.
 An ``AuctionInstance`` is checked once, by its constructor: no other code
 in the package calls ``validate_instance``, and ``auction.py`` names no
 validator.
+
+A trading session aborts only with a ``(stage, cause)`` pair: every
+``.abort(...)`` call in the package passes exactly two arguments, and
+literal ones name a pair of ``trading.FAILURES``, so no site can pass free
+text.
 """
 
 import ast
 from pathlib import Path
+
+from trafficmarket.trading import FAILURES
 
 REFERENCES = {"tbsap_payment", "cast_votes", "elect_witnesses", "run_round"}
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trafficmarket"
@@ -130,3 +137,59 @@ def test_an_instance_is_checked_only_by_its_constructor():
 def test_the_call_scan_names_the_enclosing_definition():
     source = "f()\nclass A:\n    def g(self):\n        m.f(1)\ndef h():\n    f\n"
     assert list(calls(ast.parse(source), "f")) == ["", "A.g"]
+
+
+def _literals(node: ast.AST):
+    """The strings a literal argument can be, a conditional choice between
+    literals included; None for anything else."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, ast.IfExp):
+        body, orelse = _literals(node.body), _literals(node.orelse)
+        return None if body is None or orelse is None else body | orelse
+    return None
+
+
+def free_aborts(tree: ast.AST):
+    """Line of every ``.abort(...)`` call that does not pass exactly a stage
+    and a cause: two positional arguments, no keyword or starred one, and,
+    where both are literals, only pairs in ``trading.FAILURES``."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "abort"):
+            continue
+        args = node.args
+        if len(args) != 2 or node.keywords or any(isinstance(a, ast.Starred) for a in args):
+            yield node.lineno
+            continue
+        stages, causes = map(_literals, args)
+        if stages is not None and causes is not None and any(
+            (stage, cause) not in FAILURES for stage in stages for cause in causes
+        ):
+            yield node.lineno
+
+
+def test_every_abort_site_passes_a_stage_and_a_cause():
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = {p.name: ast.parse(p.read_text()) for p in paths}
+    assert {name: list(free_aborts(tree)) for name, tree in trees.items()} == {
+        name: [] for name in trees
+    }
+    sites = [n for n in ast.walk(trees["trading.py"])
+             if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "abort"]
+    assert len(sites) >= 7  # the round's own sites, so the scan reads them
+
+
+def test_the_abort_scan_sees_free_text():
+    source = (
+        's.abort("auction", "lost")\n'
+        's.abort(stage, reason)\n'
+        's.abort("data", "rejected" if d else "malformed payload")\n'
+        's.abort("lost auction")\n'
+        's.abort(f"{kind}: {reason}")\n'
+        's.abort("auction", cause="lost")\n'
+        's.abort(*pair)\n'
+        's.abort("auction", "won")\n'
+        's.abort("data", "rejected" if d else "gone")\n'
+        's.abort("data", "rejected", "late")\n'
+    )
+    assert list(free_aborts(ast.parse(source))) == [4, 5, 6, 7, 8, 9, 10]

@@ -18,6 +18,7 @@ equal instance, which writes the same file again.
 import math
 import re
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -135,6 +136,14 @@ def trade(seed):
     return repr(world.seed), run_trading_round(world, paper_example()).block.hash
 
 
+def funded_trade(balance):
+    """The example's round with the authority funded by ``balance``: its
+    quoted total is 5, so a balance below 5 settles no block."""
+    world = build_world(paper_example(), HashStubScheme(), seed=7, authority_balance=balance)
+    block = run_trading_round(world, paper_example()).block
+    return repr(world.authority.account.balance), block and block.hash
+
+
 def study(tmp_path, name, seeds, **params):
     out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
     paths = run_experiment(name, seeds, out, params)
@@ -204,6 +213,7 @@ def fields(tmp_path: Path) -> dict[str, Field]:
           for name, base in (("committee_size", 5), ("active_size", 2), ("n_epochs", 2),
                              ("seed", 3))),
         Field("build_world seed", "count", 1, trade, "seed"),
+        Field("build_world authority_balance", "real", 5.5, funded_trade, "authority_balance"),
         Field("run_experiment seeds", "count", 1,
               lambda v: study(tmp_path, "rnw-vs-rafn", [v], **SMALL_RNW), "seed"),
         Field("rnw population", "count", 20, lambda v: rnw("population", v), "population size"),
@@ -362,3 +372,20 @@ def test_numpy_seeds_name_plain_files(tmp_path):
     plain_paths = run_experiment("trajectory", [0, 1], tmp_path / "plain")
     assert [p.name for p in paths] == ["0.csv", "1.csv"]
     assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in plain_paths]
+
+
+@pytest.mark.parametrize("bad", [-5, -0.5, Fraction(-1, 2), "1e3", "5", b"5", [5], 1j],
+                         ids=["-5", "-0.5", "Fraction(-1, 2)", "'1e3'", "'5'", "b'5'", "[5]", "1j"])
+def test_a_negative_or_non_real_authority_balance_is_refused_by_name(bad):
+    with pytest.raises(ValueError, match="^authority_balance .* is not a nonnegative real$"):
+        build_world(paper_example(), HashStubScheme(), authority_balance=bad)
+
+
+@pytest.mark.parametrize("balance, funded", [
+    (Fraction(1, 3), Fraction(1, 3)), (Fraction(0), Fraction(0)), (2, Fraction(2)),
+    (0.1, Fraction(0.1)), (np.float32(0.1), Fraction(float(np.float32(0.1)))), (None, Fraction(5)),
+], ids=["Fraction(1, 3)", "Fraction(0)", "2", "0.1", "numpy float32", "the budget"])
+def test_a_fraction_is_kept_and_a_real_is_taken_as_its_plain_float(balance, funded):
+    world = build_world(paper_example(), HashStubScheme(), authority_balance=balance)
+    assert world.authority.account.balance == funded
+    assert type(world.authority.account.balance) is Fraction

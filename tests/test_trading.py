@@ -6,17 +6,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from trafficmarket import trading
+from trafficmarket.auction import BRUTE_FORCE_MAX_VEHICLES
+from trafficmarket.cli import MECHANISMS
 from trafficmarket.crypto import (
     DecryptionError,
     Ed25519X25519Scheme,
     HashStubScheme,
 )
-from trafficmarket.model import paper_example
+from trafficmarket.model import ScenarioConfig, generate_scenario, paper_example
 from trafficmarket.trading import (
+    FAILURES,
     Certificate,
     CertificateAuthority,
     MessageKind,
@@ -284,6 +287,69 @@ class TestFailureModes:
         )
 
 
+# The text of every way a session can abort. Each broadcast and leg failure
+# reads "<stage>: <verify_message reason>"; the rest are listed one by one.
+VERIFY_REASONS = ("bad certificate", "certificate subject mismatch", "bad signature",
+                  "no decryption key", "undecryptable", "stale timestamp")
+FAILURE_TEXTS = {
+    **{(stage, reason): f"{stage}: {reason}" for stage in
+       ("broadcast", "request", "order", "data", "confirm") for reason in VERIFY_REASONS},
+    ("request", "malformed payload"): "request: malformed payload",
+    ("request", "inconsistent payload"): "request: inconsistent payload",
+    ("auction", "lost"): "lost auction",
+    ("funding", "insufficient"): "authority balance insufficient",
+    ("data", "malformed payload"): "data: malformed payload",
+    ("data", "rejected"): "data rejected",
+}
+
+# One pair per abort site of the round, with the text each site wrote
+# before sessions kept the pair: the broadcast, a leg's verification, the
+# request's parse and its consistency check, the auction, the funding
+# check, the delivery's parse and the data check.
+SITE_TEXTS = [
+    (("broadcast", "bad certificate"), "broadcast: bad certificate"),
+    (("order", "stale timestamp"), "order: stale timestamp"),
+    (("request", "malformed payload"), "request: malformed payload"),
+    (("request", "inconsistent payload"), "request: inconsistent payload"),
+    (("auction", "lost"), "lost auction"),
+    (("funding", "insufficient"), "authority balance insufficient"),
+    (("data", "malformed payload"), "data: malformed payload"),
+    (("data", "rejected"), "data rejected"),
+]
+
+
+class TestClosedFailureSet:
+    def test_every_pair_reads_its_text(self):
+        assert FAILURES == FAILURE_TEXTS
+        assert {type(text) for text in FAILURES.values()} == {str}
+
+    @pytest.mark.parametrize("pair, text", SITE_TEXTS, ids=[t for _, t in SITE_TEXTS])
+    def test_a_site_reads_as_it_did(self, pair, text):
+        session = TradingSession(vehicle_id=0)
+        session.abort(*pair)
+        assert session.state is SessionState.ABORTED and session.cause == pair
+        # the CLI prints it inside an f-string, which test_10 hashes
+        assert f"({session.failure})" == f"({text})" and type(session.failure) is str
+
+    @pytest.mark.parametrize("pair", [
+        ("auction", "rejected"), ("data", "data rejected"), ("lost auction", ""),
+        ("broadcast", "malformed payload"), ("Data", "rejected"), ("data", ("rejected",)),
+    ])
+    @pytest.mark.parametrize("before", [None, ("auction", "lost")])
+    def test_abort_refuses_a_pair_outside_the_set(self, pair, before):
+        session = TradingSession(vehicle_id=0)
+        if before:
+            session.abort(*before)
+        state, failure = session.state, session.failure
+        with pytest.raises(ValueError, match="no failure"):
+            session.abort(*pair)
+        assert (session.state, session.cause, session.failure) == (state, before, failure)
+
+    def test_a_session_starts_without_a_failure(self):
+        session = TradingSession(vehicle_id=0)
+        assert session.cause is None and session.failure is None
+
+
 # Payloads no leg accepts, each spelled as its sender's ``repr`` would be
 # or as raw bytes: a literal of the wrong shape, a right-shaped tuple with
 # one field of the wrong type (nested literals included), text that is no
@@ -382,6 +448,107 @@ def test_a_malformed_payload_aborts_only_its_session(case):
     assert confirmed  # vehicle 0 wins with or without vehicle 1
     assert [r.vehicle_id for r in result.block.records] == confirmed
     assert world.total_balance() == start
+
+
+# A vehicle's request or delivery forged in flight: its signature zeroed, or
+# a payload that its own key signs and the authority cannot use, either no
+# literal at all or the wrong fields (no tasks requested, no readings sent).
+FORGERIES = [(kind, how) for kind in (MessageKind.REQUEST, MessageKind.DATA)
+             for how in ("signature", "malformed", "wrong")]
+WRONG_PAYLOAD = {
+    MessageKind.REQUEST: lambda vid: ("request", vid, (), 1.0),
+    MessageKind.DATA: lambda vid: ("data", vid, ()),
+}
+
+
+def _forged(world, message, how):
+    if how == "signature":
+        return replace(message, signature=b"\x00" * len(message.signature))
+    vid = int(message.sender.removeprefix("vehicle-"))
+    plaintext = b"(" if how == "malformed" else repr(WRONG_PAYLOAD[message.kind](vid)).encode()
+    return _signed_as_sent(world, message, plaintext)
+
+
+@st.composite
+def generated_rounds(draw):
+    """(instance, mechanism name, funding, forged vehicles, seed): a small
+    generated map whose subsets overlap, a mechanism it fits, the
+    authority's funding, and each forged vehicle's leg and forgery. In a
+    round with forgeries, about half of the vehicles forge one leg."""
+    name = draw(st.sampled_from(sorted(MECHANISMS)))
+    # no more placements than the oracle's limit, so no more vehicles
+    placements = BRUTE_FORCE_MAX_VEHICLES if name == "oracle" else 60
+    instance = generate_scenario(ScenarioConfig(
+        n_tasks=draw(st.integers(1, 30)), n_vehicles=draw(st.integers(0, placements)),
+        budget=draw(st.floats(0.5, 40.0)), rng_seed=draw(st.integers(0, 2**32 - 1)),
+        city_side=draw(st.floats(40.0, 150.0)),
+    ))
+    ids = [v.id for v in instance.vehicles] if draw(st.booleans()) else []
+    picks = draw(st.lists(st.sampled_from([None] * len(FORGERIES) + FORGERIES),
+                          min_size=len(ids), max_size=len(ids)))
+    forged = {vid: forgery for vid, forgery in zip(ids, picks) if forgery}
+    funding = draw(st.sampled_from(["budget", "quoted", "zero"]))
+    return instance, name, funding, forged, draw(st.integers(0, 2**16))
+
+
+def _due(result):
+    return sum(map(Fraction, result.outcome.payments.values()), Fraction(0))
+
+
+def _play(instance, mechanism, balance, forged, seed):
+    world = build_world(instance, HashStubScheme(), seed=seed, authority_balance=balance)
+
+    def tamper(message):
+        kind, how = forged.get(int(message.sender.removeprefix("vehicle-")), (None, None))
+        return _forged(world, message, how) if kind is message.kind else message
+
+    return world, run_trading_round(world, instance, mechanism=mechanism, tamper=tamper)
+
+
+@given(case=generated_rounds())
+def test_a_round_on_a_generated_map_settles_exactly_its_confirmed_sessions(case):
+    instance, name, funding, forged, seed = case
+    mechanism = MECHANISMS[name]
+    balance = {"budget": None, "zero": Fraction(0)}.get(funding)
+    if funding == "quoted":  # the round's own total: unfunded, it allocates the same
+        balance = _due(_play(instance, mechanism, Fraction(0), forged, seed)[1])
+    start = Fraction(instance.budget) if balance is None else balance
+    event(f"mechanism: {name}")
+    event(f"funding: {funding}")
+    world, result = _play(instance, mechanism, balance, forged, seed)
+    sessions, payments = result.sessions, result.outcome.payments
+
+    assert world.total_balance() == start
+    assert sorted(sessions) == [v.id for v in instance.vehicles]
+    confirmed = [v for v in sorted(sessions) if sessions[v].state is SessionState.CONFIRMED]
+    for vid, session in sessions.items():
+        paid = world.vehicles[vid].account.balance
+        if vid in confirmed:  # paid its quote, once
+            assert session.cause is None
+            assert paid == session.paid_amount == Fraction(payments[vid])
+            continue
+        # every other session aborted with one pair of the set; no confirm
+        # leg is forged, so none of them aborted after it was paid
+        assert session.state is SessionState.ABORTED and session.cause in FAILURES
+        assert session.failure == FAILURES[session.cause]
+        assert paid == 0 and session.paid_amount is None
+    for stage, cause in sorted({s.cause for s in sessions.values() if s.cause}):
+        event(f"failure: {stage} / {cause}")
+    assert [r.vehicle_id for r in result.records] == confirmed
+    assert [r.amount for r in result.records] == [str(Fraction(payments[v])) for v in confirmed]
+    assert world.ledger == ([result.block] if confirmed else [])
+    for block in world.ledger:
+        assert block.previous_hash == trading.GENESIS_HASH and block.records == result.records
+        assert block.hash == trading._block_hash(block.index, block.previous_hash, block.records)
+
+    again_world, again = _play(instance, mechanism, balance, forged, seed)
+    assert [s.cause for s in again.sessions.values()] == [s.cause for s in sessions.values()]
+    assert [b.hash for b in again_world.ledger] == [b.hash for b in world.ledger]
+
+    if funding == "quoted":
+        assert _due(result) == start
+    if funding == "budget" and not forged:
+        assert bool(confirmed) == (bool(result.outcome.winners) and _due(result) <= start)
 
 
 class TestCryptoSchemes:
