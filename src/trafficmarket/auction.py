@@ -169,7 +169,9 @@ def _setup(instance: AuctionInstance) -> tuple[tuple, _Memo]:
     them. Only ``_memo`` calls it. The instance was checked when it was
     built, which matters here: the one gather behind all initial gains reads
     ids as ``np.intp``, so 2.5 -> 2 and ``True`` -> 1, and the cache
-    matches tuples and frozensets by identity.
+    matches tuples and frozensets by identity. Each sorted subset is one
+    ``np.add.reduceat`` segment led by a 0.0 slot: numpy sums a row
+    pairwise from 0.0, so every gain has the bits of ``values[subset].sum()``.
     Reused while the same ``tasks`` tuple and, position by position, the
     same ``task_subset`` frozensets (``is``) come back; the entry holds them
     alive, so no id is reused and any other geometry misses.
@@ -291,9 +293,12 @@ def _picks(state: _CoverageState, budget: float, drop_misfits: bool = False):
 
     Every rule stops at the first argmax with a negative unit gain. The
     break rule (``tbsap``) also stops at the first argmax whose bid does not
-    fit (spend + bid > B), and yields it with ``fits`` False first. With
-    ``drop_misfits`` (``greedy_heuristic``) such a bid is dropped for good,
-    since spend only grows and rounding is monotone, and the loop goes on.
+    fit (spend + bid > B), and yields it with ``fits`` False first. That is
+    the sum the pick would spend: a remaining-budget test, bid > B - spend,
+    rounds apart from it (bids 0.3 and 0.7 at B one ulp below 1.0 would
+    spend 1.0). With ``drop_misfits`` (``greedy_heuristic``) such a bid is
+    dropped for good, since spend only grows and rounding is monotone, and
+    the loop goes on.
     The state is selected into after each yield, so the consumer sees it as
     it was just before the pick.
     """
@@ -321,11 +326,13 @@ class _Record:
     ``_critical_scans`` appends pick by pick, ``offsets`` to each pick's
     first row, and each pick's payment at ``cap`` (``paid``). The first
     fold at another budget turns the rows into ``columns``, two contiguous
-    arrays. The greedy's first replay adds, per task, the index of the
-    first pick that covers it (``first``, the number of picks if none
-    does), and the ids by bid. A walk that ends on its own holds at every
-    budget, so its cap becomes inf, unless it is priced. Winners at B are
-    the picks whose spend after is at most B, found by bisection.
+    arrays, so no reduction reads strided data. The greedy's first replay
+    adds, per task, the index of the first pick that covers it (``first``,
+    the number of picks if none does), and the ids by bid, so a ``tbsap``
+    call that never meets the greedy does not pay for them. A walk that
+    ends on its own holds at every budget, so its cap becomes inf, unless
+    it is priced. Winners at B are the picks whose spend after is at most
+    B, found by bisection.
     """
 
     __slots__ = ("cap", "picks", "reach", "misfit", "gains", "first", "by_bid",
@@ -408,7 +415,10 @@ class _Record:
 def _record(memo: _Memo, budget: float, price: bool = False) -> _Record:
     """The memo's record, walked again when ``budget`` is above its cap or
     ``price`` asks for rows it lacks: the first walk on a bid vector runs at
-    ``budget``, every later one with no cap."""
+    ``budget``, so a one-off call at a tight budget runs no pick or suffix
+    that budget never reaches, and every later one with no cap. A walk for
+    a greedy or an allocation above the cap of a priced record records no
+    rows and replaces it, so a ``tbsap`` call after it walks once more."""
     record = memo.record
     if record is None or budget > record.cap or price and record.paid is None:
         cap = budget if record is None else math.inf
@@ -423,7 +433,8 @@ def greedy_heuristic(instance: AuctionInstance) -> AuctionOutcome:
     Each iteration restricts candidates to bids that fit, spend + bid <= B,
     picks the best unit gain among them, and stops only when the pool is
     empty or the best remaining unit gain is negative. Its picks before the
-    first drop are the memo's record (see the module docstring).
+    first drop are the memo's record (see the module docstring), whose
+    rows it never reads.
     """
     memo, budget = _memo(instance), instance.budget
     record = _record(memo, budget)

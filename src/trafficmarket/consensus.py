@@ -335,6 +335,8 @@ def _check_sizes(committee_size: int, active_size: int, population: int) -> tupl
 
 
 def _check_mode(mode) -> None:
+    """Refuse a mode that is not a ``VotingMode`` member, such as the string
+    ``"reputation"``, before any node changes."""
     if not isinstance(mode, VotingMode):
         raise ValueError(f"voting mode {mode!r} is not a VotingMode member")
 
@@ -352,9 +354,10 @@ def elect_witnesses(
     A supporter contributes its reputation under the reputation-weighted
     mode and exactly 1 under equal weighting. Ranking ties break on the
     lower id. The |D| leaders are shuffled into a random order by ``rng``.
-    Ids must be dense 0..n-1. The ballots must be ``cast_votes``' kind: at
-    most one per voter, into pools that share no id. They become (voter,
-    pool) arrays for ``_tally``, the routine ``run_epochs`` elects with.
+    Ids must be dense 0..n-1. The ballots must be ``cast_votes``' kind, or
+    are refused before the tally: at most one per voter, into pools that
+    share no id. They become (voter, pool) arrays for ``_tally``, the
+    routine ``run_epochs`` elects with.
     """
     _check_mode(mode)
     committee_size, active_size = _check_sizes(committee_size, active_size, len(nodes))
@@ -543,7 +546,9 @@ def _read_nodes(nodes: Sequence[FullNode]) -> _Run:
     """Read each node's id, reputation, behavior flags and script, one
     column per pass. Ids must be ints (``validate_ids``) and dense 0..n-1,
     checked on the id array that then indexes the nodes, and reputations
-    lie in [0, 1]; the error names the first bad node."""
+    lie in [0, 1]; the error names the first bad node. Voting reads each
+    node's ``behavior``, never its script, so the vote flags are read once
+    per run."""
     ids, reps = validate_ids("node", nodes), [x.reputation for x in nodes]
     n = len(ids)
     try:
@@ -635,7 +640,10 @@ def _round(
     """The body of ``run_round`` on an ``_epoch_view`` and the epoch's
     reputation vector. Returns the leader's index, whether its block was
     accepted, the leader's and scripted verdicts (None without a block),
-    and the delta, new reputation and role columns in node order."""
+    and the delta, new reputation and role columns in node order. The
+    leader and each scripted seat leave the epoch's confirmation count
+    under their epoch verdict and rejoin it under this round's, weighted by
+    their seats, as a forced committee may seat an id twice."""
     leader_id = state.next_leader()
     if leader_id is None:
         raise RuntimeError("leader order exhausted for this epoch")
@@ -725,7 +733,8 @@ class HistoryRow(NamedTuple):
 class ConsensusHistory:
     """``rounds`` holds ``(epoch, round_index, reputations, roles, deltas)``
     per round, each column in the node order of ``ids``, roles as indexes
-    into ``ROLES``. ``rows`` builds the ``HistoryRow``s on every read."""
+    into ``ROLES``. ``rows`` builds the ``HistoryRow``s on every read;
+    ``rows_for`` and ``write_history_csv`` read the columns and build none."""
 
     ids: list[int]
     rounds: list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]
@@ -772,7 +781,9 @@ def run_epochs(
     experiments use it to pin narratives that depend on who gets elected
     when. It must cover every epoch, seat only ids of the population and
     draw its leaders from its members; repeated member ids are allowed.
-    An epoch ends early only if every remaining leader was skipped.
+    An epoch ends early only if every remaining leader was skipped. The
+    reputations live in one vector during the run and go back to the
+    nodes when it ends.
 
     Each epoch not forced elects with ``_elect``: ``cast_votes``' ballots as
     arrays, one per voting node in node order, into pool 0 (high) or 1

@@ -11,9 +11,9 @@ Ids are exactly ``int`` (``as_id``). Counts, sizes and seeds follow
 ``as_count``, and budgets, bounds, weights and fractions follow ``as_real``.
 Each caller keeps its own error text, so the rule is shared and the message
 names the field. Subset members are ids too: ``validate_instance`` checks
-them all in one type pass. The per-record numbers it reads (bids, true
-costs, appraisements) are reals, read in the same passes that check their
-ranges, and stored as plain floats.
+them all in one type pass. The per-record numbers it reads (positions,
+detection distances, bids, true costs, appraisements) are reals, stored as
+plain floats.
 
 An ``AuctionInstance`` is checked once, when it is built: its constructor
 is the one caller of ``validate_instance``. ``with_budget`` copies it and
@@ -341,23 +341,18 @@ def validate_ids(kind: str, records) -> list[int]:
     return ids
 
 
-def _city_side(side) -> float:
-    """The city side rule, which ``validate_instance`` and the loader share:
-    a real (``as_real``) and positive, returned as a plain ``float``."""
-    if (value := as_real(side)) is None or value <= 0:
-        raise ValueError("city side must be finite and positive")
-    return value
-
-
 def validate_instance(instance: AuctionInstance) -> None:
     """Structural checks, made once by ``AuctionInstance``'s constructor:
     tuples and frozensets (the auction caches by identity), dense int ids in
     order, valid subsets whose members are exactly ``int``, and a city side
-    that is a positive real (``as_real``). Appraisements are positive reals,
-    and bids and true costs nonnegative reals, each read by the real rule in
-    its record's pass: a ``bool`` is refused, and a numpy or ``int`` value
-    is written back into its record as the plain ``float`` the rule returns,
-    so ``dumps_scenario`` writes a number that ``loads_scenario`` reads. The
+    that is a positive real (``as_real``). Positions and detection distances
+    are reals, checked in one pass right after the city side, so a file
+    with several faults names its city before its positions, and those
+    before its records. Appraisements are positive reals, and bids and true
+    costs nonnegative reals, each read by the real rule in its record's
+    pass. A ``bool`` is refused, and a numpy or ``int`` value is written
+    back into its record as the plain ``float`` the rule returns, so
+    ``dumps_scenario`` writes a number that ``loads_scenario`` reads. The
     value is equal, so the record's hash and equality do not change. Task
     values are read by position, so task j must sit at index j. ``True`` or
     ``1.0`` would pass the range test as task 1, and reach the auction's
@@ -371,7 +366,18 @@ def validate_instance(instance: AuctionInstance) -> None:
     if validate_ids("vehicle", instance.vehicles) != list(range(len(instance.vehicles))):
         raise ValueError("vehicle ids must be dense 0..n-1")
     validate_budget(instance.budget)
-    _city_side(instance.city_side)
+    if (side := as_real(instance.city_side)) is None or side <= 0:
+        raise ValueError("city side must be finite and positive")
+    # one pass over every position; only on a value that is not a finite
+    # float is each record read by the real rule, refused or written back
+    places = [c for t in instance.tasks for c in (t.x, t.y)]
+    places += [c for v in instance.vehicles for c in (v.x, v.y, v.detection_distance)]
+    if not (set(map(type, places)) <= {float} and all(map(math.isfinite, places))):
+        for record in (*instance.tasks, *instance.vehicles):
+            for name in ("x", "y", "detection_distance")[: 2 if isinstance(record, Task) else 3]:
+                if (value := as_real(getattr(record, name))) is None:
+                    raise ValueError("positions and detection distances must be finite")
+                object.__setattr__(record, name, value)
     for t in instance.tasks:
         if (value := as_real(t.appraisement)) is None or value <= 0:
             raise ValueError(f"task {t.id} appraisement must be finite and positive")
@@ -498,16 +504,11 @@ def loads_scenario(text: str) -> AuctionInstance:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if "budget" not in singles:
         raise ValueError("missing budget record")
-    city_side = _city_side(singles.get("city", 1000.0))  # reported before positions
-    places = [c for record in (*tasks, *vehicles) for c in (record.x, record.y)]
-    places += [v.detection_distance for v in vehicles]
-    if not all(map(math.isfinite, places)):
-        raise ValueError("positions and detection distances must be finite")
     return AuctionInstance(
         tasks=tuple(tasks),
         vehicles=tuple(vehicles),
         budget=singles["budget"],
-        city_side=city_side,
+        city_side=singles.get("city", 1000.0),
     )
 
 

@@ -32,9 +32,9 @@ that is signed correctly but does not parse to the fields its leg expects
 Request, order, delivery and confirm are one leg each. Its send half makes
 the message, lets ``tamper`` alter a request or a delivery, and appends it
 to the transcript; its receive half verifies it and either aborts the
-session or advances the session's clock and returns the plaintext. Every
-request is sent before any is received, so the authority vets them
-together.
+session or advances the session's clock and returns the plaintext, so a
+message that fails is the last on its transcript. Every request is sent
+before any is received, so the authority vets them together.
 
 Message security rides on a pluggable scheme from :mod:`trafficmarket.crypto`.
 Randomness for each participant's key material and ciphertexts comes from
@@ -55,9 +55,9 @@ still runs in full on anything new:
   holds at most one entry per issued certificate. Certificate revocation,
   if it is ever added, must clear the set.
 * The broadcast is verified once per round. Every vehicle receives the
-  same ``publish`` message against the same authority certificate, so its
-  certificate and signature are checked once before the vehicles' loop;
-  only the freshness check runs per session. Abort reasons are unchanged.
+  same ``publish`` message against the same authority certificate, so one
+  ``verify_message`` call judges it before the vehicles' loop, freshness
+  included: every session starts at ``last_timestamp`` 0.
 * Parsed private keys are reused (see :mod:`trafficmarket.crypto`).
 
 Every request, order, delivery and confirm is unique, so their signatures
@@ -398,25 +398,6 @@ def verify_message(
     order, stopping at the first failure. Returns (plaintext, None) on
     success and (None, reason) otherwise.
     """
-    plaintext, reason = _authenticate(
-        world, message, sender_certificate, recipient_private
-    )
-    if reason is None:
-        reason = _staleness(message, last_timestamp)
-    return (None, reason) if reason else (plaintext, None)
-
-
-def _staleness(message: ProtocolMessage, last_timestamp: int) -> str | None:
-    return "stale timestamp" if message.timestamp <= last_timestamp else None
-
-
-def _authenticate(
-    world: TradingWorld,
-    message: ProtocolMessage,
-    sender_certificate: Certificate,
-    recipient_private: bytes | None,
-) -> tuple[bytes | None, str | None]:
-    """``verify_message`` without the freshness check."""
     if not world.ca.check(sender_certificate):
         return None, "bad certificate"
     if sender_certificate.subject != message.sender:
@@ -429,6 +410,7 @@ def _authenticate(
         sender_certificate.public_key, signed, message.signature
     ):
         return None, "bad signature"
+    plaintext = message.body
     if message.encrypted:
         if recipient_private is None:
             return None, "no decryption key"
@@ -436,8 +418,9 @@ def _authenticate(
             plaintext = world.scheme.decrypt(recipient_private, message.body)
         except DecryptionError:
             return None, "undecryptable"
-        return plaintext, None
-    return message.body, None
+    if message.timestamp <= last_timestamp:
+        return None, "stale timestamp"
+    return plaintext, None
 
 
 def pay_winner(world: TradingWorld, session: TradingSession, amount: Fraction) -> None:
@@ -568,18 +551,19 @@ class _Round:
     def publish_and_request(self) -> dict[int, ProtocolMessage]:
         """Steps 1-2: the signed broadcast of the task catalogue, then an
         encrypted request from each vehicle that accepts it. Every vehicle
-        gets the same broadcast, so it is authenticated once."""
+        gets the same broadcast, and every session starts with
+        ``last_timestamp`` 0, so one ``verify_message`` call judges it for
+        all of them."""
         world, instance, authority = self.world, self.instance, self.world.authority
         catalogue = tuple((t.id, t.x, t.y, t.appraisement) for t in instance.tasks)
         publish = _make_message(world, MessageKind.PUBLISH, authority, f"round-{self.index}",
                                 ("publish", catalogue, instance.budget))
-        _, broadcast_failure = _authenticate(world, publish, authority.certificate, None)
+        _, broadcast_failure = verify_message(world, publish, authority.certificate)
         requests = {}
         for vid in sorted(self.sessions):
             session = self.sessions[vid]
-            reason = broadcast_failure or _staleness(publish, session.last_timestamp)
-            if reason:
-                session.abort("broadcast", reason)
+            if broadcast_failure:
+                session.abort("broadcast", broadcast_failure)
                 continue
             session.last_timestamp = publish.timestamp
             session.transcript.append(publish)

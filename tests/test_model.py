@@ -230,8 +230,8 @@ def test_scenario_with_bad_place_rejected(old, new):
 
 
 def test_a_bad_city_is_reported_before_bad_positions():
-    # the loader applies the city rule that the constructor shares before
-    # its own positions check, so this file names its city
+    # the constructor checks positions right after the city side, so this
+    # file names its city
     text = dumps_scenario(paper_example())
     assert "city 1000.0" in text and "task 1 100.0 0.0 3.0" in text
     text = text.replace("city 1000.0", "city nan").replace("task 1 100.0", "task 1 nan")

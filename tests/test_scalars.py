@@ -1,7 +1,8 @@
 """One hostile-value sweep over every public scalar boundary.
 
 Counts, sizes and seeds follow ``model.as_count``; budgets, bounds, weights,
-fractions, bids, true costs and appraisements follow ``model.as_real``;
+fractions, positions, detection distances, bids, true costs and
+appraisements follow ``model.as_real``;
 subset members are ids, exactly ``int``, each equal to a task id unless it
 is NaN or infinite, so only the type refuses most of them. Each entry point
 below is fed a ``bool``, an integral float, a numpy int, a numpy float, NaN, +-inf and
@@ -85,6 +86,7 @@ def outcome(call, value):
 
 
 EXAMPLE = paper_example()
+PLACES = "^positions and detection distances must be finite$"
 
 
 def round_trip(instance):
@@ -109,9 +111,10 @@ def with_member(value):
     return with_vehicle(task_subset=frozenset({value, 0, 4}))
 
 
-def with_appraisement(value):
+def with_task(**changes):
+    """The example with task 1's fields changed, rebuilt."""
     tasks = list(EXAMPLE.tasks)
-    tasks[1] = replace(tasks[1], appraisement=value)
+    tasks[1] = replace(tasks[1], **changes)
     return round_trip(replace(EXAMPLE, tasks=tuple(tasks)))
 
 
@@ -197,7 +200,14 @@ def fields(tmp_path: Path) -> dict[str, Field]:
               "^vehicle 1 cost and bid"),
         Field("replace true_cost", "real", 2.5, lambda v: with_vehicle(true_cost=v),
               "^vehicle 1 cost and bid"),
-        Field("replace appraisement", "real", 3.5, with_appraisement, "^task 1 appraisement"),
+        Field("replace appraisement", "real", 3.5, lambda v: with_task(appraisement=v),
+              "^task 1 appraisement"),
+        *(Field(f"replace {kind} {name}", "real", base,
+                lambda v, change=change, name=name: change(**{name: v}), PLACES)
+          for kind, change, name, base in (
+              ("task", with_task, "x", 100.5), ("task", with_task, "y", 0.5),
+              ("vehicle", with_vehicle, "x", 100.5), ("vehicle", with_vehicle, "y", 50.5),
+              ("vehicle", with_vehicle, "detection_distance", 0.5))),
         *(Field(f"params {name}", "real", base,
                 lambda v, name=name: repr(ReputationParams(**{name: v})), name)
           for name, base in (("w_vote", 0.005), ("w_lead", 0.05), ("w_verify", 0.01),
@@ -308,6 +318,23 @@ def test_a_built_instance_stores_plain_record_reals(value):
     assert line in round_trip(instance)
     with pytest.raises(ValueError, match="^vehicle 1 cost and bid must be finite"):
         EXAMPLE.with_bid(1, True)
+
+
+def test_numpy_and_nan_positions_are_refused_or_written_plain():
+    """A built instance held numpy positions and NaN as given, and wrote a
+    file (``vehicle 0 np.float64(1.5) nan np.float32(2.0) ...``) that no
+    loader reads; NaN is now refused when built, and numpy values stored
+    as the plain floats they equal."""
+    vehicles = list(EXAMPLE.vehicles)
+    vehicles[0] = replace(vehicles[0], x=np.float64(1.5), y=math.nan,
+                          detection_distance=np.float32(2.0))
+    with pytest.raises(ValueError, match=PLACES):
+        AuctionInstance(EXAMPLE.tasks, tuple(vehicles), 5.0)
+    vehicles[0] = replace(vehicles[0], y=np.float64(2.5))
+    instance = AuctionInstance(EXAMPLE.tasks, tuple(vehicles), 5.0)
+    v = instance.vehicles[0]
+    assert {type(x) for x in (v.x, v.y, v.detection_distance)} == {float}
+    assert "\nvehicle 0 1.5 2.5 2.0 2.0 2.0 0,2,4\n" in round_trip(instance)
 
 
 @pytest.mark.parametrize("name", FIELD_NAMES)
