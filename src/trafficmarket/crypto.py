@@ -7,13 +7,19 @@ bit-for-bit. ``HashStubScheme`` is a dependency-free double for tests; it
 keeps a private-key registry behind the scenes and must never leave a
 simulation.
 
-``Ed25519X25519Scheme`` parses each private key once and reuses the parsed
-key object (``_signing_key`` and ``_agreement_key``, module-level LRU
-caches keyed by the exact private bytes). This is exact: Ed25519 signing is
-deterministic (RFC 8032) and X25519 agreement is a pure function of the two
-keys, so a reused key object gives the same bytes as a freshly parsed one.
-It cannot weaken a check, because verification never reads these caches:
-every ``verify`` and every authentication tag is computed in full.
+``Ed25519X25519Scheme`` parses each key once and reuses the parsed key
+object: private keys in ``_signing_key`` and ``_agreement_key``, and public
+keys in ``_verifying_key`` (a signer's) and ``_recipient_key`` (an
+encryption's recipient). These are module-level LRU caches keyed by the
+exact key bytes, and they hold parsed key objects only. This is exact:
+Ed25519 signing is deterministic (RFC 8032), X25519 agreement is a pure
+function of the two keys, and a parsed public key is a function of its
+bytes alone, so a reused key object gives the same bytes and the same
+verdicts as a freshly parsed one. It cannot weaken a check: no verdict is
+cached, so every ``verify`` and every authentication tag is computed in
+full, and bytes that do not parse as a key raise on every call. The
+ephemeral public key of a ciphertext is fresh per message, so ``decrypt``
+parses it each time.
 """
 
 from __future__ import annotations
@@ -52,10 +58,9 @@ __all__ = [
 _ECIES_INFO = b"trafficmarket-ecies-v1"
 # safe only because every encryption derives a fresh ephemeral key
 _GCM_NONCE = bytes(12)
-#: Parsed private keys kept per cache. A trading world signs and decrypts
-#: with one key per vehicle plus the authority's and the CA's, so this
-#: covers worlds of a few thousand vehicles; beyond it, keys that fell out
-#: are parsed again.
+#: Parsed keys kept per cache. A trading world uses one key pair per
+#: vehicle plus the authority's and the CA's, so this covers worlds of a
+#: few thousand vehicles; beyond it, keys that fell out are parsed again.
 _PARSED_KEYS = 4096
 
 
@@ -77,6 +82,16 @@ def _signing_key(seed: bytes) -> Ed25519PrivateKey:
 @functools.lru_cache(maxsize=_PARSED_KEYS)
 def _agreement_key(seed: bytes) -> X25519PrivateKey:
     return X25519PrivateKey.from_private_bytes(seed)
+
+
+@functools.lru_cache(maxsize=_PARSED_KEYS)
+def _verifying_key(public: bytes) -> Ed25519PublicKey:
+    return Ed25519PublicKey.from_public_bytes(public)
+
+
+@functools.lru_cache(maxsize=_PARSED_KEYS)
+def _recipient_key(public: bytes) -> X25519PublicKey:
+    return X25519PublicKey.from_public_bytes(public)
 
 
 class SignatureScheme:
@@ -110,8 +125,8 @@ class Ed25519X25519Scheme(SignatureScheme):
     X25519 key, HKDF-SHA256 to an AES-256-GCM key, zero nonce, ephemeral
     public key prepended to the ciphertext.
 
-    ``sign`` and ``decrypt`` reuse parsed private keys from module-level
-    caches, so subclasses need not call ``__init__``.
+    Every method but ``generate_keypair`` reuses parsed keys from
+    module-level caches, so subclasses need not call ``__init__``.
     """
 
     def generate_keypair(self, rng: np.random.Generator) -> KeyPair:
@@ -134,7 +149,7 @@ class Ed25519X25519Scheme(SignatureScheme):
 
     def verify(self, public: bytes, data: bytes, signature: bytes) -> bool:
         try:
-            Ed25519PublicKey.from_public_bytes(public[:32]).verify(signature, data)
+            _verifying_key(public[:32]).verify(signature, data)
         except (InvalidSignature, ValueError):
             return False
         return True
@@ -146,7 +161,7 @@ class Ed25519X25519Scheme(SignatureScheme):
 
     def encrypt(self, public: bytes, plaintext: bytes, rng: np.random.Generator) -> bytes:
         ephemeral = X25519PrivateKey.from_private_bytes(rng.bytes(32))
-        shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(public[32:64]))
+        shared = ephemeral.exchange(_recipient_key(public[32:64]))
         sealed = AESGCM(self._derive_key(shared)).encrypt(_GCM_NONCE, plaintext, None)
         eph_pub = ephemeral.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
         return eph_pub + sealed

@@ -43,8 +43,8 @@ bytes independent of processing order and reproducible end to end. The
 seed is a count (``model.validate_count``): a ``bool`` or a float is
 refused.
 
-A round repeats no crypto work whose answer it already has, and every check
-still runs in full on anything new:
+A round repeats no work whose answer it already has, and every check still
+runs in full on anything new:
 
 * A certificate is verified once per world. ``CertificateAuthority.check``
   remembers the certificates that verified, keyed by their exact content
@@ -58,10 +58,16 @@ still runs in full on anything new:
   same ``publish`` message against the same authority certificate, so one
   ``verify_message`` call judges it before the vehicles' loop, freshness
   included: every session starts at ``last_timestamp`` 0.
-* Parsed private keys are reused (see :mod:`trafficmarket.crypto`).
+* Parsed keys are reused, private and public (see :mod:`trafficmarket.crypto`).
+* An honest request or delivery is not parsed again: the plaintext that
+  its leg decrypts is compared byte for byte with the one the round sent
+  (``_Round.read``).
+* With no vehicle excluded, the mechanism runs on the round's own
+  instance: no re-indexed copy is built, and the auction's cache finds its
+  ``vehicles`` tuple by identity.
 
 Every request, order, delivery and confirm is unique, so their signatures
-are always verified afresh.
+are always verified, and their ciphertexts decrypted, afresh.
 """
 
 from __future__ import annotations
@@ -361,12 +367,11 @@ def _make_message(
     kind: MessageKind,
     sender: Participant,
     session_id: str,
-    payload: tuple,
+    plaintext: bytes,
     recipient: Participant | None = None,
     rng: np.random.Generator | None = None,
 ) -> ProtocolMessage:
-    """Sign the ``repr`` of ``payload``, encrypted for ``recipient`` if one is given."""
-    plaintext = repr(payload).encode()
+    """Sign ``plaintext``, encrypted for ``recipient`` if one is given."""
     if recipient is not None:
         body = world.scheme.encrypt(recipient.keys.public, plaintext, rng)
     else:
@@ -461,13 +466,15 @@ def _literal(plaintext: bytes):
 def _parse_request(plaintext: bytes) -> tuple | None:
     """``(tag, vehicle id, task ids, bid)`` from a request's plaintext, the
     ``repr`` its sender signs: a tuple of a str, an int, a tuple of ints and
-    an int or float; else None. Ids follow ``model.as_id``."""
+    a nonnegative real bid; else None. Ids follow ``model.as_id`` and the
+    bid ``model.as_real``, the rules an instance's own vehicles obey, so
+    ``inf``, a negative bid or an int beyond the float range is refused."""
     fields = _literal(plaintext)
     if type(fields) is not tuple or len(fields) != 4:
         return None
     tag, vid, tasks, bid = fields
-    number = isinstance(bid, (int, float)) and not isinstance(bid, bool)
-    if type(tag) is str and as_id(vid) is not None and number:
+    bid_ok = (real := as_real(bid)) is not None and real >= 0
+    if type(tag) is str and as_id(vid) is not None and bid_ok:
         return fields if type(tasks) is tuple and None not in map(as_id, tasks) else None
     return None
 
@@ -484,7 +491,11 @@ def _parse_data(plaintext: bytes) -> tuple | None:
 def _surviving_instance(
     instance: AuctionInstance, excluded: frozenset[int]
 ) -> tuple[AuctionInstance, dict[int, int]]:
-    """Re-index the non-excluded vehicles densely; map new ids back to old."""
+    """Re-index the non-excluded vehicles densely; map new ids back to old.
+    With none excluded, the very instance and the identity map: ids are
+    dense already, and the mechanism sees the same ``vehicles`` tuple."""
+    if not excluded:
+        return instance, {v.id: v.id for v in instance.vehicles}
     kept = [v for v in instance.vehicles if v.id not in excluded]
     vehicles = tuple(replace(v, id=new) for new, v in enumerate(kept))
     return replace(instance, vehicles=vehicles), {new: v.id for new, v in enumerate(kept)}
@@ -501,8 +512,9 @@ class RoundResult:
 
 class _Round:
     """One round's context: the world, the instance, ``tamper``, the round
-    index, the sessions, each vehicle's sorted subset and generator, and
-    the steps that ``run_trading_round`` drives."""
+    index, the sessions, each vehicle's sorted subset and generator, what
+    each session last sent, and the steps that ``run_trading_round``
+    drives."""
 
     def __init__(self, world: TradingWorld, instance: AuctionInstance, tamper) -> None:
         self.world, self.instance, self.tamper = world, instance, tamper
@@ -511,6 +523,8 @@ class _Round:
         self.subset_of = {v.id: tuple(sorted(v.task_subset)) for v in instance.vehicles}
         self.rng = {v.id: np.random.default_rng([world.seed, 3, self.index, v.id])
                     for v in instance.vehicles}
+        #: each session's last sent (plaintext, payload), for ``read``
+        self.sent: dict[int, tuple[bytes, tuple]] = {}
 
     def ends(self, vid: int, kind: MessageKind) -> tuple[Participant, Participant]:
         """A leg's sender and recipient: the authority sends the order, and
@@ -526,11 +540,13 @@ class _Round:
         rng = self.rng[vid]
         if kind is MessageKind.ORDER:  # the authority encrypts each order afresh
             rng = np.random.default_rng([self.world.seed, 4, self.index, vid])
+        plaintext = repr(payload).encode()
         message = _make_message(self.world, kind, sender, f"round-{self.index}/vehicle-{vid}",
-                                payload, recipient=recipient, rng=rng)
+                                plaintext, recipient=recipient, rng=rng)
         if self.tamper is not None and kind in (MessageKind.REQUEST, MessageKind.DATA):
             message = self.tamper(message)
         session.transcript.append(message)
+        self.sent[vid] = plaintext, payload
         return message
 
     def receive(self, session: TradingSession, kind: MessageKind, message) -> bytes | None:
@@ -548,6 +564,18 @@ class _Round:
     def leg(self, session: TradingSession, kind: MessageKind, payload: tuple) -> bytes | None:
         return self.receive(session, kind, self.send(session, kind, payload))
 
+    def read(self, vid: int, plaintext: bytes, parse: Callable[[bytes], tuple | None]):
+        """The fields a received request or delivery spells: ``parse`` of
+        its plaintext, or, when the plaintext is byte for byte the one this
+        round sent on the leg, the very tuple it sent. That is exact: a
+        round sends tuples of ``str``, ``int``, finite ``float`` and tuples
+        of those, whose ``repr`` ``ast.literal_eval`` reads back equal, and
+        whose fields obey the instance's rules, which are the parser's own.
+        Any other plaintext, tampered or foreign, is parsed in full, and
+        either way the leg's signature and decryption were checked first."""
+        sent_plaintext, sent = self.sent[vid]
+        return sent if plaintext == sent_plaintext else parse(plaintext)
+
     def publish_and_request(self) -> dict[int, ProtocolMessage]:
         """Steps 1-2: the signed broadcast of the task catalogue, then an
         encrypted request from each vehicle that accepts it. Every vehicle
@@ -557,7 +585,7 @@ class _Round:
         world, instance, authority = self.world, self.instance, self.world.authority
         catalogue = tuple((t.id, t.x, t.y, t.appraisement) for t in instance.tasks)
         publish = _make_message(world, MessageKind.PUBLISH, authority, f"round-{self.index}",
-                                ("publish", catalogue, instance.budget))
+                                repr(("publish", catalogue, instance.budget)).encode())
         _, broadcast_failure = verify_message(world, publish, authority.certificate)
         requests = {}
         for vid in sorted(self.sessions):
@@ -579,7 +607,7 @@ class _Round:
             plaintext = self.receive(session, MessageKind.REQUEST, requests[vid])
             if plaintext is None:
                 continue
-            request = _parse_request(plaintext)
+            request = self.read(vid, plaintext, _parse_request)
             if request is None:
                 session.abort("request", "malformed payload")
             elif request[:3] != ("request", vid, self.subset_of[vid]):
@@ -627,7 +655,7 @@ class _Round:
                              ("data", vid, _sensor_readings(vid, subset)))
         if plaintext is None:
             return None
-        delivered = _parse_data(plaintext)
+        delivered = self.read(vid, plaintext, _parse_data)
         if delivered is None or not data_check(vid, subset, delivered[2]):
             session.abort("data", "rejected" if delivered else "malformed payload")
             return None

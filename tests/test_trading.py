@@ -17,7 +17,7 @@ from trafficmarket.crypto import (
     Ed25519X25519Scheme,
     HashStubScheme,
 )
-from trafficmarket.model import ScenarioConfig, generate_scenario, paper_example
+from trafficmarket.model import ScenarioConfig, as_real, generate_scenario, paper_example
 from trafficmarket.trading import (
     FAILURES,
     Certificate,
@@ -47,6 +47,13 @@ class _RejectingStub(HashStubScheme):
 
     def verify(self, public, data, signature):
         return not data.startswith(self.prefix) and super().verify(public, data, signature)
+
+
+def _zero_request_signature(message):
+    """Vehicle 0's request with its signature zeroed; any other message as it is."""
+    if message.kind is MessageKind.REQUEST and message.sender == "vehicle-0":
+        return replace(message, signature=bytes(len(message.signature)))
+    return message
 
 
 @pytest.fixture
@@ -183,13 +190,7 @@ class TestFailureModes:
         world = build_world(
             instance, HashStubScheme(), seed=7, authority_balance=Fraction(50)
         )
-
-        def forge_request(message):
-            if message.kind is MessageKind.REQUEST and message.sender == "vehicle-0":
-                return replace(message, signature=b"\x00" * len(message.signature))
-            return message
-
-        result = run_trading_round(world, instance, tamper=forge_request)
+        result = run_trading_round(world, instance, tamper=_zero_request_signature)
         assert result.excluded == frozenset({0})
         assert result.sessions[0].failure == "request: bad signature"
         assert result.sessions[1].state is SessionState.CONFIRMED
@@ -354,7 +355,7 @@ class TestClosedFailureSet:
 # or as raw bytes: a literal of the wrong shape, a right-shaped tuple with
 # one field of the wrong type (nested literals included), text that is no
 # literal, and bytes that are no UTF-8. The fields a leg expects are
-# (str, int, tuple of ints, int or float) for a request and (str, int,
+# (str, int, tuple of ints, nonnegative real) for a request and (str, int,
 # tuple) for a delivery.
 _LITERALS = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -370,7 +371,7 @@ _FIELD_OK = {
         lambda v: type(v) is str,
         lambda v: type(v) is int,
         lambda v: type(v) is tuple and all(type(t) is int for t in v),
-        lambda v: type(v) in (int, float),
+        lambda v: type(v) in (int, float) and as_real(v) is not None and v >= 0,
     ),
     MessageKind.DATA: (
         lambda v: type(v) is str,
@@ -448,6 +449,112 @@ def test_a_malformed_payload_aborts_only_its_session(case):
     assert confirmed  # vehicle 0 wins with or without vehicle 1
     assert [r.vehicle_id for r in result.block.records] == confirmed
     assert world.total_balance() == start
+
+
+@pytest.mark.parametrize("bid", ["1e999", "-1e999", "-5.0", str(10**400)],
+                         ids=["1e999", "-1e999", "-5.0", "10**400"])
+def test_a_request_whose_bid_is_no_nonnegative_real_is_malformed(bid):
+    # the bid as the plaintext spells it: 1e999 reads as inf, and 10**400
+    # is an int beyond the float range
+    instance = paper_example()
+    subset = tuple(sorted(instance.vehicles[1].task_subset))
+    plaintext = f"('request', 1, {subset!r}, {bid})".encode()
+    world = build_world(instance, HashStubScheme(), seed=7, authority_balance=Fraction(50))
+    start = world.total_balance()
+
+    def tamper(message):
+        if message.kind is MessageKind.REQUEST and message.sender == "vehicle-1":
+            return _signed_as_sent(world, message, plaintext)
+        return message
+
+    result = run_trading_round(world, instance, tamper=tamper)
+    assert result.sessions[1].failure == "request: malformed payload"
+    assert result.excluded == frozenset({1})
+    assert world.vehicles[1].account.balance == 0
+    assert result.sessions[0].state is SessionState.CONFIRMED
+    assert world.total_balance() == start
+
+
+# Bids that an instance holds and whose repr reads back only if written
+# exactly: a negative zero, the least subnormal, a bid near the float
+# maximum, and integral floats, beside any finite nonnegative float.
+_EDGE_BIDS = [-0.0, 0.0, 5e-324, 1e308, 3.0, 2.0**53, 1e16]
+_BIDS = st.sampled_from(_EDGE_BIDS) | st.floats(0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def maps_with_bids(draw):
+    instance = generate_scenario(ScenarioConfig(
+        n_tasks=draw(st.integers(1, 30)), n_vehicles=draw(st.integers(1, 40)),
+        budget=10.0, rng_seed=draw(st.integers(0, 2**32 - 1)), city_side=80.0,
+    ))
+    bids = draw(st.lists(_BIDS, min_size=len(instance.vehicles),
+                         max_size=len(instance.vehicles)))
+    vehicles = tuple(replace(v, bid=bid) for v, bid in zip(instance.vehicles, bids))
+    return replace(instance, vehicles=vehicles)
+
+
+@given(instance=maps_with_bids())
+def test_an_honest_payload_parses_to_the_tuple_sent(instance):
+    # the slow parsers are the oracle of _Round.read's byte comparison:
+    # on every plaintext a round sends, they must return the very fields
+    # sent, compared by repr because -0.0 == 0.0
+    world = build_world(instance, HashStubScheme(), seed=1)
+    round_ = trading._Round(world, instance, None)
+    requests = round_.publish_and_request()
+    for vid in requests:
+        plaintext, sent = round_.sent[vid]
+        assert plaintext == repr(sent).encode()
+        assert repr(trading._parse_request(plaintext)) == repr(sent)
+        data = ("data", vid, trading._sensor_readings(vid, round_.subset_of[vid]))
+        assert repr(trading._parse_data(repr(data).encode())) == repr(data)
+    round_.vet(requests)
+    assert all(s.state is SessionState.REQUESTED for s in round_.sessions.values())
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("kind", [MessageKind.REQUEST, MessageKind.DATA])
+def test_an_honest_plaintext_encrypted_again_still_confirms(scheme, kind):
+    # new ciphertext bytes around the same plaintext: the leg verifies and
+    # decrypts them in full, and the payload is the one that was sent
+    instance = paper_example()
+
+    def play(reencrypt):
+        world = build_world(instance, scheme(), seed=7, authority_balance=Fraction(50))
+        bodies = []
+
+        def tamper(message):
+            if not reencrypt or message.kind is not kind or message.sender != "vehicle-0":
+                return message
+            plaintext = world.scheme.decrypt(world.authority.keys.private, message.body)
+            forged = _signed_as_sent(world, message, plaintext)
+            bodies.append((message.body, forged.body))
+            return forged
+
+        return run_trading_round(world, instance, tamper=tamper), bodies
+
+    honest, _ = play(False)
+    result, bodies = play(True)
+    assert len(bodies) == 1 and bodies[0][0] != bodies[0][1]
+    assert [s.state for s in result.sessions.values()] == \
+        [s.state for s in honest.sessions.values()]
+    assert result.sessions[0].state is SessionState.CONFIRMED
+    assert result.block.hash == honest.block.hash
+
+
+def test_the_mechanism_sees_the_round_instance_unless_a_vehicle_is_excluded():
+    instance = paper_example()
+    seen = []
+
+    def mechanism(survivors):
+        seen.append(survivors)
+        return MECHANISMS["tbsap"](survivors)
+
+    world = build_world(instance, HashStubScheme(), seed=7, authority_balance=Fraction(50))
+    run_trading_round(world, instance, mechanism=mechanism)
+    run_trading_round(world, instance, mechanism=mechanism, tamper=_zero_request_signature)
+    assert seen[0] is instance
+    assert seen[1].vehicles == tuple(replace(v, id=v.id - 1) for v in instance.vehicles[1:])
 
 
 # A vehicle's request or delivery forged in flight: its signature zeroed, or
@@ -709,10 +816,10 @@ class TestCertificateCacheFailsClosed:
         }
 
 
-def _transcript_digest(world, instance, rounds):
+def _transcript_digest(world, instance, rounds, tamper=None):
     h = hashlib.sha256()
     for _ in range(rounds):
-        result = run_trading_round(world, instance)
+        result = run_trading_round(world, instance, tamper=tamper)
         for vid in sorted(result.sessions):
             session = result.sessions[vid]
             h.update(repr((vid, session.state.value, session.failure)).encode())
@@ -733,6 +840,11 @@ def _transcript_digest(world, instance, rounds):
 # checked on every message, the broadcast checked per vehicle and every
 # private key parsed per call: none of the reuse may move a byte.
 GOLDEN_ROUNDS_DIGEST = "05d35e1ca96e22d8089eeb332ca64714ddc9f58e97616b355a2234ca5449c72a"
+# The same three rounds with vehicle 0's request signature zeroed in every
+# round, so vehicle 0, a winner, is excluded and the mechanism runs on the
+# re-indexed survivors, recorded before rounds with no exclusion stopped
+# building a re-indexed copy and before honest payloads skipped the parser.
+GOLDEN_EXCLUDED_ROUNDS_DIGEST = "5f5d031745e494a8f6a877263acb2e9cef40665ebee20bf4aef2a69af65c82cf"
 
 
 def test_golden_digest_real_rounds():
@@ -741,4 +853,14 @@ def test_golden_digest_real_rounds():
         instance, Ed25519X25519Scheme(), seed=5, authority_balance=Fraction(10**6)
     )
     assert _transcript_digest(world, instance, rounds=3) == GOLDEN_ROUNDS_DIGEST
+    assert len(world.ledger) == 3
+
+
+def test_golden_digest_real_rounds_with_an_excluded_winner():
+    instance = dense_scenario(3)
+    world = build_world(
+        instance, Ed25519X25519Scheme(), seed=5, authority_balance=Fraction(10**6)
+    )
+    digest = _transcript_digest(world, instance, rounds=3, tamper=_zero_request_signature)
+    assert digest == GOLDEN_EXCLUDED_ROUNDS_DIGEST
     assert len(world.ledger) == 3
