@@ -65,7 +65,8 @@ _PARSED_KEYS = 4096
 
 
 class DecryptionError(Exception):
-    """Ciphertext did not authenticate or could not be parsed."""
+    """Ciphertext was too short, carried a low-order ephemeral key, or did
+    not authenticate."""
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,10 @@ class Ed25519X25519Scheme(SignatureScheme):
         if len(ciphertext) < 48:  # ephemeral key plus GCM tag
             raise DecryptionError("ciphertext too short")
         ephemeral = X25519PublicKey.from_public_bytes(ciphertext[:32])
-        shared = _agreement_key(private[32:64]).exchange(ephemeral)
+        try:
+            shared = _agreement_key(private[32:64]).exchange(ephemeral)
+        except ValueError as exc:  # a low-order point gives no shared key
+            raise DecryptionError("ephemeral key of low order") from exc
         try:
             return AESGCM(self._derive_key(shared)).decrypt(
                 _GCM_NONCE, ciphertext[32:], None

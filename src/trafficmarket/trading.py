@@ -27,14 +27,31 @@ pair's text. The stages are, in round order, ``broadcast``, ``request``,
 or leg that fails verification aborts with the ``verify_message`` reason
 as its cause (``"<stage>: <reason>"``), and so does a request or delivery
 that is signed correctly but does not parse to the fields its leg expects
-(``"<stage>: malformed payload"``).
+(``"<stage>: malformed payload"``). ``FAILURES`` holds only pairs that a
+round can reach: ``tamper``, a custom scheme, the mechanism or the data
+check can set each one up.
 
 Request, order, delivery and confirm are one leg each. Its send half makes
 the message, lets ``tamper`` alter a request or a delivery, and appends it
-to the transcript; its receive half verifies it and either aborts the
+to the transcript; its receive half checks it and either aborts the
 session or advances the session's clock and returns the plaintext, so a
 message that fails is the last on its transcript. Every request is sent
 before any is received, so the authority vets them together.
+
+A leg accepts only the message that its send half makes, with every field
+but the signature signed:
+
+* its kind, else ``wrong kind``, and its session's id
+  (``"round-<index>/vehicle-<id>"``), else ``wrong session``, both checked
+  before the signature;
+* then whatever ``verify_message`` accepts, with the sender's certificate,
+  the recipient's private key and the session's last timestamp. Every kind
+  but ``PUBLISH`` is decrypted, so a request or delivery sent in the clear
+  is ``undecryptable``, and a field of the wrong type is refused as
+  ``malformed message`` before anything reads it.
+
+No message that ``tamper`` returns makes the round raise: it aborts only
+the session it belongs to.
 
 Message security rides on a pluggable scheme from :mod:`trafficmarket.crypto`.
 Randomness for each participant's key material and ciphertexts comes from
@@ -130,9 +147,8 @@ class ProtocolMessage:
     sender: str
     session_id: str
     timestamp: int
-    body: bytes  # ciphertext when encrypted, plaintext for broadcasts
+    body: bytes  # plaintext for a broadcast, else ciphertext
     signature: bytes
-    encrypted: bool
 
 
 @dataclass(frozen=True)
@@ -310,20 +326,26 @@ class SessionState(enum.Enum):
     ABORTED = "aborted"
 
 
-#: What ``verify_message`` can report, in the order it checks.
-_VERIFY_REASONS = ("bad certificate", "certificate subject mismatch", "bad signature",
-                   "no decryption key", "undecryptable", "stale timestamp")
+#: How the broadcast can fail its check: the round makes it, encrypts it for
+#: nobody, and checks it against ``last_timestamp`` 0.
+_BROADCAST_CAUSES = ("bad certificate", "certificate subject mismatch", "bad signature")
+#: How an order or a confirm, which the round makes, can fail its leg.
+_LEG_CAUSES = (*_BROADCAST_CAUSES, "undecryptable", "stale timestamp")
+#: How a request or a delivery, which ``tamper`` may alter, can fail its leg.
+_TAMPERED_CAUSES = ("wrong kind", "wrong session", "malformed message", *_LEG_CAUSES,
+                    "malformed payload")
 
-#: Every way a session can abort: ``(stage, cause)`` to the text that
-#: ``TradingSession.failure`` reads. The broadcast and each leg fail with a
-#: ``verify_message`` reason; three failures keep a bare text of their own.
+#: Every way a session can abort in a round, and no other: ``(stage,
+#: cause)`` to the text that ``TradingSession.failure`` reads. A broadcast
+#: or leg fails as ``"<stage>: <cause>"``; three failures keep a bare text
+#: of their own.
 FAILURES: dict[tuple[str, str], str] = {
     **{(stage, cause): f"{stage}: {cause}"
-       for stage in ("broadcast", "request", "order", "data", "confirm")
-       for cause in _VERIFY_REASONS},
-    ("request", "malformed payload"): "request: malformed payload",
+       for stage, causes in (("broadcast", _BROADCAST_CAUSES), ("request", _TAMPERED_CAUSES),
+                             ("order", _LEG_CAUSES), ("data", _TAMPERED_CAUSES),
+                             ("confirm", _LEG_CAUSES))
+       for cause in causes},
     ("request", "inconsistent payload"): "request: inconsistent payload",
-    ("data", "malformed payload"): "data: malformed payload",
     ("auction", "lost"): "lost auction",
     ("funding", "insufficient"): "authority balance insufficient",
     ("data", "rejected"): "data rejected",
@@ -371,7 +393,8 @@ def _make_message(
     recipient: Participant | None = None,
     rng: np.random.Generator | None = None,
 ) -> ProtocolMessage:
-    """Sign ``plaintext``, encrypted for ``recipient`` if one is given."""
+    """Sign ``plaintext``, encrypted for ``recipient`` if one is given: every
+    kind but ``PUBLISH`` has one."""
     if recipient is not None:
         body = world.scheme.encrypt(recipient.keys.public, plaintext, rng)
     else:
@@ -388,7 +411,6 @@ def _make_message(
         timestamp=timestamp,
         body=body,
         signature=signature,
-        encrypted=recipient is not None,
     )
 
 
@@ -399,10 +421,29 @@ def verify_message(
     recipient_private: bytes | None = None,
     last_timestamp: int = 0,
 ) -> tuple[bytes | None, str | None]:
-    """Check certificate, signature, decryptability, and freshness, in that
-    order, stopping at the first failure. Returns (plaintext, None) on
-    success and (None, reason) otherwise.
+    """Check a message and read its plaintext. Returns (plaintext, None) on
+    success and (None, reason) at the first check that fails, in this order:
+
+    * ``"malformed message"``: a field is not of its declared type, exactly
+      (``kind`` a ``MessageKind``, ``sender`` and ``session_id`` a ``str``,
+      ``timestamp`` an ``int`` and no ``bool``, ``body`` and ``signature``
+      ``bytes``);
+    * ``"bad certificate"``: the CA did not issue ``sender_certificate``;
+    * ``"certificate subject mismatch"``: it names another sender;
+    * ``"bad signature"``: the signature does not cover every other field;
+    * ``"no decryption key"``: the kind is not ``PUBLISH``, so the body is a
+      ciphertext, and no ``recipient_private`` was given;
+    * ``"undecryptable"``: the body does not decrypt under that key;
+    * ``"stale timestamp"``: the timestamp is not above ``last_timestamp``.
+
+    The kind alone decides whether the body is decrypted: a ``PUBLISH`` body
+    is its plaintext, and any other body is a ciphertext. A message that
+    names a leg's kind but crossed in the clear is undecryptable.
     """
+    if (type(message.kind), type(message.sender), type(message.session_id),
+            type(message.timestamp), type(message.body), type(message.signature)) \
+            != (MessageKind, str, str, int, bytes, bytes):
+        return None, "malformed message"
     if not world.ca.check(sender_certificate):
         return None, "bad certificate"
     if sender_certificate.subject != message.sender:
@@ -416,7 +457,7 @@ def verify_message(
     ):
         return None, "bad signature"
     plaintext = message.body
-    if message.encrypted:
+    if message.kind is not MessageKind.PUBLISH:
         if recipient_private is None:
             return None, "no decryption key"
         try:
@@ -512,14 +553,15 @@ class RoundResult:
 
 class _Round:
     """One round's context: the world, the instance, ``tamper``, the round
-    index, the sessions, each vehicle's sorted subset and generator, what
-    each session last sent, and the steps that ``run_trading_round``
-    drives."""
+    index, the sessions and their ids, each vehicle's sorted subset and
+    generator, what each session last sent, and the steps that
+    ``run_trading_round`` drives."""
 
     def __init__(self, world: TradingWorld, instance: AuctionInstance, tamper) -> None:
         self.world, self.instance, self.tamper = world, instance, tamper
         self.index = len(world.ledger)
         self.sessions = {v.id: TradingSession(v.id) for v in instance.vehicles}
+        self.session_id = {v.id: f"round-{self.index}/vehicle-{v.id}" for v in instance.vehicles}
         self.subset_of = {v.id: tuple(sorted(v.task_subset)) for v in instance.vehicles}
         self.rng = {v.id: np.random.default_rng([world.seed, 3, self.index, v.id])
                     for v in instance.vehicles}
@@ -541,8 +583,8 @@ class _Round:
         if kind is MessageKind.ORDER:  # the authority encrypts each order afresh
             rng = np.random.default_rng([self.world.seed, 4, self.index, vid])
         plaintext = repr(payload).encode()
-        message = _make_message(self.world, kind, sender, f"round-{self.index}/vehicle-{vid}",
-                                plaintext, recipient=recipient, rng=rng)
+        message = _make_message(self.world, kind, sender, self.session_id[vid], plaintext,
+                                recipient=recipient, rng=rng)
         if self.tamper is not None and kind in (MessageKind.REQUEST, MessageKind.DATA):
             message = self.tamper(message)
         session.transcript.append(message)
@@ -550,11 +592,18 @@ class _Round:
         return message
 
     def receive(self, session: TradingSession, kind: MessageKind, message) -> bytes | None:
-        """A leg's receive half: verify, then abort the session or advance
-        its clock and return the plaintext."""
-        sender, recipient = self.ends(session.vehicle_id, kind)
-        plaintext, reason = verify_message(self.world, message, sender.certificate,
-                                           recipient.keys.private, session.last_timestamp)
+        """A leg's receive half: check that the message is this leg's, by
+        kind and session id, and verify it; then abort the session or
+        advance its clock and return the plaintext."""
+        vid = session.vehicle_id
+        sender, recipient = self.ends(vid, kind)
+        if message.kind is not kind:
+            plaintext, reason = None, "wrong kind"
+        elif message.session_id != self.session_id[vid]:
+            plaintext, reason = None, "wrong session"
+        else:
+            plaintext, reason = verify_message(self.world, message, sender.certificate,
+                                               recipient.keys.private, session.last_timestamp)
         if reason:
             session.abort(kind.name.lower(), reason)
             return None

@@ -10,7 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from trafficmarket import trading
-from trafficmarket.auction import BRUTE_FORCE_MAX_VEHICLES
+from trafficmarket.auction import BRUTE_FORCE_MAX_VEHICLES, tbsap
 from trafficmarket.cli import MECHANISMS
 from trafficmarket.crypto import (
     DecryptionError,
@@ -49,11 +49,43 @@ class _RejectingStub(HashStubScheme):
         return not data.startswith(self.prefix) and super().verify(public, data, signature)
 
 
-def _zero_request_signature(message):
-    """Vehicle 0's request with its signature zeroed; any other message as it is."""
-    if message.kind is MessageKind.REQUEST and message.sender == "vehicle-0":
-        return replace(message, signature=bytes(len(message.signature)))
-    return message
+class _DeafStub(HashStubScheme):
+    """The stub scheme, failing to decrypt every plaintext that starts with
+    ``prefix``."""
+
+    def __init__(self, prefix: bytes):
+        super().__init__()
+        self.prefix = prefix
+
+    def decrypt(self, private, ciphertext):
+        plaintext = super().decrypt(private, ciphertext)
+        if plaintext.startswith(self.prefix):
+            raise DecryptionError("refused")
+        return plaintext
+
+
+def _zero_signature(kind, vid=0):
+    """A tamper: vehicle ``vid``'s ``kind`` message with its signature zeroed;
+    any other message as it is."""
+    def tamper(message):
+        if message.kind is kind and message.sender == f"vehicle-{vid}":
+            return replace(message, signature=bytes(len(message.signature)))
+        return message
+    return tamper
+
+
+_zero_request_signature = _zero_signature(MessageKind.REQUEST)
+
+
+def _vid(name):
+    return int(name.removeprefix("vehicle-"))
+
+
+def _signed_by(world, message, vid):
+    """``message`` as it stands, signed again with vehicle ``vid``'s own key."""
+    signed = trading._signing_bytes(message.kind, message.sender, message.session_id,
+                                    message.timestamp, message.body)
+    return replace(message, signature=world.scheme.sign(world.vehicles[vid].keys.private, signed))
 
 
 @pytest.fixture
@@ -161,6 +193,15 @@ class TestFailureModes:
         with pytest.raises(ProtocolError, match="cannot pay"):
             pay_winner(world, session, Fraction(2))
         assert world.vehicles[0].account.balance == Fraction(2)
+
+    def test_payment_beyond_the_balance_is_refused(self, world):
+        # a round checks the quoted total first; a direct call is checked too
+        world, _ = world
+        session = TradingSession(vehicle_id=0, state=SessionState.DATA_DELIVERED)
+        with pytest.raises(ProtocolError, match="authority balance insufficient"):
+            pay_winner(world, session, Fraction(6))
+        assert session.state is SessionState.DATA_DELIVERED and session.paid_amount is None
+        assert world.authority.account.balance == 5 and world.vehicles[0].account.balance == 0
 
     def test_corrupted_certificate_excludes_vehicle(self):
         instance = paper_example()
@@ -288,18 +329,27 @@ class TestFailureModes:
         )
 
 
-# The text of every way a session can abort. Each broadcast and leg failure
-# reads "<stage>: <verify_message reason>"; the rest are listed one by one.
-VERIFY_REASONS = ("bad certificate", "certificate subject mismatch", "bad signature",
-                  "no decryption key", "undecryptable", "stale timestamp")
+# What verify_message can report, in the order it checks.
+VERIFY_REASONS = ("malformed message", "bad certificate", "certificate subject mismatch",
+                  "bad signature", "no decryption key", "undecryptable", "stale timestamp")
+# The text of every way a session can abort in a round, and of no other.
+# Each broadcast and leg failure reads "<stage>: <cause>"; the round never
+# withholds a decryption key, never encrypts or tampers with the broadcast,
+# and checks it against timestamp 0, and only requests and deliveries pass
+# through tamper.
+_CHECKED = ("bad certificate", "certificate subject mismatch", "bad signature")
+_DECRYPTED = (*_CHECKED, "undecryptable", "stale timestamp")
+_TAMPERED = ("wrong kind", "wrong session", "malformed message", *_DECRYPTED,
+             "malformed payload")
 FAILURE_TEXTS = {
-    **{(stage, reason): f"{stage}: {reason}" for stage in
-       ("broadcast", "request", "order", "data", "confirm") for reason in VERIFY_REASONS},
-    ("request", "malformed payload"): "request: malformed payload",
+    **{("broadcast", cause): f"broadcast: {cause}" for cause in _CHECKED},
+    **{(stage, cause): f"{stage}: {cause}" for stage in ("order", "confirm")
+       for cause in _DECRYPTED},
+    **{(stage, cause): f"{stage}: {cause}" for stage in ("request", "data")
+       for cause in _TAMPERED},
     ("request", "inconsistent payload"): "request: inconsistent payload",
     ("auction", "lost"): "lost auction",
     ("funding", "insufficient"): "authority balance insufficient",
-    ("data", "malformed payload"): "data: malformed payload",
     ("data", "rejected"): "data rejected",
 }
 
@@ -412,11 +462,7 @@ def _signed_as_sent(world, message, plaintext):
     """``message`` carrying ``plaintext``, encrypted for the authority and
     signed by its own sender, so only the payload is wrong."""
     body = world.scheme.encrypt(world.authority.keys.public, plaintext, np.random.default_rng(0))
-    signed = trading._signing_bytes(
-        message.kind, message.sender, message.session_id, message.timestamp, body
-    )
-    sender = next(p for p in world.vehicles.values() if p.name == message.sender)
-    return replace(message, body=body, signature=world.scheme.sign(sender.keys.private, signed))
+    return _signed_by(world, replace(message, body=body), _vid(message.sender))
 
 
 @settings(max_examples=150)
@@ -557,6 +603,352 @@ def test_the_mechanism_sees_the_round_instance_unless_a_vehicle_is_excluded():
     assert seen[1].vehicles == tuple(replace(v, id=v.id - 1) for v in instance.vehicles[1:])
 
 
+# A leg accepts only the message that its send half makes. The set-ups
+# below run on the paper's example at seed 7 with a balance of 50, where
+# vehicles 0 and 1 win and vehicle 2 loses. Each is a function of the world
+# that returns run_trading_round's keywords.
+_LOW_ORDER = (bytes(32), (1).to_bytes(32, "little"))  # X25519 points with no shared key
+
+
+def _plain(world):
+    return {}
+
+
+def _example_round(setup=_plain, scheme=HashStubScheme):
+    instance = paper_example()
+    world = build_world(instance, scheme(), seed=7, authority_balance=Fraction(50))
+    return world, run_trading_round(world, instance, **setup(world))
+
+
+def _altered(leg, resign=True, **fields):
+    """A set-up whose tamper replaces ``fields`` of vehicle 0's message on
+    ``leg``, each by a value or by a function of the world and the message,
+    and then signs it again with vehicle 0's key, unless ``resign`` is
+    false."""
+    def setup(world):
+        def tamper(message):
+            if message.kind is not leg or message.sender != "vehicle-0":
+                return message
+            message = replace(message, **{name: value(world, message) if callable(value) else value
+                                          for name, value in fields.items()})
+            return _signed_by(world, message, 0) if resign else message
+        return {"tamper": tamper}
+    return setup
+
+
+def _in_clear(world, message):
+    return world.scheme.decrypt(world.authority.keys.private, message.body)
+
+
+def _sealed(plaintext):
+    """A body: ``plaintext`` encrypted for the authority."""
+    return lambda world, message: world.scheme.encrypt(
+        world.authority.keys.public, plaintext, np.random.default_rng(0))
+
+
+def _recertify(name, subject=None):
+    """A change to the world: the certificate of ``name`` replaced by one the
+    CA did not sign or, given ``subject``, by a valid one naming ``subject``."""
+    def change(world):
+        owner = world.authority if name == "authority" else world.vehicles[_vid(name)]
+        cert = owner.certificate
+        owner.certificate = (world.ca.issue(subject, cert.public_key) if subject
+                             else replace(cert, signature=bytes(len(cert.signature))))
+    return change
+
+
+def _now(change):
+    """A set-up that changes the world before the round."""
+    return lambda world: change(world) or {}
+
+
+def _before_serving(change):
+    """A set-up whose mechanism changes the world after vetting, before the
+    first order."""
+    def setup(world):
+        return {"mechanism": lambda instance: change(world) or tbsap(instance)}
+    return setup
+
+
+def _before_confirm(change):
+    """A set-up whose data check changes the world after vehicle 0's data leg,
+    before its confirm."""
+    def setup(world):
+        def data_check(vid, tasks, readings):
+            if vid == 0:
+                change(world)
+            return trading._default_data_check(vid, tasks, readings)
+        return {"data_check": data_check}
+    return setup
+
+
+def _assert_same_but(vid, world, result, ref_world, ref):
+    """Two rounds alike but for session ``vid``'s cause and last message."""
+    mine, theirs = result.sessions[vid], ref.sessions[vid]
+    assert mine.transcript[:-1] == theirs.transcript[:-1]
+    assert replace(mine, transcript=[], cause=None) == replace(theirs, transcript=[], cause=None)
+    assert {v: s for v, s in result.sessions.items() if v != vid} == \
+        {v: s for v, s in ref.sessions.items() if v != vid}
+    assert (result.outcome, result.excluded, result.records, result.block) == \
+        (ref.outcome, ref.excluded, ref.records, ref.block)
+    assert world.ledger == ref_world.ledger
+    assert world.authority.account == ref_world.authority.account
+    assert [p.account for p in world.vehicles.values()] == \
+        [p.account for p in ref_world.vehicles.values()]
+
+
+REQ, DAT = MessageKind.REQUEST, MessageKind.DATA
+
+# Requests and deliveries that vehicle 0 signs with its own key and that
+# were paid, or crashed the round, before legs checked their kind, session
+# and field types: sent in the clear, sent as a confirm, sent in another
+# session, a body whose ephemeral key is a low-order point (it crashed the
+# real scheme), and a timestamp, body or signature of the wrong type (each
+# crashed the round, but for 2.5, which was paid). Text cannot be signed.
+REPROS = {
+    "request in clear": (HashStubScheme, REQ, {"body": _in_clear}, "undecryptable"),
+    "request in clear, real": (Ed25519X25519Scheme, REQ, {"body": _in_clear}, "undecryptable"),
+    "request as confirm": (HashStubScheme, REQ, {"kind": MessageKind.CONFIRM}, "wrong kind"),
+    "delivery as confirm": (HashStubScheme, DAT, {"kind": MessageKind.CONFIRM}, "wrong kind"),
+    "request, other session": (HashStubScheme, REQ, {"session_id": "round-9/vehicle-3"},
+                               "wrong session"),
+    "delivery, other session": (HashStubScheme, DAT, {"session_id": "round-9/vehicle-3"},
+                                "wrong session"),
+    **{f"request, low-order key {i}": (Ed25519X25519Scheme, REQ, {"body": point + bytes(48)},
+                                       "undecryptable")
+       for i, point in enumerate(_LOW_ORDER)},
+    **{f"{field}={value!r}, {scheme.__name__}": (scheme, REQ, {field: value}, "malformed message")
+       for scheme in SCHEMES
+       for field, value in (("timestamp", "99"), ("timestamp", 2.5), ("body", "text"),
+                            ("signature", "text"))},
+}
+
+
+@pytest.mark.parametrize("scheme, kind, fields, cause", REPROS.values(), ids=REPROS)
+def test_a_leg_refuses_a_message_its_send_half_did_not_make(scheme, kind, fields, cause):
+    world, result = _example_round(_altered(kind, "text" not in fields.values(), **fields), scheme)
+    session = result.sessions[0]
+    assert session.cause == (kind.name.lower(), cause)
+    assert session.paid_amount is None and world.vehicles[0].account.balance == 0
+    # the rest of the round is the round where that leg's signature is zeroed
+    ref_world, ref = _example_round(lambda w: {"tamper": _zero_signature(kind)}, scheme)
+    _assert_same_but(0, world, result, ref_world, ref)
+    assert result.sessions[1].state is SessionState.CONFIRMED
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_request_in_the_clear_is_too_short_to_decrypt(scheme):
+    world, result = _example_round(_altered(REQ, body=_in_clear), scheme)
+    request = result.sessions[0].transcript[-1]
+    assert result.sessions[0].failure == "request: undecryptable"
+    with pytest.raises(DecryptionError, match="ciphertext too short"):
+        world.scheme.decrypt(world.authority.keys.private, request.body)
+
+
+def _scheme(make, *args):
+    return lambda: make(*args)
+
+
+def _overquoted(world):
+    """A set-up whose mechanism quotes each winner more than the balance."""
+    def mechanism(instance):
+        outcome = tbsap(instance)
+        return replace(outcome, payments={w: 60.0 for w in outcome.winners})
+    return {"mechanism": mechanism}
+
+
+# For every pair in FAILURES, a set-up that makes a round reach it, for
+# vehicle 0 (vehicle 2 for the lost auction), and the scheme it runs on. A
+# timestamp of 1 is the broadcast's; 10**6 is later than any of the round.
+REACHED = {
+    ("broadcast", "bad certificate"): (_now(_recertify("authority")), HashStubScheme),
+    ("broadcast", "certificate subject mismatch"):
+        (_now(_recertify("authority", "vehicle-0")), HashStubScheme),
+    ("broadcast", "bad signature"): (_plain, _scheme(_RejectingStub, b"PUB|")),
+    ("request", "wrong kind"): (_altered(REQ, kind=MessageKind.ORDER), HashStubScheme),
+    ("request", "wrong session"): (_altered(REQ, session_id="round-0/vehicle-1"), HashStubScheme),
+    ("request", "malformed message"): (_altered(REQ, sender=None), HashStubScheme),
+    ("request", "bad certificate"): (_now(_recertify("vehicle-0")), HashStubScheme),
+    ("request", "certificate subject mismatch"):
+        (_altered(REQ, sender="vehicle-1"), HashStubScheme),
+    ("request", "bad signature"): (_altered(REQ, False, signature=bytes(32)), HashStubScheme),
+    ("request", "undecryptable"): (_altered(REQ, body=_in_clear), HashStubScheme),
+    ("request", "stale timestamp"): (_altered(REQ, timestamp=1), HashStubScheme),
+    ("request", "malformed payload"): (_altered(REQ, body=_sealed(b"(")), HashStubScheme),
+    ("request", "inconsistent payload"):
+        (_altered(REQ, body=_sealed(b"('request', 0, (), 1.0)")), HashStubScheme),
+    ("auction", "lost"): (_plain, HashStubScheme),
+    ("funding", "insufficient"): (_overquoted, HashStubScheme),
+    ("order", "bad certificate"): (_before_serving(_recertify("authority")), HashStubScheme),
+    ("order", "certificate subject mismatch"):
+        (_before_serving(_recertify("authority", "vehicle-0")), HashStubScheme),
+    ("order", "bad signature"): (_plain, _scheme(_RejectingStub, b"ORD|")),
+    ("order", "undecryptable"): (_plain, _scheme(_DeafStub, b"('order'")),
+    ("order", "stale timestamp"): (_altered(REQ, timestamp=10**6), HashStubScheme),
+    ("data", "wrong kind"): (_altered(DAT, kind=MessageKind.REQUEST), HashStubScheme),
+    ("data", "wrong session"): (_altered(DAT, session_id="round-1/vehicle-0"), HashStubScheme),
+    ("data", "malformed message"): (_altered(DAT, False, signature=None), HashStubScheme),
+    ("data", "bad certificate"): (_before_serving(_recertify("vehicle-0")), HashStubScheme),
+    ("data", "certificate subject mismatch"):
+        (_altered(DAT, sender="vehicle-2"), HashStubScheme),
+    ("data", "bad signature"): (_altered(DAT, False, timestamp=10**6), HashStubScheme),
+    ("data", "undecryptable"): (_altered(DAT, body=bytes(80)), HashStubScheme),
+    ("data", "stale timestamp"):
+        (_altered(DAT, timestamp=lambda world, m: m.timestamp - 1), HashStubScheme),
+    ("data", "malformed payload"): (_altered(DAT, body=_sealed(b"('data', 0)")), HashStubScheme),
+    ("data", "rejected"): (lambda world: {"data_check": lambda *_: False}, HashStubScheme),
+    ("confirm", "bad certificate"): (_before_confirm(_recertify("vehicle-0")), HashStubScheme),
+    ("confirm", "certificate subject mismatch"):
+        (_before_confirm(_recertify("vehicle-0", "vehicle-1")), HashStubScheme),
+    ("confirm", "bad signature"): (_plain, _scheme(_RejectingStub, b"CON|")),
+    ("confirm", "undecryptable"): (_plain, _scheme(_DeafStub, b"('confirm'")),
+    ("confirm", "stale timestamp"): (_altered(DAT, timestamp=10**6), HashStubScheme),
+}
+
+
+def test_every_pair_in_failures_has_a_round_that_reaches_it():
+    assert set(REACHED) == set(FAILURES) and len(FAILURES) == 35
+
+
+@pytest.mark.parametrize("pair", REACHED, ids=[": ".join(pair) for pair in REACHED])
+def test_a_round_reaches_the_pair(pair):
+    setup, scheme = REACHED[pair]
+    world, result = _example_round(setup, scheme)
+    vid = 2 if pair == ("auction", "lost") else 0
+    session = result.sessions[vid]
+    assert session.state is SessionState.ABORTED and session.cause == pair
+    # only a failed confirm comes after the payment
+    assert (world.vehicles[vid].account.balance > 0) is (pair[0] == "confirm")
+    assert vid not in [r.vehicle_id for r in result.records]
+    assert world.total_balance() == 50
+
+
+# One field of a request or a delivery, mutated in flight: a value, or a
+# function of the field's old value, the leg's last timestamp (the one its
+# session last accepted) and the message's plaintext.
+def _flip(old, last, clear):
+    return old[:-1] + bytes([old[-1] ^ 1])
+
+
+def _from_last(d):
+    return lambda old, last, clear: last + d
+
+
+def _from_own(d):
+    return lambda old, last, clear: old + d
+
+
+_FIELD_VALUES = {
+    "kind": st.sampled_from([*MessageKind, "REQ", None]),
+    "sender": st.sampled_from(["vehicle-0", "vehicle-1", "authority", "", 0, None, b"vehicle-0"]),
+    "session_id": st.sampled_from(["round-9/vehicle-3", "round-0/vehicle-0", "round-0/vehicle-1",
+                                   "round-0", "", None, b"round-0/vehicle-0"]),
+    "timestamp": st.integers(-2, 2).map(_from_last) | st.integers(-2, 2).map(_from_own)
+    | st.integers(-2**64, 2**64) | st.sampled_from(["99", 2.5, 1.0, True, None]),
+    "body": st.sampled_from([
+        _flip, lambda old, last, clear: clear, lambda old, last, clear: old.hex(),
+        lambda old, last, clear: bytearray(old), b"", *(p + bytes(48) for p in _LOW_ORDER),
+    ]) | st.binary(max_size=100),
+    "signature": st.sampled_from([_flip, lambda old, last, clear: old.hex(), None, b""])
+    | st.binary(max_size=80),
+}
+
+
+def _expected_cause(sent, received, resigned, last):
+    """The cause a leg must abort with when ``sent`` arrives as ``received``,
+    signed again by its sender or not; None if it must accept it."""
+    if received.kind is not sent.kind:
+        return "wrong kind"
+    if received.session_id != sent.session_id:
+        return "wrong session"
+    types = (type(received.sender), type(received.timestamp), type(received.body),
+             type(received.signature))
+    if types != (str, int, bytes, bytes):
+        return "malformed message"
+    if received.sender != sent.sender:
+        return "certificate subject mismatch"
+    if received == sent:
+        return None
+    if not resigned:
+        return "bad signature"
+    if received.body != sent.body:
+        return "undecryptable"
+    return "stale timestamp" if received.timestamp <= last else None
+
+
+@st.composite
+def small_maps(draw):
+    return generate_scenario(ScenarioConfig(
+        n_tasks=draw(st.integers(1, 15)), n_vehicles=draw(st.integers(1, 15)),
+        budget=10.0, rng_seed=draw(st.integers(0, 2**32 - 1)), city_side=80.0,
+    ))
+
+
+@settings(max_examples=150)
+@given(instance=small_maps().filter(lambda instance: instance.vehicles),
+       scheme=st.sampled_from(SCHEMES), seed=st.integers(0, 2**16), data=st.data())
+def test_a_mutated_leg_on_a_generated_map_aborts_only_its_session(instance, scheme, seed, data):
+    def play(tamper=lambda world: None):
+        world = build_world(instance, scheme(), seed=seed, authority_balance=Fraction(10**6))
+        return world, run_trading_round(world, instance, tamper=tamper(world))
+
+    _, honest = play()
+    winners = [v for v, s in honest.sessions.items() if s.state is SessionState.CONFIRMED]
+    kind = data.draw(st.sampled_from([REQ, DAT] if winners else [REQ]))
+    vid = data.draw(st.sampled_from(winners if kind is DAT else sorted(honest.sessions)))
+    field = data.draw(st.sampled_from(sorted(_FIELD_VALUES)))
+    value = data.draw(_FIELD_VALUES[field])
+    resigned = field != "signature" and data.draw(st.booleans())
+    at = 1 if kind is REQ else 3  # the leg's place in its transcript
+    sent = honest.sessions[vid].transcript[at]
+    last = honest.sessions[vid].transcript[at - 1].timestamp
+    received = []
+
+    def mutate(world):
+        def tamper(message):
+            if message.kind is not kind or message.sender != f"vehicle-{vid}":
+                return message
+            assert message == sent
+            clear = world.scheme.decrypt(world.authority.keys.private, message.body)
+            new = value(getattr(message, field), last, clear) if callable(value) else value
+            message = replace(message, **{field: new})
+            if resigned:
+                try:
+                    message = _signed_by(world, message, vid)
+                except (AttributeError, TypeError):  # a kind or a body that cannot be signed
+                    pass
+            received.append(message)
+            return message
+        return tamper
+
+    world, result = play(mutate)
+    (got,) = received
+    cause = _expected_cause(sent, got, resigned, last)
+    session, stage = result.sessions[vid], kind.name.lower()
+    event(f"{stage}: {cause or 'accepted'}")
+    assert session.transcript[at] == got
+    assert world.total_balance() == 10**6
+    assert world.vehicles[vid].account.balance == (session.paid_amount or 0)
+    if cause:
+        assert session.cause == (stage, cause) and session.paid_amount is None
+        ref_world, ref = play(lambda world: _zero_signature(kind, vid))
+        _assert_same_but(vid, world, result, ref_world, ref)
+        return
+    # an accepted message moves the session's clock to its timestamp, so
+    # the session's next leg goes stale if it is not later; all else is
+    # as in the honest round
+    following = honest.sessions[vid].transcript[at + 1:at + 2]
+    stale = bool(following) and following[0].timestamp <= got.timestamp
+    expected = (following[0].kind.name.lower(), "stale timestamp") if stale else None
+    assert session.cause == (expected or honest.sessions[vid].cause)
+    assert {v: (s.state, s.cause, s.paid_amount) for v, s in result.sessions.items() if v != vid} \
+        == {v: (s.state, s.cause, s.paid_amount) for v, s in honest.sessions.items() if v != vid}
+    assert [(r.vehicle_id, r.amount) for r in result.records] == \
+        [(r.vehicle_id, r.amount) for r in honest.records if not (stale and r.vehicle_id == vid)]
+    if not stale:
+        assert result.block == honest.block
+
+
 # A vehicle's request or delivery forged in flight: its signature zeroed, or
 # a payload that its own key signs and the authority cannot use, either no
 # literal at all or the wrong fields (no tasks requested, no readings sent).
@@ -571,7 +963,7 @@ WRONG_PAYLOAD = {
 def _forged(world, message, how):
     if how == "signature":
         return replace(message, signature=b"\x00" * len(message.signature))
-    vid = int(message.sender.removeprefix("vehicle-"))
+    vid = _vid(message.sender)
     plaintext = b"(" if how == "malformed" else repr(WRONG_PAYLOAD[message.kind](vid)).encode()
     return _signed_as_sent(world, message, plaintext)
 
@@ -606,7 +998,7 @@ def _play(instance, mechanism, balance, forged, seed):
     world = build_world(instance, HashStubScheme(), seed=seed, authority_balance=balance)
 
     def tamper(message):
-        kind, how = forged.get(int(message.sender.removeprefix("vehicle-")), (None, None))
+        kind, how = forged.get(_vid(message.sender), (None, None))
         return _forged(world, message, how) if kind is message.kind else message
 
     return world, run_trading_round(world, instance, mechanism=mechanism, tamper=tamper)
@@ -683,6 +1075,23 @@ class TestCryptoSchemes:
             scheme.decrypt(bob.private, sealed)
         assert scheme.decrypt(alice.private, sealed) == b"for alice only"
 
+    def test_stub_knows_only_the_keys_it_minted(self):
+        scheme, other = HashStubScheme(), HashStubScheme()
+        rng = np.random.default_rng(0)
+        foreign = other.generate_keypair(rng)
+        signature = other.sign(foreign.private, b"data")
+        assert other.verify(foreign.public, b"data", signature)
+        assert not scheme.verify(foreign.public, b"data", signature)
+        with pytest.raises(ValueError, match="unknown recipient"):
+            scheme.encrypt(foreign.public, b"data", rng)
+
+    @pytest.mark.parametrize("point", _LOW_ORDER, ids=["zero", "one"])
+    def test_real_scheme_refuses_a_low_order_ephemeral_key(self, point):
+        scheme = Ed25519X25519Scheme()
+        keys = scheme.generate_keypair(np.random.default_rng(1))
+        with pytest.raises(DecryptionError, match="low order"):
+            scheme.decrypt(keys.private, point + bytes(48))
+
     def test_real_scheme_roundtrip_and_signature(self):
         scheme = Ed25519X25519Scheme()
         rng = np.random.default_rng(1)
@@ -729,29 +1138,47 @@ class TestCryptoSchemes:
 
 
 class TestVerifyMessage:
+    @staticmethod
+    def request_of(world, instance):
+        return run_trading_round(world, instance).sessions[0].transcript[1]
+
     def test_failure_reasons_come_in_protocol_order(self, world):
+        # each case passes every check before the one it fails
         world, instance = world
-        result = run_trading_round(world, instance)
-        session = result.sessions[0]
-        request = next(
-            m for m in session.transcript if m.kind is MessageKind.REQUEST
-        )
-        cert = world.vehicles[0].certificate
-        broken_cert = Certificate(cert.subject, cert.public_key, b"\x00" * 32)
-        _, reason = verify_message(world, request, broken_cert, None, 0)
-        assert reason == "bad certificate"
-        wrong_subject = world.vehicles[1].certificate
-        _, reason = verify_message(world, request, wrong_subject, None, 0)
-        assert reason == "certificate subject mismatch"
-        forged = replace(request, body=b"x" + request.body[1:])
-        _, reason = verify_message(world, forged, cert, None, 0)
-        assert reason == "bad signature"
-        _, reason = verify_message(world, request, cert, None, 0)
-        assert reason == "no decryption key"
-        plaintext, reason = verify_message(
-            world, request, cert, world.authority.keys.private, 0
-        )
+        request = self.request_of(world, instance)
+        cert, key = world.vehicles[0].certificate, world.authority.keys.private
+        cases = [
+            (replace(request, timestamp=None), cert, key, 0),
+            (request, _corrupt(cert, "signature"), key, 0),
+            (request, world.vehicles[1].certificate, key, 0),
+            (replace(request, body=b"x" + request.body[1:]), cert, key, 0),
+            (request, cert, None, 0),
+            (request, cert, world.vehicles[1].keys.private, 0),
+            (request, cert, key, request.timestamp),
+        ]
+        reasons = [verify_message(world, *case) for case in cases]
+        assert reasons == [(None, reason) for reason in VERIFY_REASONS]
+        plaintext, reason = verify_message(world, request, cert, key, request.timestamp - 1)
         assert reason is None and plaintext.startswith(b"('request'")
+
+    @pytest.mark.parametrize("field, value", [
+        ("kind", "REQ"), ("sender", None), ("session_id", 0), ("timestamp", "99"),
+        ("timestamp", 2.5), ("timestamp", True), ("body", "text"), ("body", bytearray(64)),
+        ("signature", "text"), ("signature", None),
+    ])
+    def test_a_field_of_the_wrong_type_is_refused_before_anything_reads_it(
+        self, world, field, value
+    ):
+        world, instance = world
+        broken = replace(self.request_of(world, instance), **{field: value})
+        cert = _corrupt(world.vehicles[0].certificate, "signature")
+        assert verify_message(world, broken, cert) == (None, "malformed message")
+
+    def test_a_broadcast_is_read_as_sent(self, world):
+        world, instance = world
+        publish = run_trading_round(world, instance).sessions[0].transcript[0]
+        plaintext, reason = verify_message(world, publish, world.authority.certificate)
+        assert reason is None and plaintext == publish.body
 
 
 def _corrupt(certificate, field):
@@ -827,7 +1254,7 @@ def _transcript_digest(world, instance, rounds, tamper=None):
                 h.update(
                     repr(
                         (m.kind.value, m.sender, m.session_id, m.timestamp,
-                         m.body, m.signature, m.encrypted)
+                         m.body, m.signature, m.kind is not MessageKind.PUBLISH)
                     ).encode()
                 )
         h.update((result.block.hash if result.block else "-").encode())
