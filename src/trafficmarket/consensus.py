@@ -280,7 +280,7 @@ class ConsensusState:
     global_round: int = 0
     committee: Committee | None = None
     leader_cursor: int = 0
-    skipped: set[int] = field(default_factory=set)
+    skipped: set[int] = field(default_factory=set)  # leaders whose turn produced no block
     voted: frozenset[int] = frozenset()
     chain: list[BlockRecord] = field(default_factory=list)
 
@@ -292,15 +292,13 @@ class ConsensusState:
         self.voted = voted
 
     def next_leader(self) -> int | None:
-        """Next unskipped node in leader order, None when exhausted."""
+        """The holder of the next seat in leader order, None once every seat
+        has led. Each seat leads once per epoch: an id the active order
+        repeats leads at each of its seats, whether or not it produced a
+        block at an earlier one."""
         assert self.committee is not None
         order = self.committee.active_order
-        while self.leader_cursor < len(order):
-            candidate = order[self.leader_cursor]
-            if candidate not in self.skipped:
-                return candidate
-            self.leader_cursor += 1
-        return None
+        return order[self.leader_cursor] if self.leader_cursor < len(order) else None
 
 
 def cast_votes(nodes: Sequence[FullNode], params: ReputationParams) -> list[VotingBallot]:
@@ -462,11 +460,12 @@ def _tally(pools: Sequence[np.ndarray], weights: Sequence[np.ndarray],
     step, (r[a] - r[b]) - (r[s + 1] - r[s]), exact as the step is
     (Sterbenz) and both are multiples of u below 2**k, and leaves at r[a]
     less that step, as its own fold does. Rows before the first chain's own
-    row fold nowhere. Chains begin where r is theirs: the first at its own
-    row, each later one at the first row of its block, as at most
-    ``_BLOCK`` rows fold per ``np.add.reduce(axis=0)`` into a block holding
-    a spare column (numpy sums a one-column block pairwise), then the
-    chains begun before its end."""
+    row fold nowhere: every chain begins there at r, and a chain folds only
+    exact rows up to its own, so it reaches its own row at r bit for bit.
+    At most ``_BLOCK`` rows fold per ``np.add.reduce(axis=0)`` into a block
+    holding a spare column (numpy sums a one-column block pairwise), then
+    every chain; a chain's own cell is written in the block that holds its
+    own row."""
     tally = np.zeros(len(home))
     for p, (voters, w) in enumerate(zip(pools, weights)):
         running = np.cumsum(np.concatenate(([0.0], w)))
@@ -481,21 +480,15 @@ def _tally(pools: Sequence[np.ndarray], weights: Sequence[np.ndarray],
         rows, bounds, quiet = _column(running, w)
         at = np.searchsorted(bounds, starts, "right") - 1  # each chain's own row
         own = np.where(quiet[starts], rows[at] - (running[starts + 1] - running[starts]), -0.0)
-        q0s = np.arange(at[0], len(rows), _BLOCK)  # each block's first row
-        q1s = np.minimum(q0s + _BLOCK, len(rows))
-        widths = 1 + np.searchsorted(at, q1s)  # a spare column, then the chains begun
-        k = (at - at[0]) // _BLOCK  # the block each chain begins in
-        cells = (1 + at - q0s[k]) * widths[k] + np.arange(1, len(at) + 1)  # own cell, flat
-        cut = np.searchsorted(k, np.arange(len(q0s) + 1)).tolist()  # cells' slice per block
-        chains = np.concatenate(([0.0], running[bounds[q0s[k]]]))  # r where each chain begins
-        buffer = np.empty((min(_BLOCK, len(rows) - at[0]) + 1) * len(chains))
-        for i, (q0, q1, width) in enumerate(zip(q0s.tolist(), q1s.tolist(), widths.tolist())):
-            flat = buffer[: (q1 - q0 + 1) * width]
-            block = flat.reshape(q1 - q0 + 1, width)  # row 1 + q - q0: row q of the column
-            block[0] = chains[:width]
-            block[1:] = rows[q0:q1, None]
-            flat[cells[cut[i] : cut[i + 1]]] = own[cut[i] : cut[i + 1]]
-            np.add.reduce(block, axis=0, out=chains[:width])
+        chains = np.full(len(at) + 1, running[bounds[at[0]]])  # a spare column, then the chains
+        buffer = np.empty((_BLOCK + 1, len(chains)))
+        for q0 in range(at[0], len(rows), _BLOCK):
+            block = buffer[: min(_BLOCK, len(rows) - q0) + 1]  # row 1 + q - q0: row q
+            block[0] = chains
+            block[1:] = rows[q0 : q0 + len(block) - 1, None]
+            lo, hi = np.searchsorted(at, (q0, q0 + _BLOCK))  # the chains whose own row it holds
+            block[1 + at[lo:hi] - q0, np.arange(lo + 1, hi + 1)] = own[lo:hi]
+            np.add.reduce(block, axis=0, out=chains)
         tally[voters[starts]] = chains[1:]
     return tally
 
@@ -696,8 +689,8 @@ def run_round(
 ) -> list[BehaviorRecord]:
     """One consensus round: leader attempt, verification, reputation sweep.
 
-    The scheduled leader either produces nothing (it is skipped for the
-    rest of the epoch and the round records no block) or produces a block
+    The leader of the next seat either produces nothing (the round records
+    no block, and the leader joins ``state.skipped``) or produces a block
     that every other committee member verifies. Reputations of all nodes
     update afterwards, abstainers included, in one vector sweep.
     """
@@ -781,9 +774,9 @@ def run_epochs(
     experiments use it to pin narratives that depend on who gets elected
     when. It must cover every epoch, seat only ids of the population and
     draw its leaders from its members; repeated member ids are allowed.
-    An epoch ends early only if every remaining leader was skipped. The
-    reputations live in one vector during the run and go back to the
-    nodes when it ends.
+    Each epoch plays one round per seat of its active order, so an id it
+    repeats leads once per seat. The reputations live in one vector during
+    the run and go back to the nodes when it ends.
 
     Each epoch not forced elects with ``_elect``: ``cast_votes``' ballots as
     arrays, one per voting node in node order, into pool 0 (high) or 1
@@ -817,9 +810,7 @@ def run_epochs(
         state.start_epoch(committee, voted)
         history.committees.append(committee)
         view = _epoch_view(committee, nodes, run, vote_term, params.w_verify)
-        for _ in range(len(committee.active_order)):
-            if state.next_leader() is None:
-                break  # fully skipped epoch ends early
+        for _ in committee.active_order:
             round_index = state.global_round
             *_, delta, reputations, roles = _round(state, nodes, params, view, reputations)
             history.rounds.append((epoch, round_index, reputations, roles, delta))

@@ -28,6 +28,7 @@ import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -95,30 +96,34 @@ def _recipient_key(public: bytes) -> X25519PublicKey:
     return X25519PublicKey.from_public_bytes(public)
 
 
-class SignatureScheme:
+class SignatureScheme(Protocol):
     """Interface: deterministic keygen, sign/verify, and hybrid encryption.
 
     Public and private keys are opaque byte strings produced by
     ``generate_keypair``; randomness always comes from the ``rng`` argument.
+    A scheme matches by its methods alone (``typing.Protocol``): the two
+    schemes here do not subclass it.
     """
 
     def generate_keypair(self, rng: np.random.Generator) -> KeyPair:
-        raise NotImplementedError
+        """A fresh key pair, drawn from ``rng`` alone."""
 
     def sign(self, private: bytes, data: bytes) -> bytes:
-        raise NotImplementedError
+        """The signature of ``data`` under ``private``."""
 
     def verify(self, public: bytes, data: bytes, signature: bytes) -> bool:
-        raise NotImplementedError
+        """Whether ``signature`` signs ``data`` under ``public``'s key."""
 
     def encrypt(self, public: bytes, plaintext: bytes, rng: np.random.Generator) -> bytes:
-        raise NotImplementedError
+        """``plaintext`` sealed for ``public``'s holder, its randomness from
+        ``rng``."""
 
     def decrypt(self, private: bytes, ciphertext: bytes) -> bytes:
-        raise NotImplementedError
+        """The plaintext of ``ciphertext``; raises ``DecryptionError`` if it
+        does not open under ``private``."""
 
 
-class Ed25519X25519Scheme(SignatureScheme):
+class Ed25519X25519Scheme:
     """Real asymmetric crypto with deterministic key derivation.
 
     A keypair concatenates an Ed25519 signing key and an X25519 agreement
@@ -183,7 +188,7 @@ class Ed25519X25519Scheme(SignatureScheme):
             raise DecryptionError("ciphertext failed authentication") from exc
 
 
-class HashStubScheme(SignatureScheme):
+class HashStubScheme:
     """Hash-based stand-in with no real security.
 
     Signatures are HMACs and encryption is a hash keystream, both keyed by

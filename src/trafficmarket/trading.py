@@ -48,7 +48,11 @@ but the signature signed:
   the recipient's private key and the session's last timestamp. Every kind
   but ``PUBLISH`` is decrypted, so a request or delivery sent in the clear
   is ``undecryptable``, and a field of the wrong type is refused as
-  ``malformed message`` before anything reads it.
+  ``malformed message`` before anything reads it. A timestamp must lie
+  above the session's last and at most at the world's clock, else it is a
+  ``stale timestamp`` or a ``future timestamp``, so an accepted message
+  cannot move its session's clock past the session's next leg, which the
+  world stamps later.
 
 No message that ``tamper`` returns makes the round raise: it aborts only
 the session it belongs to.
@@ -329,11 +333,12 @@ class SessionState(enum.Enum):
 #: How the broadcast can fail its check: the round makes it, encrypts it for
 #: nobody, and checks it against ``last_timestamp`` 0.
 _BROADCAST_CAUSES = ("bad certificate", "certificate subject mismatch", "bad signature")
-#: How an order or a confirm, which the round makes, can fail its leg.
-_LEG_CAUSES = (*_BROADCAST_CAUSES, "undecryptable", "stale timestamp")
+#: How an order or a confirm, which the round makes, can fail its leg: its
+#: timestamp is the world's next, so it is neither stale nor in the future.
+_LEG_CAUSES = (*_BROADCAST_CAUSES, "undecryptable")
 #: How a request or a delivery, which ``tamper`` may alter, can fail its leg.
 _TAMPERED_CAUSES = ("wrong kind", "wrong session", "malformed message", *_LEG_CAUSES,
-                    "malformed payload")
+                    "stale timestamp", "future timestamp", "malformed payload")
 
 #: Every way a session can abort in a round, and no other: ``(stage,
 #: cause)`` to the text that ``TradingSession.failure`` reads. A broadcast
@@ -434,7 +439,9 @@ def verify_message(
     * ``"no decryption key"``: the kind is not ``PUBLISH``, so the body is a
       ciphertext, and no ``recipient_private`` was given;
     * ``"undecryptable"``: the body does not decrypt under that key;
-    * ``"stale timestamp"``: the timestamp is not above ``last_timestamp``.
+    * ``"stale timestamp"``: the timestamp is not above ``last_timestamp``;
+    * ``"future timestamp"``: the timestamp is above ``world.clock``, the
+      latest that the world has handed out.
 
     The kind alone decides whether the body is decrypted: a ``PUBLISH`` body
     is its plaintext, and any other body is a ciphertext. A message that
@@ -466,6 +473,8 @@ def verify_message(
             return None, "undecryptable"
     if message.timestamp <= last_timestamp:
         return None, "stale timestamp"
+    if message.timestamp > world.clock:
+        return None, "future timestamp"
     return plaintext, None
 
 

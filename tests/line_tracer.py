@@ -9,9 +9,10 @@ From the start of the session to its end it traces, with ``sys.settrace``,
 only frames whose code lives in ``src/trafficmarket/``, and each code object
 only until all of its lines have run. At the end it prints
 every statement inside a function body that never ran, as ``path:line``
-with its source. Module-level statements run at import, often before the
-tracer starts, so they are not counted; nor is code that runs in a
-subprocess. Tracing makes the run several times slower.
+with its source, and fails the session if it printed any. Module-level
+statements run at import, often before the tracer starts, so they are not
+counted; nor is code that runs in a subprocess. Tracing makes the run
+several times slower.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trafficmarket"
 _PREFIX = str(PACKAGE) + os.sep
 #: (file, line) of every line event in the package
@@ -30,6 +33,8 @@ _ran: set[tuple[str, int]] = set()
 #: the code lies outside the package; a code object whose lines have all
 #: run is traced no more, which keeps hot loops cheap
 _pending: dict = {}
+#: what ``never_ran`` returned when the session finished
+_missed: list = []
 
 
 def _trace_lines(frame, event, arg):
@@ -104,11 +109,13 @@ def pytest_sessionstart(session):
 def pytest_sessionfinish(session, exitstatus):
     sys.settrace(None)
     threading.settrace(None)
+    _missed[:] = never_ran()
+    if _missed and session.exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def pytest_terminal_summary(terminalreporter):
-    missed = never_ran()
     root = PACKAGE.parents[1]
-    terminalreporter.section(f"lines of {PACKAGE.relative_to(root)} never run: {len(missed)}")
-    for path, line, source in missed:
+    terminalreporter.section(f"lines of {PACKAGE.relative_to(root)} never run: {len(_missed)}")
+    for path, line, source in _missed:
         terminalreporter.write_line(f"{path.relative_to(root)}:{line}: {source}")

@@ -427,3 +427,14 @@ def test_only_trade_imports_cryptography(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, env=env, check=True, timeout=120,
     )
     assert done.stdout == "[False, False, False, False, False] trafficmarket.crypto True\n"
+
+
+def test_lazy_names_are_their_modules_objects():
+    from trafficmarket import crypto, trading
+
+    for module, names in ((crypto, ["Ed25519X25519Scheme", "HashStubScheme", "SignatureScheme"]),
+                          (trading, ["SessionState", "build_world", "run_trading_round"])):
+        for name in names:
+            assert getattr(trafficmarket, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'Scheme'"):
+        trafficmarket.Scheme

@@ -294,6 +294,25 @@ class TestRoundDeltas:
         # nothing was broadcast, so nobody verified anything
         assert all(recs[i].gamma == 0 for i in range(5))
 
+    def test_a_round_before_any_election_is_refused(self):
+        nodes = make_nodes([0.5, 0.7, 0.9])
+        state = ConsensusState()
+        with pytest.raises(RuntimeError, match="no committee elected"):
+            run_round(state, nodes, PARAMS)
+        assert [n.reputation for n in nodes] == [0.5, 0.7, 0.9]
+        assert state == ConsensusState()
+
+    def test_a_round_after_every_seat_has_led_is_refused(self):
+        # node 0 holds two seats and makes no block: it leads at both
+        nodes = make_nodes([0.5] * 4, behaviors={0: Behavior(produces_block=False)})
+        state, _ = single_round(nodes, forced([0, 1, 2, 3], [0, 0, 1], [2, 3]))
+        assert [run_round(state, nodes, PARAMS)[0].beta for _ in range(2)] == [-1, 0]
+        reputations, chain = [n.reputation for n in nodes], list(state.chain)
+        with pytest.raises(RuntimeError, match="leader order exhausted for this epoch"):
+            run_round(state, nodes, PARAMS)
+        assert [n.reputation for n in nodes] == reputations
+        assert (state.chain, state.global_round, state.skipped) == (chain, 3, {0})
+
 
 class TestEpochRuns:
     def test_all_normal_chain_grows_every_round(self):

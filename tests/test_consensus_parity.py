@@ -466,14 +466,20 @@ def drive_rounds(nodes, committee_size, active_size, n_epochs, mode, seed, sched
             rng.permutation(active_size)
         committees.append(committee)
         state.start_epoch(committee, frozenset(b.voter_id for b in ballots))
-        for _ in range(len(committee.active_order)):
-            if state.next_leader() is None:
-                break
+        for _ in committee.active_order:
             round_index = state.global_round
             for r in run_round(state, nodes, PARAMS):
                 rows.append((epoch, round_index, r.node_id, r.reputation, r.role, r.delta))
                 records.append(r)
     return rows, records, state.chain, committees
+
+
+def leader_orders(seats, active_size):
+    """The first ``active_size`` seats, or as many leaders drawn from all of
+    them, an id as often as it is drawn: a repeated id leads at each of its
+    seats, whether or not it produced a block at an earlier one."""
+    repeated = st.lists(st.sampled_from(seats), min_size=active_size, max_size=active_size)
+    return st.just(tuple(seats[:active_size])) | repeated.map(tuple)
 
 
 @st.composite
@@ -487,7 +493,7 @@ def schedules(draw, n, committee_size, active_size, n_epochs):
         seats = draw(st.permutations(range(n)))[:committee_size]
         forced.append(Committee(
             members=tuple(seats),
-            active_order=tuple(seats[:active_size]),
+            active_order=draw(leader_orders(seats, active_size)),
             standby=tuple(seats[active_size:]),
             voting_result={},
         ))
@@ -566,7 +572,7 @@ def test_scripted_verdicts_match_run_round(data, nodes, active, epochs, weighted
     seats = [skipper.id] + others[: committee_size - 1]
     schedule[0] = Committee(
         members=tuple(seats),
-        active_order=tuple(seats[:active]),
+        active_order=(skipper.id, *data.draw(leader_orders(seats, active))[1:]),
         standby=tuple(seats[active:]),
         voting_result={},
     )
@@ -622,6 +628,33 @@ def test_scripted_leader_flip_in_a_repeated_seat():
     assert [n.reputation.hex() for n in epoch_nodes] == [
         n.reputation.hex() for n in slow_nodes
     ]
+
+
+def test_a_leader_that_made_no_block_leads_again_at_its_next_seat():
+    """Node 0 holds the first two of three seats in leader order and never
+    produces a block. Each seat leads once, so node 0 loses w_lead twice and
+    node 1's block closes the epoch: three rounds, node 0 at 0.425, as in
+    the oracle. Skipping node 0 for the rest of the epoch once it made no
+    block would play two rounds and leave it at 0.47."""
+    nodes = [FullNode(id=i, reputation=0.5) for i in range(4)]
+    nodes[0].behavior = Behavior(produces_block=False)
+    schedule = [Committee(members=(0, 1, 2, 3), active_order=(0, 0, 1), standby=(2, 3),
+                          voting_result={})]
+    epoch_nodes, round_nodes, slow_nodes = clone(nodes), clone(nodes), clone(nodes)
+    history = run_epochs(epoch_nodes, PARAMS, 4, 3, 1, committee_schedule=schedule)
+    rows, records, chain, _ = drive_rounds(round_nodes, 4, 3, 1, MODES[0], 0, schedule)
+    slow_rows, slow_chain, _ = slow_run_epochs(slow_nodes, PARAMS, 4, 3, 1, True, 0, schedule)
+    assert [rnd for _, rnd, *_ in history.rounds] == [0, 1, 2]
+    assert hexed(history.rows) == hexed(rows) == hexed(slow_rows)
+    assert history.chain == chain
+    assert [(b.epoch, b.round_index, b.producer_id, b.payload_hash, b.confirmations)
+            for b in history.chain] == slow_chain
+    assert [(b.round_index, b.producer_id) for b in chain] == [(2, 1)]
+    assert [r.beta for r in records if r.node_id == 0] == [-1, -1, 0]
+    assert [n.reputation.hex() for n in epoch_nodes] == [
+        n.reputation.hex() for n in round_nodes
+    ] == [n.reputation.hex() for n in slow_nodes]
+    assert epoch_nodes[0].reputation == pytest.approx(0.425)
 
 
 def test_history_readers_never_build_rows(tmp_path, monkeypatch):

@@ -331,16 +331,18 @@ class TestFailureModes:
 
 # What verify_message can report, in the order it checks.
 VERIFY_REASONS = ("malformed message", "bad certificate", "certificate subject mismatch",
-                  "bad signature", "no decryption key", "undecryptable", "stale timestamp")
+                  "bad signature", "no decryption key", "undecryptable", "stale timestamp",
+                  "future timestamp")
 # The text of every way a session can abort in a round, and of no other.
 # Each broadcast and leg failure reads "<stage>: <cause>"; the round never
 # withholds a decryption key, never encrypts or tampers with the broadcast,
-# and checks it against timestamp 0, and only requests and deliveries pass
-# through tamper.
+# and checks it against timestamp 0, stamps each order and confirm with the
+# world's next timestamp, and only requests and deliveries pass through
+# tamper.
 _CHECKED = ("bad certificate", "certificate subject mismatch", "bad signature")
-_DECRYPTED = (*_CHECKED, "undecryptable", "stale timestamp")
+_DECRYPTED = (*_CHECKED, "undecryptable")
 _TAMPERED = ("wrong kind", "wrong session", "malformed message", *_DECRYPTED,
-             "malformed payload")
+             "stale timestamp", "future timestamp", "malformed payload")
 FAILURE_TEXTS = {
     **{("broadcast", cause): f"broadcast: {cause}" for cause in _CHECKED},
     **{(stage, cause): f"{stage}: {cause}" for stage in ("order", "confirm")
@@ -359,7 +361,7 @@ FAILURE_TEXTS = {
 # check, the delivery's parse and the data check.
 SITE_TEXTS = [
     (("broadcast", "bad certificate"), "broadcast: bad certificate"),
-    (("order", "stale timestamp"), "order: stale timestamp"),
+    (("data", "stale timestamp"), "data: stale timestamp"),
     (("request", "malformed payload"), "request: malformed payload"),
     (("request", "inconsistent payload"), "request: inconsistent payload"),
     (("auction", "lost"), "lost auction"),
@@ -705,7 +707,13 @@ REQ, DAT = MessageKind.REQUEST, MessageKind.DATA
 # session, a body whose ephemeral key is a low-order point (it crashed the
 # real scheme), and a timestamp, body or signature of the wrong type (each
 # crashed the round, but for 2.5, which was paid). Text cannot be signed.
+# Then two stamped later than the world's clock, before legs bounded a
+# timestamp from above: such a delivery was paid and made its own confirm
+# stale, and such a request won the auction, made vehicle 2 lose, and made
+# its own order stale.
 REPROS = {
+    "request from the future": (HashStubScheme, REQ, {"timestamp": 10**6}, "future timestamp"),
+    "delivery from the future": (HashStubScheme, DAT, {"timestamp": 10**6}, "future timestamp"),
     "request in clear": (HashStubScheme, REQ, {"body": _in_clear}, "undecryptable"),
     "request in clear, real": (Ed25519X25519Scheme, REQ, {"body": _in_clear}, "undecryptable"),
     "request as confirm": (HashStubScheme, REQ, {"kind": MessageKind.CONFIRM}, "wrong kind"),
@@ -774,6 +782,7 @@ REACHED = {
     ("request", "bad signature"): (_altered(REQ, False, signature=bytes(32)), HashStubScheme),
     ("request", "undecryptable"): (_altered(REQ, body=_in_clear), HashStubScheme),
     ("request", "stale timestamp"): (_altered(REQ, timestamp=1), HashStubScheme),
+    ("request", "future timestamp"): (_altered(REQ, timestamp=10**6), HashStubScheme),
     ("request", "malformed payload"): (_altered(REQ, body=_sealed(b"(")), HashStubScheme),
     ("request", "inconsistent payload"):
         (_altered(REQ, body=_sealed(b"('request', 0, (), 1.0)")), HashStubScheme),
@@ -784,7 +793,6 @@ REACHED = {
         (_before_serving(_recertify("authority", "vehicle-0")), HashStubScheme),
     ("order", "bad signature"): (_plain, _scheme(_RejectingStub, b"ORD|")),
     ("order", "undecryptable"): (_plain, _scheme(_DeafStub, b"('order'")),
-    ("order", "stale timestamp"): (_altered(REQ, timestamp=10**6), HashStubScheme),
     ("data", "wrong kind"): (_altered(DAT, kind=MessageKind.REQUEST), HashStubScheme),
     ("data", "wrong session"): (_altered(DAT, session_id="round-1/vehicle-0"), HashStubScheme),
     ("data", "malformed message"): (_altered(DAT, False, signature=None), HashStubScheme),
@@ -795,6 +803,7 @@ REACHED = {
     ("data", "undecryptable"): (_altered(DAT, body=bytes(80)), HashStubScheme),
     ("data", "stale timestamp"):
         (_altered(DAT, timestamp=lambda world, m: m.timestamp - 1), HashStubScheme),
+    ("data", "future timestamp"): (_altered(DAT, timestamp=10**6), HashStubScheme),
     ("data", "malformed payload"): (_altered(DAT, body=_sealed(b"('data', 0)")), HashStubScheme),
     ("data", "rejected"): (lambda world: {"data_check": lambda *_: False}, HashStubScheme),
     ("confirm", "bad certificate"): (_before_confirm(_recertify("vehicle-0")), HashStubScheme),
@@ -802,7 +811,6 @@ REACHED = {
         (_before_confirm(_recertify("vehicle-0", "vehicle-1")), HashStubScheme),
     ("confirm", "bad signature"): (_plain, _scheme(_RejectingStub, b"CON|")),
     ("confirm", "undecryptable"): (_plain, _scheme(_DeafStub, b"('confirm'")),
-    ("confirm", "stale timestamp"): (_altered(DAT, timestamp=10**6), HashStubScheme),
 }
 
 
@@ -854,9 +862,11 @@ _FIELD_VALUES = {
 }
 
 
-def _expected_cause(sent, received, resigned, last):
+def _expected_cause(sent, received, resigned, last, now):
     """The cause a leg must abort with when ``sent`` arrives as ``received``,
-    signed again by its sender or not; None if it must accept it."""
+    signed again by its sender or not, at a session whose last timestamp is
+    ``last`` in a world whose clock reads ``now``; None if it must accept
+    it."""
     if received.kind is not sent.kind:
         return "wrong kind"
     if received.session_id != sent.session_id:
@@ -873,7 +883,9 @@ def _expected_cause(sent, received, resigned, last):
         return "bad signature"
     if received.body != sent.body:
         return "undecryptable"
-    return "stale timestamp" if received.timestamp <= last else None
+    if received.timestamp <= last:
+        return "stale timestamp"
+    return "future timestamp" if received.timestamp > now else None
 
 
 @st.composite
@@ -902,6 +914,10 @@ def test_a_mutated_leg_on_a_generated_map_aborts_only_its_session(instance, sche
     at = 1 if kind is REQ else 3  # the leg's place in its transcript
     sent = honest.sessions[vid].transcript[at]
     last = honest.sessions[vid].transcript[at - 1].timestamp
+    # the world's clock as the leg receives: every request is sent before
+    # any is received, and a delivery is received as soon as it is sent
+    now = sent.timestamp if kind is DAT else \
+        max(s.transcript[at].timestamp for s in honest.sessions.values())
     received = []
 
     def mutate(world):
@@ -923,7 +939,7 @@ def test_a_mutated_leg_on_a_generated_map_aborts_only_its_session(instance, sche
 
     world, result = play(mutate)
     (got,) = received
-    cause = _expected_cause(sent, got, resigned, last)
+    cause = _expected_cause(sent, got, resigned, last, now)
     session, stage = result.sessions[vid], kind.name.lower()
     event(f"{stage}: {cause or 'accepted'}")
     assert session.transcript[at] == got
@@ -934,19 +950,12 @@ def test_a_mutated_leg_on_a_generated_map_aborts_only_its_session(instance, sche
         ref_world, ref = play(lambda world: _zero_signature(kind, vid))
         _assert_same_but(vid, world, result, ref_world, ref)
         return
-    # an accepted message moves the session's clock to its timestamp, so
-    # the session's next leg goes stale if it is not later; all else is
-    # as in the honest round
-    following = honest.sessions[vid].transcript[at + 1:at + 2]
-    stale = bool(following) and following[0].timestamp <= got.timestamp
-    expected = (following[0].kind.name.lower(), "stale timestamp") if stale else None
-    assert session.cause == (expected or honest.sessions[vid].cause)
-    assert {v: (s.state, s.cause, s.paid_amount) for v, s in result.sessions.items() if v != vid} \
-        == {v: (s.state, s.cause, s.paid_amount) for v, s in honest.sessions.items() if v != vid}
-    assert [(r.vehicle_id, r.amount) for r in result.records] == \
-        [(r.vehicle_id, r.amount) for r in honest.records if not (stale and r.vehicle_id == vid)]
-    if not stale:
-        assert result.block == honest.block
+    # an accepted message is stamped at most at the world's clock, so the
+    # session's next leg, which the world stamps later, is fresh: the round
+    # is the honest round
+    assert {v: (s.state, s.cause, s.paid_amount) for v, s in result.sessions.items()} \
+        == {v: (s.state, s.cause, s.paid_amount) for v, s in honest.sessions.items()}
+    assert (result.records, result.block) == (honest.records, honest.block)
 
 
 # A vehicle's request or delivery forged in flight: its signature zeroed, or
@@ -1155,11 +1164,15 @@ class TestVerifyMessage:
             (request, cert, None, 0),
             (request, cert, world.vehicles[1].keys.private, 0),
             (request, cert, key, request.timestamp),
+            (_signed_by(world, replace(request, timestamp=world.clock + 1), 0), cert, key, 0),
         ]
         reasons = [verify_message(world, *case) for case in cases]
         assert reasons == [(None, reason) for reason in VERIFY_REASONS]
         plaintext, reason = verify_message(world, request, cert, key, request.timestamp - 1)
         assert reason is None and plaintext.startswith(b"('request'")
+        # the world's clock itself is not in the future
+        latest = _signed_by(world, replace(request, timestamp=world.clock), 0)
+        assert verify_message(world, latest, cert, key, 0) == (plaintext, None)
 
     @pytest.mark.parametrize("field, value", [
         ("kind", "REQ"), ("sender", None), ("session_id", 0), ("timestamp", "99"),
