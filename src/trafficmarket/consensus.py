@@ -19,16 +19,14 @@ the weights, theta and the hostile fraction are reals (``as_real``), each
 refused with its own message.
 
 The hot path works on arrays, from one pass over the nodes that reads their
-ids, reputations, behavior flags and scripts and checks ids and reputations.
+ids, reputations and behavior flags and checks ids and reputations.
 That pass also groups the voting nodes by the pool (high or low) their
 behavior supports: one array each of the voters' ids in node order, with
 their positions kept beside them. One election, ``_elect``, builds no
 ballots: it gathers both pools' weights from the epoch's reputations in one
 step and draws the members from ``reputations < theta``. ``run_epochs``
 elects with it every epoch, and the ``rnw-vs-rafn`` study elects the same
-way. The committee it seats keeps its voting result as a read-only mapping
-over a copy of the tally, built into a dict on first read: no election
-reads it. ``elect_witnesses`` turns a ballot list into one-shot pools, and
+way. ``elect_witnesses`` turns a ballot list into one-shot pools, and
 both call one tally, ``_tally``, on pools that share no id and at most one
 ballot per voter. A node's voting result is the weights of the ballots into
 its pool, its own skipped, added in ballot order: the sum a
@@ -57,22 +55,25 @@ differently and can reorder ties, and a ballot-by-ballot fold of every
 chain is O(ballots**2).
 
 The reputations, w_vote * alpha and each node's verdict (+-1 by its
-behavior) are vectors built once per run; the roles, the seats, the deltas
+behavior) are vectors built once per run. The roles, the seats, the deltas
 w_vote * alpha + w_verify * verdict and the seats that would confirm a
-valid or an invalid block once per epoch. A round rewrites only the leader
-and the scripted seats; only ``run_round`` builds beta and gamma columns.
-The bits match a per-round rebuild: the terms it drops add +0.0 to w_vote *
-alpha, which is never zero. ``ConsensusHistory`` keeps per-round columns
-and builds ``HistoryRow``s only when ``rows`` is read: CPython's collector
-never untracks a tuple subclass, so rows built during a run would be
-rescanned by every collection.
+valid or an invalid block are built once per epoch, from index arrays of
+the seats: the ranking the election sorted, or a forced committee's tuples
+converted once. A round rewrites only the leader's entries; only
+``run_round`` builds beta and gamma columns. The bits match a per-round
+rebuild: the terms it drops add +0.0 to w_vote * alpha, which is never
+zero. Each epoch's rounds fill one preallocated (rounds x nodes) array
+each for deltas, reputations and roles, a row per round, and
+``ConsensusHistory`` keeps those rows as per-round columns. It builds
+``HistoryRow``s only when ``rows`` is read: CPython's collector never
+untracks a tuple subclass, so rows built during a run would be rescanned
+by every collection.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import NamedTuple, Sequence
@@ -114,8 +115,8 @@ class Behavior:
     """What a node does when voting, leading, and verifying.
 
     The default is a well-behaved node. The adversarial preset votes for
-    low-reputation peers, produces invalid blocks, and verifies wrongly;
-    scripts can override single fields round by round.
+    low-reputation peers, produces invalid blocks, and verifies wrongly. A
+    node follows one fixed behavior in every round of a run.
     """
 
     votes: bool = True
@@ -135,16 +136,12 @@ ABNORMAL_BEHAVIOR = Behavior(
 
 @dataclass
 class FullNode:
+    """A node with a dense id, a reputation in [0, 1] and the one behavior
+    it follows for a whole run."""
+
     id: int
     reputation: float = 0.5
     behavior: Behavior = NORMAL_BEHAVIOR
-    #: optional per-round overrides keyed by global round index
-    script: dict[int, Behavior] | None = None
-
-    def behavior_at(self, global_round: int) -> Behavior:
-        if self.script and global_round in self.script:
-            return self.script[global_round]
-        return self.behavior
 
 
 def sample_population(
@@ -211,46 +208,13 @@ class VotingBallot:
 
 @dataclass(frozen=True)
 class Committee:
-    """One epoch's witness assignment, ranked by voting result.
-
-    An elected committee's ``voting_result`` maps each node id, in node
-    order, to its tally. It is read-only and builds its dict on first read,
-    as no election reads it; a forced committee may pass any mapping.
-    """
+    """One epoch's witness assignment, ranked by voting result: the members
+    in rank order, the active witnesses in leader order and the standby
+    members in rank order. A forced committee may repeat a member id."""
 
     members: tuple[int, ...]  # M, rank order
     active_order: tuple[int, ...]  # D, shuffled leader order
     standby: tuple[int, ...]  # E = M minus D, rank order
-    voting_result: Mapping[int, float]
-
-
-class _VotingResult(Mapping):
-    """Node id -> tally, keys in the node order of ``ids`` and values as
-    Python floats with the tally's bits: a dict built on first read and
-    kept. It holds its own copies of the ids and the tally, so no later
-    write by the caller changes it."""
-
-    __slots__ = ("_ids", "_tally", "_dict")
-
-    def __init__(self, ids: Sequence[int], tally: np.ndarray) -> None:
-        self._ids, self._tally, self._dict = tuple(ids), tally.copy(), None
-
-    def _read(self) -> dict[int, float]:
-        if self._dict is None:
-            self._dict = dict(zip(self._ids, map(self._tally.tolist().__getitem__, self._ids)))
-        return self._dict
-
-    def __getitem__(self, node_id: int) -> float:
-        return self._read()[node_id]
-
-    def __iter__(self):
-        return iter(self._read())
-
-    def __len__(self) -> int:
-        return len(self._read())
-
-    def __repr__(self) -> str:
-        return repr(self._read())
 
 
 @dataclass(frozen=True)
@@ -381,7 +345,7 @@ def elect_witnesses(
         weights = [run.reputations[run.index[pool]] for pool in pools]
     else:
         weights = [np.ones(len(pool)) for pool in pools]
-    return _seat(_tally(pools, weights, home), run.ids, committee_size, active_size, rng)
+    return _seat(_tally(pools, weights, home), committee_size, active_size, rng)[0]
 
 
 _BLOCK = 64  # rows folded into the chains per axis-0 reduction
@@ -493,25 +457,29 @@ def _tally(pools: Sequence[np.ndarray], weights: Sequence[np.ndarray],
     return tally
 
 
+#: a committee's members, leader order and standby, as id arrays
+_Seats = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def _seat(
-    tally: np.ndarray,
-    ids: Sequence[int],
-    committee_size: int,
-    active_size: int,
-    rng: np.random.Generator,
-) -> Committee:
+    tally: np.ndarray, committee_size: int, active_size: int, rng: np.random.Generator
+) -> tuple[Committee, _Seats]:
     """Rank by (-tally, id), seat the top ``committee_size`` and shuffle the
-    top ``active_size`` into leader order; the voting result follows the
-    node order ``ids`` and is built on first read. The stable sort ranks
-    ties, +-0.0 alike, by id."""
-    ranking = np.argsort(-tally, kind="stable")[:committee_size].tolist()
-    active = ranking[:active_size]
-    order = tuple(active[i] for i in rng.permutation(len(active)))
-    return Committee(
-        members=tuple(ranking),
-        active_order=order,
-        standby=tuple(ranking[active_size:]),
-        voting_result=_VotingResult(ids, tally),
+    top ``active_size`` into leader order. The stable sort ranks ties, +-0.0
+    alike, by id. Returns the committee and its seats as id arrays
+    (members, leader order, standby) cut from the one ranking, which
+    ``_epoch_view`` reads."""
+    ranking = np.argsort(-tally, kind="stable")[:committee_size]
+    seated = ranking, ranking[:active_size][rng.permutation(active_size)], ranking[active_size:]
+    return Committee(*(tuple(ids.tolist()) for ids in seated)), seated
+
+
+def _seated(committee: Committee) -> _Seats:
+    """A forced committee's members, leader order and standby as the id
+    arrays that ``_seat`` returns for an elected one."""
+    return tuple(
+        np.array(ids, dtype=np.intp)
+        for ids in (committee.members, committee.active_order, committee.standby)
     )
 
 
@@ -532,16 +500,13 @@ class _Run(NamedTuple):
     ballots: np.ndarray
     pools: tuple[np.ndarray, np.ndarray]  # voter ids
     correct: np.ndarray  # +1 verifies correctly by behavior, -1 otherwise
-    has_script: np.ndarray  # bool
 
 
 def _read_nodes(nodes: Sequence[FullNode]) -> _Run:
-    """Read each node's id, reputation, behavior flags and script, one
-    column per pass. Ids must be ints (``validate_ids``) and dense 0..n-1,
-    checked on the id array that then indexes the nodes, and reputations
-    lie in [0, 1]; the error names the first bad node. Voting reads each
-    node's ``behavior``, never its script, so the vote flags are read once
-    per run."""
+    """Read each node's id, reputation and behavior flags, one column per
+    pass. Ids must be ints (``validate_ids``) and dense 0..n-1, checked on
+    the id array that then indexes the nodes, and reputations lie in [0,
+    1]; the error names the first bad node."""
     ids, reps = validate_ids("node", nodes), [x.reputation for x in nodes]
     n = len(ids)
     try:
@@ -561,21 +526,21 @@ def _read_nodes(nodes: Sequence[FullNode]) -> _Run:
     votes = np.fromiter([b.votes for b in behaviors], bool, n)
     low = np.fromiter([b.supports_low_reputation for b in behaviors], bool, n)
     correct = np.fromiter([b.verifies_correctly for b in behaviors], bool, n)
-    has_script = np.fromiter([bool(x.script) for x in nodes], bool, n)
     cast = [np.flatnonzero(votes & ~low), np.flatnonzero(votes & low)]
     return _Run(ids, index, reputations.astype(float), votes, np.concatenate(cast),
-                (order[cast[0]], order[cast[1]]), np.where(correct, 1, -1),
-                has_script)
+                (order[cast[0]], order[cast[1]]), np.where(correct, 1, -1))
 
 
 def _elect(run: _Run, reputations: np.ndarray, params: ReputationParams, committee_size: int,
-           active_size: int, mode: VotingMode, rng: np.random.Generator) -> Committee:
+           active_size: int, mode: VotingMode, rng: np.random.Generator
+           ) -> tuple[Committee, _Seats]:
     """The election ``run_epochs`` holds each epoch, on a run's arrays: one
     ballot per voting node in node order, into the pool its behavior
     supports, with pools from ``reputations < theta`` (0 high, 1 low by
-    id), then ``_tally`` and ``_seat``. These are ``cast_votes``' ballots.
-    The weights of both pools are gathered in one step; the pools' voters
-    are the run's own arrays, read once from the nodes."""
+    id), then ``_tally`` and ``_seat``, whose committee and seat arrays it
+    returns. These are ``cast_votes``' ballots. The weights of both pools
+    are gathered in one step; the pools' voters are the run's own arrays,
+    read once from the nodes."""
     if mode is VotingMode.REPUTATION_WEIGHTED:
         weights = reputations[run.ballots]
     else:
@@ -583,7 +548,7 @@ def _elect(run: _Run, reputations: np.ndarray, params: ReputationParams, committ
     split = len(run.pools[0])
     home = (reputations < params.theta)[run.index]
     tally = _tally(run.pools, (weights[:split], weights[split:]), home)
-    return _seat(tally, run.ids, committee_size, active_size, rng)
+    return _seat(tally, committee_size, active_size, rng)
 
 
 class _Epoch(NamedTuple):
@@ -592,35 +557,24 @@ class _Epoch(NamedTuple):
     run: _Run
     vote_term: np.ndarray  # w_vote * alpha
     roles: np.ndarray  # indexes into ROLES, leaders counted as witnesses
-    seats: list[int]  # committee seats per node; forced committees may repeat ids
+    seats: np.ndarray  # committee seats per node; forced committees may repeat ids
     verdict: np.ndarray  # +-1 per seated node by its behavior, 0 elsewhere
     delta: np.ndarray  # vote_term + w_verify * verdict
     confirming: dict[int, int]  # verdict -> seats that hold it
-    scripted: list  # (index, node) per seated node with a script
 
 
-def _epoch_view(
-    committee: Committee, nodes: Sequence[FullNode], run: _Run, vote_term, w_verify: float
-) -> _Epoch:
-    def at(ids):
-        return run.index[np.fromiter(ids, np.intp, len(ids))]
-
-    roles = np.zeros(len(nodes), dtype=np.int8)
-    roles[at(committee.standby)] = ROLES.index("standby")
-    roles[at(committee.active_order)] = ROLES.index("witness")
-    seats = np.bincount(at(committee.members), minlength=len(nodes))
+def _epoch_view(seated: _Seats, run: _Run, vote_term: np.ndarray, w_verify: float) -> _Epoch:
+    """The epoch's fixed vectors from its seats, id arrays (members, leader
+    order, standby) as ``_seat`` and ``_seated`` return them."""
+    members, order, standby = (run.index[ids] for ids in seated)
+    roles = np.zeros(len(run.ids), dtype=np.int8)
+    roles[standby] = ROLES.index("standby")
+    roles[order] = ROLES.index("witness")
+    seats = np.bincount(members, minlength=len(run.ids))
     verdict = run.correct * (seats > 0)
-    scripted = np.flatnonzero(run.has_script & (seats > 0)).tolist()
-    return _Epoch(
-        run,
-        vote_term,
-        roles,
-        seats.tolist(),
-        verdict,
-        vote_term + w_verify * verdict,
-        {v: int(seats @ (verdict == v)) for v in (1, -1)},
-        [(i, nodes[i]) for i in scripted],
-    )
+    delta = vote_term + w_verify * verdict
+    return _Epoch(run, vote_term, roles, seats, verdict, delta,
+                  {v: int(seats @ (verdict == v)) for v in (1, -1)})
 
 
 def _round(
@@ -629,36 +583,35 @@ def _round(
     params: ReputationParams,
     view: _Epoch,
     reputations: np.ndarray,
-) -> tuple:
-    """The body of ``run_round`` on an ``_epoch_view`` and the epoch's
-    reputation vector. Returns the leader's index, whether its block was
-    accepted, the leader's and scripted verdicts (None without a block),
-    and the delta, new reputation and role columns in node order. The
-    leader and each scripted seat leave the epoch's confirmation count
-    under their epoch verdict and rejoin it under this round's, weighted by
-    their seats, as a forced committee may seat an id twice."""
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[int, bool, bool]:
+    """The body of ``run_round`` on an ``_epoch_view`` and the reputation
+    vector before the round. Fills ``out``, this round's delta, new
+    reputation and role rows in node order, whose role row must hold the
+    epoch's roles. Returns the leader's index, whether it produced a block
+    and whether the block was accepted. The leader does not verify its own
+    block, so only its own seats leave the epoch's confirmation count, as
+    many as it holds: a forced committee may seat an id twice."""
     leader_id = state.next_leader()
     if leader_id is None:
         raise RuntimeError("leader order exhausted for this epoch")
     state.leader_cursor += 1
     rnd = state.global_round
     leader = int(view.run.index[leader_id])
-    leader_behavior = nodes[leader].behavior_at(rnd)
+    behavior = nodes[leader].behavior
+    delta, new, roles = out
 
-    accepted, verdicts = False, None
-    if not leader_behavior.produces_block:
+    accepted = False
+    if not behavior.produces_block:
         state.skipped.add(leader_id)
-        delta = view.vote_term.copy()
+        delta[:] = view.vote_term
     else:
-        delta = view.delta.copy()
-        verdicts = {i: 1 if n.behavior_at(rnd).verifies_correctly else -1 for i, n in view.scripted}
-        verdicts[leader] = 0  # the leader does not verify its own block
+        delta[:] = view.delta
         # a seat confirms when its verdict matches the block's validity
-        agree = 1 if leader_behavior.produces_valid_block else -1
+        agree = 1 if behavior.produces_valid_block else -1
         confirmations = view.confirming[agree]
-        for i, verdict in verdicts.items():
-            confirmations += view.seats[i] * ((verdict == agree) - int(view.verdict[i] == agree))
-            delta[i] = view.vote_term[i] + params.w_verify * verdict
+        if view.verdict[leader] == agree:
+            confirmations -= int(view.seats[leader])
         accepted = confirmations > (2.0 / 3.0) * len(state.committee.members)
         if accepted:
             payload = f"{state.epoch}:{rnd}".encode()
@@ -673,13 +626,12 @@ def _round(
             )
 
     delta[leader] = view.vote_term[leader] + params.w_lead * (1 if accepted else -1)
-    roles = view.roles.copy()
     roles[leader] = ROLES.index("leader")
     state.global_round += 1
-    reputations = reputations + delta
-    np.maximum(reputations, 0.0, out=reputations)
-    np.minimum(reputations, 1.0, out=reputations)
-    return leader, accepted, verdicts, delta, reputations, roles
+    np.add(reputations, delta, out=new)
+    np.maximum(new, 0.0, out=new)
+    np.minimum(new, 1.0, out=new)
+    return leader, behavior.produces_block, accepted
 
 
 def run_round(
@@ -691,23 +643,27 @@ def run_round(
 
     The leader of the next seat either produces nothing (the round records
     no block, and the leader joins ``state.skipped``) or produces a block
-    that every other committee member verifies. Reputations of all nodes
-    update afterwards, abstainers included, in one vector sweep.
+    that every other committee member verifies by its behavior. Reputations
+    of all nodes update afterwards, abstainers included, in one vector
+    sweep. The nodes are read as ``run_epochs`` reads them, and
+    ``state.committee`` must seat ids as a ``committee_schedule`` entry
+    does; either is refused with a ``ValueError`` before any node changes.
     """
     if state.committee is None:
         raise RuntimeError("no committee elected")
     run = _read_nodes(nodes)
+    _check_seats(state.committee, state.epoch, len(nodes))
     alpha = np.array([1 if i in state.voted else -1 for i in run.ids])
-    view = _epoch_view(state.committee, nodes, run, params.w_vote * alpha, params.w_verify)
-    outcome = _round(state, nodes, params, view, run.reputations)
-    leader, accepted, verdicts, delta, reps, roles = outcome
+    view = _epoch_view(_seated(state.committee), run, params.w_vote * alpha, params.w_verify)
+    delta, reps, roles = np.empty(len(nodes)), np.empty(len(nodes)), view.roles.copy()
+    leader, produced, accepted = _round(state, nodes, params, view, run.reputations,
+                                        (delta, reps, roles))
     for node, rep in zip(nodes, reps.tolist()):
         node.reputation = rep
     beta = np.zeros(len(nodes), dtype=np.int64)
     beta[leader] = 1 if accepted else -1
-    gamma = np.zeros(len(nodes), dtype=np.int64) if verdicts is None else view.verdict.copy()
-    for i, verdict in (verdicts or {}).items():
-        gamma[i] = verdict
+    gamma = view.verdict.copy() if produced else np.zeros(len(nodes), dtype=np.int64)
+    gamma[leader] = 0
     columns = (alpha, beta, gamma, delta, reps)
     roles = map(ROLES.__getitem__, roles.tolist())
     return list(map(BehaviorRecord, run.ids, *(c.tolist() for c in columns), roles))
@@ -726,7 +682,8 @@ class HistoryRow(NamedTuple):
 class ConsensusHistory:
     """``rounds`` holds ``(epoch, round_index, reputations, roles, deltas)``
     per round, each column in the node order of ``ids``, roles as indexes
-    into ``ROLES``. ``rows`` builds the ``HistoryRow``s on every read;
+    into ``ROLES``. The columns are rows of their epoch's arrays, and no two
+    rounds share memory. ``rows`` builds the ``HistoryRow``s on every read;
     ``rows_for`` and ``write_history_csv`` read the columns and build none."""
 
     ids: list[int]
@@ -772,11 +729,12 @@ def run_epochs(
     ``committee_schedule`` forces seating for the epochs where it is not
     None (ballots still flow, so voting reputation effects stay genuine);
     experiments use it to pin narratives that depend on who gets elected
-    when. It must cover every epoch, seat only ids of the population and
-    draw its leaders from its members; repeated member ids are allowed.
-    Each epoch plays one round per seat of its active order, so an id it
-    repeats leads once per seat. The reputations live in one vector during
-    the run and go back to the nodes when it ends.
+    when. It must cover every epoch with a ``Committee`` or None, seat only
+    ids of the population and draw its leaders from its members; repeated
+    member ids are allowed. Each epoch plays one round per seat of its
+    active order, so an id it repeats leads once per seat. The reputations
+    live in the epoch's rows during the run and go back to the nodes when
+    it ends.
 
     Each epoch not forced elects with ``_elect``: ``cast_votes``' ballots as
     arrays, one per voting node in node order, into pool 0 (high) or 1
@@ -801,19 +759,25 @@ def run_epochs(
     reputations, voted = run.reputations, frozenset(compress(run.ids, run.votes.tolist()))
     vote_term = params.w_vote * np.where(run.votes, 1, -1)
     for epoch in range(n_epochs):
-        forced = committee_schedule[epoch] if committee_schedule is not None else None
-        if forced is not None:
-            committee = forced
+        committee = committee_schedule[epoch] if committee_schedule is not None else None
+        if committee is not None:
+            seated = _seated(committee)
             rng.permutation(active_size)  # keep the stream aligned
         else:
-            committee = _elect(run, reputations, params, committee_size, active_size, mode, rng)
+            committee, seated = _elect(
+                run, reputations, params, committee_size, active_size, mode, rng
+            )
         state.start_epoch(committee, voted)
         history.committees.append(committee)
-        view = _epoch_view(committee, nodes, run, vote_term, params.w_verify)
-        for _ in committee.active_order:
+        view = _epoch_view(seated, run, vote_term, params.w_verify)
+        shape = (len(seated[1]), len(nodes))  # a row per seat in leader order
+        deltas, reps, roles = np.empty(shape), np.empty(shape), np.empty(shape, np.int8)
+        roles[:] = view.roles
+        for out in zip(deltas, reps, roles):
             round_index = state.global_round
-            *_, delta, reputations, roles = _round(state, nodes, params, view, reputations)
-            history.rounds.append((epoch, round_index, reputations, roles, delta))
+            _round(state, nodes, params, view, reputations, out)
+            reputations = out[1]
+            history.rounds.append((epoch, round_index, reputations, out[2], out[0]))
     for node, rep in zip(nodes, reputations.tolist()):
         node.reputation = rep
     return history
@@ -822,25 +786,30 @@ def run_epochs(
 def _check_schedule(
     schedule: Sequence[Committee | None], n_epochs: int, n: int
 ) -> None:
-    """Refuse, before any epoch runs, a schedule that is too short, seats an
-    unknown id or one that is not exactly an ``int``, or names a leader
-    outside its members."""
+    """Refuse, before any epoch runs, a schedule that is too short or holds
+    an entry that ``_check_seats`` refuses."""
     if len(schedule) < n_epochs:
         raise ValueError(
             f"committee_schedule has {len(schedule)} entries for {n_epochs} epochs"
         )
-    population = range(n)  # ids are dense
     for epoch in range(n_epochs):
-        committee = schedule[epoch]
-        if committee is None:
-            continue
-        for i in (*committee.members, *committee.active_order, *committee.standby):
-            if as_id(i) is None or i not in population:
-                raise ValueError(f"epoch {epoch} committee seats unknown id {i!r}")
-        members = set(committee.members)
-        for i in committee.active_order:
-            if i not in members:
-                raise ValueError(f"epoch {epoch} leader {i!r} is not a committee member")
+        if schedule[epoch] is not None:
+            _check_seats(schedule[epoch], epoch, n)
+
+
+def _check_seats(committee: Committee, epoch: int, n: int) -> None:
+    """Refuse an epoch's committee that is not a ``Committee``, seats an id
+    that is not exactly an ``int`` in 0..n-1, or names a leader outside its
+    members."""
+    if not isinstance(committee, Committee):
+        raise ValueError(f"epoch {epoch} committee {committee!r} is not a Committee")
+    for i in (*committee.members, *committee.active_order, *committee.standby):
+        if as_id(i) is None or not 0 <= i < n:
+            raise ValueError(f"epoch {epoch} committee seats unknown id {i!r}")
+    members = set(committee.members)
+    for i in committee.active_order:
+        if i not in members:
+            raise ValueError(f"epoch {epoch} leader {i!r} is not a committee member")
 
 
 def write_history_csv(history: ConsensusHistory, path) -> None:

@@ -92,7 +92,6 @@ def _forced(members, active_order, standby) -> Committee:
         members=tuple(members),
         active_order=tuple(active_order),
         standby=tuple(standby),
-        voting_result={},
     )
 
 
@@ -156,7 +155,7 @@ def rnw_vs_rafn_rows(
             (VotingMode.REPUTATION_WEIGHTED, VotingMode.EQUAL_WEIGHT)
         ):
             seat_rng = np.random.default_rng([seed, 11, grid_index, mode_index])
-            committee = _elect(
+            committee, _ = _elect(
                 run, run.reputations, params, committee_size, active_size, mode, seat_rng
             )
             normal_seats = sum(

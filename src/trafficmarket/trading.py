@@ -746,8 +746,13 @@ def run_trading_round(
     auction runs on the survivors. ``tamper`` intercepts requests and data
     deliveries in flight (it receives every such message and returns the
     possibly altered one). If the authority cannot cover all payments the
-    round aborts before any transfer.
+    round aborts before any transfer. A vehicle of ``instance`` that the
+    world holds no keys for is refused with a ``ValueError`` before any
+    message is signed.
     """
+    for vehicle in instance.vehicles:
+        if vehicle.id not in world.vehicles:
+            raise ValueError(f"vehicle {vehicle.id} has no keys in this world")
     if data_check is None:
         data_check = _default_data_check
     round_ = _Round(world, instance, tamper)

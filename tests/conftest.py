@@ -1,7 +1,10 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import trafficmarket.consensus as consensus
 from trafficmarket.model import (
     AuctionInstance,
     ScenarioConfig,
@@ -67,3 +70,20 @@ def random_synthetic_instance(rng: np.random.Generator, max_n=8, max_m=10):
     bids = 10.0 - rng.uniform(0.0, 10.0, size=n)
     budget = float(1.0 + rng.uniform(0.0, 1.0) * 3.0 * float(np.sum(bids)))
     return build_instance(values, subsets, bids, budget)
+
+
+@contextmanager
+def kept_tallies():
+    """The tally of each election held inside the block, in order: the float
+    per node id that ``consensus._tally`` returns, kept as it goes by."""
+    tallies, tally = [], consensus._tally
+
+    def keep(pools, weights, home):
+        tallies.append(tally(pools, weights, home))
+        return tallies[-1]
+
+    consensus._tally = keep
+    try:
+        yield tallies
+    finally:
+        consensus._tally = tally

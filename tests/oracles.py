@@ -322,7 +322,9 @@ def slow_run_epochs(nodes, params, committee_size, active_size, n_epochs, weight
     Mutates ``nodes`` like the package does. Returns history rows
     (epoch, round, node id, reputation, role, delta), chain blocks
     (epoch, round, producer, payload hash, confirmations) and per-epoch
-    (voting result, members, active order, standby).
+    (voting result, members, active order, standby), the voting result None
+    where the epoch was forced. Every node follows its ``behavior`` in
+    every round.
     """
     rng = np.random.default_rng(seed)
     by_id = {n.id: n for n in nodes}
@@ -337,11 +339,11 @@ def slow_run_epochs(nodes, params, committee_size, active_size, n_epochs, weight
             members, order, standby = slow_seat(result, committee_size, active_size, rng)
         else:
             rng.permutation(active_size)
-            result = forced.voting_result
+            result = None
             members, order, standby = forced.members, forced.active_order, forced.standby
         committees.append((result, members, order, standby))
         for leader_id in order:
-            leader = by_id[leader_id].behavior_at(rnd)
+            leader = by_id[leader_id].behavior
             gamma = {n.id: 0 for n in nodes}
             accepted = False
             if leader.produces_block:
@@ -349,7 +351,7 @@ def slow_run_epochs(nodes, params, committee_size, active_size, n_epochs, weight
                 for member_id in members:
                     if member_id == leader_id:
                         continue
-                    correct = by_id[member_id].behavior_at(rnd).verifies_correctly
+                    correct = by_id[member_id].behavior.verifies_correctly
                     gamma[member_id] = 1 if correct else -1
                     valid = leader.produces_valid_block
                     if (valid and correct) or (not valid and not correct):

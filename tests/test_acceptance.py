@@ -196,7 +196,6 @@ def _forced(members, active, standby=()):
         members=tuple(members),
         active_order=tuple(active),
         standby=tuple(standby),
-        voting_result={},
     )
 
 

@@ -2,7 +2,6 @@
 
 import csv
 import re
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -27,6 +26,9 @@ from trafficmarket.consensus import (
     write_history_csv,
 )
 
+from conftest import kept_tallies
+from oracles import slow_cast_votes, slow_tally
+
 PARAMS = ReputationParams()
 
 # abstains from the vote, builds bad blocks, judges blocks wrongly
@@ -46,12 +48,19 @@ def make_nodes(reputations, behaviors=None):
     ]
 
 
+def check_tally(tally, nodes, weighted):
+    """An election's tally against the ballot-by-ballot count of ``nodes``'
+    ballots, by float.hex."""
+    result = slow_tally(slow_cast_votes(nodes, PARAMS.theta), nodes, weighted)
+    tally = tally.tolist()
+    assert [(k, tally[k].hex()) for k in result] == [(k, v.hex()) for k, v in result.items()]
+
+
 def forced(members, active_order, standby=()):
     return Committee(
         members=tuple(members),
         active_order=tuple(active_order),
         standby=tuple(standby),
-        voting_result={},
     )
 
 
@@ -69,10 +78,12 @@ class TestElection:
             (2, set()),
         ]
         rng = np.random.default_rng(0)
-        committee = elect_witnesses(
-            ballots, nodes, 2, 1, VotingMode.REPUTATION_WEIGHTED, rng
-        )
-        assert committee.voting_result == {0: 0.8, 1: 0.9, 2: 0.0}
+        with kept_tallies() as tallies:
+            committee = elect_witnesses(
+                ballots, nodes, 2, 1, VotingMode.REPUTATION_WEIGHTED, rng
+            )
+        assert tallies[0].tolist() == [0.8, 0.9, 0.0]
+        check_tally(tallies[0], nodes, weighted=True)
         assert committee.members == (1, 0)
         assert committee.active_order == (1,)
         assert committee.standby == (0,)
@@ -80,10 +91,12 @@ class TestElection:
     def test_equal_weight_tally_breaks_tie_on_id(self):
         nodes = make_nodes([0.9, 0.8, 0.1], behaviors={2: ABNORMAL_BEHAVIOR})
         ballots = cast_votes(nodes, PARAMS)
-        committee = elect_witnesses(
-            ballots, nodes, 2, 1, VotingMode.EQUAL_WEIGHT, np.random.default_rng(0)
-        )
-        assert committee.voting_result == {0: 1.0, 1: 1.0, 2: 0.0}
+        with kept_tallies() as tallies:
+            committee = elect_witnesses(
+                ballots, nodes, 2, 1, VotingMode.EQUAL_WEIGHT, np.random.default_rng(0)
+            )
+        assert tallies[0].tolist() == [1.0, 1.0, 0.0]
+        check_tally(tallies[0], nodes, weighted=False)
         assert committee.members == (0, 1)
 
     def test_abnormal_voter_backs_low_reputation_peers(self):
@@ -313,8 +326,46 @@ class TestRoundDeltas:
         assert [n.reputation for n in nodes] == reputations
         assert (state.chain, state.global_round, state.skipped) == (chain, 3, {0})
 
+    @pytest.mark.parametrize("seated, message", [
+        # -1 would index node 4 and make it lead; 99 would index past the nodes
+        (forced([0, 1, 2, 3], [-1, 1], [2, 3]), "epoch 0 committee seats unknown id -1"),
+        (forced([0, 1, 2, 3], [0, 99], [2, 3]), "epoch 0 committee seats unknown id 99"),
+        (forced([0, True, 2, 3], [0, True], [2, 3]), "epoch 0 committee seats unknown id True"),
+        (forced([0, 1, 2, 3], [0, 4], [1, 2, 3]), "epoch 0 leader 4 is not a committee member"),
+        (("x",), "epoch 0 committee ('x',) is not a Committee"),
+    ])
+    def test_a_round_refuses_a_committee_a_schedule_would_refuse(self, seated, message):
+        nodes = make_nodes([0.5] * 5)
+        state = ConsensusState()
+        state.start_epoch(seated, frozenset(range(5)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_round(state, nodes, PARAMS)
+        assert [n.reputation for n in nodes] == [0.5] * 5
+        assert (state.global_round, state.leader_cursor, state.chain) == (0, 0, [])
+
 
 class TestEpochRuns:
+    def test_no_two_round_columns_share_memory(self):
+        nodes = make_nodes([0.5, 0.6, 0.7, 0.8, 0.9], behaviors={4: SABOTEUR})
+        history = run_epochs(nodes, PARAMS, 4, 2, n_epochs=3, seed=1)
+        columns = [column for _, _, *round_columns in history.rounds for column in round_columns]
+        assert len(columns) == 3 * 2 * 3
+        for i, column in enumerate(columns):
+            assert not any(np.shares_memory(column, other) for other in columns[i + 1:])
+        for _, _, reps, roles, deltas in history.rounds:
+            assert (reps.dtype, roles.dtype, deltas.dtype) == (np.float64, np.int8, np.float64)
+            assert reps.shape == roles.shape == deltas.shape == (5,)
+
+    def test_a_second_run_leaves_the_first_history_unchanged(self):
+        nodes = make_nodes([0.5, 0.6, 0.7, 0.8, 0.9], behaviors={4: SABOTEUR})
+        first = run_epochs(nodes, PARAMS, 4, 2, n_epochs=2, seed=1)
+        rows = first.rows
+        columns = [[c.tobytes() for c in round_columns] for _, _, *round_columns in first.rounds]
+        second = run_epochs(nodes, PARAMS, 4, 2, n_epochs=2, seed=1)
+        assert second.rows != rows  # it starts from the reputations the first left
+        assert first.rows == rows
+        assert [[c.tobytes() for c in cs] for _, _, *cs in first.rounds] == columns
+
     def test_all_normal_chain_grows_every_round(self):
         nodes = make_nodes([0.5] * 8)
         history = run_epochs(nodes, PARAMS, committee_size=5, active_size=3,
@@ -344,8 +395,7 @@ class TestEpochRuns:
         assert orders != [m.active_order for m in c.committees]
 
     def test_failed_leader_round_produces_no_block(self):
-        nodes = make_nodes([0.5] * 5)
-        nodes[0].script = {0: Behavior(produces_block=False)}
+        nodes = make_nodes([0.5] * 5, behaviors={0: Behavior(produces_block=False)})
         schedule = [forced([0, 1, 2, 3], [0, 1], [2, 3])]
         history = run_epochs(nodes, PARAMS, 4, 2, n_epochs=1, seed=0,
                              committee_schedule=schedule)
@@ -353,30 +403,32 @@ class TestEpochRuns:
         assert [b.round_index for b in history.chain] == [1]
 
     def test_skip_resets_between_epochs(self):
-        nodes = make_nodes([0.5] * 5)
-        nodes[0].script = {0: Behavior(produces_block=False)}
+        nodes = make_nodes([0.5] * 5, behaviors={0: Behavior(produces_block=False)})
         schedule = [forced([0, 1, 2, 3], [0, 1], [2, 3])] * 2
         history = run_epochs(nodes, PARAMS, 4, 2, n_epochs=2, seed=0,
                              committee_schedule=schedule)
-        # round 2 is node 0 leading again in the second epoch, now honestly
-        assert [(b.round_index, b.producer_id) for b in history.chain] == [
-            (1, 1), (2, 0), (3, 1),
-        ]
+        # round 2 is node 0 leading again in the second epoch, again with no block
+        assert [r.round_index for r in history.rows_for(0) if r.role == "leader"] == [0, 2]
+        assert [(b.round_index, b.producer_id) for b in history.chain] == [(1, 1), (3, 1)]
 
     def test_schedule_can_mix_forced_and_elected(self):
         nodes = make_nodes([0.5] * 6)
         schedule = [forced(range(4), [0, 1], [2, 3]), None]
-        history = run_epochs(nodes, PARAMS, 4, 2, n_epochs=2, seed=3,
-                             committee_schedule=schedule)
-        assert history.committees[0].voting_result == {}
-        assert history.committees[1].voting_result != {}
+        with kept_tallies() as tallies:
+            history = run_epochs(nodes, PARAMS, 4, 2, n_epochs=2, seed=3,
+                                 committee_schedule=schedule)
+        # only the second epoch elects, on the reputations the first left
+        assert history.committees[0] == schedule[0] and len(tallies) == 1
+        check_tally(tallies[0], make_nodes(history.rounds[1][2].tolist()), weighted=True)
+        assert len(history.committees[1].members) == 4
 
     def test_voting_result_tracks_rising_reputation(self):
         nodes = make_nodes([0.6] * 6)
-        history = run_epochs(nodes, PARAMS, 4, 2, n_epochs=3, seed=2,
-                             mode=VotingMode.REPUTATION_WEIGHTED)
-        totals = [sum(c.voting_result.values()) for c in history.committees]
-        assert totals[0] < totals[1] < totals[2]
+        with kept_tallies() as tallies:
+            run_epochs(nodes, PARAMS, 4, 2, n_epochs=3, seed=2,
+                       mode=VotingMode.REPUTATION_WEIGHTED)
+        totals = [sum(tally.tolist()) for tally in tallies]
+        assert len(totals) == 3 and totals[0] < totals[1] < totals[2]
 
     def test_requires_dense_ids(self):
         nodes = [FullNode(id=3), FullNode(id=5)]
@@ -446,6 +498,15 @@ class TestEpochRuns:
             run_epochs(nodes, PARAMS, 4, 2, n_epochs=2, committee_schedule=schedule)
         assert [n.reputation for n in nodes] == [0.3, 0.5, 0.7, 0.9, 0.6]
 
+    @pytest.mark.parametrize("entry", [("x",), [0, 1], "abc", 3])
+    def test_rejects_a_schedule_entry_that_is_not_a_committee(self, entry):
+        nodes = make_nodes([0.3, 0.5, 0.7, 0.9, 0.6])
+        schedule = [None, entry]
+        message = f"^epoch 1 committee {re.escape(repr(entry))} is not a Committee$"
+        with pytest.raises(ValueError, match=message):
+            run_epochs(nodes, PARAMS, 4, 2, n_epochs=2, committee_schedule=schedule)
+        assert [n.reputation for n in nodes] == [0.3, 0.5, 0.7, 0.9, 0.6]
+
     def test_rejects_schedule_leader_outside_members(self):
         nodes = make_nodes([0.3, 0.5, 0.7, 0.9, 0.6])
         schedule = [None, forced([0, 1, 2], [0, 3], [1, 2])]
@@ -473,65 +534,26 @@ class TestEpochRuns:
             run_epochs(nodes, PARAMS, 2, 1, n_epochs=1)
 
 
-class TestVotingResult:
-    """An elected committee's voting result is a read-only mapping that
-    reads as the dict a seating used to build."""
+class TestSeating:
+    """An election's tally, and the committee ``_seat`` ranks from it."""
 
-    def elect(self):
+    def test_tally_is_the_ballot_by_ballot_count(self):
         nodes = make_nodes([0.9, 0.8, 0.1, 0.7], behaviors={2: ABNORMAL_BEHAVIOR})
-        return elect_witnesses(cast_votes(nodes, PARAMS), nodes, 3, 2,
-                               VotingMode.REPUTATION_WEIGHTED, np.random.default_rng(0))
+        with kept_tallies() as tallies:
+            elect_witnesses(cast_votes(nodes, PARAMS), nodes, 3, 2,
+                            VotingMode.REPUTATION_WEIGHTED, np.random.default_rng(0))
+        wanted = [0.8 + 0.7, 0.9 + 0.7, 0.0, 0.9 + 0.8]
+        assert [x.hex() for x in tallies[0].tolist()] == [x.hex() for x in wanted]
+        check_tally(tallies[0], nodes, weighted=True)
 
-    def test_compares_with_a_dict_both_ways(self):
-        result = self.elect().voting_result
-        wanted = {0: 0.8 + 0.7, 1: 0.9 + 0.7, 2: 0.0, 3: 0.9 + 0.8}
-        assert isinstance(result, Mapping)
-        assert result == wanted and wanted == result
-        assert not (result != wanted) and not (wanted != result)
-        for other in ({**wanted, 2: 1.0}, {k: wanted[k] for k in (0, 1, 2)}, {}):
-            assert result != other and other != result
-            assert not (result == other) and not (other == result)
-        assert result == self.elect().voting_result
-        assert [(k, v.hex()) for k, v in result.items()] == [
-            (k, v.hex()) for k, v in wanted.items()
-        ]
-
-    def test_repr_is_the_dicts(self):
-        committee = self.elect()
-        as_dict = Committee(committee.members, committee.active_order, committee.standby,
-                            voting_result=dict(committee.voting_result))
-        assert repr(committee) == repr(as_dict)
-        assert repr(committee.voting_result) == repr(dict(committee.voting_result))
-        assert committee == as_dict and as_dict == committee
-
-    def test_reads_like_a_dict_but_refuses_writes(self):
-        result = self.elect().voting_result
-        assert len(result) == 4 and list(result) == [0, 1, 2, 3]
-        assert 3 in result and 4 not in result and "0" not in result
-        assert result.get(4) is None
-        with pytest.raises(KeyError):
-            result[4]
-        with pytest.raises(TypeError):
-            result[0] = 1.0
-        with pytest.raises(TypeError):
-            del result[0]
-        assert all(type(v) is float for v in result.values())
-
-    def test_an_election_builds_no_dict_until_read(self):
-        result = self.elect().voting_result
-        assert result._dict is None
-        assert result[0] == 0.8 + 0.7 and result._dict is not None
-
-    @pytest.mark.parametrize("read_first", [False, True])
-    def test_a_later_write_to_the_tally_changes_nothing(self, read_first):
-        tally = np.array([1.5, 0.25, 0.0, 3.0])
-        wanted = dict(enumerate(tally.tolist()))
-        committee = _seat(tally, [0, 1, 2, 3], 2, 1, np.random.default_rng(0))
-        if read_first:
-            assert committee.voting_result == wanted
-        tally[:] = 9.0
-        assert committee.voting_result == wanted
-        assert committee.members == (3, 0)
+    def test_seat_arrays_hold_the_committees_ids(self):
+        tally = np.array([1.5, 0.25, 0.0, 3.0, 0.25])
+        committee, seated = _seat(tally, 4, 2, np.random.default_rng(0))
+        assert committee.members == (3, 0, 1, 4)
+        assert tuple(tuple(ids.tolist()) for ids in seated) == (
+            committee.members, committee.active_order, committee.standby
+        )
+        assert all(ids.dtype == np.intp for ids in seated)
 
 
 def call_run_epochs(nodes):

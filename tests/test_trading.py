@@ -605,6 +605,15 @@ def test_the_mechanism_sees_the_round_instance_unless_a_vehicle_is_excluded():
     assert seen[1].vehicles == tuple(replace(v, id=v.id - 1) for v in instance.vehicles[1:])
 
 
+def test_a_vehicle_the_world_holds_no_keys_for_is_refused_before_anything_is_signed():
+    world = build_world(paper_example(), HashStubScheme())
+    instance = dense_scenario(0, n_vehicles=40)
+    missing = next(v.id for v in instance.vehicles if v.id not in world.vehicles)
+    with pytest.raises(ValueError, match=f"^vehicle {missing} has no keys in this world$"):
+        run_trading_round(world, instance)
+    assert (world.clock, world.ledger, world.total_balance()) == (0, [], Fraction(5))
+
+
 # A leg accepts only the message that its send half makes. The set-ups
 # below run on the paper's example at seed 7 with a balance of 50, where
 # vehicles 0 and 1 win and vehicle 2 loses. Each is a function of the world
