@@ -296,6 +296,23 @@ def _check_sizes(committee_size: int, active_size: int, population: int) -> tupl
     return as_count(committee_size), as_count(active_size)
 
 
+def _unknown(i, n: int) -> bool:
+    """Whether ``i`` is no id of a population of ``n``: the id rule for a
+    ballot's voter, a pool member and a forced committee's seat, exactly an
+    ``int`` (``model.as_id``) in 0..n-1."""
+    return as_id(i) is None or not 0 <= i < n
+
+
+def _weights(reputations: np.ndarray, voters: np.ndarray, mode: VotingMode) -> np.ndarray:
+    """The ballot weights of ``voters``, their indexes in node order: each
+    voter's reputation under the reputation-weighted mode, and exactly 1
+    under equal weighting. ``_elect`` and ``elect_witnesses`` both weigh
+    with it."""
+    if mode is VotingMode.REPUTATION_WEIGHTED:
+        return reputations[voters]
+    return np.ones(len(voters))
+
+
 def _check_mode(mode) -> None:
     """Refuse a mode that is not a ``VotingMode`` member, such as the string
     ``"reputation"``, before any node changes."""
@@ -313,13 +330,14 @@ def elect_witnesses(
 ) -> Committee:
     """Tally ballots, rank nodes, and seat the committee.
 
-    A supporter contributes its reputation under the reputation-weighted
-    mode and exactly 1 under equal weighting. Ranking ties break on the
-    lower id. The |D| leaders are shuffled into a random order by ``rng``.
-    Ids must be dense 0..n-1. The ballots must be ``cast_votes``' kind, or
-    are refused before the tally: at most one per voter, into pools that
-    share no id. They become (voter, pool) arrays for ``_tally``, the
-    routine ``run_epochs`` elects with.
+    A supporter contributes the weight ``_weights`` gives it, the step that
+    ``_elect`` weighs with too. Ranking ties break on the lower id. The |D|
+    leaders are shuffled into a random order by ``rng``. Ids must be dense
+    0..n-1. The ballots must be ``cast_votes``' kind, or are refused before
+    the tally: each voter and each pool member an id of the population by
+    the rule a forced committee's seats follow (``_unknown``), at most one
+    ballot per voter, into pools that share no id. They become (voter,
+    pool) arrays for ``_tally``, the routine ``run_epochs`` elects with.
     """
     _check_mode(mode)
     committee_size, active_size = _check_sizes(committee_size, active_size, len(nodes))
@@ -327,24 +345,22 @@ def elect_witnesses(
     n = len(nodes)
     cast: dict[frozenset[int], list[int]] = {}  # pool -> its voters in ballot order
     for ballot in ballots:
-        if not 0 <= ballot.voter_id < n:
+        if _unknown(ballot.voter_id, n):
             raise ValueError(f"ballot from unknown voter {ballot.voter_id!r}")
         cast.setdefault(ballot.pool, []).append(ballot.voter_id)
     if len(set().union(*cast.values())) < len(ballots):
         raise ValueError("a voter casts more than one ballot")
     home = np.full(n, -1, dtype=np.intp)  # id -> its pool's row, -1 for none
     for row, pool in enumerate(cast):
+        for i in pool:
+            if _unknown(i, n):
+                raise ValueError(f"ballot supports an id outside 0..n-1: {i!r}")
         members = np.fromiter(pool, dtype=np.int64, count=len(pool))
-        if members.size and not (0 <= members.min() and members.max() < n):
-            raise ValueError("ballot supports an id outside 0..n-1")
         if (home[members] >= 0).any():
             raise ValueError("two ballot pools share an id")
         home[members] = row
     pools = [np.array(voters, dtype=np.int64) for voters in cast.values()]
-    if mode is VotingMode.REPUTATION_WEIGHTED:
-        weights = [run.reputations[run.index[pool]] for pool in pools]
-    else:
-        weights = [np.ones(len(pool)) for pool in pools]
+    weights = [_weights(run.reputations, run.index[pool], mode) for pool in pools]
     return _seat(_tally(pools, weights, home), committee_size, active_size, rng)[0]
 
 
@@ -538,13 +554,10 @@ def _elect(run: _Run, reputations: np.ndarray, params: ReputationParams, committ
     ballot per voting node in node order, into the pool its behavior
     supports, with pools from ``reputations < theta`` (0 high, 1 low by
     id), then ``_tally`` and ``_seat``, whose committee and seat arrays it
-    returns. These are ``cast_votes``' ballots. The weights of both pools
-    are gathered in one step; the pools' voters are the run's own arrays,
-    read once from the nodes."""
-    if mode is VotingMode.REPUTATION_WEIGHTED:
-        weights = reputations[run.ballots]
-    else:
-        weights = np.ones(len(run.ballots))
+    returns. These are ``cast_votes``' ballots. ``_weights`` weighs both
+    pools in one step; the pools' voters are the run's own arrays, read
+    once from the nodes."""
+    weights = _weights(reputations, run.ballots, mode)
     split = len(run.pools[0])
     home = (reputations < params.theta)[run.index]
     tally = _tally(run.pools, (weights[:split], weights[split:]), home)
@@ -730,8 +743,8 @@ def run_epochs(
     None (ballots still flow, so voting reputation effects stay genuine);
     experiments use it to pin narratives that depend on who gets elected
     when. It must cover every epoch with a ``Committee`` or None, seat only
-    ids of the population and draw its leaders from its members; repeated
-    member ids are allowed. Each epoch plays one round per seat of its
+    ids of the population and draw its leaders and its standby ids from its
+    members; repeated member ids are allowed. Each epoch plays one round per seat of its
     active order, so an id it repeats leads once per seat. The reputations
     live in the epoch's rows during the run and go back to the nodes when
     it ends.
@@ -799,17 +812,18 @@ def _check_schedule(
 
 def _check_seats(committee: Committee, epoch: int, n: int) -> None:
     """Refuse an epoch's committee that is not a ``Committee``, seats an id
-    that is not exactly an ``int`` in 0..n-1, or names a leader outside its
-    members."""
+    that is not exactly an ``int`` in 0..n-1 (``_unknown``), or names a
+    leader or a standby id outside its members."""
     if not isinstance(committee, Committee):
         raise ValueError(f"epoch {epoch} committee {committee!r} is not a Committee")
     for i in (*committee.members, *committee.active_order, *committee.standby):
-        if as_id(i) is None or not 0 <= i < n:
+        if _unknown(i, n):
             raise ValueError(f"epoch {epoch} committee seats unknown id {i!r}")
     members = set(committee.members)
-    for i in committee.active_order:
-        if i not in members:
-            raise ValueError(f"epoch {epoch} leader {i!r} is not a committee member")
+    for role, ids in (("leader", committee.active_order), ("standby", committee.standby)):
+        for i in ids:
+            if i not in members:
+                raise ValueError(f"epoch {epoch} {role} {i!r} is not a committee member")
 
 
 def write_history_csv(history: ConsensusHistory, path) -> None:

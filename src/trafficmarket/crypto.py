@@ -8,10 +8,11 @@ keeps a private-key registry behind the scenes and must never leave a
 simulation.
 
 ``Ed25519X25519Scheme`` parses each key once and reuses the parsed key
-object: private keys in ``_signing_key`` and ``_agreement_key``, and public
-keys in ``_verifying_key`` (a signer's) and ``_recipient_key`` (an
-encryption's recipient). These are module-level LRU caches keyed by the
-exact key bytes, and they hold parsed key objects only. This is exact:
+object from one module-level LRU cache, ``_parsed``, keyed by the key's
+kind and its exact bytes: a private signing or agreement key, or a public
+key of a signer or of an encryption's recipient. The kind keeps the same
+32 bytes read as an Ed25519 key apart from the same bytes read as an X25519
+key, and the cache holds parsed key objects only. This is exact:
 Ed25519 signing is deterministic (RFC 8032), X25519 agreement is a pure
 function of the two keys, and a parsed public key is a function of its
 bytes alone, so a reused key object gives the same bytes and the same
@@ -59,9 +60,11 @@ __all__ = [
 _ECIES_INFO = b"trafficmarket-ecies-v1"
 # safe only because every encryption derives a fresh ephemeral key
 _GCM_NONCE = bytes(12)
-#: Parsed keys kept per cache. A trading world uses one key pair per
-#: vehicle plus the authority's and the CA's, so this covers worlds of a
-#: few thousand vehicles; beyond it, keys that fell out are parsed again.
+#: Parsed keys kept per kind: the one cache, ``_parsed``, holds four times
+#: as many, room for this many of each of its four kinds. A trading world
+#: uses one key pair per vehicle plus the authority's and the CA's, so this
+#: covers worlds of a few thousand vehicles; beyond it, keys that fell out
+#: are parsed again.
 _PARSED_KEYS = 4096
 
 
@@ -76,24 +79,15 @@ class KeyPair:
     public: bytes
 
 
-@functools.lru_cache(maxsize=_PARSED_KEYS)
-def _signing_key(seed: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(seed)
+#: the kinds of key ``_parsed`` reads, as indexes into ``_PARSERS``
+_SIGNING, _AGREEMENT, _VERIFYING, _RECIPIENT = range(4)
+_PARSERS = (Ed25519PrivateKey.from_private_bytes, X25519PrivateKey.from_private_bytes,
+            Ed25519PublicKey.from_public_bytes, X25519PublicKey.from_public_bytes)
 
 
-@functools.lru_cache(maxsize=_PARSED_KEYS)
-def _agreement_key(seed: bytes) -> X25519PrivateKey:
-    return X25519PrivateKey.from_private_bytes(seed)
-
-
-@functools.lru_cache(maxsize=_PARSED_KEYS)
-def _verifying_key(public: bytes) -> Ed25519PublicKey:
-    return Ed25519PublicKey.from_public_bytes(public)
-
-
-@functools.lru_cache(maxsize=_PARSED_KEYS)
-def _recipient_key(public: bytes) -> X25519PublicKey:
-    return X25519PublicKey.from_public_bytes(public)
+@functools.lru_cache(maxsize=4 * _PARSED_KEYS)
+def _parsed(kind: int, key: bytes):
+    return _PARSERS[kind](key)
 
 
 class SignatureScheme(Protocol):
@@ -151,11 +145,11 @@ class Ed25519X25519Scheme:
         return KeyPair(private=sign_seed + kex_seed, public=sign_pub + kex_pub)
 
     def sign(self, private: bytes, data: bytes) -> bytes:
-        return _signing_key(private[:32]).sign(data)
+        return _parsed(_SIGNING, private[:32]).sign(data)
 
     def verify(self, public: bytes, data: bytes, signature: bytes) -> bool:
         try:
-            _verifying_key(public[:32]).verify(signature, data)
+            _parsed(_VERIFYING, public[:32]).verify(signature, data)
         except (InvalidSignature, ValueError):
             return False
         return True
@@ -167,7 +161,7 @@ class Ed25519X25519Scheme:
 
     def encrypt(self, public: bytes, plaintext: bytes, rng: np.random.Generator) -> bytes:
         ephemeral = X25519PrivateKey.from_private_bytes(rng.bytes(32))
-        shared = ephemeral.exchange(_recipient_key(public[32:64]))
+        shared = ephemeral.exchange(_parsed(_RECIPIENT, public[32:64]))
         sealed = AESGCM(self._derive_key(shared)).encrypt(_GCM_NONCE, plaintext, None)
         eph_pub = ephemeral.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
         return eph_pub + sealed
@@ -177,7 +171,7 @@ class Ed25519X25519Scheme:
             raise DecryptionError("ciphertext too short")
         ephemeral = X25519PublicKey.from_public_bytes(ciphertext[:32])
         try:
-            shared = _agreement_key(private[32:64]).exchange(ephemeral)
+            shared = _parsed(_AGREEMENT, private[32:64]).exchange(ephemeral)
         except ValueError as exc:  # a low-order point gives no shared key
             raise DecryptionError("ephemeral key of low order") from exc
         try:

@@ -10,23 +10,25 @@ Four studies ship with the package:
   the truthful mechanism across a budget sweep at two vehicle densities.
 - ``bid-payment``: winning bids against their critical payments.
 
-``EXPERIMENTS`` maps each name to its row function and CSV header, and
-``run_experiment`` is the one entry point: it writes
-``<out_dir>/<study>/<seed>.csv`` per seed. Overrides are the row
-function's keyword parameters. Rows come in a fixed order and
-``model.write_rows`` writes them, so identical seeds give byte-identical
-files. Every seed passes ``model.validate_count`` before anything is
-written, and a row holds the plain ``int``s and ``float``s that the rules
-in ``model`` return, never a ``bool`` or a numpy scalar. Trial seeds never
-feed one shared stream: anything random inside a trial derives its
-generator from ``[seed, tag, ...]`` so results do not depend on the order
-trials run in.
+Every study is a row function, ``<study>_rows(seed, ...)``, that returns
+its table and nothing else; ``trajectory_rows`` reads its table from the
+history that ``reputation_trajectory`` returns. ``EXPERIMENTS`` maps each
+name to its row function and CSV header, and ``run_experiment`` is the one
+entry point: it writes ``<out_dir>/<study>/<seed>.csv`` per seed.
+Overrides are the row function's keyword parameters. Rows come in a fixed
+order and ``model.write_rows`` writes them, so identical seeds give
+byte-identical files. Every seed passes ``model.validate_count`` before
+anything is written, and a row holds the plain ``int``s and ``float``s
+that the rules in ``model`` return, never a ``bool`` or a numpy scalar.
+Trial seeds never feed one shared stream: anything random inside a trial
+derives its generator from ``[seed, tag, ...]`` so results do not depend
+on the order trials run in.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -59,10 +61,8 @@ __all__ = [
     "BUDGET_GRID",
     "HOSTILE_FRACTION_GRID",
     "VEHICLE_COUNTS",
-    "TRAJECTORY_NORMAL_WAYPOINTS",
-    "TRAJECTORY_ABNORMAL_WAYPOINTS",
-    "TrajectoryResult",
     "reputation_trajectory",
+    "trajectory_rows",
     "ideal_normal_fraction",
     "rnw_vs_rafn_rows",
     "profit_vs_budget_rows",
@@ -76,27 +76,10 @@ BUDGET_GRID = tuple(float(b) for b in range(25, 401, 25))
 HOSTILE_FRACTION_GRID = tuple(i / 20 for i in range(20))  # 0.00 .. 0.95
 VEHICLE_COUNTS = (500, 1000)
 
-# reputation checkpoints at each epoch boundary for the two tracked nodes
-TRAJECTORY_NORMAL_WAYPOINTS = (0.55, 0.74, 0.93, 1.0, 1.0)
-TRAJECTORY_ABNORMAL_WAYPOINTS = (0.45, 0.40, 0.21, 0.02, 0.0)
 
-
-@dataclass(frozen=True)
-class TrajectoryResult:
-    rows: tuple[tuple[int, float, float], ...]  # round, normal rep, hostile rep
-    history: ConsensusHistory
-
-
-def _forced(members, active_order, standby) -> Committee:
-    return Committee(
-        members=tuple(members),
-        active_order=tuple(active_order),
-        standby=tuple(standby),
-    )
-
-
-def reputation_trajectory(seed: int = 0) -> TrajectoryResult:
-    """Five pinned epochs, ten rounds each, tracking nodes 0 and 1.
+def reputation_trajectory(seed: int = 0) -> ConsensusHistory:
+    """The history of five pinned epochs, ten rounds each, tracking nodes 0
+    and 1.
 
     Node 0 behaves and climbs: a plain voter in epoch 0, then an active
     witness leading once per epoch until the ceiling. Node 1 abstains and
@@ -106,14 +89,14 @@ def reputation_trajectory(seed: int = 0) -> TrajectoryResult:
     """
     nodes = [FullNode(id=i, reputation=0.5) for i in range(14)]
     nodes[1].behavior = replace(ABNORMAL_BEHAVIOR, votes=False)  # also abstains
-    background = list(range(2, 14))
+    background = tuple(range(2, 14))
     schedule = [
-        _forced(background, background[:10], background[10:]),
-        _forced([0] + background[:11], background[:9] + [0], background[9:11]),
+        Committee(background, background[:10], background[10:]),
+        Committee((0, *background[:11]), (*background[:9], 0), background[9:11]),
     ]
-    both = _forced([0, 1] + background[:10], background[:8] + [0, 1], background[8:10])
+    both = Committee((0, 1, *background[:10]), (*background[:8], 0, 1), background[8:10])
     schedule += [both, both, both]
-    history = run_epochs(
+    return run_epochs(
         nodes,
         ReputationParams(),
         committee_size=12,
@@ -122,10 +105,14 @@ def reputation_trajectory(seed: int = 0) -> TrajectoryResult:
         seed=seed,
         committee_schedule=schedule,
     )
-    normal = {r.round_index: r.reputation for r in history.rows_for(0)}
-    hostile = {r.round_index: r.reputation for r in history.rows_for(1)}
-    rows = tuple((rnd, normal[rnd], hostile[rnd]) for rnd in sorted(normal))
-    return TrajectoryResult(rows=rows, history=history)
+
+
+def trajectory_rows(seed: int) -> list[tuple]:
+    """Rows (round, normal_reputation, abnormal_reputation): the reputations
+    of nodes 0 and 1 after each round of ``reputation_trajectory``."""
+    history = reputation_trajectory(seed)
+    return [(normal.round_index, normal.reputation, hostile.reputation)
+            for normal, hostile in zip(history.rows_for(0), history.rows_for(1))]
 
 
 def ideal_normal_fraction(population: int, committee_size: int, rafn: float) -> float:
@@ -229,13 +216,9 @@ def bid_payment_rows(
     return rows
 
 
-def _trajectory_rows(seed: int) -> tuple[tuple[int, float, float], ...]:
-    return reputation_trajectory(seed).rows
-
-
 EXPERIMENTS: dict[str, tuple[Callable[..., Sequence[tuple]], tuple[str, ...]]] = {
     "trajectory": (
-        _trajectory_rows, ("round", "normal_reputation", "abnormal_reputation")
+        trajectory_rows, ("round", "normal_reputation", "abnormal_reputation")
     ),
     "rnw-vs-rafn": (rnw_vs_rafn_rows, ("rafn", "mode", "rnw", "ideal")),
     "profit-vs-budget": (

@@ -201,7 +201,6 @@ class CertificateAuthority:
 
 @dataclass
 class Account:
-    owner: str
     balance: Fraction
 
 
@@ -302,7 +301,7 @@ def build_world(
         name="authority",
         keys=authority_keys,
         certificate=ca.issue("authority", authority_keys.public),
-        account=Account(owner="authority", balance=Fraction(balance)),
+        account=Account(balance=Fraction(balance)),
     )
     vehicles = {}
     for vehicle in instance.vehicles:
@@ -312,7 +311,7 @@ def build_world(
             name=name,
             keys=keys,
             certificate=ca.issue(name, keys.public),
-            account=Account(owner=name, balance=Fraction(0)),
+            account=Account(balance=Fraction(0)),
         )
     return TradingWorld(
         scheme=scheme, ca=ca, authority=authority, vehicles=vehicles, seed=seed
@@ -359,14 +358,18 @@ FAILURES: dict[tuple[str, str], str] = {
 
 @dataclass
 class TradingSession:
+    """One vehicle's progress through a round: its state, the messages of
+    its legs in order, the last timestamp it accepted, its failure pair
+    once aborted and what it was paid. A confirmed trade's data digest and
+    confirmation time live only in the ``TransactionRecord`` that
+    ``_Round.serve`` builds."""
+
     vehicle_id: int
     state: SessionState = SessionState.PUBLISHED
     transcript: list[ProtocolMessage] = field(default_factory=list)
     last_timestamp: int = 0
     cause: tuple[str, str] | None = None  # a key of FAILURES once aborted
     paid_amount: Fraction | None = None
-    data_digest: str | None = None
-    confirmed_at: int | None = None
 
     @property
     def failure(self) -> str | None:
@@ -717,7 +720,6 @@ class _Round:
         if delivered is None or not data_check(vid, subset, delivered[2]):
             session.abort("data", "rejected" if delivered else "malformed payload")
             return None
-        session.data_digest = hashlib.sha256(plaintext).hexdigest()
         session.state = SessionState.DATA_DELIVERED
 
         pay_winner(self.world, session, Fraction(payment))
@@ -727,9 +729,8 @@ class _Round:
             return None
         confirmed = session.transcript[-1]
         session.state = SessionState.CONFIRMED
-        session.confirmed_at = confirmed.timestamp
         return TransactionRecord(confirmed.session_id, self.world.authority.name, vid,
-                                 str(session.paid_amount), session.data_digest,
+                                 str(session.paid_amount), hashlib.sha256(plaintext).hexdigest(),
                                  confirmed.timestamp)
 
 

@@ -159,6 +159,23 @@ class TestElection:
             elect_witnesses([ballot], nodes, 2, 1, VotingMode.EQUAL_WEIGHT,
                             np.random.default_rng(0))
 
+    @pytest.mark.parametrize("ballot, message", [
+        # each was counted as an id of the population: 1.5 and True as voter
+        # 1, np.int64(0) as voter 0, and the pool {2.5, 3} as {2, 3}
+        (VotingBallot(1.5, frozenset({2, 3})), "ballot from unknown voter 1.5"),
+        (VotingBallot(True, frozenset({2, 3})), "ballot from unknown voter True"),
+        (VotingBallot(np.int64(0), frozenset({2, 3})),
+         f"ballot from unknown voter {np.int64(0)!r}"),
+        (VotingBallot(0, frozenset({2.5, 3})), "ballot supports an id outside 0..n-1: 2.5"),
+    ])
+    def test_rejects_an_id_that_is_not_exactly_an_int(self, ballot, message):
+        nodes = make_nodes([0.5] * 4)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            elect_witnesses([ballot], nodes, 3, 1, VotingMode.EQUAL_WEIGHT, rng)
+        assert rng.bit_generator.state == state
+
     def test_rejects_a_voter_with_two_ballots(self):
         nodes = make_nodes([0.9, 0.8, 0.7])
         pool = frozenset({0, 1})
@@ -332,6 +349,7 @@ class TestRoundDeltas:
         (forced([0, 1, 2, 3], [0, 99], [2, 3]), "epoch 0 committee seats unknown id 99"),
         (forced([0, True, 2, 3], [0, True], [2, 3]), "epoch 0 committee seats unknown id True"),
         (forced([0, 1, 2, 3], [0, 4], [1, 2, 3]), "epoch 0 leader 4 is not a committee member"),
+        (forced([0, 1, 2, 3], [0, 1], [2, 4]), "epoch 0 standby 4 is not a committee member"),
         (("x",), "epoch 0 committee ('x',) is not a Committee"),
     ])
     def test_a_round_refuses_a_committee_a_schedule_would_refuse(self, seated, message):
@@ -513,6 +531,14 @@ class TestEpochRuns:
         with pytest.raises(ValueError, match="epoch 1 leader 3 is not a committee member"):
             run_epochs(nodes, PARAMS, 3, 2, n_epochs=2, committee_schedule=schedule)
         assert [n.reputation for n in nodes] == [0.3, 0.5, 0.7, 0.9, 0.6]
+
+    def test_rejects_schedule_standby_outside_members(self):
+        # node 5 was recorded as standby, though it holds no seat
+        nodes = [FullNode(id=i) for i in range(6)]
+        schedule = [Committee((0, 1, 2), (0,), (5,))]
+        with pytest.raises(ValueError, match="^epoch 0 standby 5 is not a committee member$"):
+            run_epochs(nodes, ReputationParams(), 3, 1, 1, committee_schedule=schedule)
+        assert [n.reputation for n in nodes] == [0.5] * 6
 
     def test_schedule_may_repeat_member_ids(self):
         nodes = make_nodes([0.5] * 4)

@@ -8,8 +8,6 @@ from trafficmarket.auction import tbsap
 from trafficmarket.experiments import (
     BUDGET_GRID,
     HOSTILE_FRACTION_GRID,
-    TRAJECTORY_ABNORMAL_WAYPOINTS,
-    TRAJECTORY_NORMAL_WAYPOINTS,
     allowed_params,
     bid_payment_rows,
     ideal_normal_fraction,
@@ -17,6 +15,7 @@ from trafficmarket.experiments import (
     reputation_trajectory,
     rnw_vs_rafn_rows,
     run_experiment,
+    trajectory_rows,
 )
 from trafficmarket.model import ScenarioConfig, generate_scenario
 
@@ -27,38 +26,42 @@ SMALL_PROFIT = dict(budgets=(10.0, 25.0, 50.0), vehicle_counts=(60, 120), n_task
 SMALL_SCATTER = dict(budget=25.0, vehicle_counts=(60, 120), n_tasks=30)
 SMALL_RNW = dict(population=20, committee_size=10, active_size=2, grid=(0.0, 0.3, 0.6))
 
+# reputation checkpoints at each epoch boundary for the two tracked nodes
+TRAJECTORY_NORMAL_WAYPOINTS = (0.55, 0.74, 0.93, 1.0, 1.0)
+TRAJECTORY_ABNORMAL_WAYPOINTS = (0.45, 0.40, 0.21, 0.02, 0.0)
+
 
 class TestTrajectory:
     def test_waypoints_hit_exactly(self):
-        result = reputation_trajectory(0)
-        assert len(result.rows) == 50
-        assert [r[0] for r in result.rows] == list(range(50))
+        rows = trajectory_rows(0)
+        assert len(rows) == 50
+        assert [r[0] for r in rows] == list(range(50))
         for epoch, (normal, hostile) in enumerate(
             zip(TRAJECTORY_NORMAL_WAYPOINTS, TRAJECTORY_ABNORMAL_WAYPOINTS)
         ):
-            boundary = result.rows[10 * epoch + 9]
+            boundary = rows[10 * epoch + 9]
             assert boundary[1] == pytest.approx(normal, abs=1e-12)
             assert boundary[2] == pytest.approx(hostile, abs=1e-12)
 
     def test_every_scripted_delta_appears(self):
-        result = reputation_trajectory(0)
+        history = reputation_trajectory(0)
         deltas_normal = {
-            round(r.delta, 6) for r in result.history.rows_for(0)
+            round(r.delta, 6) for r in history.rows_for(0)
         }
         deltas_hostile = {
-            round(r.delta, 6) for r in result.history.rows_for(1)
+            round(r.delta, 6) for r in history.rows_for(1)
         }
         assert {0.005, 0.015, 0.055} <= deltas_normal
         assert {-0.005, -0.015, -0.055} <= deltas_hostile
 
     def test_clamps_at_both_ends(self):
-        result = reputation_trajectory(0)
-        assert result.rows[-1][1] == 1.0
-        assert result.rows[-1][2] == 0.0
-        assert all(0.0 <= r[1] <= 1.0 and 0.0 <= r[2] <= 1.0 for r in result.rows)
+        rows = trajectory_rows(0)
+        assert rows[-1][1] == 1.0
+        assert rows[-1][2] == 0.0
+        assert all(0.0 <= r[1] <= 1.0 and 0.0 <= r[2] <= 1.0 for r in rows)
 
     def test_schedule_pinned_so_seed_is_cosmetic(self):
-        assert reputation_trajectory(0).rows == reputation_trajectory(99).rows
+        assert trajectory_rows(0) == trajectory_rows(99)
 
 
 class TestRnwVsRafn:

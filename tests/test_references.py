@@ -15,6 +15,10 @@ An ``AuctionInstance`` is checked once, by its constructor: no other code
 in the package calls ``validate_instance``, and ``auction.py`` names no
 validator.
 
+Every public name list holds each name once, and each resolves: the
+``__all__`` of every package module that has one, and the package's own,
+whose trading and crypto names load lazily.
+
 A trading session aborts only with a ``(stage, cause)`` pair: every
 ``.abort(...)`` call in the package passes exactly two arguments, and
 literal ones name a pair of ``trading.FAILURES``, so no site can pass free
@@ -22,6 +26,9 @@ text.
 """
 
 import ast
+import importlib
+import types
+from collections import Counter
 from pathlib import Path
 
 from trafficmarket.trading import FAILURES
@@ -193,3 +200,30 @@ def test_the_abort_scan_sees_free_text():
         's.abort("data", "rejected", "late")\n'
     )
     assert list(free_aborts(ast.parse(source))) == [4, 5, 6, 7, 8, 9, 10]
+
+
+def bad_names(module: types.ModuleType) -> tuple[list[str], list[str]]:
+    """The names that ``module.__all__`` lists more than once, and those
+    that do not resolve on it (a lazy name resolves through the module's
+    ``__getattr__``)."""
+    counts = Counter(module.__all__)
+    return ([name for name, count in counts.items() if count > 1],
+            [name for name in counts if not hasattr(module, name)])
+
+
+def test_every_public_name_is_listed_once_and_resolves():
+    names = ["trafficmarket", *(f"trafficmarket.{p.stem}" for p in sorted(PACKAGE.glob("*.py"))
+                                if p.stem != "__init__")]
+    modules = [m for m in map(importlib.import_module, names) if hasattr(m, "__all__")]
+    assert {m.__name__ for m in modules} >= {
+        "trafficmarket", "trafficmarket.consensus", "trafficmarket.crypto",
+        "trafficmarket.experiments", "trafficmarket.trading",
+    }
+    assert {m.__name__: bad_names(m) for m in modules} == {m.__name__: ([], []) for m in modules}
+
+
+def test_the_name_check_sees_repeats_and_dangling_names():
+    module = types.ModuleType("listed")
+    module.__all__ = ["a", "b", "a", "gone"]
+    module.a = module.b = 1
+    assert bad_names(module) == (["a"], ["gone"])

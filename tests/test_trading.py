@@ -1,7 +1,7 @@
 """End-to-end tests for the signed trading protocol."""
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +9,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from trafficmarket import trading
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+
+from trafficmarket import crypto, trading
 from trafficmarket.auction import BRUTE_FORCE_MAX_VEHICLES, tbsap
 from trafficmarket.cli import MECHANISMS
 from trafficmarket.crypto import (
@@ -306,7 +309,6 @@ class TestFailureModes:
             assert session.state is SessionState.ABORTED
             assert session.failure == f"{kind.name.lower()}: bad signature"
             assert session.transcript[-1].kind is kind
-            assert session.confirmed_at is None
             paid = kind is MessageKind.CONFIRM  # paid before the confirm leg
             assert (session.paid_amount is not None) is paid
             assert (world.vehicles[vid].account.balance > 0) is paid
@@ -612,6 +614,24 @@ def test_a_vehicle_the_world_holds_no_keys_for_is_refused_before_anything_is_sig
     with pytest.raises(ValueError, match=f"^vehicle {missing} has no keys in this world$"):
         run_trading_round(world, instance)
     assert (world.clock, world.ledger, world.total_balance()) == (0, [], Fraction(5))
+
+
+@pytest.mark.parametrize("scheme, instance", [
+    (HashStubScheme, paper_example()),
+    (Ed25519X25519Scheme, dense_scenario(3)),
+], ids=["paper example, stub", "generated map, real"])
+def test_a_record_holds_its_delivery_digest_and_confirm_time(scheme, instance):
+    # the record is the one home of both: the session keeps no copy
+    world = build_world(instance, scheme(), seed=5, authority_balance=Fraction(10**6))
+    result = run_trading_round(world, instance)
+    assert len(result.records) == len(result.outcome.winners) > 0
+    for record in result.records:
+        *_, delivery, confirm = result.sessions[record.vehicle_id].transcript
+        assert (delivery.kind, confirm.kind) == (MessageKind.DATA, MessageKind.CONFIRM)
+        plaintext = world.scheme.decrypt(world.authority.keys.private, delivery.body)
+        assert record.data_digest == hashlib.sha256(plaintext).hexdigest()
+        assert record.confirmed_at == confirm.timestamp
+    assert {"data_digest", "confirmed_at"}.isdisjoint(f.name for f in fields(TradingSession))
 
 
 # A leg accepts only the message that its send half makes. The set-ups
@@ -1119,6 +1139,29 @@ class TestCryptoSchemes:
         signature = scheme.sign(keys.private, b"payload")
         assert scheme.verify(keys.public, b"payload", signature)
         assert not scheme.verify(keys.public, b"other", signature)
+
+    def test_one_key_cache_keeps_the_kinds_of_the_same_bytes_apart(self):
+        # 32 bytes read as an Ed25519 and as an X25519 private key: two
+        # entries of the one cache, neither a hit for the other
+        key = np.random.default_rng([1, 32]).bytes(32)
+        parsed = crypto._parsed
+        before = parsed.cache_info()
+        signing = parsed(crypto._SIGNING, key)
+        agreement = parsed(crypto._AGREEMENT, key)
+        after = parsed.cache_info()
+        assert isinstance(signing, Ed25519PrivateKey)
+        assert isinstance(agreement, X25519PrivateKey)
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+        assert parsed(crypto._SIGNING, key) is signing
+        assert parsed(crypto._AGREEMENT, key) is agreement
+        assert parsed.cache_info().hits == after.hits + 2
+        # the scheme reads both halves of a private key through it
+        scheme = Ed25519X25519Scheme()
+        public = (signing.public_key().public_bytes_raw()
+                  + agreement.public_key().public_bytes_raw())
+        assert scheme.verify(public, b"data", scheme.sign(key + key, b"data"))
+        sealed = scheme.encrypt(public, b"data", np.random.default_rng(0))
+        assert scheme.decrypt(key + key, sealed) == b"data"
 
     def test_keygen_is_seed_deterministic(self):
         scheme = Ed25519X25519Scheme()
